@@ -24,7 +24,6 @@ from .groups import (
     TableGroupError,
     Word,
     evaluate_word,
-    invert,
     invert_word,
     multiply,
     standard_gens,
@@ -36,9 +35,7 @@ from .cayley import (
     ball,
     ball_cached,
     ball_to_csv,
-    geodesic,
     load_ball,
-    norm,
     save_ball,
 )
 from .quotient import (

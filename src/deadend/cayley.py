@@ -1,21 +1,25 @@
 """Exact closed balls, word norms, and geodesics in Cayley graphs.
 
-The ball BFS explores the implicit Cayley graph of a group under the
-symmetrized view of a generating set.  BFS order is deterministic:
-frontier FIFO, neighbors per generator in listed order, positive sign
-before negative.  Distances are exact; parent letters make geodesic
-recovery O(length).
+``bfs_layers`` is the one breadth-first kernel of the package: balls,
+quotient checks, the depth oracle and the construction's neighbourhood
+all expand layers through it, under one budget.  The ball BFS explores
+the implicit Cayley graph of a group under the symmetrized view of a
+generating set.  BFS order is deterministic: frontier FIFO, neighbors
+per generator in listed order, positive sign before negative.  Distances
+are exact; parent letters make geodesic recovery O(length).
 """
 
 from __future__ import annotations
 
 import csv
 import hashlib
+import os
 import struct
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterator, Optional, Union
+from itertools import count, islice
+from typing import Any, Callable, Iterator, Optional, Sequence, Union
 
 from .groups import GeneratingSet, Group, GroupElement, Word
 from .serialize import dumps, genset_to_json, group_to_json
@@ -27,8 +31,7 @@ __all__ = [
     "BudgetExceededError",
     "ball",
     "ball_cached",
-    "norm",
-    "geodesic",
+    "bfs_layers",
     "save_ball",
     "load_ball",
     "ball_content_hash",
@@ -136,6 +139,60 @@ class Ball:
         return self.geodesic_payload(x.payload)
 
 
+def bfs_layers(
+    mul: Callable[[Any, Any], Any],
+    letters: Sequence[tuple[int, Any]],
+    start: Any,
+    seen: dict,
+    budget: Budget = DEFAULT_BUDGET,
+) -> Iterator[tuple[int, list]]:
+    """Breadth-first layers about ``start`` under right multiplication.
+
+    ``letters`` holds (signed letter, step payload) pairs in neighbour
+    order; ``seen`` must hold ``start`` and receives, in place, the
+    first-discovery parent letter of every payload reached.  Yields
+    (r, new_layer) for r = 1, 2, ... until a layer comes out empty; the
+    frontier is FIFO, so discovery order is deterministic.  Raises
+    BudgetExceededError once ``seen`` outgrows the element budget or the
+    time budget runs out.
+    """
+    deadline = time.monotonic() + budget.max_seconds
+    checked = 0
+    layer = [start]
+    for r in count(1):
+        next_layer: list = []
+        for x in layer:
+            for letter, step in letters:
+                y = mul(x, step)
+                if y not in seen:
+                    seen[y] = letter
+                    next_layer.append(y)
+            checked += 1
+            if (checked & 0x3FF) == 0:
+                if len(seen) > budget.max_elements:
+                    raise BudgetExceededError(
+                        f"element budget {budget.max_elements} exceeded",
+                        radius_reached=r - 1,
+                        elements_seen=len(seen),
+                    )
+                if time.monotonic() > deadline:
+                    raise BudgetExceededError(
+                        f"time budget {budget.max_seconds}s exceeded",
+                        radius_reached=r - 1,
+                        elements_seen=len(seen),
+                    )
+        if len(seen) > budget.max_elements:
+            raise BudgetExceededError(
+                f"element budget {budget.max_elements} exceeded",
+                radius_reached=r - 1,
+                elements_seen=len(seen),
+            )
+        if not next_layer:
+            return
+        yield r, next_layer
+        layer = next_layer
+
+
 def ball(
     group: Group,
     gens: GeneratingSet,
@@ -153,57 +210,16 @@ def ball(
             radius_reached=0,
             elements_seen=1,
         )
-    letters = gens.symmetrized_letters()
-    mul = group.mul_payload
     identity = group.identity_payload()
     dist: dict = {identity: 0}
     parent: dict = {identity: 0}
     spheres = [1]
-    layer = [identity]
-    deadline = time.monotonic() + budget.max_seconds
-    checked = 0
-    for r in range(1, radius + 1):
-        next_layer: list = []
-        for x in layer:
-            for letter, step in letters:
-                y = mul(x, step)
-                if y not in dist:
-                    dist[y] = r
-                    parent[y] = letter
-                    next_layer.append(y)
-            checked += 1
-            if (checked & 0x3FF) == 0:
-                if len(dist) > budget.max_elements:
-                    raise BudgetExceededError(
-                        f"element budget {budget.max_elements} exceeded",
-                        radius_reached=r - 1,
-                        elements_seen=len(dist),
-                    )
-                if time.monotonic() > deadline:
-                    raise BudgetExceededError(
-                        f"time budget {budget.max_seconds}s exceeded",
-                        radius_reached=r - 1,
-                        elements_seen=len(dist),
-                    )
-        if len(dist) > budget.max_elements:
-            raise BudgetExceededError(
-                f"element budget {budget.max_elements} exceeded",
-                radius_reached=r - 1,
-                elements_seen=len(dist),
-            )
-        if not next_layer:
-            break
-        spheres.append(len(next_layer))
-        layer = next_layer
+    layers = bfs_layers(group.mul_payload, gens.symmetrized_letters(), identity, parent, budget)
+    for r, layer in islice(layers, radius):
+        for y in layer:
+            dist[y] = r
+        spheres.append(len(layer))
     return Ball(group, gens, radius, dist, parent, tuple(spheres))
-
-
-def norm(b: Ball, x: GroupElement) -> Optional[int]:
-    return b.norm(x)
-
-
-def geodesic(b: Ball, x: GroupElement) -> Word:
-    return b.geodesic(x)
 
 
 # ---------------------------------------------------------------------------
@@ -221,47 +237,66 @@ def ball_content_hash(group: Group, gens: GeneratingSet, radius: int) -> str:
 
 
 def save_ball(b: Ball, path: Union[str, Path]) -> None:
-    """Write a ball to disk: header (magic, version, content hash), records."""
+    """Write a ball to disk: header (magic, version, content hash), records.
+
+    The bytes go to a temporary file that is then renamed over ``path``,
+    so a crash mid-write never leaves a truncated cache file behind.
+    """
+    path = Path(path)
     digest = bytes.fromhex(ball_content_hash(b.group, b.gens, b.radius))
     encode = b.group.encode_payload
-    with open(path, "wb") as fh:
-        fh.write(CACHE_MAGIC)
-        fh.write(struct.pack(">H", CACHE_VERSION))
-        fh.write(digest)
-        fh.write(struct.pack(">IQ", b.radius, len(b._dist)))
-        for payload, d in b._dist.items():
-            enc = encode(payload)
-            fh.write(struct.pack(">H", len(enc)))
-            fh.write(enc)
-            fh.write(struct.pack(">Ii", d, b._parent[payload]))
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(CACHE_MAGIC)
+            fh.write(struct.pack(">H", CACHE_VERSION))
+            fh.write(digest)
+            fh.write(struct.pack(">IQ", b.radius, len(b._dist)))
+            for payload, d in b._dist.items():
+                enc = encode(payload)
+                fh.write(struct.pack(">H", len(enc)))
+                fh.write(enc)
+                fh.write(struct.pack(">Ii", d, b._parent[payload]))
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_ball(path: Union[str, Path], group: Group, gens: GeneratingSet) -> Ball:
-    """Reload a cached ball; the stored content hash must match (group, gens, R)."""
+    """Reload a cached ball; the stored content hash must match (group, gens, R).
+
+    Raises ValueError on a foreign, mismatched, truncated or garbled file.
+    """
     with open(path, "rb") as fh:
         data = fh.read()
     if data[:4] != CACHE_MAGIC:
         raise ValueError(f"not a ball cache file: {path}")
-    (version,) = struct.unpack_from(">H", data, 4)
-    if version != CACHE_VERSION:
-        raise ValueError(f"unsupported ball cache version {version}")
-    digest = data[6:38].hex()
-    radius, count = struct.unpack_from(">IQ", data, 38)
-    if digest != ball_content_hash(group, gens, radius):
-        raise ValueError("ball cache content hash does not match (group, gens, radius)")
     decode = group.decode_payload
     dist: dict = {}
     parent: dict = {}
-    offset = 50
-    for _ in range(count):
-        (enc_len,) = struct.unpack_from(">H", data, offset)
-        offset += 2
-        payload = decode(data[offset : offset + enc_len])
-        offset += enc_len
-        d, letter = struct.unpack_from(">Ii", data, offset)
-        offset += 8
-        dist[payload] = d
-        parent[payload] = letter
+    try:
+        (version,) = struct.unpack_from(">H", data, 4)
+        if version != CACHE_VERSION:
+            raise ValueError(f"unsupported ball cache version {version}")
+        digest = data[6:38].hex()
+        radius, count = struct.unpack_from(">IQ", data, 38)
+        if digest != ball_content_hash(group, gens, radius):
+            raise ValueError("ball cache content hash does not match (group, gens, radius)")
+        offset = 50
+        for _ in range(count):
+            (enc_len,) = struct.unpack_from(">H", data, offset)
+            offset += 2
+            payload = decode(data[offset : offset + enc_len])
+            offset += enc_len
+            d, letter = struct.unpack_from(">Ii", data, offset)
+            offset += 8
+            if d > radius:
+                raise ValueError(f"distance {d} beyond radius {radius} in {path}")
+            dist[payload] = d
+            parent[payload] = letter
+    except (struct.error, IndexError) as exc:
+        raise ValueError(f"truncated or garbled ball cache file: {path}") from exc
     spheres = [0] * (max(dist.values()) + 1 if dist else 1)
     for d in dist.values():
         spheres[d] += 1
@@ -275,13 +310,19 @@ def ball_cached(
     cache_dir: Union[str, Path],
     budget: Budget = DEFAULT_BUDGET,
 ) -> Ball:
-    """Compute a ball or reload it from ``cache_dir``, keyed by content hash."""
+    """Compute a ball or reload it from ``cache_dir``, keyed by content hash.
+
+    A cache file that cannot be loaded counts as a miss and is rewritten.
+    """
     cache_dir = Path(cache_dir)
     cache_dir.mkdir(parents=True, exist_ok=True)
     key = ball_content_hash(group, gens, radius)
     path = cache_dir / f"ball-{key[:24]}.bin"
     if path.exists():
-        return load_ball(path, group, gens)
+        try:
+            return load_ball(path, group, gens)
+        except (OSError, ValueError):
+            pass
     b = ball(group, gens, radius, budget)
     save_ball(b, path)
     return b

@@ -40,6 +40,7 @@ from .groups import (
 )
 from .quotient import (
     QuotientMap,
+    check_homomorphism,
     cyclic_family,
     cyclic_quotient,
     diameter,
@@ -180,7 +181,9 @@ def parse_quotient(spec: str, source_gens: GeneratingSet):
             GroupElement(target, payload_from_json(target, obj)) for obj in doc["images"]
         ]
         try:
-            return word_quotient(source_gens, target, images)
+            pi = word_quotient(source_gens, target, images)
+            check_homomorphism(pi)
+            return pi
         except GroupError as exc:
             raise UsageError(f"bad quotient file: {exc}") from exc
     raise UsageError(f"unrecognized quotient spec {spec!r}")

@@ -16,10 +16,11 @@ import hashlib
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from pathlib import Path
 from typing import Any, Optional, Sequence, Union
 
-from .cayley import Ball, Budget, DEFAULT_BUDGET, ball, ball_cached
+from .cayley import Ball, Budget, DEFAULT_BUDGET, ball, ball_cached, bfs_layers
 from .depth import DepthValue, depth
 from .groups import (
     GeneratingSet,
@@ -30,7 +31,7 @@ from .groups import (
     invert_word,
     validate_word,
 )
-from .quotient import DiameterReport, QuotientMap, diameter, group_ball
+from .quotient import DiameterReport, QuotientMap, group_ball
 from .serialize import dumps, payload_to_json
 
 __all__ = [
@@ -242,23 +243,35 @@ def build_generating_set(
     return constructed_genset(source_gens, pi, params.N, budget, cache_dir)
 
 
-def phi_table(pi: QuotientMap, budget: Budget = DEFAULT_BUDGET) -> dict:
+def _section(pi: QuotientMap, target_ball: Ball) -> tuple[int, ...]:
+    """The canonical section of pi, once target_ball is known to be its full target ball."""
+    image_gens, section = pi.image_genset()
+    if (
+        target_ball.group != pi.target
+        or len(target_ball) != pi.target.order()
+        or [e.payload for e in target_ball.gens] != [e.payload for e in image_gens]
+    ):
+        raise ConstructionError("target ball does not cover the target under the image generators")
+    return section
+
+
+def _lift(section: Sequence[int], t_word: Word) -> Word:
+    """S-word spelling a target word through the section, letter by letter."""
+    return tuple((section[abs(letter) - 1] + 1) * (1 if letter > 0 else -1) for letter in t_word)
+
+
+def phi_table(pi: QuotientMap, target_ball: Ball) -> dict:
     """Minimal lift per target element: payload -> (S-word, lifted payload).
 
     The S-word arises from the target geodesic through the canonical
     section (least source index per image), so its length equals the
     target norm of the element.
     """
-    image_gens, section = pi.image_genset()
-    tb = group_ball(pi.target, image_gens, budget)
+    section = _section(pi, target_ball)
     phi: dict = {}
-    for h in tb.payloads():
-        t_word = tb.geodesic_payload(h)
-        s_word = tuple(
-            (section[abs(letter) - 1] + 1) * (1 if letter > 0 else -1) for letter in t_word
-        )
-        lift = evaluate_word(s_word, pi.source_gens)
-        phi[h] = (s_word, lift.payload)
+    for h in target_ball.payloads():
+        s_word = _lift(section, target_ball.geodesic_payload(h))
+        phi[h] = (s_word, evaluate_word(s_word, pi.source_gens).payload)
     return phi
 
 
@@ -283,22 +296,20 @@ class DeadEndWitness:
 
 def find_witness(
     built: ConstructedGenSet,
-    report: DiameterReport,
+    target_ball: Ball,
     claimed_depth: Optional[int] = None,
     budget: Budget = DEFAULT_BUDGET,
     a_ball: Optional[Ball] = None,
 ) -> DeadEndWitness:
-    """Lift the diameter witness through the canonical section and verify
-    that its word norm under the constructed set equals the diameter."""
+    """Lift the diameter witness of the target ball through the canonical
+    section and verify that its word norm under the constructed set
+    equals the diameter."""
     pi = built.pi
     source_gens = built.source_gens
+    report = DiameterReport.of_ball(target_ball)
     n = report.diameter
-    image_gens, section = pi.image_genset()
-    tb = group_ball(pi.target, image_gens, budget)
-    t_word = tb.geodesic_payload(report.witness.payload)
-    s_word = tuple(
-        (section[abs(letter) - 1] + 1) * (1 if letter > 0 else -1) for letter in t_word
-    )
+    section = _section(pi, target_ball)
+    s_word = _lift(section, target_ball.geodesic_payload(report.witness.payload))
     g_n = evaluate_word(s_word, source_gens)
     if pi.apply_word(s_word) != report.witness:
         raise ConstructionError("lifted witness does not map onto the diameter witness")
@@ -355,10 +366,11 @@ class Construction:
         source_gens: GeneratingSet,
         pi: QuotientMap,
         params: ConstructionParams,
-        report: DiameterReport,
+        target_ball: Ball,
         budget: Budget = DEFAULT_BUDGET,
         cache_dir: Optional[Union[str, Path]] = None,
     ):
+        report = DiameterReport.of_ball(target_ball)
         if report.diameter != params.n:
             raise ConstructionError(
                 f"params.n={params.n} does not match quotient diameter {report.diameter}"
@@ -368,10 +380,10 @@ class Construction:
         self.params = params
         self.report = report
         self.budget = budget
-        self.image_gens, self.section = pi.image_genset()
-        self.target_ball = group_ball(pi.target, self.image_gens, budget)
+        self.target_ball = target_ball
+        self.image_gens = target_ball.gens
         self.built = build_generating_set(source_gens, pi, params, budget, cache_dir)
-        self.phi = phi_table(pi, budget)
+        self.phi = phi_table(pi, target_ball)
         if cache_dir is not None:
             self.a_ball = ball_cached(
                 source_gens.group, self.built.genset, params.n, cache_dir, budget
@@ -379,7 +391,7 @@ class Construction:
         else:
             self.a_ball = ball(source_gens.group, self.built.genset, params.n, budget)
         self.witness = find_witness(
-            self.built, report, params.d + 1, budget, a_ball=self.a_ball
+            self.built, target_ball, params.d + 1, budget, a_ball=self.a_ball
         )
 
     @classmethod
@@ -393,10 +405,10 @@ class Construction:
         cache_dir: Optional[Union[str, Path]] = None,
     ) -> "Construction":
         """Measure the quotient diameter and derive parameters from it."""
-        image_gens, _ = pi.image_genset()
-        report = diameter(pi.target, image_gens, budget)
-        params = ConstructionParams.derive(target_depth, report.diameter, bound_mode)
-        return cls(source_gens, pi, params, report, budget, cache_dir)
+        target_ball = group_ball(pi.target, pi.image_genset()[0], budget)
+        n = DiameterReport.of_ball(target_ball).diameter
+        params = ConstructionParams.derive(target_depth, n, bound_mode)
+        return cls(source_gens, pi, params, target_ball, budget, cache_dir)
 
     # -- S-words -----------------------------------------------------------
 
@@ -414,24 +426,17 @@ class Construction:
         """
         group = self.source_gens.group
         mul = group.mul_payload
-        letters = self.built.genset.symmetrized_letters()
+        genset = self.built.genset
         start = self.witness.element.payload
         words: dict = {start: self.witness.s_word}
-        out = [(self.witness.element, self.witness.s_word)]
-        layer = [start]
-        for _ in range(self.params.d):
-            nxt = []
-            for x in layer:
-                base = words[x]
-                for letter, step in letters:
-                    y = mul(x, step)
-                    if y in words:
-                        continue
-                    words[y] = base + self.a_letter_s_word(letter)
-                    out.append((GroupElement(group, y), words[y]))
-                    nxt.append(y)
-            layer = nxt
-        return out
+        parent = {start: 0}
+        layers = bfs_layers(mul, genset.symmetrized_letters(), start, parent, self.budget)
+        for _, layer in islice(layers, self.params.d):
+            for y in layer:
+                letter = parent[y]
+                x = mul(y, genset.letter_payload(-letter))
+                words[y] = words[x] + self.a_letter_s_word(letter)
+        return [(GroupElement(group, y), word) for y, word in words.items()]
 
     def s_word_for(self, g: GroupElement) -> Word:
         """Some S-word of length <= n + d*N for g, if one is derivable."""
@@ -573,44 +578,10 @@ def validate_certificate(
         product = mul(product, v_payload)
     if product != cert.target.payload:
         raise CertificateError("factors do not multiply to the element")
-    _telescoping_checks(ctx, cert)
     if k > params.n:
         raise CertificateError(f"k = {k} exceeds the diameter n = {params.n}")
     if near_witness and k < params.n - params.d:
         raise CertificateError(f"k = {k} below the triangle bound n - d = {params.n - params.d}")
-
-
-def _telescoping_checks(ctx: Construction, cert: Certificate) -> None:
-    """Reproduce, step by step, the two image computations that show
-    each factor maps onto its geodesic letter."""
-    target = ctx.pi.target
-    mul_t = target.mul_payload
-    inv_t = target.inv_payload
-    k = cert.k
-    t_elems = [ctx.image_gens.letter_payload(letter) for letter in cert.t_letters]
-    u_images = [ctx.pi.apply_word(w).payload for w in cert.u_words]
-    for i in range(1, k + 1):
-        # t_{i-1}^-1 ... t_1^-1
-        acc = target.identity_payload()
-        for j in range(i - 1, 0, -1):
-            acc = mul_t(acc, inv_t(t_elems[j - 1]))
-        # * pi(u_1 ... u_{i-1})
-        prefix = target.identity_payload()
-        for j in range(i - 1):
-            prefix = mul_t(prefix, u_images[j])
-        acc = mul_t(acc, prefix)
-        # * pi(u_i)
-        acc = mul_t(acc, u_images[i - 1])
-        if i < k:
-            # * pi(u_1 ... u_i)^-1 * t_1 ... t_i
-            prefix_i = mul_t(prefix, u_images[i - 1])
-            acc = mul_t(acc, inv_t(prefix_i))
-            geo = target.identity_payload()
-            for j in range(i):
-                geo = mul_t(geo, t_elems[j])
-            acc = mul_t(acc, geo)
-        if acc != t_elems[i - 1]:
-            raise CertificateError("telescoped image differs from the geodesic letter", index=i - 1)
 
 
 @dataclass

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterator, Optional, Union
 
-from .cayley import Ball, Budget, DEFAULT_BUDGET, ball
+from .cayley import Ball, Budget, DEFAULT_BUDGET, ball, bfs_layers
 from .groups import GeneratingSet, Group, GroupElement
 
 __all__ = [
@@ -99,6 +99,7 @@ def depth(b: Ball, g: GroupElement, cap: int) -> DepthValue:
         raise ValueError(
             f"ball radius {b.radius} is smaller than norm {norm_g}; depth undecidable"
         )
+    # Own loop, not cayley.bfs_layers: the hot path of profiles, it exits mid-layer.
     group = b.group
     mul = group.mul_payload
     letters = b.gens.symmetrized_letters()
@@ -197,10 +198,10 @@ def depth_oracle(
 ) -> DepthProfile:
     """Ground-truth depth profile for a small finite group.
 
-    Computes all-pairs Cayley distances by running a fresh unrestricted
-    BFS from every element; the depth of g is the least distance to any
-    element of strictly larger norm.  Independent of depth()'s
-    closed-ball search, hence usable as an oracle against it.
+    Runs a fresh unrestricted BFS from every element; the depth of g is
+    the least distance to any element of strictly larger norm, so each
+    search stops at the first layer that holds one.  Independent of
+    depth()'s closed-ball search, hence usable as an oracle against it.
     """
     order = group.order()
     if order is None:
@@ -216,23 +217,10 @@ def depth_oracle(
     entries: dict = {}
     for payload in b.payloads():
         norm_g = norms[payload]
-        # Complete distance map from this element, no ball restriction.
-        dist = {payload: 0}
-        layer = [payload]
-        d = 0
-        while layer:
-            d += 1
-            nxt = []
-            for x in layer:
-                for _, step in letters:
-                    y = mul(x, step)
-                    if y not in dist:
-                        dist[y] = d
-                        nxt.append(y)
-            layer = nxt
-        candidates = [dx for y, dx in dist.items() if norms[y] > norm_g]
-        if candidates:
-            entries[payload] = (norm_g, DepthValue.finite(min(candidates)))
-        else:
-            entries[payload] = (norm_g, DepthValue.infinite())
+        dv = DepthValue.infinite()
+        for d, layer in bfs_layers(mul, letters, payload, {payload: 0}, budget):
+            if any(norms[y] > norm_g for y in layer):
+                dv = DepthValue.finite(d)
+                break
+        entries[payload] = (norm_g, dv)
     return DepthProfile(group, gens, b.radius, entries, cap=order + 1)

@@ -29,7 +29,6 @@ __all__ = [
     "InvalidElementError",
     "TableGroupError",
     "multiply",
-    "invert",
     "evaluate_word",
     "invert_word",
     "validate_word",
@@ -179,10 +178,6 @@ def multiply(x: GroupElement, y: GroupElement) -> GroupElement:
     """Canonical product x*y; operands must share a group."""
     _same_group(x, y)
     return GroupElement(x.group, x.group.mul_payload(x.payload, y.payload))
-
-
-def invert(x: GroupElement) -> GroupElement:
-    return x.inverse()
 
 
 class GeneratingSet:
@@ -675,24 +670,20 @@ class TableGroup(Group):
 
     def _light_associativity(self) -> None:
         # Light's test: associativity on a generating set is conclusive.
-        m, t = self._m, self.table
+        # Every element is a left-normed product of generators once
+        # right-multiplication BFS from the identity reaches all m ids.
+        from .cayley import bfs_layers
+
+        m, t, e = self._m, self.table, self.identity_id
         gens: list[int] = []
-        closure = {self.identity_id}
+        closure = {e: 0}
         for cand in range(m):
             if cand in closure:
                 continue
             gens.append(cand)
-            frontier = [cand]
-            closure.add(cand)
-            while frontier:
-                nxt = []
-                for x in frontier:
-                    for g in list(closure):
-                        for prod in (t[x][g], t[g][x]):
-                            if prod not in closure:
-                                closure.add(prod)
-                                nxt.append(prod)
-                frontier = nxt
+            closure = {e: 0}
+            for _ in bfs_layers(self.mul_payload, list(enumerate(gens, 1)), e, closure):
+                pass
             if len(closure) == m:
                 break
         for g in gens:

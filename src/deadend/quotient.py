@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import islice
 from typing import Any, Iterable, Iterator, Optional, Sequence
 
-from .cayley import Ball, Budget, DEFAULT_BUDGET, ball
+from .cayley import Ball, Budget, DEFAULT_BUDGET, ball, bfs_layers
 from .groups import (
     Cyclic,
     GeneratingSet,
@@ -93,23 +94,14 @@ class QuotientMap:
 
     def _check_surjective(self) -> None:
         order = self.target.order()
-        mul = self.target.mul_payload
         inv = self.target.inv_payload
-        seen = {self.target.identity_payload()}
-        frontier = list(seen)
-        steps = []
-        for im in self.images:
-            steps.append(im.payload)
-            steps.append(inv(im.payload))
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for s in steps:
-                    y = mul(x, s)
-                    if y not in seen:
-                        seen.add(y)
-                        nxt.append(y)
-            frontier = nxt
+        letters = []
+        for i, im in enumerate(self.images, 1):
+            letters += [(i, im.payload), (-i, inv(im.payload))]
+        identity = self.target.identity_payload()
+        seen = {identity: 0}
+        for _ in bfs_layers(self.target.mul_payload, letters, identity, seen):
+            pass
         if len(seen) != order:
             raise SurjectivityError(
                 f"images generate only {len(seen)} of {order} target elements"
@@ -241,31 +233,31 @@ def check_homomorphism(
             if left != right:
                 raise HomomorphismError(f"law fails at ({x!r}, {y!r})")
         return
-    # Word mode: well-definedness over all words up to max_word_len.
+    # Word mode: well-definedness over all words up to max_word_len.  The BFS
+    # runs over (source, image) pairs, so a source element reached with two
+    # images shows up twice in a layer.
     gens = pi.source_gens
-    letters = list(range(1, len(gens.entries) + 1))
-    letters += [-x for x in letters]
-    image_of: dict = {}
-    layer: list[tuple[Any, Any]] = [(gens.group.identity_payload(), pi.target.identity_payload())]
-    image_of[gens.group.identity_payload()] = pi.target.identity_payload()
     mul_s = gens.group.mul_payload
     mul_t = pi.target.mul_payload
-    for _ in range(max_word_len):
-        nxt = []
+    signed = list(range(1, len(gens.entries) + 1))
+    letters = []
+    for letter in signed + [-x for x in signed]:
+        p = pi.images[abs(letter) - 1].payload
+        image = p if letter > 0 else pi.target.inv_payload(p)
+        letters.append((letter, (gens.letter_payload(letter), image)))
+    start = (gens.group.identity_payload(), pi.target.identity_payload())
+    image_of = {start[0]: start[1]}
+    layers = bfs_layers(
+        lambda x, step: (mul_s(x[0], step[0]), mul_t(x[1], step[1])),
+        letters,
+        start,
+        {start: 0},
+    )
+    for _, layer in islice(layers, max_word_len):
         for src, img in layer:
-            for letter in letters:
-                s2 = mul_s(src, gens.letter_payload(letter))
-                p = pi.images[abs(letter) - 1].payload
-                i2 = mul_t(img, p if letter > 0 else pi.target.inv_payload(p))
-                known = image_of.get(s2)
-                if known is None:
-                    image_of[s2] = i2
-                    nxt.append((s2, i2))
-                elif known != i2:
-                    raise HomomorphismError(
-                        f"two words for {s2!r} map to different images"
-                    )
-        layer = nxt
+            known = image_of.setdefault(src, img)
+            if known != img:
+                raise HomomorphismError(f"two words for {src!r} map to different images")
 
 
 @dataclass(frozen=True)
@@ -276,6 +268,12 @@ class DiameterReport:
     diameter: int
     witness: GroupElement
     sphere_sizes: tuple[int, ...]
+
+    @classmethod
+    def of_ball(cls, b: Ball) -> "DiameterReport":
+        """Report on a ball that covers its whole finite group."""
+        n = len(b.sphere_sizes) - 1
+        return cls(len(b), n, GroupElement(b.group, b.first_payload_at(n)), b.sphere_sizes)
 
     def to_json(self) -> dict:
         return {
@@ -303,10 +301,7 @@ def diameter(
     target: Group, gens: GeneratingSet, budget: Budget = DEFAULT_BUDGET
 ) -> DiameterReport:
     """Exact diameter via full BFS; witness is the first maximal element."""
-    b = group_ball(target, gens, budget)
-    n = len(b.sphere_sizes) - 1
-    witness = GroupElement(target, b.first_payload_at(n))
-    return DiameterReport(target.order(), n, witness, b.sphere_sizes)
+    return DiameterReport.of_ball(group_ball(target, gens, budget))
 
 
 def counting_bound_check(report: DiameterReport, a: int) -> bool:

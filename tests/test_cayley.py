@@ -12,9 +12,7 @@ from deadend.cayley import (
     ball,
     ball_cached,
     ball_to_csv,
-    geodesic,
     load_ball,
-    norm,
     save_ball,
 )
 from deadend.groups import (
@@ -84,7 +82,6 @@ def test_cyclic_ball_covers_group():
 def test_norm_not_in_ball_is_none():
     b = ball(ZZ, gens_of(ZZ, 1), 3)
     assert b.norm(ZZ.element(7)) is None
-    assert norm(b, ZZ.element(7)) is None
 
 
 # -- geodesics ------------------------------------------------------------------
@@ -261,6 +258,25 @@ def test_ball_cached_reuses_file(tmp_path):
     b2 = ball_cached(ZZ, gens, 5, tmp_path)
     assert files[0].stat().st_mtime_ns == before
     assert list(b2.payloads()) == list(b1.payloads())
+
+
+# Offset and new bytes per field of the first record, the identity of D_7:
+# 2-byte length at 50, 9-byte encoding, 4-byte distance at 61, parent letter.
+GARBLED_FIELDS = {"record_length": (50, b"\x00\x08"), "distance": (61, (1000).to_bytes(4, "big"))}
+
+
+@pytest.mark.parametrize("field", sorted(GARBLED_FIELDS))
+def test_ball_cached_recomputes_garbled_file(tmp_path, field):
+    offset, value = GARBLED_FIELDS[field]
+    group = Dihedral(7)
+    gens = standard_gens(group)
+    b1 = ball_cached(group, gens, 3, tmp_path)
+    (path,) = tmp_path.glob("ball-*.bin")
+    data = path.read_bytes()
+    path.write_bytes(data[:offset] + value + data[offset + len(value) :])
+    b2 = ball_cached(group, gens, 3, tmp_path)
+    assert b2.sphere_sizes == b1.sphere_sizes
+    assert path.read_bytes() == data
 
 
 def test_ball_csv_export(tmp_path):

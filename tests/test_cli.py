@@ -153,6 +153,23 @@ def test_construct_with_word_quotient_file(tmp_path):
     assert report["results"]["passed"] is True
 
 
+def test_word_quotient_file_not_a_homomorphism(tmp_path, capsys):
+    # 1 and 2 both map to 1 in C_10, so the two words (2) and (1, 1) for 2 disagree
+    quotient_doc = {
+        "schema": "quotient.v1",
+        "target": group_to_json(Cyclic(10)),
+        "images": ["1", "1"],
+    }
+    qpath = tmp_path / "quotient.json"
+    qpath.write_text(dumps(quotient_doc))
+    code = main([
+        "construct", "--group", "zz", "--gens", "1,2",
+        "--quotient", f"@{qpath}", "--target-depth", "3",
+    ])
+    assert code == EXIT_USAGE
+    assert "map to different images" in capsys.readouterr().err
+
+
 def test_depth_command(tmp_path):
     code, report = run(
         tmp_path,
@@ -202,6 +219,21 @@ def test_ball_command_with_cache(tmp_path):
     )
     assert code2 == EXIT_OK
     assert report2["results"] == report["results"]
+
+
+def test_ball_command_recomputes_truncated_cache(tmp_path):
+    cache = tmp_path / "cache"
+    argv = ["ball", "--group", "zz", "--gens", "2,3", "--radius", "5", "--cache-dir", str(cache)]
+    code, report = run(tmp_path, *argv)
+    assert code == EXIT_OK
+    (path,) = cache.glob("ball-*.bin")
+    data = path.read_bytes()
+    path.write_bytes(data[:200])
+    code2, report2 = run(tmp_path, *argv, name="report2.json")
+    assert code2 == EXIT_OK
+    assert report2["results"]["sphere_sizes"] == report["results"]["sphere_sizes"]
+    assert path.read_bytes() == data
+    assert list(cache.iterdir()) == [path]
 
 
 # -- exit codes --------------------------------------------------------------------

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from deadend.cayley import Budget, ball
@@ -22,7 +24,7 @@ from deadend.construction import (
 )
 from deadend.depth import depth
 from deadend.groups import Cyclic, GeneratingSet, IntegerLine, evaluate_word
-from deadend.quotient import cyclic_quotient, diameter
+from deadend.quotient import cyclic_quotient, diameter, group_ball
 
 ZZ = IntegerLine()
 UNIT = GeneratingSet([ZZ.element(1)])
@@ -146,7 +148,7 @@ def test_find_witness_minimal_quotient():
     built = constructed_genset(UNIT, pi, N=1)
     report = diameter(pi.target, pi.image_genset()[0])
     assert report.diameter == 1
-    w = find_witness(built, report)
+    w = find_witness(built, group_ball(pi.target, pi.image_genset()[0]))
     assert w.element.payload == 1
     assert w.n == 1
 
@@ -163,7 +165,7 @@ def test_find_witness_c22():
 
 def test_phi_examples():
     pi = cyclic_quotient(UNIT, 10)
-    phi = phi_table(pi)
+    phi = phi_table(pi, group_ball(pi.target, pi.image_genset()[0]))
     assert phi[6] == ((-1, -1, -1, -1), -4)
     assert phi[0] == ((), 0)
     assert phi[5] == ((1, 1, 1, 1, 1), 5)
@@ -174,12 +176,18 @@ def test_phi_lengths_match_target_norms():
     image_gens, _ = pi.image_genset()
     report = diameter(pi.target, image_gens)
     tb = ball(pi.target, image_gens, report.diameter)
-    phi = phi_table(pi)
+    phi = phi_table(pi, tb)
     for h, (word, lift) in phi.items():
         assert len(word) == tb.norm_payload(h)
         assert len(word) <= report.diameter
         assert pi.apply(ZZ.element(lift)).payload == h
         assert evaluate_word(word, UNIT).payload == lift
+
+
+def test_phi_table_rejects_a_partial_target_ball():
+    pi = cyclic_quotient(UNIT, 10)
+    with pytest.raises(ConstructionError):
+        phi_table(pi, ball(pi.target, pi.image_genset()[0], 2))
 
 
 # -- certificates --------------------------------------------------------------------
@@ -221,18 +229,23 @@ def test_certificate_rejects_overlong_word(c10_ctx):
         factorize(c10_ctx, g, long_word)
 
 
-def test_certificate_tampering_detected(c10_ctx):
-    cert = c10_ctx.certify(ZZ.element(76))
-    bad = type(cert)(
-        target=cert.target,
-        k=cert.k,
-        u_words=cert.u_words,
-        t_letters=cert.t_letters,
-        v_payloads=(cert.v_payloads[0] + 10,) + cert.v_payloads[1:],
-        v_words=cert.v_words,
-    )
+CERTIFICATE_CORRUPTIONS = {
+    "piece": lambda c: {"u_words": (c.u_words[0] + (1,),) + c.u_words[1:]},
+    "t_letter": lambda c: {"t_letters": (-c.t_letters[0],) + c.t_letters[1:]},
+    "v_payload": lambda c: {"v_payloads": (c.v_payloads[0] + 10,) + c.v_payloads[1:]},
+    "v_word": lambda c: {"v_words": (c.v_words[0] + (1,),) + c.v_words[1:]},
+    "k": lambda c: {"k": c.k + 1},
+}
+
+
+@pytest.mark.parametrize("field", sorted(CERTIFICATE_CORRUPTIONS))
+def test_certificate_corruption_rejected(c10_ctx, field):
+    # 46 has correction words in every factor, so no v_i equals its piece u_i
+    cert = c10_ctx.certify(ZZ.element(46))
+    validate_certificate(c10_ctx, cert, near_witness=True)
+    bad = dataclasses.replace(cert, **CERTIFICATE_CORRUPTIONS[field](cert))
     with pytest.raises(CertificateError):
-        validate_certificate(c10_ctx, bad)
+        validate_certificate(c10_ctx, bad, near_witness=True)
 
 
 def test_certificate_soundness_sampled(c10_ctx):
@@ -287,9 +300,9 @@ def test_verify_construction_c22():
 def test_construction_requires_matching_diameter():
     pi = cyclic_quotient(UNIT, 10)
     params = ConstructionParams(3, 2, 7, required_N(7, 2), "paper")
-    report = diameter(pi.target, pi.image_genset()[0])
+    target_ball = group_ball(pi.target, pi.image_genset()[0])
     with pytest.raises(ConstructionError):
-        Construction(UNIT, pi, params, report)
+        Construction(UNIT, pi, params, target_ball)
 
 
 def test_report_json_round_trip(c10_ctx):
@@ -378,7 +391,7 @@ def test_grid_source_with_identity_image():
 
 def test_nonabelian_target_construction():
     # D_8 -> D_4 (rotation reduced mod 4): the target geodesic corrections
-    # and telescoping checks run through genuinely noncommutative algebra
+    # run through genuinely noncommutative algebra
     from deadend.groups import Dihedral, standard_gens
     from deadend.quotient import check_homomorphism, word_quotient
 
