@@ -118,21 +118,42 @@ class Ball:
                 return payload
         raise AssertionError("sphere sizes inconsistent with distance table")
 
+    def _parent_payload(self, payload: Any, d: int) -> Any:
+        """Parent of a payload at distance d >= 1, checked to lie at distance d - 1."""
+        parent = self.group.mul_payload(payload, self.gens.letter_payload(-self._parent[payload]))
+        if self._dist.get(parent) != d - 1:
+            raise ValueError("garbled parent links: a parent step does not approach the identity")
+        return parent
+
     def geodesic_payload(self, payload: Any) -> Word:
-        if payload not in self._dist:
+        d = self._dist.get(payload)
+        if d is None:
             raise ValueError("element not recorded in this ball")
-        group = self.group
         letters: list[int] = []
         current = payload
-        while True:
-            letter = self._parent[current]
-            if letter == 0:
-                break
-            letters.append(letter)
-            step = self.gens.letter_payload(-letter)
-            current = group.mul_payload(current, step)
+        for remaining in range(d, 0, -1):
+            letters.append(self._parent[current])
+            current = self._parent_payload(current, remaining)
         letters.reverse()
         return tuple(letters)
+
+    def along_parents(self, start: Any, step: Callable[[Any, int], Any]) -> dict:
+        """Fold ``step`` down the BFS tree: payload -> value, in discovery order.
+
+        The identity gets ``start``; every other payload gets
+        ``step(value of its parent, its parent letter)``, so the value of
+        x is ``step`` folded over the letters of ``geodesic_payload(x)``.
+        """
+        values: dict = {}
+        for payload, d in self._dist.items():
+            if d == 0:
+                values[payload] = start
+                continue
+            parent = self._parent_payload(payload, d)
+            if parent not in values:
+                raise ValueError("garbled parent links: a parent comes after its child")
+            values[payload] = step(values[parent], self._parent[payload])
+        return values
 
     def geodesic(self, x: GroupElement) -> Word:
         """Word of length exactly norm(x) evaluating to x (first-parent rule)."""

@@ -202,14 +202,14 @@ def constructed_genset(
         s_ball = ball(group, source_gens, N, budget)
     tset = pi.image_set()
     identity = group.identity_payload()
-    native = pi.mode == "native"
+    mul_t = pi.target.mul_payload
+    image_of = {x: pi.apply_word((x,)).payload for x, _ in source_gens.symmetrized_letters()}
+    images = s_ball.along_parents(
+        pi.target.identity_payload(), lambda acc, letter: mul_t(acc, image_of[letter])
+    )
     entries: list[GroupElement] = []
     kept: set = set()
-    for payload in s_ball.payloads():
-        if native:
-            image = pi._native_payload(payload)
-        else:
-            image = pi.apply_word(s_ball.geodesic_payload(payload)).payload
+    for payload, image in images.items():
         if image not in tset:
             continue
         if payload == identity:
@@ -268,11 +268,14 @@ def phi_table(pi: QuotientMap, target_ball: Ball) -> dict:
     target norm of the element.
     """
     section = _section(pi, target_ball)
-    phi: dict = {}
-    for h in target_ball.payloads():
-        s_word = _lift(section, target_ball.geodesic_payload(h))
-        phi[h] = (s_word, evaluate_word(s_word, pi.source_gens).payload)
-    return phi
+    gens = pi.source_gens
+    mul = gens.group.mul_payload
+
+    def step(entry: tuple, t_letter: int) -> tuple:
+        (s_letter,) = _lift(section, (t_letter,))
+        return entry[0] + (s_letter,), mul(entry[1], gens.letter_payload(s_letter))
+
+    return target_ball.along_parents(((), gens.group.identity_payload()), step)
 
 
 @dataclass(frozen=True)

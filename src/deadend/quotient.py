@@ -1,17 +1,15 @@
 """Quotient maps onto finite groups, diameters, and diameter-targeted search.
 
-A quotient map is described by generator images.  Native maps (integer
-reduction mod m) evaluate any element directly; word-based maps need an
-S-word for the argument.  Surjectivity is verified on construction by
-closing the images under multiplication.
+A quotient map is given by the images of the source generators; the image
+of an element is read off an S-word that spells it.  Surjectivity is
+verified on construction by closing the images under multiplication.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from itertools import islice
-from typing import Any, Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .cayley import Ball, Budget, DEFAULT_BUDGET, ball, bfs_layers
 from .groups import (
@@ -63,9 +61,8 @@ class FamilyExhaustedError(QuotientError):
 class QuotientMap:
     """Surjection from a source group onto a finite target group.
 
-    ``images[i]`` is the image of ``source_gens.entries[i]``.  Mode
-    "native" evaluates arbitrary elements directly (built-in reduction);
-    mode "word" requires an S-word witnessing the argument.
+    ``images[i]`` is the image of ``source_gens.entries[i]``; an element's
+    image is the product of the images along an S-word for it.
     """
 
     def __init__(
@@ -73,10 +70,7 @@ class QuotientMap:
         source_gens: GeneratingSet,
         target: Group,
         images: Sequence[GroupElement],
-        mode: str = "word",
     ):
-        if mode not in ("native", "word"):
-            raise ValueError(f"mode must be 'native' or 'word', got {mode!r}")
         if target.order() is None:
             raise ValueError("quotient target must be finite")
         images = tuple(images)
@@ -89,7 +83,6 @@ class QuotientMap:
         self.source = source_gens.group
         self.target = target
         self.images = images
-        self.mode = mode
         self._check_surjective()
 
     def _check_surjective(self) -> None:
@@ -107,23 +100,12 @@ class QuotientMap:
                 f"images generate only {len(seen)} of {order} target elements"
             )
 
-    def apply_payload(self, payload: Any) -> Any:
-        """Native-mode image of a payload; raises in word mode."""
-        if self.mode != "native":
-            raise QuotientError("word-based quotient needs a word hint; use apply()")
-        return self._native_payload(payload)
-
-    def _native_payload(self, payload: Any) -> Any:
-        raise NotImplementedError
-
     def apply(self, g: GroupElement, word_hint: Optional[Sequence[int]] = None) -> GroupElement:
-        """Image of g; word-based maps require a hint word evaluating to g."""
+        """Image of g, read off an S-word that evaluates to g (required)."""
         if g.group is not self.source and g.group != self.source:
             raise QuotientError("argument does not belong to the source group")
-        if self.mode == "native":
-            return GroupElement(self.target, self._native_payload(g.payload))
         if word_hint is None:
-            raise QuotientError("word-based quotient requires a word hint")
+            raise QuotientError("a quotient map needs an S-word for its argument")
         word = validate_word(word_hint, self.source_gens)
         if evaluate_word(word, self.source_gens) != g:
             raise QuotientError("word hint does not evaluate to the argument")
@@ -167,75 +149,36 @@ class QuotientMap:
         return GeneratingSet(entries, labels), tuple(section)
 
     def __repr__(self) -> str:
-        return f"QuotientMap({self.source!r} -> {self.target!r}, mode={self.mode!r})"
-
-
-class _IntModQuotient(QuotientMap):
-    """Built-in reduction of the integer line modulo m."""
-
-    def __init__(self, source_gens: GeneratingSet, m: int):
-        if not isinstance(source_gens.group, IntegerLine):
-            raise ValueError("native cyclic quotient requires an IntegerLine source")
-        target = Cyclic(m)
-        images = [target.element(e.payload) for e in source_gens.entries]
-        super().__init__(source_gens, target, images, mode="native")
-
-    def _native_payload(self, payload: Any) -> Any:
-        return payload % self.target.modulus
+        return f"QuotientMap({self.source!r} -> {self.target!r})"
 
 
 def cyclic_quotient(source_gens: GeneratingSet, m: int) -> QuotientMap:
-    """Native quotient of the integers onto the cyclic group of order m."""
-    return _IntModQuotient(source_gens, m)
+    """Reduction of the integers onto the cyclic group of order m."""
+    if not isinstance(source_gens.group, IntegerLine):
+        raise ValueError("cyclic quotient requires an IntegerLine source")
+    target = Cyclic(m)
+    images = [target.element(e.payload) for e in source_gens.entries]
+    return QuotientMap(source_gens, target, images)
 
 
 def word_quotient(
     source_gens: GeneratingSet, target: Group, images: Sequence[GroupElement]
 ) -> QuotientMap:
-    """Word-based quotient defined purely by generator images."""
-    return QuotientMap(source_gens, target, images, mode="word")
+    """Quotient map defined purely by generator images."""
+    return QuotientMap(source_gens, target, images)
 
 
-def check_homomorphism(
-    pi: QuotientMap,
-    samples: int = 10_000,
-    seed: int = 0,
-    max_word_len: int = 8,
-) -> None:
-    """Verify the homomorphism law; raises HomomorphismError on failure.
+def check_homomorphism(pi: QuotientMap, max_word_len: int = 8) -> None:
+    """Verify that the generator images define a homomorphism.
 
-    Native maps on infinite sources are checked on random element pairs.
-    Word-based maps are checked for well-definedness: enumerate all short
-    words, group them by the source element they spell, and require every
-    class to share one image.  Exhaustive on finite sources (all pairs).
+    Raises HomomorphismError when two S-words for one source element map
+    to different images.  The BFS runs over (source, image) pairs, so a
+    source element reached with two images shows up twice.  On a finite
+    source it runs to closure, which is exact: the pairs then form the
+    subgroup generated by the (generator, image) pairs, and it is the
+    graph of a map exactly when no source element carries two images.  On
+    an infinite source only words up to ``max_word_len`` are compared.
     """
-    if pi.mode == "native":
-        order = pi.source.order()
-        if order is not None:
-            elems = [e.payload for e in pi.source.elements()]
-            mul_s = pi.source.mul_payload
-            mul_t = pi.target.mul_payload
-            for x in elems:
-                fx = pi._native_payload(x)
-                for y in elems:
-                    if pi._native_payload(mul_s(x, y)) != mul_t(fx, pi._native_payload(y)):
-                        raise HomomorphismError(f"law fails at ({x!r}, {y!r})")
-            return
-        rng = random.Random(seed)
-        mul_s = pi.source.mul_payload
-        mul_t = pi.target.mul_payload
-        span = 1 << 32
-        for _ in range(samples):
-            x = rng.randrange(-span, span)
-            y = rng.randrange(-span, span)
-            left = pi._native_payload(mul_s(x, y))
-            right = mul_t(pi._native_payload(x), pi._native_payload(y))
-            if left != right:
-                raise HomomorphismError(f"law fails at ({x!r}, {y!r})")
-        return
-    # Word mode: well-definedness over all words up to max_word_len.  The BFS
-    # runs over (source, image) pairs, so a source element reached with two
-    # images shows up twice in a layer.
     gens = pi.source_gens
     mul_s = gens.group.mul_payload
     mul_t = pi.target.mul_payload
@@ -253,7 +196,9 @@ def check_homomorphism(
         start,
         {start: 0},
     )
-    for _, layer in islice(layers, max_word_len):
+    if gens.group.order() is None:
+        layers = islice(layers, max_word_len)
+    for _, layer in layers:
         for src, img in layer:
             known = image_of.setdefault(src, img)
             if known != img:
@@ -346,7 +291,7 @@ def find_quotient(
 def cyclic_family(
     source_gens: GeneratingSet, start: int = 2, stop: Optional[int] = None
 ) -> Iterator[QuotientMap]:
-    """Lazily enumerated native quotients Z -> C_m for m = start, start+1, ...
+    """Lazily enumerated cyclic quotients Z -> C_m for m = start, start+1, ...
 
     Members whose images fail to generate (for example m sharing a factor
     with every generator) are skipped.

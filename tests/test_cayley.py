@@ -279,6 +279,25 @@ def test_ball_cached_recomputes_garbled_file(tmp_path, field):
     assert path.read_bytes() == data
 
 
+def test_garbled_parent_links_raise(tmp_path):
+    # Records of Z under {1} are 18 bytes from offset 50; the parent letter
+    # of the second record (the element 1) is its last 4 bytes.  Flipped
+    # from +1 to -1, the parent of 1 becomes 2, one layer further out.
+    gens = gens_of(ZZ, 1)
+    path = tmp_path / "ball.bin"
+    save_ball(ball(ZZ, gens, 3), path)
+    data = path.read_bytes()
+    offset = 50 + 18 + 14
+    assert data[offset : offset + 4] == (1).to_bytes(4, "big", signed=True)
+    path.write_bytes(data[:offset] + (-1).to_bytes(4, "big", signed=True) + data[offset + 4 :])
+    loaded = load_ball(path, ZZ, gens)
+    for x in (1, 2):
+        with pytest.raises(ValueError, match="garbled parent links"):
+            loaded.geodesic(ZZ.element(x))
+    with pytest.raises(ValueError, match="garbled parent links"):
+        loaded.along_parents((), lambda word, letter: word + (letter,))
+
+
 def test_ball_csv_export(tmp_path):
     b = ball(ZZ, gens_of(ZZ, 1), 2)
     path = tmp_path / "ball.csv"

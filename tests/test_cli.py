@@ -170,6 +170,24 @@ def test_word_quotient_file_not_a_homomorphism(tmp_path, capsys):
     assert "map to different images" in capsys.readouterr().err
 
 
+def test_finite_source_quotient_file_not_a_homomorphism(tmp_path, capsys):
+    # C_25 -> C_10 with 1 -> 1 is not a homomorphism (25 -> 5 != 0); only a
+    # word of length 13 or more shows it, so the check must run to closure
+    quotient_doc = {
+        "schema": "quotient.v1",
+        "target": group_to_json(Cyclic(10)),
+        "images": ["1"],
+    }
+    qpath = tmp_path / "quotient.json"
+    qpath.write_text(dumps(quotient_doc))
+    code = main([
+        "construct", "--group", "cyclic:25", "--gens", "1",
+        "--quotient", f"@{qpath}", "--target-depth", "2", "--bound-mode", "tight",
+    ])
+    assert code == EXIT_USAGE
+    assert "map to different images" in capsys.readouterr().err
+
+
 def test_depth_command(tmp_path):
     code, report = run(
         tmp_path,

@@ -118,7 +118,7 @@ def test_built_set_invariants(c10_ctx):
     tset = pi.image_set()
     for e in built.genset.entries:
         assert abs(e.payload) <= built.N
-        assert pi.apply(e).payload in tset
+        assert pi.apply(e, built.s_ball.geodesic(e)).payload in tset
         assert built.s_ball.norm(e) is not None
     for s in built.source_gens.entries:
         assert built.contains_symmetrized(s.payload)
@@ -180,8 +180,82 @@ def test_phi_lengths_match_target_norms():
     for h, (word, lift) in phi.items():
         assert len(word) == tb.norm_payload(h)
         assert len(word) <= report.diameter
-        assert pi.apply(ZZ.element(lift)).payload == h
+        assert pi.apply(ZZ.element(lift), word).payload == h
         assert evaluate_word(word, UNIT).payload == lift
+
+
+def _dihedral_table_quotient():
+    from deadend.groups import Dihedral, TableGroup, standard_gens
+    from deadend.quotient import word_quotient
+
+    d4 = Dihedral(4)
+    ids = {e.payload: i for i, e in enumerate(d4.elements())}
+    table = [[ids[d4.mul_payload(p, q)] for q in ids] for p in ids]
+    target = TableGroup(table, ids[d4.identity_payload()], name="D_4")
+    gens = standard_gens(Dihedral(8))
+    images = [target.element(ids[(1, 0)]), target.element(ids[(0, 1)])]
+    return gens, word_quotient(gens, target, images)
+
+
+def _grid_quotient():
+    from deadend.groups import IntegerGrid, standard_gens
+    from deadend.quotient import word_quotient
+
+    gens = standard_gens(IntegerGrid(2))
+    c10 = Cyclic(10)
+    return gens, word_quotient(gens, c10, [c10.element(1), c10.element(1)])
+
+
+def _lamplighter_quotient():
+    from deadend.groups import Lamplighter, standard_gens
+    from deadend.quotient import word_quotient
+
+    gens = standard_gens(Lamplighter())
+    c6 = Cyclic(6)
+    return gens, word_quotient(gens, c6, [c6.element(1), c6.element(3)])
+
+
+def _z23_quotient():
+    gens = GeneratingSet([ZZ.element(2), ZZ.element(3)])
+    return gens, cyclic_quotient(gens, 14)
+
+
+@pytest.mark.parametrize(
+    "make,N",
+    [
+        (_z23_quotient, 6),
+        (_grid_quotient, 6),
+        (_lamplighter_quotient, 4),
+        (_dihedral_table_quotient, 6),
+    ],
+    ids=["z23-c14", "grid-c10", "lamplighter-c6", "dihedral-table"],
+)
+def test_parent_folds_match_geodesic_reference(make, N):
+    # Reference: evaluate every geodesic from scratch, as the tables did
+    # before they were folded down the BFS tree.
+    gens, pi = make()
+    image_gens, section = pi.image_genset()
+    tb = group_ball(pi.target, image_gens)
+    expected_phi = []
+    for h in tb.payloads():
+        geodesic = tb.geodesic_payload(h)
+        word = tuple((section[abs(x) - 1] + 1) * (1 if x > 0 else -1) for x in geodesic)
+        expected_phi.append((h, (word, evaluate_word(word, gens).payload)))
+    assert list(phi_table(pi, tb).items()) == expected_phi
+
+    built = constructed_genset(gens, pi, N)
+    s_ball = built.s_ball
+    words = s_ball.along_parents((), lambda word, letter: word + (letter,))
+    assert list(words.items()) == [(p, s_ball.geodesic_payload(p)) for p in s_ball.payloads()]
+    group = gens.group
+    tset = pi.image_set()
+    expected_a: list = []
+    for p in s_ball.payloads():
+        if p == group.identity_payload() or group.inv_payload(p) in expected_a:
+            continue
+        if pi.apply_word(s_ball.geodesic_payload(p)).payload in tset:
+            expected_a.append(p)
+    assert [e.payload for e in built.genset.entries] == expected_a
 
 
 def test_phi_table_rejects_a_partial_target_ball():
@@ -414,8 +488,8 @@ def test_nonabelian_target_construction():
 
 
 def test_word_mode_quotient_runs_the_same_pipeline():
-    # the same mod-10 map, declared word-based: images drive everything
-    # through word evaluation instead of native reduction
+    # the same mod-10 map, declared through word_quotient instead of
+    # cyclic_quotient, gives the same pipeline
     from deadend.quotient import word_quotient
 
     target = Cyclic(10)

@@ -284,8 +284,8 @@ def test_table_group_valid_tables_load():
         assert group.order() == m
 
 
-def test_table_group_beyond_exhaustive_limit_uses_sampling():
-    m = 520  # above the conclusive-check limit, validated by sampling
+def test_table_group_large_table_loads():
+    m = 520  # Light's test is conclusive at every order
     group = TableGroup(cyclic_table(m), identity_id=0)
     assert group.order() == m
     assert multiply(group.element(300), group.element(400)).payload == 180
@@ -314,6 +314,16 @@ def test_table_group_rejects_non_associative():
     ]
     assert not brute_force_associative(table)
     with pytest.raises(TableGroupError):
+        TableGroup(table, identity_id=0)
+
+
+def test_table_group_rejects_large_non_associative():
+    # Z/1024 with the 2x2 block at rows and columns 1 and 513 swapped: still
+    # a Latin square with identity 0 and two-sided inverses, not associative.
+    table = cyclic_table(1024)
+    table[1][1], table[1][513] = 514, 2
+    table[513][1], table[513][513] = 2, 514
+    with pytest.raises(TableGroupError, match=r"associativity fails at \(1, 1, 2\)"):
         TableGroup(table, identity_id=0)
 
 

@@ -49,11 +49,12 @@ def brute_force_diameter(group, gens):
 # -- apply ---------------------------------------------------------------------
 
 
-def test_native_apply_examples():
+def test_cyclic_apply_examples():
     pi = cyclic_quotient(UNIT, 10)
-    assert pi.apply(ZZ.element(76)).payload == 6
-    assert pi.apply(ZZ.identity()) == Cyclic(10).identity()
-    assert pi.apply(ZZ.element(5)).payload == 5
+    assert pi.apply(ZZ.element(76), word_hint=[1] * 76).payload == 6
+    assert pi.apply(ZZ.identity(), word_hint=[]) == Cyclic(10).identity()
+    assert pi.apply(ZZ.element(5), word_hint=[1] * 5).payload == 5
+    assert pi.apply(ZZ.element(-3), word_hint=[-1] * 3).payload == 7
 
 
 def test_word_apply_requires_hint():
@@ -93,7 +94,7 @@ def test_surjectivity_enforced():
     cyclic_quotient(GeneratingSet([ZZ.element(2)]), 9)
 
 
-def test_homomorphism_check_native_and_word():
+def test_homomorphism_check_cyclic_and_word():
     check_homomorphism(cyclic_quotient(UNIT, 10))
     target = Cyclic(6)
     check_homomorphism(word_quotient(UNIT, target, [target.element(1)]))
