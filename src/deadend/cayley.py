@@ -21,7 +21,7 @@ from pathlib import Path
 from itertools import count, islice
 from typing import Any, Callable, Iterator, Optional, Sequence, Union
 
-from .groups import GeneratingSet, Group, GroupElement, Word
+from .groups import GeneratingSet, Group, GroupElement, GroupError, Word
 from .serialize import dumps, genset_to_json, group_to_json
 
 __all__ = [
@@ -118,22 +118,17 @@ class Ball:
                 return payload
         raise AssertionError("sphere sizes inconsistent with distance table")
 
-    def _parent_payload(self, payload: Any, d: int) -> Any:
-        """Parent of a payload at distance d >= 1, checked to lie at distance d - 1."""
-        parent = self.group.mul_payload(payload, self.gens.letter_payload(-self._parent[payload]))
-        if self._dist.get(parent) != d - 1:
-            raise ValueError("garbled parent links: a parent step does not approach the identity")
-        return parent
-
     def geodesic_payload(self, payload: Any) -> Word:
         d = self._dist.get(payload)
         if d is None:
             raise ValueError("element not recorded in this ball")
+        mul = self.group.mul_payload
+        table = self.gens.letters
         letters: list[int] = []
         current = payload
-        for remaining in range(d, 0, -1):
+        for _ in range(d):
             letters.append(self._parent[current])
-            current = self._parent_payload(current, remaining)
+            current = mul(current, table[-letters[-1]])
         letters.reverse()
         return tuple(letters)
 
@@ -144,15 +139,12 @@ class Ball:
         ``step(value of its parent, its parent letter)``, so the value of
         x is ``step`` folded over the letters of ``geodesic_payload(x)``.
         """
+        mul = self.group.mul_payload
+        table = self.gens.letters
         values: dict = {}
         for payload, d in self._dist.items():
-            if d == 0:
-                values[payload] = start
-                continue
-            parent = self._parent_payload(payload, d)
-            if parent not in values:
-                raise ValueError("garbled parent links: a parent comes after its child")
-            values[payload] = step(values[parent], self._parent[payload])
+            letter = self._parent[payload]
+            values[payload] = step(values[mul(payload, table[-letter])], letter) if d else start
         return values
 
     def geodesic(self, x: GroupElement) -> Word:
@@ -287,6 +279,9 @@ def save_ball(b: Ball, path: Union[str, Path]) -> None:
 def load_ball(path: Union[str, Path], group: Group, gens: GeneratingSet) -> Ball:
     """Reload a cached ball; the stored content hash must match (group, gens, R).
 
+    Records must come in non-decreasing distance, the identity alone at
+    distance 0 with letter 0, and every other record's parent step (one
+    multiplication per record) must land on a record one layer closer.
     Raises ValueError on a foreign, mismatched, truncated or garbled file.
     """
     with open(path, "rb") as fh:
@@ -294,8 +289,12 @@ def load_ball(path: Union[str, Path], group: Group, gens: GeneratingSet) -> Ball
     if data[:4] != CACHE_MAGIC:
         raise ValueError(f"not a ball cache file: {path}")
     decode = group.decode_payload
+    mul = group.mul_payload
+    identity = group.identity_payload()
+    table = gens.letters
     dist: dict = {}
     parent: dict = {}
+    spheres: list[int] = []
     try:
         (version,) = struct.unpack_from(">H", data, 4)
         if version != CACHE_VERSION:
@@ -312,15 +311,22 @@ def load_ball(path: Union[str, Path], group: Group, gens: GeneratingSet) -> Ball
             offset += enc_len
             d, letter = struct.unpack_from(">Ii", data, offset)
             offset += 8
-            if d > radius:
-                raise ValueError(f"distance {d} beyond radius {radius} in {path}")
+            if d == 0:
+                linked = letter == 0 and payload == identity and not dist
+            else:
+                step = table.get(-letter)
+                linked = step is not None and dist.get(mul(payload, step)) == d - 1
+            if d == len(spheres):
+                spheres.append(0)
+            if d > radius or d != len(spheres) - 1 or payload in dist or not linked:
+                raise ValueError(f"garbled parent links or distances in {path}")
             dist[payload] = d
             parent[payload] = letter
-    except (struct.error, IndexError) as exc:
+            spheres[d] += 1
+    except (struct.error, IndexError, GroupError) as exc:
         raise ValueError(f"truncated or garbled ball cache file: {path}") from exc
-    spheres = [0] * (max(dist.values()) + 1 if dist else 1)
-    for d in dist.values():
-        spheres[d] += 1
+    if not spheres:
+        raise ValueError(f"no identity record in {path}")
     return Ball(group, gens, radius, dist, parent, tuple(spheres))
 
 
@@ -328,13 +334,16 @@ def ball_cached(
     group: Group,
     gens: GeneratingSet,
     radius: int,
-    cache_dir: Union[str, Path],
+    cache_dir: Optional[Union[str, Path]],
     budget: Budget = DEFAULT_BUDGET,
 ) -> Ball:
     """Compute a ball or reload it from ``cache_dir``, keyed by content hash.
 
     A cache file that cannot be loaded counts as a miss and is rewritten.
+    Without a ``cache_dir`` the ball is computed and nothing is cached.
     """
+    if not cache_dir:
+        return ball(group, gens, radius, budget)
     cache_dir = Path(cache_dir)
     cache_dir.mkdir(parents=True, exist_ok=True)
     key = ball_content_hash(group, gens, radius)

@@ -28,8 +28,8 @@ from .groups import (
     GroupError,
     Word,
     evaluate_word,
+    fold_word,
     invert_word,
-    validate_word,
 )
 from .quotient import DiameterReport, QuotientMap, group_ball
 from .serialize import dumps, payload_to_json
@@ -196,16 +196,12 @@ def constructed_genset(
     if N < 1:
         raise ValueError(f"need N >= 1, got {N}")
     group = source_gens.group
-    if cache_dir is not None:
-        s_ball = ball_cached(group, source_gens, N, cache_dir, budget)
-    else:
-        s_ball = ball(group, source_gens, N, budget)
+    s_ball = ball_cached(group, source_gens, N, cache_dir, budget)
     tset = pi.image_set()
     identity = group.identity_payload()
     mul_t = pi.target.mul_payload
-    image_of = {x: pi.apply_word((x,)).payload for x, _ in source_gens.symmetrized_letters()}
     images = s_ball.along_parents(
-        pi.target.identity_payload(), lambda acc, letter: mul_t(acc, image_of[letter])
+        pi.target.identity_payload(), lambda acc, letter: mul_t(acc, pi.letters[letter])
     )
     entries: list[GroupElement] = []
     kept: set = set()
@@ -273,7 +269,7 @@ def phi_table(pi: QuotientMap, target_ball: Ball) -> dict:
 
     def step(entry: tuple, t_letter: int) -> tuple:
         (s_letter,) = _lift(section, (t_letter,))
-        return entry[0] + (s_letter,), mul(entry[1], gens.letter_payload(s_letter))
+        return entry[0] + (s_letter,), mul(entry[1], gens.letters[s_letter])
 
     return target_ball.along_parents(((), gens.group.identity_payload()), step)
 
@@ -387,12 +383,7 @@ class Construction:
         self.image_gens = target_ball.gens
         self.built = build_generating_set(source_gens, pi, params, budget, cache_dir)
         self.phi = phi_table(pi, target_ball)
-        if cache_dir is not None:
-            self.a_ball = ball_cached(
-                source_gens.group, self.built.genset, params.n, cache_dir, budget
-            )
-        else:
-            self.a_ball = ball(source_gens.group, self.built.genset, params.n, budget)
+        self.a_ball = ball_cached(source_gens.group, self.built.genset, params.n, cache_dir, budget)
         self.witness = find_witness(
             self.built, target_ball, params.d + 1, budget, a_ball=self.a_ball
         )
@@ -437,7 +428,7 @@ class Construction:
         for _, layer in islice(layers, self.params.d):
             for y in layer:
                 letter = parent[y]
-                x = mul(y, genset.letter_payload(-letter))
+                x = mul(y, genset.letters[-letter])
                 words[y] = words[x] + self.a_letter_s_word(letter)
         return [(GroupElement(group, y), word) for y, word in words.items()]
 
@@ -475,7 +466,7 @@ def factorize(ctx: Construction, g: GroupElement, s_word: Sequence[int]) -> Cert
     v_i multiply to g while each maps onto one geodesic letter.
     """
     params = ctx.params
-    s_word = validate_word(s_word, ctx.source_gens)
+    s_word = tuple(s_word)
     if evaluate_word(s_word, ctx.source_gens) != g:
         raise CertificateError("provided S-word does not evaluate to the element")
     L = len(s_word)
@@ -503,8 +494,8 @@ def factorize(ctx: Construction, g: GroupElement, s_word: Sequence[int]) -> Cert
     prefix_geo = target.identity_payload()
     correction_words: list[Word] = []  # phi-word for P_i^-1 Q_i, i = 1..k-1
     for i in range(k - 1):
-        prefix_image = mul_t(prefix_image, ctx.pi.apply_word(u_words[i]).payload)
-        prefix_geo = mul_t(prefix_geo, ctx.image_gens.letter_payload(t_letters[i]))
+        prefix_image = fold_word(u_words[i], ctx.pi.letters, mul_t, prefix_image)
+        prefix_geo = mul_t(prefix_geo, ctx.image_gens.letters[t_letters[i]])
         mismatch = mul_t(target.inv_payload(prefix_image), prefix_geo)
         correction_words.append(ctx.phi[mismatch][0])
     v_words: list[Word] = []
@@ -539,11 +530,8 @@ def validate_certificate(
     if k != len(cert.u_words) or k != len(cert.v_words) or k != len(cert.t_letters):
         raise CertificateError("piece counts disagree with k")
     # Piece split: contiguous, near-equal, longer pieces first.
-    joined: tuple[int, ...] = ()
-    for w in cert.u_words:
-        if not w:
-            raise CertificateError("empty piece")
-        joined += w
+    if not all(cert.u_words):
+        raise CertificateError("empty piece")
     lengths = [len(w) for w in cert.u_words]
     if max(lengths) - min(lengths) > 1 or sorted(lengths, reverse=True) != lengths:
         raise CertificateError("piece lengths are not an as-equal-as-possible split")
@@ -551,15 +539,14 @@ def validate_certificate(
     for i, w in enumerate(cert.u_words):
         if not Fraction(len(w)) < bound:
             raise CertificateError(f"|u| = {len(w)} not < (n+dN)/k + 1", index=i)
-    # Image norm consistency.
-    pi_g = ctx.pi.apply_word(joined)
-    if ctx.target_ball.norm_payload(pi_g.payload) != k:
+    # Image norm consistency: pi(g), folded piece after piece.
+    pi_g = target.identity_payload()
+    for w in cert.u_words:
+        pi_g = fold_word(w, ctx.pi.letters, mul_t, pi_g)
+    if ctx.target_ball.norm_payload(pi_g) != k:
         raise CertificateError("k is not the target norm of the image")
     # Geodesic letters must spell the image.
-    acc = target.identity_payload()
-    for letter in cert.t_letters:
-        acc = mul_t(acc, ctx.image_gens.letter_payload(letter))
-    if acc != pi_g.payload:
+    if evaluate_word(cert.t_letters, ctx.image_gens).payload != pi_g:
         raise CertificateError("target geodesic does not spell the image")
     # Factor-level checks.
     product = group.identity_payload()
@@ -570,7 +557,7 @@ def validate_certificate(
             raise CertificateError("factor word does not evaluate to the factor", index=i)
         if len(v_word) > len(cert.u_words[i]) + 2 * params.n:
             raise CertificateError("factor word longer than |u| + 2n", index=i)
-        t_i = ctx.image_gens.letter_payload(cert.t_letters[i])
+        t_i = ctx.image_gens.letters[cert.t_letters[i]]
         if ctx.pi.apply_word(v_word).payload != t_i:
             raise CertificateError("factor image is not the geodesic letter", index=i)
         s_norm = ctx.built.s_ball.norm_payload(v_payload)

@@ -5,13 +5,17 @@ equal elements have identical payloads (and identical byte encodings via
 ``encode_payload``), so payloads can key hash tables directly.  All
 arithmetic is exact; integer payloads are capped at a configurable bit
 width and overflow is a hard error, never a silent wrap.
+
+Words are read through one signed-letter table per generating set
+(``letter_table``) and evaluated by one fold (``fold_word``), which
+rejects a letter missing from the table as it reaches it.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from operator import itemgetter
-from typing import Any, ClassVar, Iterator, Optional, Sequence
+from typing import Any, Callable, ClassVar, Iterator, Optional, Sequence
 
 __all__ = [
     "Group",
@@ -31,8 +35,9 @@ __all__ = [
     "TableGroupError",
     "multiply",
     "evaluate_word",
+    "fold_word",
     "invert_word",
-    "validate_word",
+    "letter_table",
     "standard_gens",
 ]
 
@@ -185,10 +190,10 @@ class GeneratingSet:
     """Ordered list of distinct non-identity elements with display labels.
 
     Entries are stored exactly as given; metric computations always work
-    with the symmetrized view (entries plus their inverses).
+    with the symmetrized view, ``letters``: signed letter -> payload.
     """
 
-    __slots__ = ("group", "entries", "labels", "_letters")
+    __slots__ = ("group", "entries", "labels", "letters", "_symmetrized")
 
     def __init__(self, entries: Sequence[GroupElement], labels: Optional[Sequence[str]] = None):
         entries = tuple(entries)
@@ -213,7 +218,8 @@ class GeneratingSet:
             if len(labels) != len(entries):
                 raise ValueError("labels length does not match entries")
         self.labels = labels
-        self._letters: Optional[tuple[tuple[int, Any], ...]] = None
+        self.letters = letter_table(group, [e.payload for e in entries])
+        self._symmetrized = tuple(self.letters.items())
 
     @classmethod
     def empty(cls, group: Group) -> "GeneratingSet":
@@ -224,7 +230,8 @@ class GeneratingSet:
         obj.group = group
         obj.entries = ()
         obj.labels = ()
-        obj._letters = ()
+        obj.letters = {}
+        obj._symmetrized = ()
         return obj
 
     def __len__(self) -> int:
@@ -239,20 +246,7 @@ class GeneratingSet:
         Per entry the positive letter comes before the negative one; the
         BFS code relies on this order for reproducible parents.
         """
-        if self._letters is None:
-            letters = []
-            for i, e in enumerate(self.entries):
-                letters.append((i + 1, e.payload))
-                letters.append((-(i + 1), self.group.inv_payload(e.payload)))
-            self._letters = tuple(letters)
-        return self._letters
-
-    def letter_payload(self, letter: int) -> Any:
-        idx = abs(letter) - 1
-        if letter == 0 or idx >= len(self.entries):
-            raise ValueError(f"letter {letter} out of range for {len(self.entries)} generators")
-        p = self.entries[idx].payload
-        return p if letter > 0 else self.group.inv_payload(p)
+        return self._symmetrized
 
     def letter_label(self, letter: int) -> str:
         idx = abs(letter) - 1
@@ -261,25 +255,32 @@ class GeneratingSet:
 
     def symmetrized_payloads(self) -> frozenset:
         """Set of payloads of entries and their inverses."""
-        return frozenset(p for _, p in self.symmetrized_letters())
+        return frozenset(self.letters.values())
 
 
-def validate_word(word: Sequence[int], gens: GeneratingSet) -> Word:
-    w = tuple(int(x) for x in word)
-    n = len(gens.entries)
-    for letter in w:
-        if letter == 0 or abs(letter) > n:
-            raise ValueError(f"word letter {letter} out of range for {n} generators")
-    return w
+def letter_table(group: Group, payloads: Sequence[Any]) -> dict:
+    """Signed letter -> payload: +i is ``payloads[i-1]``, -i its inverse, +i before -i."""
+    table: dict = {}
+    for i, p in enumerate(payloads, 1):
+        table[i] = p
+        table[-i] = group.inv_payload(p)
+    return table
+
+
+def fold_word(word: Sequence[int], table: dict, mul: Callable[[Any, Any], Any], acc: Any) -> Any:
+    """Right-multiply ``acc`` by each letter's table payload; ValueError on a missing letter."""
+    for letter in word:
+        step = table.get(letter)
+        if step is None:
+            raise ValueError(f"word letter {letter} out of range for {len(table) // 2} generators")
+        acc = mul(acc, step)
+    return acc
 
 
 def evaluate_word(word: Sequence[int], gens: GeneratingSet) -> GroupElement:
     """Product of the indicated generators/inverses, left to right."""
-    w = validate_word(word, gens)
     group = gens.group
-    acc = group.identity_payload()
-    for letter in w:
-        acc = group.mul_payload(acc, gens.letter_payload(letter))
+    acc = fold_word(word, gens.letters, group.mul_payload, group.identity_payload())
     return GroupElement(group, acc)
 
 
@@ -656,10 +657,10 @@ class TableGroup(Group):
         for x in range(m):
             if t[e][x] != x or t[x][e] != x:
                 raise TableGroupError(f"id {e} is not a two-sided identity")
-        for x in range(m):
-            if frozenset(t[x]) != all_ids:
+        for x, (row, col) in enumerate(zip(t, zip(*t))):
+            if frozenset(row) != all_ids:
                 raise TableGroupError(f"row {x} is not a permutation")
-            if frozenset(t[y][x] for y in range(m)) != all_ids:
+            if frozenset(col) != all_ids:
                 raise TableGroupError(f"column {x} is not a permutation")
         self._light_associativity()
 

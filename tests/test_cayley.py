@@ -34,7 +34,7 @@ def brute_force_norms(group, gens, radius):
     Set-based closure with no queue or parent bookkeeping; the first
     length at which an element appears is its norm.
     """
-    steps = [gens.letter_payload(letter) for letter, _ in gens.symmetrized_letters()]
+    steps = list(gens.letters.values())
     norms = {group.identity_payload(): 0}
     current = {group.identity_payload()}
     for length in range(1, radius + 1):
@@ -260,9 +260,15 @@ def test_ball_cached_reuses_file(tmp_path):
     assert list(b2.payloads()) == list(b1.payloads())
 
 
-# Offset and new bytes per field of the first record, the identity of D_7:
-# 2-byte length at 50, 9-byte encoding, 4-byte distance at 61, parent letter.
-GARBLED_FIELDS = {"record_length": (50, b"\x00\x08"), "distance": (61, (1000).to_bytes(4, "big"))}
+# Offset and new bytes per field of a D_7 record.  Records are 19 bytes from
+# offset 50: a 2-byte length, a 9-byte encoding, a 4-byte distance and a
+# 4-byte parent letter.  The first record is the identity; the parent letter
+# of the second (the rotation r) flipped from +1 to -1 names r^2 as parent.
+GARBLED_FIELDS = {
+    "record_length": (50, b"\x00\x08"),
+    "distance": (61, (1000).to_bytes(4, "big")),
+    "parent_letter": (84, (-1).to_bytes(4, "big", signed=True)),
+}
 
 
 @pytest.mark.parametrize("field", sorted(GARBLED_FIELDS))
@@ -290,12 +296,23 @@ def test_garbled_parent_links_raise(tmp_path):
     offset = 50 + 18 + 14
     assert data[offset : offset + 4] == (1).to_bytes(4, "big", signed=True)
     path.write_bytes(data[:offset] + (-1).to_bytes(4, "big", signed=True) + data[offset + 4 :])
-    loaded = load_ball(path, ZZ, gens)
-    for x in (1, 2):
-        with pytest.raises(ValueError, match="garbled parent links"):
-            loaded.geodesic(ZZ.element(x))
     with pytest.raises(ValueError, match="garbled parent links"):
-        loaded.along_parents((), lambda word, letter: word + (letter,))
+        load_ball(path, ZZ, gens)
+
+
+def test_load_ball_rejects_overflowing_parent_step(tmp_path):
+    # The third record of Z under {1} is -1, letter -1; its payload set to
+    # the 64-bit cap makes the parent step cap + 1 overflow.
+    gens = gens_of(ZZ, 1)
+    path = tmp_path / "ball.bin"
+    save_ball(ball(ZZ, gens, 3), path)
+    data = path.read_bytes()
+    offset = 50 + 2 * 18 + 2
+    assert data[offset : offset + 8] == (-1).to_bytes(8, "big", signed=True)
+    cap = (2**63 - 1).to_bytes(8, "big", signed=True)
+    path.write_bytes(data[:offset] + cap + data[offset + 8 :])
+    with pytest.raises(ValueError, match="garbled ball cache file"):
+        load_ball(path, ZZ, gens)
 
 
 def test_ball_csv_export(tmp_path):

@@ -20,6 +20,7 @@ from deadend.groups import (
     TableGroup,
     TableGroupError,
     evaluate_word,
+    fold_word,
     invert_word,
     multiply,
     standard_gens,
@@ -102,6 +103,24 @@ def test_evaluate_word_index_out_of_range():
         evaluate_word([2], gens)
     with pytest.raises(ValueError):
         evaluate_word([0], gens)
+    # letters are looked up as given: the string "1" is no letter
+    with pytest.raises(ValueError, match="word letter 1 out of range for 1 generators"):
+        evaluate_word(["1"], gens)
+
+
+def test_fold_word_pieces_in_sequence():
+    # folding pieces one after another, each from the last result, is
+    # folding their concatenation; D_5 does not commute, so order shows
+    group = Dihedral(5)
+    gens = standard_gens(group)
+    rng = random.Random(3)
+    for _ in range(30):
+        word = tuple(rng.choice((1, -1, 2, -2)) for _ in range(rng.randrange(15)))
+        cuts = sorted(rng.randrange(len(word) + 1) for _ in range(3))
+        acc = group.identity_payload()
+        for a, b in zip([0] + cuts, cuts + [len(word)]):
+            acc = fold_word(word[a:b], gens.letters, group.mul_payload, acc)
+        assert acc == evaluate_word(word, gens).payload
 
 
 def test_invert_word_reverses_and_flips():
@@ -300,6 +319,9 @@ def test_table_group_rejects_non_latin():
     table = [[0, 1], [0, 1]]
     with pytest.raises(TableGroupError):
         TableGroup(table, identity_id=0)
+    # identity and every row pass; column 1 reads 1, 0, 0
+    with pytest.raises(TableGroupError, match="column 1 is not a permutation"):
+        TableGroup([[0, 1, 2], [1, 0, 2], [2, 0, 1]], identity_id=0)
 
 
 def test_table_group_rejects_non_associative():

@@ -28,7 +28,7 @@ UNIT = GeneratingSet([ZZ.element(1)])
 
 def brute_force_diameter(group, gens):
     """Independent oracle: expand products length by length until closure."""
-    steps = [gens.letter_payload(letter) for letter, _ in gens.symmetrized_letters()]
+    steps = list(gens.letters.values())
     seen = {group.identity_payload()}
     current = set(seen)
     length = 0
@@ -70,6 +70,22 @@ def test_word_apply_rejects_bad_hint():
     pi = word_quotient(UNIT, target, [target.element(1)])
     with pytest.raises(QuotientError):
         pi.apply(ZZ.element(3), word_hint=[1, 1])
+
+
+def test_apply_word_rejects_letters_out_of_range():
+    gens = GeneratingSet([ZZ.element(2), ZZ.element(3)])
+    pi = cyclic_quotient(gens, 14)
+    for letter in (0, 3, -3):
+        with pytest.raises(ValueError, match=f"word letter {letter} out of range for 2 generators"):
+            pi.apply_word((1, letter))
+
+
+def test_quotient_letters_are_images_and_inverses():
+    gens = standard_gens(Lamplighter())
+    target = Cyclic(6)
+    pi = word_quotient(gens, target, [target.element(1), target.element(3)])
+    assert list(pi.letters.items()) == [(1, 1), (-1, 5), (2, 3), (-2, 3)]
+    assert list(pi.letters) == [x for x, _ in gens.symmetrized_letters()]
 
 
 def test_apply_constant_across_words():
