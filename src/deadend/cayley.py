@@ -6,13 +6,17 @@ all expand layers through it, under one budget.  The ball BFS explores
 the implicit Cayley graph of a group under the symmetrized view of a
 generating set.  BFS order is deterministic: frontier FIFO, neighbors
 per generator in listed order, positive sign before negative.  Distances
-are exact; parent letters make geodesic recovery O(length).
+are exact; parent letters make geodesic recovery O(length).  Where the
+group codes its elements additively as integers (``Group.integer_code``:
+Z and Z^k below their cap), ``ball`` runs the same BFS over the codes, one
+int addition per step, and decodes the finished ball.
 """
 
 from __future__ import annotations
 
 import csv
 import hashlib
+import operator
 import os
 import struct
 import time
@@ -212,7 +216,12 @@ def ball(
     radius: int,
     budget: Budget = DEFAULT_BUDGET,
 ) -> Ball:
-    """Exact closed ball of the given radius under the symmetrized generators."""
+    """Exact closed ball of the given radius under the symmetrized generators.
+
+    When ``group.integer_code`` codes the generators for this radius, the
+    BFS steps by ``operator.add`` on the codes; discovery order, parent
+    letters and budget stops are those of the payload BFS.
+    """
     if radius < 0:
         raise ValueError(f"radius must be >= 0, got {radius}")
     if len(gens) == 0 and group.order() != 1:
@@ -223,15 +232,26 @@ def ball(
             radius_reached=0,
             elements_seen=1,
         )
-    identity = group.identity_payload()
-    dist: dict = {identity: 0}
-    parent: dict = {identity: 0}
+    letters = gens.symmetrized_letters()
+    coded = group.integer_code([p for _, p in letters], radius)
+    if coded is None:
+        mul, start, decode = group.mul_payload, group.identity_payload(), None
+    else:
+        codes, decode = coded
+        mul, start = operator.add, 0
+        letters = [(x, c) for (x, _), c in zip(letters, codes)]
+    dist: dict = {start: 0}
+    parent: dict = {start: 0}
     spheres = [1]
-    layers = bfs_layers(group.mul_payload, gens.symmetrized_letters(), identity, parent, budget)
-    for r, layer in islice(layers, radius):
+    for r, layer in islice(bfs_layers(mul, letters, start, parent, budget), radius):
         for y in layer:
             dist[y] = r
         spheres.append(len(layer))
+    if decode is not None:
+        # Both dicts list the ball in discovery order; each coded dict is
+        # dropped as soon as its decoded replacement is built.
+        dist = {decode(c): d for c, d in dist.items()}
+        parent = dict(zip(dist, parent.values()))
     return Ball(group, gens, radius, dist, parent, tuple(spheres))
 
 

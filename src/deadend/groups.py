@@ -14,7 +14,7 @@ rejects a letter missing from the table as it reaches it.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from operator import itemgetter
+from operator import itemgetter, lt
 from typing import Any, Callable, ClassVar, Iterator, Optional, Sequence
 
 __all__ = [
@@ -117,6 +117,21 @@ class Group(ABC):
     def elements(self) -> Iterator["GroupElement"]:
         """All elements in canonical enumeration order (finite groups only)."""
         raise GroupError(f"cannot enumerate an infinite group ({self.variant})")
+
+    def integer_code(
+        self, payloads: Sequence[Any], radius: int
+    ) -> Optional[tuple[list[int], Optional[Callable[[int], Any]]]]:
+        """Additive integer codes for a BFS of ``radius`` steps, or None.
+
+        A group may return ``(codes, decode)``: ``codes[i]`` codes
+        ``payloads[i]``, the identity codes as 0, the code of a product is
+        the sum of the codes, and the coding is injective on every product
+        of at most ``radius`` of the payloads, none of which overflows.
+        ``decode`` maps a code back to its canonical payload, or is None
+        when the codes are the payloads themselves.  The default, None,
+        means no such coding.
+        """
+        return None
 
     def identity(self) -> "GroupElement":
         return GroupElement(self, self.identity_payload())
@@ -325,6 +340,12 @@ class IntegerLine(Group):
     def inv_payload(self, p: int) -> int:
         return -p
 
+    def integer_code(self, payloads: Sequence[int], radius: int):
+        # A product of at most radius steps stays within radius * max|step|.
+        if radius * max(map(abs, payloads), default=0) > self._cap:
+            return None
+        return list(payloads), None
+
     def encode_payload(self, p: int) -> bytes:
         return p.to_bytes(self._width, "big", signed=True)
 
@@ -390,6 +411,24 @@ class IntegerGrid(Group):
     def inv_payload(self, p: tuple) -> tuple:
         return tuple(-c for c in p)
 
+    def integer_code(self, payloads: Sequence[tuple], radius: int):
+        # v packs as sum of v[i] << (w * i): additive, and injective on the
+        # box |v[i]| <= reach, where every product of radius steps lies.
+        reach = radius * max((abs(c) for p in payloads for c in p), default=0)
+        if reach > self._cap:
+            return None
+        w = reach.bit_length() + 1
+        shifts = range(0, w * self.rank, w)
+        codes = [sum(c << s for c, s in zip(p, shifts)) for p in payloads]
+        bias = sum(reach << s for s in shifts)
+        mask = (1 << w) - 1
+
+        def decode(code: int) -> tuple:
+            code += bias
+            return tuple(((code >> s) & mask) - reach for s in shifts)
+
+        return codes, decode
+
     def encode_payload(self, p: tuple) -> bytes:
         return b"".join(c.to_bytes(self._width, "big", signed=True) for c in p)
 
@@ -446,7 +485,10 @@ class Cyclic(Group):
         return p.to_bytes(8, "big")
 
     def decode_payload(self, data: bytes) -> int:
-        return int.from_bytes(data, "big")
+        p = int.from_bytes(data, "big")
+        if p >= self.modulus:
+            raise InvalidElementError(f"residue {p} is not below the modulus {self.modulus}")
+        return p
 
     def format_payload(self, p: int) -> str:
         return str(p)
@@ -512,7 +554,10 @@ class Dihedral(Group):
         return r.to_bytes(8, "big") + bytes([s])
 
     def decode_payload(self, data: bytes) -> tuple:
-        return (int.from_bytes(data[:8], "big"), data[8])
+        r, s = int.from_bytes(data[:8], "big"), data[8]
+        if r >= self.m or s > 1:
+            raise InvalidElementError(f"({r}, {s}) is not a canonical element of D_{self.m}")
+        return (r, s)
 
     def format_payload(self, p: tuple) -> str:
         r, s = p
@@ -607,6 +652,8 @@ class Lamplighter(Group):
             int.from_bytes(data[w + 4 + i * w : w + 4 + (i + 1) * w], "big", signed=True)
             for i in range(n)
         )
+        if not all(map(lt, lamps, lamps[1:])):
+            raise InvalidElementError(f"lamp positions {lamps} are not strictly increasing")
         return (lamps, cursor)
 
     def format_payload(self, p: tuple) -> str:
@@ -732,7 +779,10 @@ class TableGroup(Group):
         return p.to_bytes(4, "big")
 
     def decode_payload(self, data: bytes) -> int:
-        return int.from_bytes(data, "big")
+        p = int.from_bytes(data, "big")
+        if p >= self._m:
+            raise InvalidElementError(f"element id {p} out of range 0..{self._m - 1}")
+        return p
 
     def format_payload(self, p: int) -> str:
         return str(p)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Any, Iterable, Iterator, Optional, Sequence
 
 from .cayley import Ball, Budget, DEFAULT_BUDGET, ball, bfs_layers
 from .groups import (
@@ -166,14 +166,24 @@ def check_homomorphism(pi: QuotientMap, max_word_len: int = 8) -> None:
     """Verify that the generator images define a homomorphism.
 
     Raises HomomorphismError when two S-words for one source element map
-    to different images.  The BFS runs over (source, image) pairs, so a
-    source element reached with two images shows up twice.  On a finite
-    source it runs to closure, which is exact: the pairs then form the
-    subgroup generated by the (generator, image) pairs, and it is the
-    graph of a map exactly when no source element carries two images.  On
-    an infinite source only words up to ``max_word_len`` are compared.
+    to different images.  On an ``IntegerLine`` source the check is exact
+    and arithmetic: the generators g_1..g_s span hZ, h their gcd, and a
+    homomorphism on hZ is fixed by the image t of h.  With Bezout
+    coefficients sum(c_i * g_i) = h, t must be the product of the
+    pi(g_i)^c_i, so the images define one exactly when pi(g_i) =
+    t^(g_i / h) for every i.
+
+    Otherwise a BFS runs over (source, image) pairs, so a source element
+    reached with two images shows up twice.  On a finite source it runs
+    to closure, which is exact: the pairs then form the subgroup generated
+    by the (generator, image) pairs, and it is the graph of a map exactly
+    when no source element carries two images.  Other infinite sources are
+    only probed: words up to ``max_word_len`` are compared.
     """
     gens = pi.source_gens
+    if isinstance(gens.group, IntegerLine):
+        _check_line_homomorphism(pi)
+        return
     mul_s = gens.group.mul_payload
     mul_t = pi.target.mul_payload
     signed = list(range(1, len(gens.entries) + 1))
@@ -193,6 +203,49 @@ def check_homomorphism(pi: QuotientMap, max_word_len: int = 8) -> None:
             known = image_of.setdefault(src, img)
             if known != img:
                 raise HomomorphismError(f"two words for {src!r} map to different images")
+
+
+def _check_line_homomorphism(pi: QuotientMap) -> None:
+    # The one word g_i and the word (sum c_j g_j) * (g_i / h) both spell g_i.
+    values = [e.payload for e in pi.source_gens.entries]
+    h, coeffs = _bezout(values)
+    target = pi.target
+    t = target.identity_payload()
+    for i, c in enumerate(coeffs, 1):
+        t = target.mul_payload(t, _power(target, pi.letters[i], c))
+    for i, g in enumerate(values, 1):
+        if _power(target, t, g // h) != pi.letters[i]:
+            raise HomomorphismError(f"two words for {g!r} map to different images")
+
+
+def _bezout(values: Sequence[int]) -> tuple[int, list[int]]:
+    """(h, coeffs) with h = gcd(values) >= 0 and sum(c * v) == h."""
+    h, coeffs = 0, []
+    for v in values:
+        # extended Euclid on (h, v): x * h + y * v == r throughout
+        r0, r1, x0, x1, y0, y1 = h, v, 1, 0, 0, 1
+        while r1:
+            q = r0 // r1
+            r0, r1 = r1, r0 - q * r1
+            x0, x1 = x1, x0 - q * x1
+            y0, y1 = y1, y0 - q * y1
+        if r0 < 0:
+            r0, x0, y0 = -r0, -x0, -y0
+        h, coeffs = r0, [c * x0 for c in coeffs] + [y0]
+    return h, coeffs
+
+
+def _power(group: Group, p: Any, k: int) -> Any:
+    """p^k in a finite group, by square-and-multiply on k mod the order."""
+    mul = group.mul_payload
+    acc = group.identity_payload()
+    k %= group.order()
+    while k:
+        if k & 1:
+            acc = mul(acc, p)
+        p = mul(p, p)
+        k >>= 1
+    return acc
 
 
 @dataclass(frozen=True)

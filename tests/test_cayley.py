@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import random
+from itertools import islice
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deadend.cayley import (
     Budget,
@@ -12,6 +15,7 @@ from deadend.cayley import (
     ball,
     ball_cached,
     ball_to_csv,
+    bfs_layers,
     load_ball,
     save_ball,
 )
@@ -19,8 +23,10 @@ from deadend.groups import (
     Cyclic,
     Dihedral,
     GeneratingSet,
+    IntegerGrid,
     IntegerLine,
     Lamplighter,
+    RangeOverflowError,
     evaluate_word,
     standard_gens,
 )
@@ -268,6 +274,8 @@ GARBLED_FIELDS = {
     "record_length": (50, b"\x00\x08"),
     "distance": (61, (1000).to_bytes(4, "big")),
     "parent_letter": (84, (-1).to_bytes(4, "big", signed=True)),
+    # the second record, r = (1, 0), with its rotation raised by 7 to 8
+    "non_canonical_rotation": (71, (8).to_bytes(8, "big")),
 }
 
 
@@ -283,6 +291,22 @@ def test_ball_cached_recomputes_garbled_file(tmp_path, field):
     b2 = ball_cached(group, gens, 3, tmp_path)
     assert b2.sphere_sizes == b1.sphere_sizes
     assert path.read_bytes() == data
+
+
+def test_load_ball_rejects_non_canonical_payload(tmp_path):
+    # C_10 under {1}: records are 18 bytes from offset 50 and the last one
+    # is 5.  Written as 15, its parent step (15 + 9 mod 10 = 4) still lands
+    # one layer closer, so only the canonical decode rejects it.
+    c10 = Cyclic(10)
+    gens = gens_of(c10, 1)
+    path = tmp_path / "ball.bin"
+    save_ball(ball(c10, gens, 10), path)
+    data = path.read_bytes()
+    offset = 50 + 9 * 18 + 2
+    assert data[offset : offset + 8] == (5).to_bytes(8, "big")
+    path.write_bytes(data[:offset] + (15).to_bytes(8, "big") + data[offset + 8 :])
+    with pytest.raises(ValueError, match="garbled ball cache file"):
+        load_ball(path, c10, gens)
 
 
 def test_garbled_parent_links_raise(tmp_path):
@@ -332,3 +356,78 @@ def test_determinism_two_runs_identical():
     assert list(b1.payloads()) == list(b2.payloads())
     for x in b1.elements():
         assert b1.geodesic(x) == b2.geodesic(x)
+
+
+# -- integer-coded BFS (Z and Z^k) against the payload BFS ----------------------
+
+
+def reference_ball(group, gens, radius):
+    """(dist items, parent items, sphere sizes) of a BFS on payloads."""
+    identity = group.identity_payload()
+    parent = {identity: 0}
+    dist = [(identity, 0)]
+    spheres = [1]
+    layers = bfs_layers(group.mul_payload, gens.symmetrized_letters(), identity, parent)
+    for r, layer in islice(layers, radius):
+        dist.extend((y, r) for y in layer)
+        spheres.append(len(layer))
+    return dist, list(parent.items()), tuple(spheres)
+
+
+def ball_record(group, gens, radius):
+    b = ball(group, gens, radius)
+    return list(b._dist.items()), list(b._parent.items()), b.sphere_sizes
+
+
+@st.composite
+def free_abelian_cases(draw):
+    rank = draw(st.integers(0, 3))  # 0 stands for IntegerLine
+    bits = draw(st.sampled_from([8, 16, 64]))
+    coord = st.integers(-40, 40)
+    if rank == 0:
+        group = IntegerLine(bits=bits)
+        payload = coord.filter(bool)
+    else:
+        group = IntegerGrid(rank, bits=bits)
+        payload = st.tuples(*[coord] * rank).filter(any)
+    payloads = draw(st.lists(payload, min_size=1, max_size=3, unique=True))
+    return group, gens_of(group, *payloads), draw(st.integers(0, 6))
+
+
+@settings(max_examples=150, deadline=None)
+@given(free_abelian_cases())
+def test_coded_ball_matches_payload_bfs(case):
+    group, gens, radius = case
+    try:
+        expected = reference_ball(group, gens, radius)
+    except RangeOverflowError:
+        with pytest.raises(RangeOverflowError):
+            ball(group, gens, radius)
+        return
+    assert ball_record(group, gens, radius) == expected
+
+
+def test_coded_ball_at_the_cap():
+    line = IntegerLine(bits=8)
+    gens = gens_of(line, 127)
+    assert line.integer_code([127, -127], 1) is not None
+    assert ball_record(line, gens, 1) == reference_ball(line, gens, 1)
+    gens = gens_of(line, 100)
+    assert line.integer_code([100, -100], 2) is None
+    with pytest.raises(RangeOverflowError):
+        ball(line, gens, 2)
+    grid = IntegerGrid(2, bits=8)
+    gens = gens_of(grid, (127, -3), (0, 1))
+    assert ball_record(grid, gens, 1) == reference_ball(grid, gens, 1)
+    with pytest.raises(RangeOverflowError):
+        ball(grid, gens_of(grid, (64, 0)), 2)
+
+
+def test_grid_code_is_additive_and_decodes():
+    grid = IntegerGrid(3)
+    steps = [(3, -1, 0), (-2, 5, 7), (0, 0, -4)]
+    codes, decode = grid.integer_code(steps, 8)
+    for p, c in zip(steps, codes):
+        assert decode(c) == p
+    assert decode(4 * codes[1] - 3 * codes[2] + codes[0]) == (3 - 8, -1 + 20, 28 + 12)
+    assert decode(0) == (0, 0, 0)

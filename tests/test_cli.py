@@ -153,18 +153,27 @@ def test_construct_with_word_quotient_file(tmp_path):
     assert report["results"]["passed"] is True
 
 
-def test_word_quotient_file_not_a_homomorphism(tmp_path, capsys):
-    # 1 and 2 both map to 1 in C_10, so the two words (2) and (1, 1) for 2 disagree
+@pytest.mark.parametrize(
+    "gens, images, depth_args",
+    [
+        # 1 and 2 both map to 1 in C_10, so the two words (2) and (1, 1) for 2 disagree
+        ("1,2", ["1", "1"], ["--target-depth", "3"]),
+        # 21 -> 2, but 21 = 21 * 1 -> 1: only words of 21 letters or more disagree
+        ("1,21", ["1", "2"], ["--target-depth", "2", "--bound-mode", "tight"]),
+    ],
+    ids=["short-relation", "long-relation"],
+)
+def test_word_quotient_file_not_a_homomorphism(tmp_path, capsys, gens, images, depth_args):
     quotient_doc = {
         "schema": "quotient.v1",
         "target": group_to_json(Cyclic(10)),
-        "images": ["1", "1"],
+        "images": images,
     }
     qpath = tmp_path / "quotient.json"
     qpath.write_text(dumps(quotient_doc))
     code = main([
-        "construct", "--group", "zz", "--gens", "1,2",
-        "--quotient", f"@{qpath}", "--target-depth", "3",
+        "construct", "--group", "zz", "--gens", gens,
+        "--quotient", f"@{qpath}", *depth_args,
     ])
     assert code == EXIT_USAGE
     assert "map to different images" in capsys.readouterr().err

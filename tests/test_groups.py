@@ -201,6 +201,23 @@ def test_canonical_encoding_unique(group):
         assert group.decode_payload(x.encode()) == x.payload
 
 
+@pytest.mark.parametrize(
+    "group, data",
+    [
+        (C10, (15).to_bytes(8, "big")),
+        (Dihedral(7), (8).to_bytes(8, "big") + b"\x00"),
+        (Dihedral(7), (1).to_bytes(8, "big") + b"\x02"),
+        (TableGroup(cyclic_table(6), 0), (6).to_bytes(4, "big")),
+        # cursor 0, then 2 lamps, at 3 and 1
+        (LAMP, bytes(8) + (2).to_bytes(4, "big") + (3).to_bytes(8, "big") + (1).to_bytes(8, "big")),
+    ],
+    ids=["cyclic-residue", "dihedral-rotation", "dihedral-reflection", "table-id", "lamps"],
+)
+def test_decode_rejects_non_canonical_bytes(group, data):
+    with pytest.raises(InvalidElementError):
+        group.decode_payload(data)
+
+
 def test_lamplighter_canonical_sorted():
     g = LAMP.element(((5, -2, 3), 0))
     assert g.payload == ((-2, 3, 5), 0)

@@ -116,6 +116,28 @@ def test_homomorphism_check_cyclic_and_word():
     check_homomorphism(word_quotient(UNIT, target, [target.element(1)]))
 
 
+@pytest.mark.parametrize(
+    "values, target, images, ok",
+    [
+        # 21 -> 1 agrees with 1 -> 1 in C_10; 21 -> 2 does not, but only
+        # words of 21 letters or more show it
+        ((1, 21), Cyclic(10), (1, 1), True),
+        ((1, 21), Cyclic(10), (1, 2), False),
+        # gcd 2: -4 -> 3 = -2 * t forces t = 1 as the image of 2, so 6 -> 3
+        ((-4, 6), Cyclic(5), (3, 3), True),
+        ((-4, 6), Cyclic(5), (3, 1), False),
+    ],
+)
+def test_homomorphism_check_is_exact_on_the_integers(values, target, images, ok):
+    gens = GeneratingSet([ZZ.element(v) for v in values])
+    pi = word_quotient(gens, target, [target.element(x) for x in images])
+    if ok:
+        check_homomorphism(pi, max_word_len=1)
+    else:
+        with pytest.raises(HomomorphismError, match="map to different images"):
+            check_homomorphism(pi, max_word_len=1)
+
+
 def test_homomorphism_check_rejects_bad_images():
     # Lamplighter -> C_3 sending the shift to 1 and the toggle to 1 is not
     # a homomorphism (the toggle is an involution, 1 has order 3).
