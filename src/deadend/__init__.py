@@ -66,7 +66,6 @@ from .construction import (
     DeadEndWitness,
     VerificationError,
     bound_inequality_holds,
-    build_generating_set,
     constructed_genset,
     factorize,
     find_witness,

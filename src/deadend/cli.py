@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Any, Optional, Sequence
 
 from . import __version__
-from .cayley import Budget, BudgetExceededError, ball_cached, ball_to_csv
+from .cayley import DEFAULT_BUDGET, Budget, BudgetExceededError, ball_cached, ball_to_csv
 from .construction import (
     CertificateError,
     Construction,
@@ -176,6 +176,8 @@ def parse_quotient(spec: str, source_gens: GeneratingSet):
         doc = _read_json(spec[1:])
         if not isinstance(doc, dict) or doc.get("schema") != "quotient.v1":
             raise UsageError("quotient file must carry schema quotient.v1")
+        if "target" not in doc or not isinstance(doc.get("images"), list):
+            raise UsageError("quotient file needs a target group and a list of images")
         target = group_from_json(doc["target"])
         images = [
             GroupElement(target, payload_from_json(target, obj)) for obj in doc["images"]
@@ -397,9 +399,9 @@ _DEFAULTS = {
     "csv": None,
     "out": None,
     "cache_dir": None,
-    "budget_elements": 10_000_000,
-    "budget_radius": 10_000,
-    "budget_seconds": 600.0,
+    "budget_elements": DEFAULT_BUDGET.max_elements,
+    "budget_radius": DEFAULT_BUDGET.max_radius,
+    "budget_seconds": DEFAULT_BUDGET.max_seconds,
 }
 
 _INT_KEYS = {"quotient_max", "target_depth", "radius", "cap", "budget_elements", "budget_radius"}

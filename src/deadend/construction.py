@@ -16,12 +16,12 @@ import hashlib
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from functools import cached_property
 from pathlib import Path
 from typing import Any, Optional, Sequence, Union
 
-from .cayley import Ball, Budget, DEFAULT_BUDGET, ball, ball_cached, bfs_layers
-from .depth import DepthValue, depth
+from .cayley import Ball, Budget, DEFAULT_BUDGET, ball_cached, bfs_layers
+from .depth import DepthValue
 from .groups import (
     GeneratingSet,
     GroupElement,
@@ -48,7 +48,6 @@ __all__ = [
     "required_N",
     "bound_inequality_holds",
     "constructed_genset",
-    "build_generating_set",
     "phi_table",
     "find_witness",
     "factorize",
@@ -95,8 +94,8 @@ def required_N(n: int, d: int, mode: str = "paper") -> int:
 
     "paper" evaluates the headline bound (2n^2+2nd+2n-d)/(n-2d); "tight"
     clears denominators in (n+dN)/(n-d)+2n+1 <= N directly, which yields
-    the smaller numerator (2n^2-2nd+2n-d).  Both are sufficient; the
-    runtime re-check lives in bound_inequality_holds().
+    the smaller numerator (2n^2-2nd+2n-d).  Both are sufficient, at every
+    N >= required_N too, as the inequality is monotone in N once n > 2d.
     """
     if mode not in BOUND_MODES:
         raise ValueError(f"bound mode must be one of {BOUND_MODES}, got {mode!r}")
@@ -172,12 +171,6 @@ class ConstructedGenSet:
         self.s_ball = s_ball
         self.symmetrized = genset.symmetrized_payloads()
 
-    def __len__(self) -> int:
-        return len(self.genset)
-
-    def contains_symmetrized(self, payload: Any) -> bool:
-        return payload in self.symmetrized
-
 
 def constructed_genset(
     source_gens: GeneratingSet,
@@ -219,24 +212,9 @@ def constructed_genset(
         entries.append(GroupElement(group, payload))
     built = ConstructedGenSet(GeneratingSet(entries), source_gens, pi, N, s_ball)
     for s in source_gens.entries:
-        if not built.contains_symmetrized(s.payload):
+        if s.payload not in built.symmetrized:
             raise ConstructionError(f"source generator {s} missing from constructed set")
     return built
-
-
-def build_generating_set(
-    source_gens: GeneratingSet,
-    pi: QuotientMap,
-    params: ConstructionParams,
-    budget: Budget = DEFAULT_BUDGET,
-    cache_dir: Optional[Union[str, Path]] = None,
-) -> ConstructedGenSet:
-    """Parameter-validated wrapper around constructed_genset."""
-    if not bound_inequality_holds(params.n, params.d, params.N):
-        raise ConstructionError(
-            f"N={params.N} fails the sufficiency inequality for n={params.n}, d={params.d}"
-        )
-    return constructed_genset(source_gens, pi, params.N, budget, cache_dir)
 
 
 def _section(pi: QuotientMap, target_ball: Ball) -> tuple[int, ...]:
@@ -296,24 +274,20 @@ class DeadEndWitness:
 def find_witness(
     built: ConstructedGenSet,
     target_ball: Ball,
+    a_ball: Ball,
     claimed_depth: Optional[int] = None,
-    budget: Budget = DEFAULT_BUDGET,
-    a_ball: Optional[Ball] = None,
 ) -> DeadEndWitness:
     """Lift the diameter witness of the target ball through the canonical
-    section and verify that its word norm under the constructed set
-    equals the diameter."""
+    section and verify that its norm in a_ball, the A-ball of radius at
+    least the diameter, equals the diameter."""
     pi = built.pi
-    source_gens = built.source_gens
     report = DiameterReport.of_ball(target_ball)
     n = report.diameter
     section = _section(pi, target_ball)
     s_word = _lift(section, target_ball.geodesic_payload(report.witness.payload))
-    g_n = evaluate_word(s_word, source_gens)
+    g_n = evaluate_word(s_word, built.source_gens)
     if pi.apply_word(s_word) != report.witness:
         raise ConstructionError("lifted witness does not map onto the diameter witness")
-    if a_ball is None:
-        a_ball = ball(source_gens.group, built.genset, n, budget)
     found = a_ball.norm(g_n)
     if found != n:
         raise ConstructionError(
@@ -381,12 +355,10 @@ class Construction:
         self.budget = budget
         self.target_ball = target_ball
         self.image_gens = target_ball.gens
-        self.built = build_generating_set(source_gens, pi, params, budget, cache_dir)
+        self.built = constructed_genset(source_gens, pi, params.N, budget, cache_dir)
         self.phi = phi_table(pi, target_ball)
         self.a_ball = ball_cached(source_gens.group, self.built.genset, params.n, cache_dir, budget)
-        self.witness = find_witness(
-            self.built, target_ball, params.d + 1, budget, a_ball=self.a_ball
-        )
+        self.witness = find_witness(self.built, target_ball, self.a_ball, params.d + 1)
 
     @classmethod
     def build(
@@ -412,39 +384,48 @@ class Construction:
         word = self.built.s_ball.geodesic_payload(payload)
         return word if letter > 0 else invert_word(word)
 
-    def witness_neighborhood(self) -> list[tuple[GroupElement, Word]]:
-        """Every g within A-distance d of the witness, with an S-word for it.
-
-        The S-word concatenates the witness lift with S-geodesics of the
-        A-steps walked, so its length is at most n + d*N.
-        """
-        group = self.source_gens.group
-        mul = group.mul_payload
+    @cached_property
+    def _walk(self) -> tuple[dict, DepthValue]:
+        """One BFS about the witness, d+1 layers deep: an S-word of length at
+        most n + d*N for every payload within A-distance d (the witness lift,
+        then the S-geodesic of each A-step), and the witness depth.  The first
+        layer r leaving the A-ball (radius n) gives finite(r), else at_least(d+1);
+        no layer up to d+1 is empty, as the identity is n > 2d steps away."""
         genset = self.built.genset
+        letters = genset.symmetrized_letters()
+        mul = self.source_gens.group.mul_payload
+        norm = self.a_ball.norm_payload
+        a_words = {letter: self.a_letter_s_word(letter) for letter, _ in letters}
         start = self.witness.element.payload
         words: dict = {start: self.witness.s_word}
         parent = {start: 0}
-        layers = bfs_layers(mul, genset.symmetrized_letters(), start, parent, self.budget)
-        for _, layer in islice(layers, self.params.d):
+        depth_value = DepthValue.at_least(self.params.d + 1)
+        for r, layer in bfs_layers(mul, letters, start, parent, self.budget):
+            if depth_value.is_truncated and any(norm(y) is None for y in layer):
+                depth_value = DepthValue.finite(r)
+            if r > self.params.d:
+                break
             for y in layer:
                 letter = parent[y]
-                x = mul(y, genset.letters[-letter])
-                words[y] = words[x] + self.a_letter_s_word(letter)
-        return [(GroupElement(group, y), word) for y, word in words.items()]
+                words[y] = words[mul(y, genset.letters[-letter])] + a_words[letter]
+        return words, depth_value
+
+    def witness_neighborhood(self) -> list[tuple[GroupElement, Word]]:
+        """Every g within A-distance d of the witness, with the S-word the walk gives it."""
+        group = self.source_gens.group
+        return [(GroupElement(group, y), word) for y, word in self._walk[0].items()]
 
     def s_word_for(self, g: GroupElement) -> Word:
-        """Some S-word of length <= n + d*N for g, if one is derivable."""
+        """Some S-word of length <= n + d*N for g; ValueError if none is derivable."""
         if g == self.witness.element:
             return self.witness.s_word
-        n_s = self.built.s_ball.norm(g)
-        if n_s is not None:
+        if self.built.s_ball.norm(g) is not None:
             return self.built.s_ball.geodesic(g)
-        for h, word in self.witness_neighborhood():
-            if h == g:
-                return word
-        raise ConstructionError(
-            "no S-word available: element is outside the S-ball and the witness neighborhood"
-        )
+        word = self._walk[0].get(g.payload)
+        if word is None:
+            raise ValueError(f"no S-word available for {g}: outside the S-ball and the "
+                             "witness neighborhood")
+        return word
 
     def certify(self, g: GroupElement, s_word: Optional[Sequence[int]] = None) -> Certificate:
         if s_word is None:
@@ -481,12 +462,9 @@ def factorize(ctx: Construction, g: GroupElement, s_word: Sequence[int]) -> Cert
         return Certificate(g, 0, (), (), (), (), degenerate=True)
     t_letters = ctx.target_ball.geodesic_payload(pi_g.payload)
     base, extra = divmod(L, k)
-    sizes = [base + 1] * extra + [base] * (k - extra)
-    u_words: list[Word] = []
-    pos = 0
-    for size in sizes:
-        u_words.append(s_word[pos : pos + size])
-        pos += size
+    # k near-equal pieces, the extra longer ones first
+    cuts = [i * base + min(i, extra) for i in range(k + 1)]
+    u_words = [s_word[a:b] for a, b in zip(cuts, cuts[1:])]
     target = ctx.pi.target
     mul_t = target.mul_payload
     # Prefix images P_i = pi(u_1..u_i) and geodesic prefixes Q_i = t_1..t_i.
@@ -563,7 +541,7 @@ def validate_certificate(
         s_norm = ctx.built.s_ball.norm_payload(v_payload)
         if s_norm is None or s_norm > params.N:
             raise CertificateError("factor norm under S exceeds N", index=i)
-        if not ctx.built.contains_symmetrized(v_payload):
+        if v_payload not in ctx.built.symmetrized:
             raise CertificateError("factor is not in A or its inverses", index=i)
         product = mul(product, v_payload)
     if product != cert.target.payload:
@@ -644,7 +622,7 @@ def verify_construction(ctx: Construction) -> ConstructionReport:
                 "certificate_digest": cert_digest,
             }
         )
-    dv = depth(ctx.a_ball, ctx.witness.element, cap=params.d + 1)
+    dv = ctx._walk[1]
     if dv.is_finite and dv.value <= params.d:
         failures.append(
             f"depth search found an escape at distance {dv.value} <= d = {params.d}"

@@ -64,6 +64,21 @@ def _expect_schema(obj: Any, schema: str) -> dict:
     return obj
 
 
+def _required(doc: dict, key: str, kind: Any = object) -> Any:
+    """``doc[key]``; ValueError if the key is missing or its value is not a ``kind``."""
+    value = doc.get(key)
+    if key not in doc or not isinstance(value, kind):
+        raise ValueError(f"{doc['schema']} document: {key!r} missing or of the wrong type")
+    return value
+
+
+def _int(value: Any) -> int:
+    """A JSON integer or decimal string as an int; ValueError for anything else."""
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise ValueError(f"integer expected, got {value!r}")
+    return int(value)
+
+
 def group_to_json(group: Group) -> dict:
     doc: dict[str, Any] = {"schema": GROUP_SCHEMA, "variant": group.variant}
     if isinstance(group, IntegerLine):
@@ -90,18 +105,24 @@ def group_from_json(doc: Any) -> Group:
     doc = _expect_schema(doc, GROUP_SCHEMA)
     variant = doc.get("variant")
     if variant == "integer_line":
-        return IntegerLine(bits=int(doc.get("bits", "64")))
+        return IntegerLine(bits=_int(doc.get("bits", "64")))
     if variant == "integer_grid":
-        return IntegerGrid(rank=int(doc["rank"]), bits=int(doc.get("bits", "64")))
+        return IntegerGrid(rank=_int(_required(doc, "rank")), bits=_int(doc.get("bits", "64")))
     if variant == "cyclic":
-        return Cyclic(int(doc["modulus"]))
+        return Cyclic(_int(_required(doc, "modulus")))
     if variant == "dihedral":
-        return Dihedral(int(doc["m"]))
+        return Dihedral(_int(_required(doc, "m")))
     if variant == "lamplighter":
-        return Lamplighter(bits=int(doc.get("bits", "64")))
+        return Lamplighter(bits=_int(doc.get("bits", "64")))
     if variant == "table":
-        table = [[int(x) for x in row] for row in doc["table"]]
-        return TableGroup(table, int(doc["identity"]), name=doc.get("name", "table"))
+        rows = _required(doc, "table", list)
+        if not all(isinstance(row, list) for row in rows):
+            raise ValueError("group.v1 table rows must be lists")
+        try:  # int() per cell, not _int(): an order-520 table has 270k cells
+            table = [[int(x) for x in row] for row in rows]
+        except TypeError as exc:
+            raise ValueError(f"group.v1 table cells must be integers: {exc}") from None
+        return TableGroup(table, _int(_required(doc, "identity")), name=doc.get("name", "table"))
     raise ValueError(f"unknown group variant {variant!r}")
 
 
@@ -146,8 +167,8 @@ def element_to_json(x: GroupElement) -> dict:
 
 def element_from_json(doc: Any) -> GroupElement:
     doc = _expect_schema(doc, ELEMENT_SCHEMA)
-    group = group_from_json(doc["group"])
-    return GroupElement(group, payload_from_json(group, doc["payload"]))
+    group = group_from_json(_required(doc, "group"))
+    return GroupElement(group, payload_from_json(group, _required(doc, "payload")))
 
 
 def genset_to_json(gens: GeneratingSet) -> dict:
@@ -161,11 +182,10 @@ def genset_to_json(gens: GeneratingSet) -> dict:
 
 def genset_from_json(doc: Any) -> GeneratingSet:
     doc = _expect_schema(doc, GENSET_SCHEMA)
-    group = group_from_json(doc["group"])
-    entries = [
-        GroupElement(group, payload_from_json(group, obj)) for obj in doc["entries"]
-    ]
-    labels = doc.get("labels")
+    group = group_from_json(_required(doc, "group"))
+    objs = _required(doc, "entries", list)
+    entries = [GroupElement(group, payload_from_json(group, obj)) for obj in objs]
+    labels = None if doc.get("labels") is None else _required(doc, "labels", list)
     if not entries:
         return GeneratingSet.empty(group)
     return GeneratingSet(entries, labels)
@@ -177,7 +197,7 @@ def word_to_json(word: Word) -> dict:
 
 def word_from_json(doc: Any) -> Word:
     doc = _expect_schema(doc, WORD_SCHEMA)
-    letters = tuple(int(x) for x in doc["letters"])
+    letters = tuple(_int(x) for x in _required(doc, "letters", list))
     if any(x == 0 for x in letters):
         raise ValueError("word letters must be nonzero signed indices")
     return letters

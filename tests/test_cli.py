@@ -377,3 +377,57 @@ def test_report_echoes_digest_and_params(tmp_path):
     assert len(report["inputs_digest"]) == 64
     for key in ("n", "d", "N", "bound_mode"):
         assert key in report["inputs"]["params"]
+
+
+_ZZ_GROUP = {"schema": "group.v1", "variant": "integer_line"}
+_C10_GROUP = {"schema": "group.v1", "variant": "cyclic", "modulus": "10"}
+MALFORMED_DOCUMENTS = {
+    "quotient-no-target": ("quotient", {"schema": "quotient.v1", "images": ["1"]}),
+    "quotient-no-images": ("quotient", {"schema": "quotient.v1", "target": _C10_GROUP}),
+    "quotient-images-not-a-list": (
+        "quotient", {"schema": "quotient.v1", "target": _C10_GROUP, "images": 5},
+    ),
+    "table-no-identity": (
+        "group", {"schema": "group.v1", "variant": "table", "table": [["0"]]},
+    ),
+    "table-rows-strings": (
+        "group", {"schema": "group.v1", "variant": "table", "table": ["01", "10"], "identity": "0"},
+    ),
+    "table-cell-a-list": (
+        "group", {"schema": "group.v1", "variant": "table", "table": [[0, [1]], [1, 0]],
+                  "identity": "0"},
+    ),
+    "grid-no-rank": ("group", {"schema": "group.v1", "variant": "integer_grid"}),
+    "genset-no-entries": ("gens", {"schema": "genset.v1", "group": _ZZ_GROUP}),
+    "genset-entries-a-string": (
+        "gens", {"schema": "genset.v1", "group": _ZZ_GROUP, "entries": "12"},
+    ),
+    "genset-labels-not-a-list": (
+        "gens", {"schema": "genset.v1", "group": _ZZ_GROUP, "entries": ["1"], "labels": 7},
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_DOCUMENTS))
+def test_malformed_json_document_is_a_usage_error(tmp_path, capsys, case):
+    kind, doc = MALFORMED_DOCUMENTS[case]
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    argv = {
+        "quotient": ["construct", "--group", "zz", "--gens", "1",
+                     "--quotient", f"@{path}", "--target-depth", "3"],
+        "group": ["ball", "--group", f"table:{path}", "--gens", "1", "--radius", "1"],
+        "gens": ["ball", "--group", "zz", "--gens", f"@{path}", "--radius", "1"],
+    }[kind]
+    assert main(argv) == EXIT_USAGE
+    assert "error:" in capsys.readouterr().err
+
+
+def test_certify_element_without_s_word_is_a_usage_error(capsys):
+    # 100000 lies outside the radius-78 S-ball and far from the witness 5
+    code = main([
+        "certify", "--group", "zz", "--gens", "1",
+        "--quotient", "cyclic:10", "--target-depth", "3", "--element", "100000",
+    ])
+    assert code == EXIT_USAGE
+    assert "error: no S-word available" in capsys.readouterr().err

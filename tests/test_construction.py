@@ -6,6 +6,7 @@ import dataclasses
 
 import pytest
 
+import deadend.construction
 from deadend.cayley import Budget, ball
 from deadend.construction import (
     CertificateError,
@@ -13,7 +14,6 @@ from deadend.construction import (
     ConstructionError,
     ConstructionParams,
     bound_inequality_holds,
-    build_generating_set,
     constructed_genset,
     factorize,
     find_witness,
@@ -23,8 +23,16 @@ from deadend.construction import (
     validate_certificate,
 )
 from deadend.depth import depth
-from deadend.groups import Cyclic, GeneratingSet, IntegerLine, evaluate_word
-from deadend.quotient import cyclic_quotient, diameter, group_ball
+from deadend.groups import (
+    Cyclic,
+    Dihedral,
+    GeneratingSet,
+    IntegerGrid,
+    IntegerLine,
+    evaluate_word,
+    standard_gens,
+)
+from deadend.quotient import cyclic_quotient, diameter, group_ball, word_quotient
 
 ZZ = IntegerLine()
 UNIT = GeneratingSet([ZZ.element(1)])
@@ -121,13 +129,7 @@ def test_built_set_invariants(c10_ctx):
         assert pi.apply(e, built.s_ball.geodesic(e)).payload in tset
         assert built.s_ball.norm(e) is not None
     for s in built.source_gens.entries:
-        assert built.contains_symmetrized(s.payload)
-
-
-def test_build_generating_set_checks_inequality():
-    params = ConstructionParams(3, 2, 5, 78, "paper")
-    built = build_generating_set(UNIT, cyclic_quotient(UNIT, 10), params)
-    assert len(built.genset) == 15
+        assert s.payload in built.symmetrized
 
 
 # -- witness -----------------------------------------------------------------------
@@ -148,7 +150,7 @@ def test_find_witness_minimal_quotient():
     built = constructed_genset(UNIT, pi, N=1)
     report = diameter(pi.target, pi.image_genset()[0])
     assert report.diameter == 1
-    w = find_witness(built, group_ball(pi.target, pi.image_genset()[0]))
+    w = find_witness(built, group_ball(pi.target, pi.image_genset()[0]), ball(ZZ, built.genset, 1))
     assert w.element.payload == 1
     assert w.n == 1
 
@@ -328,6 +330,69 @@ def test_certificate_soundness_sampled(c10_ctx):
         cert = factorize(c10_ctx, element, s_word)
         validate_certificate(c10_ctx, cert, near_witness=True)
         assert c10_ctx.a_ball.norm(element) <= cert.k
+
+
+# -- the walk about the witness ------------------------------------------------------
+
+
+def _cyclic_case(gens, m, target_depth, mode="paper"):
+    return lambda: Construction.build(gens, cyclic_quotient(gens, m), target_depth, mode)
+
+
+def _word_case(gens, target, images, target_depth):
+    return lambda: Construction.build(
+        gens, word_quotient(gens, target, images), target_depth, "tight"
+    )
+
+
+_Z23 = GeneratingSet([ZZ.element(2), ZZ.element(3)])
+_GRID = standard_gens(IntegerGrid(2))
+_C12 = GeneratingSet([Cyclic(12).element(1)])
+_D8 = standard_gens(Dihedral(8))
+WALK_CASES = {
+    "Z-C10-paper": (_cyclic_case(UNIT, 10, 3), ">=3"),
+    "Z-C10-tight": (_cyclic_case(UNIT, 10, 3, "tight"), ">=3"),
+    "Z-C14-paper": (_cyclic_case(UNIT, 14, 4), ">=4"),
+    "Z-C14-tight": (_cyclic_case(UNIT, 14, 4, "tight"), ">=4"),
+    "Z{2,3}-C14": (_cyclic_case(_Z23, 14, 2, "tight"), ">=2"),
+    "Z2-C10": (_word_case(_GRID, Cyclic(10), [Cyclic(10).element(1)] * 2, 2), ">=2"),
+    "C12-C6": (_word_case(_C12, Cyclic(6), [Cyclic(6).element(1)], 2), ">=2"),
+    "D8-D4": (_word_case(_D8, Dihedral(4), [Dihedral(4).element((1, 0)),
+                                            Dihedral(4).element((0, 1))], 2), ">=2"),
+    # depth exactly d+1: the walk meets its first escape in its last layer
+    "Z-C7-D2": (_cyclic_case(UNIT, 7, 2), "2"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WALK_CASES))
+def test_walk_depth_matches_depth_search(case):
+    make, rendered = WALK_CASES[case]
+    ctx = make()
+    report = ctx.verify()
+    reference = depth(ctx.a_ball, ctx.witness.element, cap=ctx.params.d + 1)
+    assert report.depth_value == reference
+    assert report.depth_value.render() == rendered
+
+
+def test_certify_outside_the_s_ball_walks_once(monkeypatch):
+    ctx = Construction.build(UNIT, cyclic_quotient(UNIT, 10), target_depth=3)
+    walks = []
+    real = deadend.construction.bfs_layers
+
+    def counting(*args, **kwargs):
+        walks.append(args[2])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(deadend.construction, "bfs_layers", counting)
+    g = ZZ.element(147)  # 5 + 71 + 71: two A-steps from the witness, beyond N = 78
+    assert ctx.built.s_ball.norm(g) is None
+    first = ctx.certify(g)
+    second = ctx.certify(g)
+    assert walks == [ctx.witness.element.payload]
+    assert first == second
+    assert not first.degenerate and first.k <= ctx.params.n
+    validate_certificate(ctx, first, near_witness=True)
+    assert len(ctx.s_word_for(g)) <= ctx.params.n + ctx.params.d * ctx.params.N
 
 
 # -- full verification -----------------------------------------------------------------
