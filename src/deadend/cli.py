@@ -88,12 +88,18 @@ def parse_group(spec: str) -> Group:
     raise UsageError(f"unrecognized group spec {spec!r}")
 
 
+def _no_float(token: str) -> Any:
+    raise ValueError(f"non-integer number {token}")
+
+
 def _read_json(path: str) -> Any:
+    """A JSON document whose numbers are all integers: a float, NaN or Infinity is malformed."""
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        text = Path(path).read_text(encoding="utf-8")
+        return json.loads(text, parse_float=_no_float, parse_constant=_no_float)
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # json.JSONDecodeError, or a float
         raise UsageError(f"malformed JSON in {path}: {exc}") from exc
 
 

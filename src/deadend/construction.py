@@ -17,8 +17,9 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
 from pathlib import Path
-from typing import Any, Optional, Sequence, Union
+from typing import Any, NamedTuple, Optional, Sequence, Union
 
 from .cayley import Ball, Budget, DEFAULT_BUDGET, ball_cached, bfs_layers
 from .depth import DepthValue
@@ -27,8 +28,8 @@ from .groups import (
     GroupElement,
     GroupError,
     Word,
+    WordFold,
     evaluate_word,
-    fold_word,
     invert_word,
 )
 from .quotient import DiameterReport, QuotientMap, group_ball
@@ -331,6 +332,15 @@ class Certificate:
         return hashlib.sha256(dumps(self.to_json()).encode("utf-8")).hexdigest()[:16]
 
 
+class _Lift(NamedTuple):
+    """A checked phi entry of one target element, with its inverse."""
+
+    word: Word
+    inverse_word: Word
+    payload: Any
+    inverse: Any
+
+
 class Construction:
     """Full pipeline state: quotient, parameters, A, witness, lift table."""
 
@@ -427,6 +437,35 @@ class Construction:
                              "witness neighborhood")
         return word
 
+    # -- certificate folds -------------------------------------------------
+
+    @cached_property
+    def _folds(self) -> tuple[WordFold, WordFold]:
+        """Source and target folds of S-words: integer codes in the source
+        where they cover the longest word a certificate folds (an S-word, or
+        a factor word of |u| + 2n letters), the target's letter tables."""
+        p = self.params
+        longest = 3 * p.n + p.d * p.N
+        return (
+            WordFold(self.source_gens.group, self.source_gens.letters, longest),
+            WordFold(self.pi.target, self.pi.letters, elements=self.target_ball.payloads()),
+        )
+
+    @cached_property
+    def _lifts(self) -> dict:
+        """Target payload -> its phi entry as a ``_Lift``, once every target
+        element's phi word is checked to fold to its lift and to map onto
+        the element."""
+        fold_s, fold_t = self._folds
+        inv = self.source_gens.group.inv_payload
+        lifts = {}
+        for c in self.target_ball.payloads():
+            word, lift = self.phi.get(c, ((), None))
+            if fold_s(word) != lift or fold_t(word) != c:
+                raise CertificateError(f"phi table entry for {c!r} does not lift it")
+            lifts[c] = _Lift(word, invert_word(word), lift, inv(lift))
+        return lifts
+
     def certify(self, g: GroupElement, s_word: Optional[Sequence[int]] = None) -> Certificate:
         if s_word is None:
             s_word = self.s_word_for(g)
@@ -444,47 +483,52 @@ def factorize(ctx: Construction, g: GroupElement, s_word: Sequence[int]) -> Cert
 
     The word splits into k = norm(pi(g)) near-equal pieces u_i; every
     piece is corrected by lifts of quotient discrepancies so the factors
-    v_i multiply to g while each maps onto one geodesic letter.
+    v_i multiply to g while each maps onto one geodesic letter.  With
+    prefix products S_i (source) and P_i (target) of one fold of the word
+    in each group, Q_i the geodesic prefixes and c_i = P_i^-1 Q_i, the
+    factor v_i spells phi(c_{i-1})^-1 u_i phi(c_i) and its value is
+    lift(c_{i-1})^-1 S_a^-1 S_b lift(c_i) for the cuts a, b of u_i.
     """
     params = ctx.params
     s_word = tuple(s_word)
-    if evaluate_word(s_word, ctx.source_gens) != g:
-        raise CertificateError("provided S-word does not evaluate to the element")
+    fold_s, fold_t = ctx._folds
     L = len(s_word)
+    source = fold_s.prefixes(s_word)
+    group = ctx.source_gens.group
+    if GroupElement(group, source(L)) != g:
+        raise CertificateError("provided S-word does not evaluate to the element")
     limit = params.n + params.d * params.N
     if L > limit:
         raise CertificateError(f"S-word length {L} exceeds n + d*N = {limit}")
-    pi_g = ctx.pi.apply_word(s_word)
-    k = ctx.target_ball.norm_payload(pi_g.payload)
+    image = fold_t.prefixes(s_word)
+    pi_g = image(L)
+    k = ctx.target_ball.norm_payload(pi_g)
     if k is None:
         raise CertificateError("image norm unavailable; target ball incomplete")
     if k == 0:
         return Certificate(g, 0, (), (), (), (), degenerate=True)
-    t_letters = ctx.target_ball.geodesic_payload(pi_g.payload)
+    t_letters = ctx.target_ball.geodesic_payload(pi_g)
     base, extra = divmod(L, k)
     # k near-equal pieces, the extra longer ones first
     cuts = [i * base + min(i, extra) for i in range(k + 1)]
-    u_words = [s_word[a:b] for a, b in zip(cuts, cuts[1:])]
-    target = ctx.pi.target
-    mul_t = target.mul_payload
-    # Prefix images P_i = pi(u_1..u_i) and geodesic prefixes Q_i = t_1..t_i.
-    prefix_image = target.identity_payload()
-    prefix_geo = target.identity_payload()
-    correction_words: list[Word] = []  # phi-word for P_i^-1 Q_i, i = 1..k-1
-    for i in range(k - 1):
-        prefix_image = fold_word(u_words[i], ctx.pi.letters, mul_t, prefix_image)
-        prefix_geo = mul_t(prefix_geo, ctx.image_gens.letters[t_letters[i]])
-        mismatch = mul_t(target.inv_payload(prefix_image), prefix_geo)
-        correction_words.append(ctx.phi[mismatch][0])
-    v_words: list[Word] = []
-    v_payloads: list[Any] = []
-    for i in range(k):
-        before: Word = invert_word(correction_words[i - 1]) if i > 0 else ()
-        after: Word = correction_words[i] if i < k - 1 else ()
-        word = before + u_words[i] + after
-        v_words.append(word)
-        v_payloads.append(evaluate_word(word, ctx.source_gens).payload)
+    lifts = [ctx._lifts[c] for c in _discrepancies(ctx, map(image, cuts), t_letters)]
+    mul, inv = group.mul_payload, group.inv_payload
+    u_words, v_words, v_payloads = [], [], []
+    for (a, b), before, after in zip(zip(cuts, cuts[1:]), lifts, lifts[1:]):
+        u = s_word[a:b]
+        u_words.append(u)
+        v_words.append(before.inverse_word + u + after.word)
+        v_payloads.append(mul(mul(before.inverse, mul(inv(source(a)), source(b))), after.payload))
     return Certificate(g, k, tuple(u_words), t_letters, tuple(v_payloads), tuple(v_words))
+
+
+def _discrepancies(ctx: Construction, prefix_images, t_letters: Word) -> list:
+    """c_i = P_i^-1 Q_i for i = 0..k: prefix images against geodesic prefixes Q_i."""
+    target = ctx.pi.target
+    mul_t, inv_t = target.mul_payload, target.inv_payload
+    steps = map(ctx.image_gens.letters.__getitem__, t_letters)
+    geodesic = accumulate(steps, mul_t, initial=target.identity_payload())
+    return [mul_t(inv_t(p), q) for p, q in zip(prefix_images, geodesic)]
 
 
 def validate_certificate(
@@ -495,7 +539,10 @@ def validate_certificate(
     """Re-check every claim a certificate makes; raise CertificateError if any fails.
 
     With near_witness=True the triangle-inequality lower bound
-    k >= n - d is enforced as well.
+    k >= n - d is enforced as well.  Each piece is folded once in each
+    group; a factor word spelling phi(c_{i-1})^-1 u_i phi(c_i), with c_i
+    recomputed from the pieces and the geodesic, takes its value and image
+    from the checked phi lifts and those folds, any other is folded whole.
     """
     params = ctx.params
     if cert.degenerate:
@@ -503,7 +550,9 @@ def validate_certificate(
     group = ctx.source_gens.group
     target = ctx.pi.target
     mul = group.mul_payload
-    mul_t = target.mul_payload
+    mul_t, inv_t = target.mul_payload, target.inv_payload
+    fold_s, fold_t = ctx._folds
+    lifts = ctx._lifts
     k = cert.k
     if k != len(cert.u_words) or k != len(cert.v_words) or k != len(cert.t_letters):
         raise CertificateError("piece counts disagree with k")
@@ -518,25 +567,34 @@ def validate_certificate(
         if not Fraction(len(w)) < bound:
             raise CertificateError(f"|u| = {len(w)} not < (n+dN)/k + 1", index=i)
     # Image norm consistency: pi(g), folded piece after piece.
-    pi_g = target.identity_payload()
-    for w in cert.u_words:
-        pi_g = fold_word(w, ctx.pi.letters, mul_t, pi_g)
+    piece_images = [fold_t(w) for w in cert.u_words]
+    prefix_images = list(accumulate(piece_images, mul_t, initial=target.identity_payload()))
+    pi_g = prefix_images[-1]
     if ctx.target_ball.norm_payload(pi_g) != k:
         raise CertificateError("k is not the target norm of the image")
     # Geodesic letters must spell the image.
     if evaluate_word(cert.t_letters, ctx.image_gens).payload != pi_g:
         raise CertificateError("target geodesic does not spell the image")
+    c = _discrepancies(ctx, prefix_images, cert.t_letters)
     # Factor-level checks.
     product = group.identity_payload()
     for i in range(k):
         v_word = cert.v_words[i]
         v_payload = cert.v_payloads[i]
-        if evaluate_word(v_word, ctx.source_gens).payload != v_payload:
+        u = cert.u_words[i]
+        before, after = lifts[c[i]], lifts[c[i + 1]]
+        canonical = v_word == before.inverse_word + u + after.word
+        value = mul(mul(before.inverse, fold_s(u)), after.payload) if canonical else fold_s(v_word)
+        if value != v_payload:
             raise CertificateError("factor word does not evaluate to the factor", index=i)
-        if len(v_word) > len(cert.u_words[i]) + 2 * params.n:
+        if len(v_word) > len(u) + 2 * params.n:
             raise CertificateError("factor word longer than |u| + 2n", index=i)
         t_i = ctx.image_gens.letters[cert.t_letters[i]]
-        if ctx.pi.apply_word(v_word).payload != t_i:
+        if canonical:
+            image = mul_t(mul_t(inv_t(c[i]), piece_images[i]), c[i + 1])
+        else:
+            image = fold_t(v_word)
+        if image != t_i:
             raise CertificateError("factor image is not the geodesic letter", index=i)
         s_norm = ctx.built.s_ball.norm_payload(v_payload)
         if s_norm is None or s_norm > params.N:

@@ -397,6 +397,17 @@ MALFORMED_DOCUMENTS = {
         "group", {"schema": "group.v1", "variant": "table", "table": [[0, [1]], [1, 0]],
                   "identity": "0"},
     ),
+    "table-cell-a-float": (
+        "group", {"schema": "group.v1", "variant": "table", "table": [[0, 1.9], [1.2, 0]],
+                  "identity": "0"},
+    ),
+    "table-cell-infinity": (
+        "group", {"schema": "group.v1", "variant": "table", "table": [[0, float("inf")], [1, 0]],
+                  "identity": "0"},
+    ),
+    "quotient-image-a-float": (
+        "quotient", {"schema": "quotient.v1", "target": _C10_GROUP, "images": [1.0]},
+    ),
     "grid-no-rank": ("group", {"schema": "group.v1", "variant": "integer_grid"}),
     "genset-no-entries": ("gens", {"schema": "genset.v1", "group": _ZZ_GROUP}),
     "genset-entries-a-string": (

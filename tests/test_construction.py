@@ -3,12 +3,16 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import deadend.construction
 from deadend.cayley import Budget, ball
 from deadend.construction import (
+    Certificate,
     CertificateError,
     Construction,
     ConstructionError,
@@ -30,6 +34,7 @@ from deadend.groups import (
     IntegerGrid,
     IntegerLine,
     evaluate_word,
+    invert_word,
     standard_gens,
 )
 from deadend.quotient import cyclic_quotient, diameter, group_ball, word_quotient
@@ -324,6 +329,103 @@ def test_certificate_corruption_rejected(c10_ctx, field):
         validate_certificate(c10_ctx, bad, near_witness=True)
 
 
+def test_non_canonical_certificate_still_validates(c10_ctx):
+    # a cancelling pair inside a factor word: the word is no longer the
+    # phi-corrected piece, so it is folded whole, and still checks out
+    cert = c10_ctx.certify(ZZ.element(46))
+    n = c10_ctx.params.n
+    i = next(i for i, (u, v) in enumerate(zip(cert.u_words, cert.v_words))
+             if len(v) + 2 <= len(u) + 2 * n)
+    padded = cert.v_words[i][:1] + (1, -1) + cert.v_words[i][1:]
+    odd = dataclasses.replace(cert, v_words=cert.v_words[:i] + (padded,) + cert.v_words[i + 1:])
+    validate_certificate(c10_ctx, odd, near_witness=True)
+    wrong = padded[:1] + (1, 1) + padded[3:]
+    bad = dataclasses.replace(cert, v_words=cert.v_words[:i] + (wrong,) + cert.v_words[i + 1:])
+    with pytest.raises(CertificateError, match="does not evaluate"):
+        validate_certificate(c10_ctx, bad, near_witness=True)
+
+
+PHI_CORRUPTIONS = {
+    # the word of 6 spells 7 and lifts to -3, no longer -4
+    "word": lambda word, lift: (word[:-1], lift),
+    # -4 + 10 still maps to 6, so only the check against the word shows it
+    "lift": lambda word, lift: (word, lift + 10),
+}
+
+
+@pytest.mark.parametrize("field", sorted(PHI_CORRUPTIONS))
+def test_corrupted_phi_table_raises_on_certify(field):
+    ctx = Construction.build(UNIT, cyclic_quotient(UNIT, 10), target_depth=3)
+    ctx.phi = dict(ctx.phi)
+    ctx.phi[6] = PHI_CORRUPTIONS[field](*ctx.phi[6])
+    with pytest.raises(CertificateError, match="phi table entry for 6"):
+        ctx.certify(ZZ.element(46))
+
+
+def reference_factorize(ctx, g, s_word):
+    """Letter-by-letter reference: every prefix image, correction and factor
+    is folded from scratch, as certificates were built before the lifts."""
+    s_word = tuple(s_word)
+    assert evaluate_word(s_word, ctx.source_gens) == g
+    L = len(s_word)
+    pi_g = ctx.pi.apply_word(s_word).payload
+    k = ctx.target_ball.norm_payload(pi_g)
+    if k == 0:
+        return Certificate(g, 0, (), (), (), (), degenerate=True)
+    t_letters = ctx.target_ball.geodesic_payload(pi_g)
+    base, extra = divmod(L, k)
+    cuts = [i * base + min(i, extra) for i in range(k + 1)]
+    target = ctx.pi.target
+    corrections = [()]
+    for i in range(1, k):
+        prefix_image = ctx.pi.apply_word(s_word[: cuts[i]]).payload
+        prefix_geo = evaluate_word(t_letters[:i], ctx.image_gens).payload
+        corrections.append(ctx.phi[target.mul_payload(target.inv_payload(prefix_image),
+                                                      prefix_geo)][0])
+    corrections.append(())
+    u_words = tuple(s_word[a:b] for a, b in zip(cuts, cuts[1:]))
+    v_words = tuple(invert_word(corrections[i]) + u_words[i] + corrections[i + 1]
+                    for i in range(k))
+    v_payloads = tuple(evaluate_word(w, ctx.source_gens).payload for w in v_words)
+    return Certificate(g, k, u_words, t_letters, v_payloads, v_words)
+
+
+def _assert_matches_reference(ctx, g, s_word):
+    cert = factorize(ctx, g, s_word)
+    expected = reference_factorize(ctx, g, s_word)
+    assert (cert.u_words, cert.t_letters, cert.v_words, cert.v_payloads) == (
+        expected.u_words, expected.t_letters, expected.v_words, expected.v_payloads)
+    assert cert == expected
+    assert cert.digest() == expected.digest()
+    return cert
+
+
+@functools.lru_cache(maxsize=None)
+def _d8_ctx():
+    return WALK_CASES["D8-D4"][0]()
+
+
+@st.composite
+def padded_d8_words(draw):
+    # a random word with cancelling pairs spliced in, up to n + d*N = 20 letters
+    letters = st.sampled_from((1, -1, 2, -2))
+    word = draw(st.lists(letters, max_size=12))
+    for _ in range(draw(st.integers(0, 4))):
+        at = draw(st.integers(0, len(word)))
+        x = draw(letters)
+        word[at:at] = [x, -x]
+    return tuple(word)
+
+
+@settings(max_examples=200, deadline=None)
+@given(padded_d8_words())
+def test_factorize_matches_reference_on_padded_d8_words(word):
+    ctx = _d8_ctx()
+    cert = _assert_matches_reference(ctx, evaluate_word(word, _D8), word)
+    if not cert.degenerate:
+        validate_certificate(ctx, cert)
+
+
 def test_certificate_soundness_sampled(c10_ctx):
     # every validating certificate upper-bounds the BFS norm by k
     for element, s_word in c10_ctx.witness_neighborhood():
@@ -372,6 +474,13 @@ def test_walk_depth_matches_depth_search(case):
     reference = depth(ctx.a_ball, ctx.witness.element, cap=ctx.params.d + 1)
     assert report.depth_value == reference
     assert report.depth_value.render() == rendered
+
+
+@pytest.mark.parametrize("case", sorted(WALK_CASES))
+def test_factorize_matches_reference_on_every_neighbour(case):
+    ctx = WALK_CASES[case][0]()
+    for element, s_word in ctx.witness_neighborhood():
+        _assert_matches_reference(ctx, element, s_word)
 
 
 def test_certify_outside_the_s_ball_walks_once(monkeypatch):
