@@ -6,17 +6,16 @@ all expand layers through it, under one budget.  The ball BFS explores
 the implicit Cayley graph of a group under the symmetrized view of a
 generating set.  BFS order is deterministic: frontier FIFO, neighbors
 per generator in listed order, positive sign before negative.  Distances
-are exact; parent letters make geodesic recovery O(length).  Where the
-group codes its elements additively as integers (``Group.integer_code``:
-Z and Z^k below their cap), ``ball`` runs the same BFS over the codes, one
-int addition per step, and decodes the finished ball.
+are exact; parent letters make geodesic recovery O(length).  A ball runs
+and keeps its BFS on the element codes of ``Group.codec`` (ints for Z, Z^k
+and the lamplighter below their cap, else payloads) and decodes only at
+the edge: payload lookups and iteration, the cache and the CSV.
 """
 
 from __future__ import annotations
 
 import csv
 import hashlib
-import operator
 import os
 import struct
 import time
@@ -25,7 +24,7 @@ from pathlib import Path
 from itertools import count, islice
 from typing import Any, Callable, Iterator, Optional, Sequence, Union
 
-from .groups import GeneratingSet, Group, GroupElement, GroupError, Word
+from .groups import Codec, GeneratingSet, Group, GroupElement, GroupError, Word
 from .serialize import dumps, genset_to_json, group_to_json
 
 __all__ = [
@@ -44,6 +43,8 @@ __all__ = [
 
 CACHE_MAGIC = b"DECB"
 CACHE_VERSION = 1
+_LENGTH = struct.Struct(">H")
+_LINK = struct.Struct(">Ii")
 
 
 @dataclass(frozen=True)
@@ -74,7 +75,10 @@ class BudgetExceededError(Exception):
 class Ball:
     """Closed ball about the identity: exact distances plus parent links.
 
-    Immutable once built; iteration follows BFS discovery order.
+    ``dist`` and ``parent`` map element codes to distances and parent
+    letters in BFS discovery order; ``letter_codes`` maps signed letters to
+    step codes.  The codec covers every walk of radius + 1 steps from the
+    ball.  Immutable once built.
     """
 
     def __init__(
@@ -85,54 +89,52 @@ class Ball:
         dist: dict,
         parent: dict,
         sphere_sizes: tuple[int, ...],
+        codec: Codec,
     ):
         self.group = group
         self.gens = gens
         self.radius = radius
-        self._dist = dist
-        self._parent = parent
+        self.dist = dist
+        self.parent = parent
         self.sphere_sizes = sphere_sizes
+        self.codec = codec
+        self.letter_codes = dict(zip(gens.letters, codec.codes))
 
     def __len__(self) -> int:
-        return len(self._dist)
+        return len(self.dist)
 
     def __contains__(self, x: GroupElement) -> bool:
-        return x.payload in self._dist
+        return self.codec.encode(x.payload) in self.dist
 
     def norm_payload(self, payload: Any) -> Optional[int]:
-        return self._dist.get(payload)
+        return self.dist.get(self.codec.encode(payload))
 
     def norm(self, x: GroupElement) -> Optional[int]:
         """Exact word norm of x, or None when x lies outside the ball."""
-        return self._dist.get(x.payload)
+        return self.norm_payload(x.payload)
 
     def elements(self) -> Iterator[GroupElement]:
-        for payload in self._dist:
-            yield GroupElement(self.group, payload)
+        return (GroupElement(self.group, payload) for payload in self.payloads())
 
     def payloads(self) -> Iterator[Any]:
-        return iter(self._dist)
+        return map(self.codec.decode, self.dist)
 
     def first_payload_at(self, distance: int) -> Any:
         """First payload at the given distance in BFS order."""
         if not 0 <= distance < len(self.sphere_sizes) or self.sphere_sizes[distance] == 0:
             raise ValueError(f"no elements at distance {distance}")
-        for payload, d in self._dist.items():
-            if d == distance:
-                return payload
-        raise AssertionError("sphere sizes inconsistent with distance table")
+        return self.codec.decode(next(islice(self.dist, sum(self.sphere_sizes[:distance]), None)))
 
     def geodesic_payload(self, payload: Any) -> Word:
-        d = self._dist.get(payload)
+        code = self.codec.encode(payload)
+        d = self.dist.get(code)
         if d is None:
             raise ValueError("element not recorded in this ball")
-        mul = self.group.mul_payload
-        table = self.gens.letters
+        step, back = self.codec.step, self.letter_codes
         letters: list[int] = []
-        current = payload
         for _ in range(d):
-            letters.append(self._parent[current])
-            current = mul(current, table[-letters[-1]])
+            letters.append(self.parent[code])
+            code = step(code, back[-letters[-1]])
         letters.reverse()
         return tuple(letters)
 
@@ -143,17 +145,32 @@ class Ball:
         ``step(value of its parent, its parent letter)``, so the value of
         x is ``step`` folded over the letters of ``geodesic_payload(x)``.
         """
-        mul = self.group.mul_payload
-        table = self.gens.letters
+        mul, back = self.codec.step, self.letter_codes
         values: dict = {}
-        for payload, d in self._dist.items():
-            letter = self._parent[payload]
-            values[payload] = step(values[mul(payload, table[-letter])], letter) if d else start
-        return values
+        for code, d in self.dist.items():
+            letter = self.parent[code]
+            values[code] = step(values[mul(code, back[-letter])], letter) if d else start
+        return dict(zip(self.payloads(), values.values()))
 
     def geodesic(self, x: GroupElement) -> Word:
         """Word of length exactly norm(x) evaluating to x (first-parent rule)."""
         return self.geodesic_payload(x.payload)
+
+
+def _codec(gens: GeneratingSet, radius: int) -> Codec:
+    # Covers a walk of radius + 1 steps from any element of the radius ball.
+    return gens.group.codec(list(gens.letters.values()), 2 * radius + 1)
+
+
+def _check_budget(budget: Budget, seen: int, r: int, deadline: Optional[float] = None) -> None:
+    """Raise BudgetExceededError, radius r reached, past the element budget or the deadline."""
+    if seen > budget.max_elements:
+        what = f"element budget {budget.max_elements}"
+    elif deadline is not None and time.monotonic() > deadline:
+        what = f"time budget {budget.max_seconds}s"
+    else:
+        return
+    raise BudgetExceededError(f"{what} exceeded", radius_reached=r, elements_seen=seen)
 
 
 def bfs_layers(
@@ -186,24 +203,8 @@ def bfs_layers(
                     next_layer.append(y)
             checked += 1
             if (checked & 0x3FF) == 0:
-                if len(seen) > budget.max_elements:
-                    raise BudgetExceededError(
-                        f"element budget {budget.max_elements} exceeded",
-                        radius_reached=r - 1,
-                        elements_seen=len(seen),
-                    )
-                if time.monotonic() > deadline:
-                    raise BudgetExceededError(
-                        f"time budget {budget.max_seconds}s exceeded",
-                        radius_reached=r - 1,
-                        elements_seen=len(seen),
-                    )
-        if len(seen) > budget.max_elements:
-            raise BudgetExceededError(
-                f"element budget {budget.max_elements} exceeded",
-                radius_reached=r - 1,
-                elements_seen=len(seen),
-            )
+                _check_budget(budget, len(seen), r - 1, deadline)
+        _check_budget(budget, len(seen), r - 1)
         if not next_layer:
             return
         yield r, next_layer
@@ -218,9 +219,8 @@ def ball(
 ) -> Ball:
     """Exact closed ball of the given radius under the symmetrized generators.
 
-    When ``group.integer_code`` codes the generators for this radius, the
-    BFS steps by ``operator.add`` on the codes; discovery order, parent
-    letters and budget stops are those of the payload BFS.
+    The BFS steps on the codes of ``Group.codec``; discovery order, parent
+    letters and budget stops are those of the BFS on payloads.
     """
     if radius < 0:
         raise ValueError(f"radius must be >= 0, got {radius}")
@@ -232,27 +232,17 @@ def ball(
             radius_reached=0,
             elements_seen=1,
         )
-    letters = gens.symmetrized_letters()
-    coded = group.integer_code([p for _, p in letters], radius)
-    if coded is None:
-        mul, start, decode = group.mul_payload, group.identity_payload(), None
-    else:
-        codes, decode = coded
-        mul, start = operator.add, 0
-        letters = [(x, c) for (x, _), c in zip(letters, codes)]
+    codec = _codec(gens, radius)
+    start = codec.encode(group.identity_payload())
+    letters = list(zip(gens.letters, codec.codes))
     dist: dict = {start: 0}
     parent: dict = {start: 0}
     spheres = [1]
-    for r, layer in islice(bfs_layers(mul, letters, start, parent, budget), radius):
+    for r, layer in islice(bfs_layers(codec.step, letters, start, parent, budget), radius):
         for y in layer:
             dist[y] = r
         spheres.append(len(layer))
-    if decode is not None:
-        # Both dicts list the ball in discovery order; each coded dict is
-        # dropped as soon as its decoded replacement is built.
-        dist = {decode(c): d for c, d in dist.items()}
-        parent = dict(zip(dist, parent.values()))
-    return Ball(group, gens, radius, dist, parent, tuple(spheres))
+    return Ball(group, gens, radius, dist, parent, tuple(spheres), codec)
 
 
 # ---------------------------------------------------------------------------
@@ -277,19 +267,17 @@ def save_ball(b: Ball, path: Union[str, Path]) -> None:
     """
     path = Path(path)
     digest = bytes.fromhex(ball_content_hash(b.group, b.gens, b.radius))
-    encode = b.group.encode_payload
+    encode, decode = b.group.encode_payload, b.codec.decode
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as fh:
             fh.write(CACHE_MAGIC)
             fh.write(struct.pack(">H", CACHE_VERSION))
             fh.write(digest)
-            fh.write(struct.pack(">IQ", b.radius, len(b._dist)))
-            for payload, d in b._dist.items():
-                enc = encode(payload)
-                fh.write(struct.pack(">H", len(enc)))
-                fh.write(enc)
-                fh.write(struct.pack(">Ii", d, b._parent[payload]))
+            fh.write(struct.pack(">IQ", b.radius, len(b.dist)))
+            for (code, d), letter in zip(b.dist.items(), b.parent.values()):
+                enc = encode(decode(code))
+                fh.write(_LENGTH.pack(len(enc)) + enc + _LINK.pack(d, letter))
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -301,7 +289,7 @@ def load_ball(path: Union[str, Path], group: Group, gens: GeneratingSet) -> Ball
 
     Records must come in non-decreasing distance, the identity alone at
     distance 0 with letter 0, and every other record's parent step (one
-    multiplication per record) must land on a record one layer closer.
+    step on its code) must land on a record one layer closer.
     Raises ValueError on a foreign, mismatched, truncated or garbled file.
     """
     with open(path, "rb") as fh:
@@ -309,9 +297,6 @@ def load_ball(path: Union[str, Path], group: Group, gens: GeneratingSet) -> Ball
     if data[:4] != CACHE_MAGIC:
         raise ValueError(f"not a ball cache file: {path}")
     decode = group.decode_payload
-    mul = group.mul_payload
-    identity = group.identity_payload()
-    table = gens.letters
     dist: dict = {}
     parent: dict = {}
     spheres: list[int] = []
@@ -323,31 +308,39 @@ def load_ball(path: Union[str, Path], group: Group, gens: GeneratingSet) -> Ball
         radius, count = struct.unpack_from(">IQ", data, 38)
         if digest != ball_content_hash(group, gens, radius):
             raise ValueError("ball cache content hash does not match (group, gens, radius)")
+        codec = _codec(gens, radius)
+        encode, step, back = codec.encode, codec.step, dict(zip(gens.letters, codec.codes))
+        identity = encode(group.identity_payload())
         offset = 50
         for _ in range(count):
-            (enc_len,) = struct.unpack_from(">H", data, offset)
+            (enc_len,) = _LENGTH.unpack_from(data, offset)
             offset += 2
             payload = decode(data[offset : offset + enc_len])
             offset += enc_len
-            d, letter = struct.unpack_from(">Ii", data, offset)
+            d, letter = _LINK.unpack_from(data, offset)
             offset += 8
+            code = encode(payload)
+            if code is None:
+                raise GroupError(f"{payload!r} lies outside the codes of this ball")
             if d == 0:
-                linked = letter == 0 and payload == identity and not dist
+                linked = letter == 0 and code == identity and not dist
             else:
-                step = table.get(-letter)
-                linked = step is not None and dist.get(mul(payload, step)) == d - 1
+                # Exact: the codes cover 2 * radius + 1 steps, so a step from a
+                # code in their range lands on its product's code or on none here.
+                s = back.get(-letter)
+                linked = s is not None and dist.get(step(code, s)) == d - 1
             if d == len(spheres):
                 spheres.append(0)
-            if d > radius or d != len(spheres) - 1 or payload in dist or not linked:
+            if d > radius or d != len(spheres) - 1 or code in dist or not linked:
                 raise ValueError(f"garbled parent links or distances in {path}")
-            dist[payload] = d
-            parent[payload] = letter
+            dist[code] = d
+            parent[code] = letter
             spheres[d] += 1
     except (struct.error, IndexError, GroupError) as exc:
         raise ValueError(f"truncated or garbled ball cache file: {path}") from exc
     if not spheres:
         raise ValueError(f"no identity record in {path}")
-    return Ball(group, gens, radius, dist, parent, tuple(spheres))
+    return Ball(group, gens, radius, dist, parent, tuple(spheres), codec)
 
 
 def ball_cached(
@@ -384,5 +377,4 @@ def ball_to_csv(b: Ball, path: Union[str, Path]) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["element", "norm"])
-        for payload, d in b._dist.items():
-            writer.writerow([fmt(payload), d])
+        writer.writerows(zip(map(fmt, b.payloads()), b.dist.values()))

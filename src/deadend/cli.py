@@ -330,7 +330,8 @@ def cmd_depth(args) -> tuple[dict, dict, int]:
     if radius is None:
         raise UsageError("--radius is required")
     b = ball_cached(group, gens, radius, args.cache_dir, _budget_from_args(args))
-    if b.norm(element) is None:
+    norm = b.norm(element)
+    if norm is None:
         raise UsageError(f"element {element} lies outside the radius-{radius} ball")
     value = depth(b, element, cap=args.cap)
     inputs = {
@@ -340,7 +341,7 @@ def cmd_depth(args) -> tuple[dict, dict, int]:
         "radius": radius,
         "cap": args.cap,
     }
-    results = {"norm": b.norm(element), "depth": value.render()}
+    results = {"norm": norm, "depth": value.render()}
     return inputs, results, EXIT_OK
 
 

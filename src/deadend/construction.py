@@ -396,34 +396,34 @@ class Construction:
 
     @cached_property
     def _walk(self) -> tuple[dict, DepthValue]:
-        """One BFS about the witness, d+1 layers deep: an S-word of length at
-        most n + d*N for every payload within A-distance d (the witness lift,
-        then the S-geodesic of each A-step), and the witness depth.  The first
-        layer r leaving the A-ball (radius n) gives finite(r), else at_least(d+1);
-        no layer up to d+1 is empty, as the identity is n > 2d steps away."""
-        genset = self.built.genset
-        letters = genset.symmetrized_letters()
-        mul = self.source_gens.group.mul_payload
-        norm = self.a_ball.norm_payload
-        a_words = {letter: self.a_letter_s_word(letter) for letter, _ in letters}
-        start = self.witness.element.payload
+        """One BFS about the witness, d+1 layers deep, on the A-ball's codes: an
+        S-word of length at most n + d*N for every element within A-distance d
+        (the witness lift, then the S-geodesic of each A-step), keyed by code,
+        and the witness depth.  The first layer r leaving the A-ball (radius n)
+        gives finite(r), else at_least(d+1); no layer up to d+1 is empty, as
+        the identity is n > 2d steps away.  The walk stays within n + d + 1
+        steps of the identity, which the A-ball's codes cover."""
+        a_ball = self.a_ball
+        step, back, norm = a_ball.codec.step, a_ball.letter_codes, a_ball.dist.get
+        a_words = {letter: self.a_letter_s_word(letter) for letter in back}
+        start = a_ball.codec.encode(self.witness.element.payload)
         words: dict = {start: self.witness.s_word}
         parent = {start: 0}
         depth_value = DepthValue.at_least(self.params.d + 1)
-        for r, layer in bfs_layers(mul, letters, start, parent, self.budget):
+        for r, layer in bfs_layers(step, tuple(back.items()), start, parent, self.budget):
             if depth_value.is_truncated and any(norm(y) is None for y in layer):
                 depth_value = DepthValue.finite(r)
             if r > self.params.d:
                 break
             for y in layer:
                 letter = parent[y]
-                words[y] = words[mul(y, genset.letters[-letter])] + a_words[letter]
+                words[y] = words[step(y, back[-letter])] + a_words[letter]
         return words, depth_value
 
     def witness_neighborhood(self) -> list[tuple[GroupElement, Word]]:
         """Every g within A-distance d of the witness, with the S-word the walk gives it."""
-        group = self.source_gens.group
-        return [(GroupElement(group, y), word) for y, word in self._walk[0].items()]
+        group, decode = self.source_gens.group, self.a_ball.codec.decode
+        return [(GroupElement(group, decode(y)), word) for y, word in self._walk[0].items()]
 
     def s_word_for(self, g: GroupElement) -> Word:
         """Some S-word of length <= n + d*N for g; ValueError if none is derivable."""
@@ -431,7 +431,7 @@ class Construction:
             return self.witness.s_word
         if self.built.s_ball.norm(g) is not None:
             return self.built.s_ball.geodesic(g)
-        word = self._walk[0].get(g.payload)
+        word = self._walk[0].get(self.a_ball.codec.encode(g.payload))
         if word is None:
             raise ValueError(f"no S-word available for {g}: outside the S-ball and the "
                              "witness neighborhood")

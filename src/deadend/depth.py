@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterator, Optional, Union
+from typing import Any, Callable, Iterator, Optional, Union
 
 from .cayley import Ball, Budget, DEFAULT_BUDGET, ball, bfs_layers
 from .groups import GeneratingSet, Group, GroupElement
@@ -84,70 +84,73 @@ class DepthValue:
         return self.render()
 
 
+def _searcher(b: Ball, cap: int) -> Callable[[Any, int], DepthValue]:
+    """(code, norm) of an element of b -> its depth, searched outward up to ``cap`` layers."""
+    if cap < 1:
+        raise ValueError(f"cap must be >= 1, got {cap}")
+    step, lookup = b.codec.step, b.dist.get
+    steps = tuple(b.letter_codes.values())
+
+    # Own loop, not cayley.bfs_layers: the hot path of profiles, it exits mid-layer.
+    def search(start: Any, norm_g: int) -> DepthValue:
+        visited = {start}
+        layer = [start]
+        for dist in range(1, cap + 1):
+            nxt = []
+            for x in layer:
+                for s in steps:
+                    y = step(x, s)
+                    if y in visited:
+                        continue
+                    visited.add(y)
+                    norm_y = lookup(y)
+                    if norm_y is None or norm_y > norm_g:
+                        return DepthValue.finite(dist)
+                    nxt.append(y)
+            if not nxt:
+                # Whole group explored without leaving the closed ball.
+                return DepthValue.infinite()
+            layer = nxt
+        return DepthValue.at_least(cap)
+
+    return search
+
+
 def depth(b: Ball, g: GroupElement, cap: int) -> DepthValue:
     """Dead-end depth of g, searched outward up to ``cap`` layers.
 
-    Requires b.radius >= norm(g) so that membership in the closed ball of
-    radius norm(g) is decidable from b alone.
+    g must be recorded in b: b then holds the whole closed ball of radius
+    norm(g), so membership in it is decidable from b alone.
     """
-    if cap < 1:
-        raise ValueError(f"cap must be >= 1, got {cap}")
-    norm_g = b.norm(g)
+    search = _searcher(b, cap)
+    code = b.codec.encode(g.payload)
+    norm_g = b.dist.get(code)
     if norm_g is None:
         raise ValueError("element not recorded in the ball")
-    if b.radius < norm_g:
-        raise ValueError(
-            f"ball radius {b.radius} is smaller than norm {norm_g}; depth undecidable"
-        )
-    # Own loop, not cayley.bfs_layers: the hot path of profiles, it exits mid-layer.
-    group = b.group
-    mul = group.mul_payload
-    letters = b.gens.symmetrized_letters()
-    lookup = b.norm_payload
-    visited = {g.payload}
-    layer = [g.payload]
-    for dist in range(1, cap + 1):
-        nxt = []
-        for x in layer:
-            for _, step in letters:
-                y = mul(x, step)
-                if y in visited:
-                    continue
-                visited.add(y)
-                norm_y = lookup(y)
-                if norm_y is None or norm_y > norm_g:
-                    return DepthValue.finite(dist)
-                nxt.append(y)
-        if not nxt:
-            # Whole group explored without leaving the closed ball.
-            return DepthValue.infinite()
-        layer = nxt
-    return DepthValue.at_least(cap)
+    return search(code, norm_g)
 
 
 class DepthProfile:
     """Per-element depth over a closed ball, in BFS discovery order."""
 
-    def __init__(self, group: Group, gens: GeneratingSet, radius: int,
-                 entries: dict, cap: int):
-        self.group = group
-        self.gens = gens
-        self.radius = radius
+    def __init__(self, b: Ball, entries: dict, cap: int):
+        self.group = b.group
+        self.gens = b.gens
+        self.radius = b.radius
         self.cap = cap
-        self._entries = entries  # payload -> (norm, DepthValue)
+        self._codec = b.codec
+        self._entries = entries  # code -> (norm, DepthValue)
 
     def __len__(self) -> int:
         return len(self._entries)
 
     def depth_of(self, x: GroupElement) -> DepthValue:
-        return self._entries[x.payload][1]
-
-    def norm_of(self, x: GroupElement) -> int:
-        return self._entries[x.payload][0]
+        return self._entries[self._codec.encode(x.payload)][1]
 
     def rows(self) -> Iterator[tuple[Any, int, DepthValue]]:
-        for payload, (norm, dv) in self._entries.items():
-            yield payload, norm, dv
+        decode = self._codec.decode
+        for code, (norm, dv) in self._entries.items():
+            yield decode(code), norm, dv
 
     def max_depth_by_norm(self) -> list[DepthValue]:
         out: list[Optional[DepthValue]] = [None] * (self.radius + 1)
@@ -169,8 +172,7 @@ class DepthProfile:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["element", "norm", "depth"])
-            for payload, (norm, dv) in self._entries.items():
-                writer.writerow([fmt(payload), norm, dv.render()])
+            writer.writerows([fmt(p), norm, dv.render()] for p, norm, dv in self.rows())
 
     def summary_json(self) -> dict:
         return {
@@ -186,11 +188,9 @@ class DepthProfile:
 
 def depth_profile(b: Ball, cap: int) -> DepthProfile:
     """Depth of every element recorded in the ball (cap per element)."""
-    entries: dict = {}
-    for payload in b.payloads():
-        x = GroupElement(b.group, payload)
-        entries[payload] = (b.norm_payload(payload), depth(b, x, cap))
-    return DepthProfile(b.group, b.gens, b.radius, entries, cap)
+    search = _searcher(b, cap)
+    entries = {code: (norm, search(code, norm)) for code, norm in b.dist.items()}
+    return DepthProfile(b, entries, cap)
 
 
 def depth_oracle(
@@ -211,16 +211,13 @@ def depth_oracle(
     b = ball(group, gens, radius=order, budget=budget)
     if len(b) != order:
         raise ValueError(f"generators reach only {len(b)} of {order} elements")
-    norms = {payload: b.norm_payload(payload) for payload in b.payloads()}
-    mul = group.mul_payload
-    letters = gens.symmetrized_letters()
+    letters = tuple(b.letter_codes.items())
     entries: dict = {}
-    for payload in b.payloads():
-        norm_g = norms[payload]
+    for code, norm_g in b.dist.items():
         dv = DepthValue.infinite()
-        for d, layer in bfs_layers(mul, letters, payload, {payload: 0}, budget):
-            if any(norms[y] > norm_g for y in layer):
+        for d, layer in bfs_layers(b.codec.step, letters, code, {code: 0}, budget):
+            if any(b.dist[y] > norm_g for y in layer):
                 dv = DepthValue.finite(d)
                 break
-        entries[payload] = (norm_g, dv)
-    return DepthProfile(group, gens, b.radius, entries, cap=order + 1)
+        entries[code] = (norm_g, dv)
+    return DepthProfile(b, entries, cap=order + 1)

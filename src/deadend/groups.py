@@ -10,16 +10,18 @@ Words are read through one signed-letter table per generating set
 (``letter_table``) and evaluated by one fold (``fold_word``), which
 rejects a letter missing from the table as it reaches it; ``WordFold``
 gives the same results faster, over integer codes or letter tables.
+Walks (balls, depth searches) step on the element codes of ``Group.codec``.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from itertools import accumulate
-from operator import itemgetter, lt
-from typing import Any, Callable, ClassVar, Iterable, Iterator, Optional, Sequence
+from operator import add, itemgetter, lt
+from typing import Any, Callable, ClassVar, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 __all__ = [
+    "Codec",
     "Group",
     "GroupElement",
     "GeneratingSet",
@@ -67,6 +69,23 @@ class InvalidElementError(GroupError):
 
 class TableGroupError(GroupError):
     """A multiplication table violates the group axioms."""
+
+
+class Codec(NamedTuple):
+    """Element codes, injective on the products of at most ``radius`` of ``payloads``.
+
+    ``step(code, codes[i])`` codes the product by ``payloads[i]``; ``encode`` maps
+    a payload to its code (None outside the coded range), ``decode`` back.  Where
+    ``step`` is ``operator.add``, 0 codes the identity."""
+
+    codes: list
+    step: Callable[[Any, Any], Any]
+    encode: Callable[[Any], Any]
+    decode: Callable[[Any], Any]
+
+
+def _same(x: Any) -> Any:
+    return x
 
 
 def _check_bits(bits: int) -> int:
@@ -121,20 +140,14 @@ class Group(ABC):
         """All elements in canonical enumeration order (finite groups only)."""
         raise GroupError(f"cannot enumerate an infinite group ({self.variant})")
 
-    def integer_code(
-        self, payloads: Sequence[Any], radius: int
-    ) -> Optional[tuple[list[int], Optional[Callable[[int], Any]]]]:
-        """Additive integer codes for a BFS of ``radius`` steps, or None.
-
-        A group may return ``(codes, decode)``: ``codes[i]`` codes
-        ``payloads[i]``, the identity codes as 0, the code of a product is
-        the sum of the codes, and the coding is injective on every product
-        of at most ``radius`` of the payloads, none of which overflows.
-        ``decode`` maps a code back to its canonical payload, or is None
-        when the codes are the payloads themselves.  The default, None,
-        means no such coding.
-        """
+    def integer_code(self, payloads: Sequence[Any], radius: int) -> Optional[Codec]:
+        """A ``Codec`` of ints for products of ``radius`` payloads, none overflowing; else None."""
         return None
+
+    def codec(self, payloads: Sequence[Any], radius: int) -> Codec:
+        """``integer_code``, else the identity codec: payloads step by ``mul_payload``."""
+        coded = self.integer_code(payloads, radius)
+        return coded or Codec(list(payloads), self.mul_payload, _same, _same)
 
     def identity(self) -> "GroupElement":
         return GroupElement(self, self.identity_payload())
@@ -300,9 +313,9 @@ class WordFold:
 
     Given ``elements`` (every payload of a finite group) it steps through
     per-letter right-multiplication dicts.  Otherwise, where
-    ``group.integer_code`` codes the letters for ``radius`` steps, a word
-    of at most ``radius`` letters is summed over its codes at C speed and
-    decoded; longer words and uncoded groups take ``fold_word``'s loop.
+    ``group.integer_code`` codes the letters additively for ``radius`` steps,
+    a word of at most ``radius`` letters is summed over its codes at C speed
+    and decoded; longer words and other groups take ``fold_word``'s loop.
     Results and errors are those of ``fold_word``.
     """
 
@@ -319,10 +332,10 @@ class WordFold:
             self.right = {x: {t: self.mul(t, p) for t in elements} for x, p in table.items()}
             return
         coded = group.integer_code(list(table.values()), radius)
-        if coded is not None:
-            self.codes = dict(zip(table, coded[0]))
+        if coded is not None and coded.step is add:
+            self.codes = dict(zip(table, coded.codes))
             self.radius = radius
-            self.decode = coded[1] or (lambda code: code)
+            self.decode = coded.decode
 
     def __call__(self, word: Sequence[int]) -> Any:
         try:
@@ -405,11 +418,12 @@ class IntegerLine(Group):
     def inv_payload(self, p: int) -> int:
         return -p
 
-    def integer_code(self, payloads: Sequence[int], radius: int):
+    def integer_code(self, payloads: Sequence[int], radius: int) -> Optional[Codec]:
         # A product of at most radius steps stays within radius * max|step|.
-        if radius * max(map(abs, payloads), default=0) > self._cap:
+        reach = radius * max(map(abs, payloads), default=0)
+        if reach > self._cap:
             return None
-        return list(payloads), None
+        return Codec(list(payloads), add, lambda p: p if -reach <= p <= reach else None, _same)
 
     def encode_payload(self, p: int) -> bytes:
         return p.to_bytes(self._width, "big", signed=True)
@@ -476,7 +490,7 @@ class IntegerGrid(Group):
     def inv_payload(self, p: tuple) -> tuple:
         return tuple(-c for c in p)
 
-    def integer_code(self, payloads: Sequence[tuple], radius: int):
+    def integer_code(self, payloads: Sequence[tuple], radius: int) -> Optional[Codec]:
         # v packs as sum of v[i] << (w * i): additive, and injective on the
         # box |v[i]| <= reach, where every product of radius steps lies.
         reach = radius * max((abs(c) for p in payloads for c in p), default=0)
@@ -488,11 +502,14 @@ class IntegerGrid(Group):
         bias = sum(reach << s for s in shifts)
         mask = (1 << w) - 1
 
+        def encode(p: tuple) -> Optional[int]:
+            return sum(c << s for c, s in zip(p, shifts)) if max(map(abs, p)) <= reach else None
+
         def decode(code: int) -> tuple:
             code += bias
             return tuple(((code >> s) & mask) - reach for s in shifts)
 
-        return codes, decode
+        return Codec(codes, add, encode, decode)
 
     def encode_payload(self, p: tuple) -> bytes:
         return b"".join(c.to_bytes(self._width, "big", signed=True) for c in p)
@@ -701,6 +718,37 @@ class Lamplighter(Group):
     def inv_payload(self, p: tuple) -> tuple:
         lamps, c = p
         return (tuple(sorted(pos - c for pos in lamps)), -c)
+
+    def integer_code(self, payloads: Sequence[tuple], radius: int) -> Optional[Codec]:
+        # Within radius steps the cursor stays in [-span, span], every lamp in
+        # [-reach, reach]: (lamps, c) codes as lamp bits w + q + reach above a
+        # w-bit field c + span.  A step xors its lamps in at the cursor, adds c.
+        span = radius * max((abs(c) for _, c in payloads), default=0)
+        reach = span + max((abs(q) for lamps, _ in payloads for q in lamps), default=0)
+        if reach > self._cap:
+            return None
+        w = (2 * span).bit_length()
+        field = (1 << w) - 1
+        codes = [(sum(1 << (w + reach - span + q) for q in lamps), c) for lamps, c in payloads]
+
+        def step(code: int, letter: tuple) -> int:
+            mask, c = letter
+            return (code ^ (mask << (code & field))) + c
+
+        def encode(p: tuple) -> Optional[int]:
+            lamps, c = p
+            inside = abs(c) <= span and (not lamps or -reach <= lamps[0] <= lamps[-1] <= reach)
+            return sum(1 << (w + reach + q) for q in lamps) + c + span if inside else None
+
+        def decode(code: int) -> tuple:
+            lamps, mask = [], code >> w
+            while mask:
+                bit = mask & -mask
+                lamps.append(bit.bit_length() - 1 - reach)
+                mask ^= bit
+            return tuple(lamps), (code & field) - span
+
+        return Codec(codes, step, encode, decode)
 
     def encode_payload(self, p: tuple) -> bytes:
         lamps, c = p

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 from itertools import islice
 
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from deadend.cayley import (
+    Ball,
     Budget,
     BudgetExceededError,
     ball,
@@ -19,10 +21,13 @@ from deadend.cayley import (
     load_ball,
     save_ball,
 )
+from deadend.depth import DepthValue, depth, depth_profile
 from deadend.groups import (
+    Codec,
     Cyclic,
     Dihedral,
     GeneratingSet,
+    GroupElement,
     IntegerGrid,
     IntegerLine,
     Lamplighter,
@@ -339,6 +344,28 @@ def test_load_ball_rejects_overflowing_parent_step(tmp_path):
         load_ball(path, ZZ, gens)
 
 
+def test_load_ball_rejects_record_whose_parent_step_leaves_the_codes(tmp_path):
+    # Lamplighter under {t^3, a}, radius 2: the codes cover 5 steps, cursors
+    # -15..15 in a 5-bit field.  The last record, rewritten as cursor 15 at
+    # distance 2 with letter -1, lies in their range, but its parent step by
+    # t^3 carries out of the cursor field into the lamp bits.
+    lamp = Lamplighter()
+    gens = gens_of(lamp, ((), 3), ((0,), 0))
+    b = ball(lamp, gens, 2)
+    assert b.codec.encode(((), 15)) is not None
+    path = tmp_path / "ball.bin"
+    save_ball(b, path)
+    data = path.read_bytes()
+    last = lamp.encode_payload(list(b.payloads())[-1])
+    assert data[-(len(last) + 8) : -8] == last
+    forged = lamp.encode_payload(((), 15))
+    record = len(forged).to_bytes(2, "big") + forged + (2).to_bytes(4, "big")
+    record += (-1).to_bytes(4, "big", signed=True)
+    path.write_bytes(data[: -(len(last) + 10)] + record)
+    with pytest.raises(ValueError, match="garbled parent links"):
+        load_ball(path, lamp, gens)
+
+
 def test_ball_csv_export(tmp_path):
     b = ball(ZZ, gens_of(ZZ, 1), 2)
     path = tmp_path / "ball.csv"
@@ -358,7 +385,7 @@ def test_determinism_two_runs_identical():
         assert b1.geodesic(x) == b2.geodesic(x)
 
 
-# -- integer-coded BFS (Z and Z^k) against the payload BFS ----------------------
+# -- coded balls (Z, Z^k, lamplighter) against the BFS on payloads ----------------
 
 
 def reference_ball(group, gens, radius):
@@ -374,9 +401,59 @@ def reference_ball(group, gens, radius):
     return dist, list(parent.items()), tuple(spheres)
 
 
-def ball_record(group, gens, radius):
-    b = ball(group, gens, radius)
-    return list(b._dist.items()), list(b._parent.items()), b.sphere_sizes
+def ball_record(b):
+    """The reference_ball record of a ball, decoded from its codes."""
+    payloads = list(b.payloads())
+    return (
+        list(zip(payloads, b.dist.values())),
+        list(zip(payloads, b.parent.values())),
+        b.sphere_sizes,
+    )
+
+
+def payload_ball(group, gens, radius):
+    """The reference BFS as a Ball on the identity codec: codes are payloads."""
+    dist, parent, spheres = reference_ball(group, gens, radius)
+    same = lambda p: p  # noqa: E731
+    codec = Codec(list(gens.letters.values()), group.mul_payload, same, same)
+    return Ball(group, gens, radius, dict(dist), dict(parent), spheres, codec)
+
+
+def reference_geodesic(group, gens, parent, payload, d):
+    letters = []
+    for _ in range(d):
+        letters.append(parent[payload])
+        payload = group.mul_payload(payload, gens.letters[-letters[-1]])
+    return tuple(reversed(letters))
+
+
+def reference_depth(group, gens, norms, payload, cap):
+    """depth.depth's closed-ball search, on payloads and a plain norm dict."""
+    norm_g = norms[payload]
+    visited, layer = {payload}, [payload]
+    for dist in range(1, cap + 1):
+        nxt = []
+        for x in layer:
+            for _, step in gens.symmetrized_letters():
+                y = group.mul_payload(x, step)
+                if y in visited:
+                    continue
+                visited.add(y)
+                if norms.get(y) is None or norms[y] > norm_g:
+                    return DepthValue.finite(dist)
+                nxt.append(y)
+        if not nxt:
+            return DepthValue.infinite()
+        layer = nxt
+    return DepthValue.at_least(cap)
+
+
+def outcome(f, *args):
+    """f(*args), or the type of the RangeOverflowError it raises."""
+    try:
+        return f(*args)
+    except RangeOverflowError:
+        return RangeOverflowError
 
 
 @st.composite
@@ -394,40 +471,155 @@ def free_abelian_cases(draw):
     return group, gens_of(group, *payloads), draw(st.integers(0, 6))
 
 
-@settings(max_examples=150, deadline=None)
-@given(free_abelian_cases())
-def test_coded_ball_matches_payload_bfs(case):
+@st.composite
+def lamplighter_cases(draw):
+    """One or two generators with lamps and cursor in +-3, or one of them with
+    a far cursor, past the 8-bit cap within six steps when it exceeds 127 / 6."""
+    group = Lamplighter(bits=draw(st.sampled_from([8, 64])))
+    lamps = st.lists(st.integers(-3, 3), max_size=3, unique=True).map(sorted).map(tuple)
+    payload = st.tuples(lamps, st.integers(-3, 3)).filter(lambda p: p != ((), 0))
+    payloads = draw(st.lists(payload, min_size=1, max_size=2, unique=True))
+    if draw(st.booleans()):
+        far = draw(st.integers(20, 127)) * draw(st.sampled_from([-1, 1]))
+        payloads[-1] = (draw(lamps), far)
+    return group, gens_of(group, *payloads), draw(st.integers(0, 6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(free_abelian_cases(), lamplighter_cases()))
+def test_coded_ball_matches_payload_bfs(tmp_path_factory, case):
     group, gens, radius = case
-    try:
-        expected = reference_ball(group, gens, radius)
-    except RangeOverflowError:
+    expected = outcome(reference_ball, group, gens, radius)
+    if expected is RangeOverflowError:
         with pytest.raises(RangeOverflowError):
             ball(group, gens, radius)
         return
-    assert ball_record(group, gens, radius) == expected
+    b = ball(group, gens, radius)
+    # Must not change: dist order, parent letters, sphere sizes.
+    assert ball_record(b) == expected
+    ref = payload_ball(group, gens, radius)
+    norms, parent = dict(expected[0]), dict(expected[1])
+    for payload, d in expected[0]:
+        geodesic = reference_geodesic(group, gens, parent, payload, d)
+        assert b.geodesic_payload(payload) == geodesic
+        assert outcome(depth, b, GroupElement(group, payload), 4) == outcome(
+            reference_depth, group, gens, norms, payload, 4
+        )
+    words = b.along_parents((), lambda word, letter: word + (letter,))
+    assert list(words.items()) == [
+        (p, reference_geodesic(group, gens, parent, p, d)) for p, d in expected[0]
+    ]
+    rows = outcome(lambda: list(depth_profile(b, 4).rows()))
+    assert rows == outcome(lambda: list(depth_profile(ref, 4).rows()))
+    # Must not change: cache bytes and CSV; a save and load returns the same ball.
+    tmp = tmp_path_factory.mktemp("coded")
+    save_ball(b, tmp / "coded.bin")
+    save_ball(ref, tmp / "payload.bin")
+    assert (tmp / "coded.bin").read_bytes() == (tmp / "payload.bin").read_bytes()
+    loaded = load_ball(tmp / "coded.bin", group, gens)
+    assert (loaded.radius, loaded.sphere_sizes) == (b.radius, b.sphere_sizes)
+    assert list(loaded.dist.items()) == list(b.dist.items())
+    assert list(loaded.parent.items()) == list(b.parent.items())
+    ball_to_csv(b, tmp / "coded.csv")
+    ball_to_csv(ref, tmp / "payload.csv")
+    assert (tmp / "coded.csv").read_bytes() == (tmp / "payload.csv").read_bytes()
 
 
 def test_coded_ball_at_the_cap():
     line = IntegerLine(bits=8)
     gens = gens_of(line, 127)
     assert line.integer_code([127, -127], 1) is not None
-    assert ball_record(line, gens, 1) == reference_ball(line, gens, 1)
+    assert ball_record(ball(line, gens, 1)) == reference_ball(line, gens, 1)
     gens = gens_of(line, 100)
     assert line.integer_code([100, -100], 2) is None
     with pytest.raises(RangeOverflowError):
         ball(line, gens, 2)
     grid = IntegerGrid(2, bits=8)
     gens = gens_of(grid, (127, -3), (0, 1))
-    assert ball_record(grid, gens, 1) == reference_ball(grid, gens, 1)
+    assert ball_record(ball(grid, gens, 1)) == reference_ball(grid, gens, 1)
     with pytest.raises(RangeOverflowError):
         ball(grid, gens_of(grid, (64, 0)), 2)
+    lamp = Lamplighter(bits=8)
+    assert lamp.integer_code([((), 127), ((), -127)], 1) is not None
+    assert lamp.integer_code([((1,), 127), ((), -127)], 1) is None
+    gens = gens_of(lamp, ((0,), 60), ((), 1))
+    assert ball_record(ball(lamp, gens, 2)) == reference_ball(lamp, gens, 2)
+    with pytest.raises(RangeOverflowError):
+        ball(lamp, gens, 3)
+
+
+@pytest.mark.parametrize(
+    "group,payloads",
+    [
+        (Lamplighter(), (((), 3), ((-1, 2), 0))),
+        (IntegerGrid(2), ((3, -1), (0, 2))),
+        (IntegerLine(), (3, 5)),
+    ],
+    ids=["lamplighter", "grid", "line"],
+)
+def test_ball_codes_cover_walks_of_radius_plus_one(group, payloads):
+    # The depth search steps once past the ball, and the walk about a
+    # construction's witness goes n + d + 1 <= 2n + 1 steps out: every walk
+    # of radius + 1 steps from an element of the ball must stay exact.
+    gens = gens_of(group, *payloads)
+    b = ball(group, gens, 4)
+    rng = random.Random(11)
+    letters = list(gens.letters)
+    walks = [[x] * (b.radius + 1) for x in letters]  # straight out, the farthest
+    for start in b.dist:
+        for word in walks + [rng.choices(letters, k=b.radius + 1)]:
+            code, payload = start, b.codec.decode(start)
+            for letter in word:
+                code = b.codec.step(code, b.letter_codes[letter])
+                payload = group.mul_payload(payload, gens.letters[letter])
+            assert b.codec.decode(code) == payload
+            assert b.codec.encode(payload) == code
 
 
 def test_grid_code_is_additive_and_decodes():
     grid = IntegerGrid(3)
     steps = [(3, -1, 0), (-2, 5, 7), (0, 0, -4)]
-    codes, decode = grid.integer_code(steps, 8)
+    codec = grid.integer_code(steps, 8)
+    codes, decode = codec.codes, codec.decode
     for p, c in zip(steps, codes):
         assert decode(c) == p
+        assert codec.encode(p) == c
     assert decode(4 * codes[1] - 3 * codes[2] + codes[0]) == (3 - 8, -1 + 20, 28 + 12)
     assert decode(0) == (0, 0, 0)
+    assert codec.encode((0, 0, 57)) is None
+
+
+def test_lamplighter_code_steps_and_decodes():
+    lamp = Lamplighter()
+    steps = [((-2, 1), 3), ((0,), 0), ((), -1)]
+    codec = lamp.integer_code(steps, 10)
+    identity = codec.encode(lamp.identity_payload())
+    assert codec.decode(identity) == lamp.identity_payload()
+    rng = random.Random(3)
+    for _ in range(200):
+        code, payload = identity, lamp.identity_payload()
+        for _ in range(rng.randint(0, 10)):
+            i = rng.randrange(len(steps))
+            code = codec.step(code, codec.codes[i])
+            payload = lamp.mul_payload(payload, steps[i])
+        assert codec.decode(code) == payload
+        assert codec.encode(payload) == code
+    assert codec.encode(((), 31)) is None
+    assert codec.encode(((-33,), 0)) is None
+
+
+# Pinned before balls kept their codes: SHA-256 of the save_ball bytes.
+BALL_CACHE_PINS = [
+    ("lamplighter", (((), 1), ((0,), 0)), 10,
+     "ceeb54d35c2a0efa38e2723e1a35a2b976cfb53c835730bc60987aa716ebc9ec"),
+    ("grid2", ((1, 0), (0, 1)), 6,
+     "fb0f2d97acfdffbc737421dfc99e9eb214db88eaba2eeb7db8aeb3029f3a552b"),
+]
+
+
+@pytest.mark.parametrize("name,payloads,radius,sha", BALL_CACHE_PINS, ids=["lamplighter", "grid2"])
+def test_ball_cache_bytes_pinned(tmp_path, name, payloads, radius, sha):
+    group = Lamplighter() if name == "lamplighter" else IntegerGrid(2)
+    path = tmp_path / "ball.bin"
+    save_ball(ball(group, gens_of(group, *payloads), radius), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == sha

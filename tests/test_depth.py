@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from conftest import random_table_groups
@@ -199,3 +201,13 @@ def test_lamplighter_radius8_regression():
         (p, n) for p, n, dv in prof.rows() if dv == DepthValue.finite(3)
     ]
     assert deepest == [(((-1, 0, 1), 0), 7)]
+
+
+def test_lamplighter_profile_csv_pinned(tmp_path):
+    # SHA-256 of the radius-10, cap-16 profile CSV under {t, a}, pinned
+    # before balls and depth searches ran on element codes.
+    lamp = Lamplighter()
+    path = tmp_path / "profile.csv"
+    depth_profile(ball(lamp, standard_gens(lamp), 10), cap=16).to_csv(path)
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == "45210a40a45d16573b2aea6aca1f40c04562769a33d3696af5a9c2534eefa296"

@@ -185,6 +185,8 @@ def test_tabled_and_payload_folds_match_fold_word():
     _assert_folds_like_fold_word(group, tabled, words)
     _assert_folds_like_fold_word(group, WordFold(group, table), words)
     _assert_folds_like_fold_word(LAMP, WordFold(LAMP, standard_gens(LAMP).letters), words)
+    # the lamplighter's code is not additive: no C-level sum over it
+    _assert_folds_like_fold_word(LAMP, WordFold(LAMP, standard_gens(LAMP).letters, 8), words)
 
 
 def test_invert_word_reverses_and_flips():
