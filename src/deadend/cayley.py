@@ -7,9 +7,10 @@ the implicit Cayley graph of a group under the symmetrized view of a
 generating set.  BFS order is deterministic: frontier FIFO, neighbors
 per generator in listed order, positive sign before negative.  Distances
 are exact; parent letters make geodesic recovery O(length).  A ball runs
-and keeps its BFS on the element codes of ``Group.codec`` (ints for Z, Z^k
-and the lamplighter below their cap, else payloads) and decodes only at
-the edge: payload lookups and iteration, the cache and the CSV.
+and keeps its BFS on the element codes of ``Group.integer_code`` (ints for
+Z, Z^k and the lamplighter while they stay small, else payloads) and
+decodes only at the edge: payload lookups and iteration, the cache and the
+CSV.
 """
 
 from __future__ import annotations
@@ -159,7 +160,7 @@ class Ball:
 
 def _codec(gens: GeneratingSet, radius: int) -> Codec:
     # Covers a walk of radius + 1 steps from any element of the radius ball.
-    return gens.group.codec(list(gens.letters.values()), 2 * radius + 1)
+    return gens.group.integer_code(list(gens.letters.values()), 2 * radius + 1)
 
 
 def _check_budget(budget: Budget, seen: int, r: int, deadline: Optional[float] = None) -> None:
@@ -219,8 +220,8 @@ def ball(
 ) -> Ball:
     """Exact closed ball of the given radius under the symmetrized generators.
 
-    The BFS steps on the codes of ``Group.codec``; discovery order, parent
-    letters and budget stops are those of the BFS on payloads.
+    The BFS steps on the codes of ``Group.integer_code``; discovery order,
+    parent letters and budget stops are those of the BFS on payloads.
     """
     if radius < 0:
         raise ValueError(f"radius must be >= 0, got {radius}")

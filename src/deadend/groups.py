@@ -10,7 +10,7 @@ Words are read through one signed-letter table per generating set
 (``letter_table``) and evaluated by one fold (``fold_word``), which
 rejects a letter missing from the table as it reaches it; ``WordFold``
 gives the same results faster, over integer codes or letter tables.
-Walks (balls, depth searches) step on the element codes of ``Group.codec``.
+Walks (balls, depth searches) step on the element codes of ``Group.integer_code``.
 """
 
 from __future__ import annotations
@@ -140,14 +140,11 @@ class Group(ABC):
         """All elements in canonical enumeration order (finite groups only)."""
         raise GroupError(f"cannot enumerate an infinite group ({self.variant})")
 
-    def integer_code(self, payloads: Sequence[Any], radius: int) -> Optional[Codec]:
-        """A ``Codec`` of ints for products of ``radius`` payloads, none overflowing; else None."""
-        return None
-
-    def codec(self, payloads: Sequence[Any], radius: int) -> Codec:
-        """``integer_code``, else the identity codec: payloads step by ``mul_payload``."""
-        coded = self.integer_code(payloads, radius)
-        return coded or Codec(list(payloads), self.mul_payload, _same, _same)
+    def integer_code(self, payloads: Sequence[Any], radius: int) -> Codec:
+        """A ``Codec`` for products of at most ``radius`` of ``payloads``: an int code
+        where the group has one that neither overflows nor outgrows the payloads,
+        else the identity codec (codes are payloads, ``step`` is ``mul_payload``)."""
+        return Codec(list(payloads), self.mul_payload, _same, _same)
 
     def identity(self) -> "GroupElement":
         return GroupElement(self, self.identity_payload())
@@ -332,7 +329,7 @@ class WordFold:
             self.right = {x: {t: self.mul(t, p) for t in elements} for x, p in table.items()}
             return
         coded = group.integer_code(list(table.values()), radius)
-        if coded is not None and coded.step is add:
+        if coded.step is add:
             self.codes = dict(zip(table, coded.codes))
             self.radius = radius
             self.decode = coded.decode
@@ -418,11 +415,11 @@ class IntegerLine(Group):
     def inv_payload(self, p: int) -> int:
         return -p
 
-    def integer_code(self, payloads: Sequence[int], radius: int) -> Optional[Codec]:
+    def integer_code(self, payloads: Sequence[int], radius: int) -> Codec:
         # A product of at most radius steps stays within radius * max|step|.
         reach = radius * max(map(abs, payloads), default=0)
         if reach > self._cap:
-            return None
+            return super().integer_code(payloads, radius)
         return Codec(list(payloads), add, lambda p: p if -reach <= p <= reach else None, _same)
 
     def encode_payload(self, p: int) -> bytes:
@@ -490,12 +487,12 @@ class IntegerGrid(Group):
     def inv_payload(self, p: tuple) -> tuple:
         return tuple(-c for c in p)
 
-    def integer_code(self, payloads: Sequence[tuple], radius: int) -> Optional[Codec]:
+    def integer_code(self, payloads: Sequence[tuple], radius: int) -> Codec:
         # v packs as sum of v[i] << (w * i): additive, and injective on the
         # box |v[i]| <= reach, where every product of radius steps lies.
         reach = radius * max((abs(c) for p in payloads for c in p), default=0)
         if reach > self._cap:
-            return None
+            return super().integer_code(payloads, radius)
         w = reach.bit_length() + 1
         shifts = range(0, w * self.rank, w)
         codes = [sum(c << s for c, s in zip(p, shifts)) for p in payloads]
@@ -719,15 +716,16 @@ class Lamplighter(Group):
         lamps, c = p
         return (tuple(sorted(pos - c for pos in lamps)), -c)
 
-    def integer_code(self, payloads: Sequence[tuple], radius: int) -> Optional[Codec]:
+    def integer_code(self, payloads: Sequence[tuple], radius: int) -> Codec:
         # Within radius steps the cursor stays in [-span, span], every lamp in
         # [-reach, reach]: (lamps, c) codes as lamp bits w + q + reach above a
         # w-bit field c + span.  A step xors its lamps in at the cursor, adds c.
+        # Codes take w + 2 * reach + 1 bits, lit or not: too wide, take payloads.
         span = radius * max((abs(c) for _, c in payloads), default=0)
         reach = span + max((abs(q) for lamps, _ in payloads for q in lamps), default=0)
-        if reach > self._cap:
-            return None
         w = (2 * span).bit_length()
+        if reach > self._cap or w + 2 * reach + 1 > self.bits * (radius + 1):
+            return super().integer_code(payloads, radius)
         field = (1 << w) - 1
         codes = [(sum(1 << (w + reach - span + q) for q in lamps), c) for lamps, c in payloads]
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import random
 from itertools import islice
+from operator import add
 
 import pytest
 from hypothesis import given, settings
@@ -474,7 +475,8 @@ def free_abelian_cases(draw):
 @st.composite
 def lamplighter_cases(draw):
     """One or two generators with lamps and cursor in +-3, or one of them with
-    a far cursor, past the 8-bit cap within six steps when it exceeds 127 / 6."""
+    a far cursor: too wide to code at 8 bits, and past the 8-bit cap within
+    six steps when it exceeds 127 / 6."""
     group = Lamplighter(bits=draw(st.sampled_from([8, 64])))
     lamps = st.lists(st.integers(-3, 3), max_size=3, unique=True).map(sorted).map(tuple)
     payload = st.tuples(lamps, st.integers(-3, 3)).filter(lambda p: p != ((), 0))
@@ -525,27 +527,57 @@ def test_coded_ball_matches_payload_bfs(tmp_path_factory, case):
     assert (tmp / "coded.csv").read_bytes() == (tmp / "payload.csv").read_bytes()
 
 
+def is_coded(b):
+    return b.codec.step != b.group.mul_payload
+
+
+AT_THE_CAP = [
+    # A radius-1 ball's codes cover 3 steps: 3 * 42 <= 127 < 3 * 43.
+    (IntegerLine(bits=8), (42,), (43,)),
+    (IntegerGrid(2, bits=8), ((42, -3), (0, 1)), ((43, -3), (0, 1))),
+    # Lamp 11: a 3-bit cursor field under 2 * (3 + 11) + 1 lamp bits, 32 in
+    # all, the most for 3 steps of 8 bits; lamp 12 needs 34.
+    (Lamplighter(bits=8), (((), 1), ((11,), 0)), (((), 1), ((12,), 0))),
+]
+
+
 def test_coded_ball_at_the_cap():
+    for group, inside, outside in AT_THE_CAP:
+        for payloads, coded in ((inside, True), (outside, False)):
+            gens = gens_of(group, *payloads)
+            b = ball(group, gens, 1)
+            assert is_coded(b) == coded
+            assert ball_record(b) == reference_ball(group, gens, 1)
+
+
+def test_codes_fall_back_past_the_cap():
     line = IntegerLine(bits=8)
-    gens = gens_of(line, 127)
-    assert line.integer_code([127, -127], 1) is not None
-    assert ball_record(ball(line, gens, 1)) == reference_ball(line, gens, 1)
-    gens = gens_of(line, 100)
-    assert line.integer_code([100, -100], 2) is None
+    assert line.integer_code([127, -127], 1).step is add
+    assert line.integer_code([100, -100], 2).step == line.mul_payload
     with pytest.raises(RangeOverflowError):
-        ball(line, gens, 2)
-    grid = IntegerGrid(2, bits=8)
-    gens = gens_of(grid, (127, -3), (0, 1))
-    assert ball_record(ball(grid, gens, 1)) == reference_ball(grid, gens, 1)
+        ball(line, gens_of(line, 100), 2)
     with pytest.raises(RangeOverflowError):
-        ball(grid, gens_of(grid, (64, 0)), 2)
+        ball(IntegerGrid(2, bits=8), gens_of(IntegerGrid(2, bits=8), (64, 0)), 2)
     lamp = Lamplighter(bits=8)
-    assert lamp.integer_code([((), 127), ((), -127)], 1) is not None
-    assert lamp.integer_code([((1,), 127), ((), -127)], 1) is None
+    steps = [((), 1), ((), -1), ((0,), 0)]
+    assert lamp.integer_code(steps, 127).step != lamp.mul_payload
+    assert lamp.integer_code(steps, 128).step == lamp.mul_payload
     gens = gens_of(lamp, ((0,), 60), ((), 1))
     assert ball_record(ball(lamp, gens, 2)) == reference_ball(lamp, gens, 2)
     with pytest.raises(RangeOverflowError):
         ball(lamp, gens, 3)
+
+
+def test_lamplighter_far_cursor_takes_the_payloads():
+    # A code has a bit for every lamp position the cursor can reach, 1e10 of
+    # them for a cursor step of 1e9 over 5 steps; the payloads hold only the
+    # lit lamps.
+    lamp = Lamplighter()
+    gens = gens_of(lamp, ((0,), 0), ((), 10**9))
+    b = ball(lamp, gens, 2)
+    assert not is_coded(b)
+    assert ball_record(b) == reference_ball(lamp, gens, 2)
+    assert is_coded(ball(lamp, gens_of(lamp, ((0,), 0), ((), 32)), 2))
 
 
 @pytest.mark.parametrize(
