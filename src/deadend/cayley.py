@@ -20,6 +20,7 @@ import hashlib
 import os
 import struct
 import time
+from contextlib import suppress
 from dataclasses import dataclass
 from pathlib import Path
 from itertools import count, islice
@@ -57,7 +58,8 @@ class Budget:
     max_seconds: float = 600.0
 
     def __post_init__(self):
-        if self.max_elements <= 0 or self.max_radius <= 0 or self.max_seconds <= 0:
+        # "not > 0" also rejects NaN, which would switch the time limit off
+        if not (self.max_elements > 0 and self.max_radius > 0 and self.max_seconds > 0):
             raise ValueError("budget limits must be positive")
 
 
@@ -264,7 +266,8 @@ def save_ball(b: Ball, path: Union[str, Path]) -> None:
     """Write a ball to disk: header (magic, version, content hash), records.
 
     The bytes go to a temporary file that is then renamed over ``path``,
-    so a crash mid-write never leaves a truncated cache file behind.
+    so a crash mid-write never leaves a truncated cache file behind.  An
+    element encoding too long for a record's 2-byte length is a ValueError.
     """
     path = Path(path)
     digest = bytes.fromhex(ball_content_hash(b.group, b.gens, b.radius))
@@ -278,6 +281,9 @@ def save_ball(b: Ball, path: Union[str, Path]) -> None:
             fh.write(struct.pack(">IQ", b.radius, len(b.dist)))
             for (code, d), letter in zip(b.dist.items(), b.parent.values()):
                 enc = encode(decode(code))
+                if len(enc) > 0xFFFF:
+                    raise ValueError(f"an element encodes to {len(enc)} bytes, above the "
+                                     "65535-byte limit of a ball cache record")
                 fh.write(_LENGTH.pack(len(enc)) + enc + _LINK.pack(d, letter))
         os.replace(tmp, path)
     except BaseException:
@@ -354,7 +360,8 @@ def ball_cached(
     """Compute a ball or reload it from ``cache_dir``, keyed by content hash.
 
     A cache file that cannot be loaded counts as a miss and is rewritten.
-    Without a ``cache_dir`` the ball is computed and nothing is cached.
+    Without a ``cache_dir``, or when an element is too long for a cache
+    record, the ball is computed and nothing is cached.
     """
     if not cache_dir:
         return ball(group, gens, radius, budget)
@@ -368,7 +375,8 @@ def ball_cached(
         except (OSError, ValueError):
             pass
     b = ball(group, gens, radius, budget)
-    save_ball(b, path)
+    with suppress(ValueError):  # an element too long for a cache record
+        save_ball(b, path)
     return b
 
 

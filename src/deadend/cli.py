@@ -4,7 +4,7 @@ Subcommands: construct, verify, certify, depth, profile, ball, diameter.
 Every run writes a JSON report (stdout or --out) that echoes the exact
 inputs and parameters, so any claim in a report can be re-checked from
 the report alone.  Exit codes: 0 all checks passed, 2 parse/validation
-error, 3 budget exhausted, 4 verification failure.
+error or unwritable output path, 3 budget exhausted, 4 verification failure.
 """
 
 from __future__ import annotations
@@ -519,6 +519,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = _merge_config(args)
         inputs, results, code = _HANDLERS[args.command](args)
+        _write_report(_report(args.command, inputs, results, started), args.out)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -531,10 +532,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ConstructionError as exc:
         print(f"construction failed: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION
-    except (GroupError, ValueError) as exc:
+    except (GroupError, ValueError, OSError) as exc:  # OSError: an unwritable output path
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    _write_report(_report(args.command, inputs, results, started), args.out)
     return code
 
 

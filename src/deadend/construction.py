@@ -302,9 +302,11 @@ def find_witness(
 class Certificate:
     """Factorization g = v_1 ... v_k with every factor in A or its inverses.
 
-    A validating certificate witnesses norm_A(g) <= k without BFS.  The
-    degenerate flag marks arguments mapping to the target identity, where
-    no factorization into generator-image preimages exists.
+    A validating certificate witnesses norm_A(g) <= k without BFS.  Of each
+    factor word phi(c_{i-1})^-1 u_i phi(c_i) it keeps the value and length,
+    never the word.  The degenerate flag marks arguments mapping to the
+    target identity, where no factorization into generator-image
+    preimages exists.
     """
 
     target: GroupElement
@@ -312,7 +314,7 @@ class Certificate:
     u_words: tuple[Word, ...]
     t_letters: Word
     v_payloads: tuple[Any, ...]
-    v_words: tuple[Word, ...]
+    v_word_lengths: tuple[int, ...]
     degenerate: bool = False
 
     def to_json(self) -> dict:
@@ -325,7 +327,7 @@ class Certificate:
             "u_lengths": [len(w) for w in self.u_words],
             "t_letters": list(self.t_letters),
             "v_factors": [payload_to_json(group, p) for p in self.v_payloads],
-            "v_word_lengths": [len(w) for w in self.v_words],
+            "v_word_lengths": list(self.v_word_lengths),
         }
 
     def digest(self) -> str:
@@ -333,10 +335,9 @@ class Certificate:
 
 
 class _Lift(NamedTuple):
-    """A checked phi entry of one target element, with its inverse."""
+    """A checked phi entry of one target element: word length, lift and inverse."""
 
-    word: Word
-    inverse_word: Word
+    length: int
     payload: Any
     inverse: Any
 
@@ -442,28 +443,29 @@ class Construction:
     @cached_property
     def _folds(self) -> tuple[WordFold, WordFold]:
         """Source and target folds of S-words: integer codes in the source
-        where they cover the longest word a certificate folds (an S-word, or
-        a factor word of |u| + 2n letters), the target's letter tables."""
+        where they cover the longest word a certificate folds (an S-word of
+        n + d*N letters), the target's letter tables."""
         p = self.params
-        longest = 3 * p.n + p.d * p.N
         return (
-            WordFold(self.source_gens.group, self.source_gens.letters, longest),
+            WordFold(self.source_gens.group, self.source_gens.letters, p.n + p.d * p.N),
             WordFold(self.pi.target, self.pi.letters, elements=self.target_ball.payloads()),
         )
 
     @cached_property
     def _lifts(self) -> dict:
         """Target payload -> its phi entry as a ``_Lift``, once every target
-        element's phi word is checked to fold to its lift and to map onto
-        the element."""
+        element's phi word is checked to have at most n letters (so a factor
+        word has at most |u| + 2n), to fold to its lift and to map onto it."""
         fold_s, fold_t = self._folds
-        inv = self.source_gens.group.inv_payload
+        inv, n = self.source_gens.group.inv_payload, self.params.n
         lifts = {}
         for c in self.target_ball.payloads():
             word, lift = self.phi.get(c, ((), None))
+            if len(word) > n:
+                raise CertificateError(f"phi table entry for {c!r} is longer than n = {n}")
             if fold_s(word) != lift or fold_t(word) != c:
                 raise CertificateError(f"phi table entry for {c!r} does not lift it")
-            lifts[c] = _Lift(word, invert_word(word), lift, inv(lift))
+            lifts[c] = _Lift(len(word), lift, inv(lift))
         return lifts
 
     def certify(self, g: GroupElement, s_word: Optional[Sequence[int]] = None) -> Certificate:
@@ -486,7 +488,7 @@ def factorize(ctx: Construction, g: GroupElement, s_word: Sequence[int]) -> Cert
     v_i multiply to g while each maps onto one geodesic letter.  With
     prefix products S_i (source) and P_i (target) of one fold of the word
     in each group, Q_i the geodesic prefixes and c_i = P_i^-1 Q_i, the
-    factor v_i spells phi(c_{i-1})^-1 u_i phi(c_i) and its value is
+    factor v_i spells phi(c_{i-1})^-1 u_i phi(c_i), unbuilt: its value is
     lift(c_{i-1})^-1 S_a^-1 S_b lift(c_i) for the cuts a, b of u_i.
     """
     params = ctx.params
@@ -513,13 +515,12 @@ def factorize(ctx: Construction, g: GroupElement, s_word: Sequence[int]) -> Cert
     cuts = [i * base + min(i, extra) for i in range(k + 1)]
     lifts = [ctx._lifts[c] for c in _discrepancies(ctx, map(image, cuts), t_letters)]
     mul, inv = group.mul_payload, group.inv_payload
-    u_words, v_words, v_payloads = [], [], []
+    u_words, v_lengths, v_payloads = [], [], []
     for (a, b), before, after in zip(zip(cuts, cuts[1:]), lifts, lifts[1:]):
-        u = s_word[a:b]
-        u_words.append(u)
-        v_words.append(before.inverse_word + u + after.word)
+        u_words.append(s_word[a:b])
+        v_lengths.append(before.length + b - a + after.length)
         v_payloads.append(mul(mul(before.inverse, mul(inv(source(a)), source(b))), after.payload))
-    return Certificate(g, k, tuple(u_words), t_letters, tuple(v_payloads), tuple(v_words))
+    return Certificate(g, k, tuple(u_words), t_letters, tuple(v_payloads), tuple(v_lengths))
 
 
 def _discrepancies(ctx: Construction, prefix_images, t_letters: Word) -> list:
@@ -540,21 +541,20 @@ def validate_certificate(
 
     With near_witness=True the triangle-inequality lower bound
     k >= n - d is enforced as well.  Each piece is folded once in each
-    group; a factor word spelling phi(c_{i-1})^-1 u_i phi(c_i), with c_i
-    recomputed from the pieces and the geodesic, takes its value and image
-    from the checked phi lifts and those folds, any other is folded whole.
+    group.  The factor v_i spells phi(c_{i-1})^-1 u_i phi(c_i), with c_i
+    recomputed from the pieces and the geodesic: its value and image come
+    from the checked phi lifts and those folds, and its claimed length must
+    be |phi(c_{i-1})| + |u_i| + |phi(c_i)|, at most |u_i| + 2n.
     """
     params = ctx.params
     if cert.degenerate:
         raise CertificateError("degenerate certificate (image is the identity) cannot validate")
-    group = ctx.source_gens.group
-    target = ctx.pi.target
-    mul = group.mul_payload
-    mul_t, inv_t = target.mul_payload, target.inv_payload
+    group, target = ctx.source_gens.group, ctx.pi.target
+    mul, mul_t, inv_t = group.mul_payload, target.mul_payload, target.inv_payload
     fold_s, fold_t = ctx._folds
     lifts = ctx._lifts
     k = cert.k
-    if k != len(cert.u_words) or k != len(cert.v_words) or k != len(cert.t_letters):
+    if k != len(cert.u_words) or k != len(cert.v_word_lengths) or k != len(cert.t_letters):
         raise CertificateError("piece counts disagree with k")
     # Piece split: contiguous, near-equal, longer pieces first.
     if not all(cert.u_words):
@@ -562,10 +562,8 @@ def validate_certificate(
     lengths = [len(w) for w in cert.u_words]
     if max(lengths) - min(lengths) > 1 or sorted(lengths, reverse=True) != lengths:
         raise CertificateError("piece lengths are not an as-equal-as-possible split")
-    bound = Fraction(params.n + params.d * params.N, k) + 1
-    for i, w in enumerate(cert.u_words):
-        if not Fraction(len(w)) < bound:
-            raise CertificateError(f"|u| = {len(w)} not < (n+dN)/k + 1", index=i)
+    if not Fraction(lengths[0]) < Fraction(params.n + params.d * params.N, k) + 1:
+        raise CertificateError(f"|u| = {lengths[0]} not < (n+dN)/k + 1", index=0)
     # Image norm consistency: pi(g), folded piece after piece.
     piece_images = [fold_t(w) for w in cert.u_words]
     prefix_images = list(accumulate(piece_images, mul_t, initial=target.identity_payload()))
@@ -578,23 +576,14 @@ def validate_certificate(
     c = _discrepancies(ctx, prefix_images, cert.t_letters)
     # Factor-level checks.
     product = group.identity_payload()
-    for i in range(k):
-        v_word = cert.v_words[i]
-        v_payload = cert.v_payloads[i]
-        u = cert.u_words[i]
+    factors = zip(cert.u_words, cert.v_payloads, cert.v_word_lengths, piece_images, cert.t_letters)
+    for i, (u, v_payload, v_length, u_image, t_letter) in enumerate(factors):
         before, after = lifts[c[i]], lifts[c[i + 1]]
-        canonical = v_word == before.inverse_word + u + after.word
-        value = mul(mul(before.inverse, fold_s(u)), after.payload) if canonical else fold_s(v_word)
-        if value != v_payload:
+        if mul(mul(before.inverse, fold_s(u)), after.payload) != v_payload:
             raise CertificateError("factor word does not evaluate to the factor", index=i)
-        if len(v_word) > len(u) + 2 * params.n:
-            raise CertificateError("factor word longer than |u| + 2n", index=i)
-        t_i = ctx.image_gens.letters[cert.t_letters[i]]
-        if canonical:
-            image = mul_t(mul_t(inv_t(c[i]), piece_images[i]), c[i + 1])
-        else:
-            image = fold_t(v_word)
-        if image != t_i:
+        if v_length != before.length + len(u) + after.length:
+            raise CertificateError("factor word length disagrees with its lifts and piece", index=i)
+        if mul_t(mul_t(inv_t(c[i]), u_image), c[i + 1]) != ctx.image_gens.letters[t_letter]:
             raise CertificateError("factor image is not the geodesic letter", index=i)
         s_norm = ctx.built.s_ball.norm_payload(v_payload)
         if s_norm is None or s_norm > params.N:
@@ -661,8 +650,6 @@ def verify_construction(ctx: Construction) -> ConstructionReport:
         cert_digest = None
         try:
             cert = factorize(ctx, element, s_word)
-            if cert.degenerate:
-                raise CertificateError("degenerate certificate inside the witness neighborhood")
             validate_certificate(ctx, cert, near_witness=True)
             cert_ok = True
             cert_k = cert.k

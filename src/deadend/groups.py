@@ -16,7 +16,7 @@ Walks (balls, depth searches) step on the element codes of ``Group.integer_code`
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from itertools import accumulate
+from itertools import accumulate, chain
 from operator import add, itemgetter, lt
 from typing import Any, Callable, ClassVar, Iterable, Iterator, NamedTuple, Optional, Sequence
 
@@ -444,8 +444,8 @@ class IntegerGrid(Group):
     variant = "integer_grid"
 
     def __init__(self, rank: int, bits: int = 64):
-        if not isinstance(rank, int) or rank < 1:
-            raise ValueError(f"rank must be a positive integer, got {rank}")
+        if not isinstance(rank, int) or not 1 <= rank <= 1024:  # rank R: R*R standard coordinates
+            raise ValueError(f"rank must be an integer in [1, 1024], got {rank}")
         self.rank = rank
         self.bits = _check_bits(bits)
         self._cap = (1 << (bits - 1)) - 1
@@ -789,16 +789,17 @@ class TableGroup(Group):
     variant = "table"
 
     def __init__(self, table: Sequence[Sequence[int]], identity_id: int, name: str = "table"):
-        rows = tuple(tuple(int(x) for x in row) for row in table)
+        rows = tuple(map(tuple, table))  # a tuple row is kept as it is, not copied
         m = len(rows)
         if m == 0:
             raise TableGroupError("empty multiplication table")
         if any(len(row) != m for row in rows):
             raise TableGroupError("multiplication table must be square")
-        for row in rows:
-            for x in row:
-                if x < 0 or x >= m:
-                    raise TableGroupError(f"table entry {x} out of range 0..{m - 1}")
+        # the distinct cells, at C speed; a valid table has m of them
+        bad = {x for x in set(chain.from_iterable(rows)) if type(x) is not int or not 0 <= x < m}
+        if bad:
+            x = next(x for row in rows for x in row if x in bad)
+            raise TableGroupError(f"table entry {x!r} is not an id in 0..{m - 1}")
         if not 0 <= identity_id < m:
             raise TableGroupError(f"identity id {identity_id} out of range")
         self.table = rows

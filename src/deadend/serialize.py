@@ -102,6 +102,7 @@ def group_to_json(group: Group) -> dict:
 
 
 def group_from_json(doc: Any) -> Group:
+    """The group of a ``group.v1`` document, whose table rows become int tuples in place."""
     doc = _expect_schema(doc, GROUP_SCHEMA)
     variant = doc.get("variant")
     if variant == "integer_line":
@@ -116,13 +117,14 @@ def group_from_json(doc: Any) -> Group:
         return Lamplighter(bits=_int(doc.get("bits", "64")))
     if variant == "table":
         rows = _required(doc, "table", list)
-        if not all(isinstance(row, list) for row in rows):
+        if not all(isinstance(row, (list, tuple)) for row in rows):
             raise ValueError("group.v1 table rows must be lists")
         try:  # int() per cell, not _int(): an order-520 table has 270k cells
-            table = [[int(x) for x in row] for row in rows]
+            for i, row in enumerate(rows):  # in place: each row's strings go as its ints come
+                rows[i] = tuple(map(int, row))
         except TypeError as exc:
             raise ValueError(f"group.v1 table cells must be integers: {exc}") from None
-        return TableGroup(table, _int(_required(doc, "identity")), name=doc.get("name", "table"))
+        return TableGroup(rows, _int(_required(doc, "identity")), name=doc.get("name", "table"))
     raise ValueError(f"unknown group variant {variant!r}")
 
 

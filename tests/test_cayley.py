@@ -231,6 +231,9 @@ def test_budget_radius_exceeded():
 def test_budget_must_be_positive():
     with pytest.raises(ValueError):
         Budget(max_elements=0)
+    # NaN passes a "<= 0" test and would switch the time limit off
+    with pytest.raises(ValueError, match="positive"):
+        Budget(max_seconds=float("nan"))
 
 
 # -- cache and export -------------------------------------------------------------
@@ -270,6 +273,20 @@ def test_ball_cached_reuses_file(tmp_path):
     b2 = ball_cached(ZZ, gens, 5, tmp_path)
     assert files[0].stat().st_mtime_ns == before
     assert list(b2.payloads()) == list(b1.payloads())
+
+
+def test_ball_cache_skips_an_element_too_long_for_a_record(tmp_path):
+    # 1024 coordinates of 64 bytes: the identity encodes to 65,536 bytes, one
+    # more than a record's 2-byte length field holds
+    grid = IntegerGrid(1024, bits=512)
+    assert len(grid.encode_payload(grid.identity_payload())) == 65_536
+    gens = GeneratingSet([grid.element((1,) + (0,) * 1023)])
+    with pytest.raises(ValueError, match="above the 65535-byte limit"):
+        save_ball(ball(grid, gens, 0), tmp_path / "ball.bin")
+    assert list(tmp_path.iterdir()) == []
+    cache = tmp_path / "cache"
+    assert ball_cached(grid, gens, 0, cache).sphere_sizes == (1,)
+    assert list(cache.iterdir()) == []
 
 
 # Offset and new bytes per field of a D_7 record.  Records are 19 bytes from

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -111,6 +112,32 @@ def test_verify_command_includes_table(tmp_path):
     table = report["results"]["verification_table"]
     assert len(table) == 53
     assert all(row["certificate_ok"] for row in table)
+
+
+# SHA-256 over the certificate digests of two verify tables, one per line in
+# table order: Z -> C_10 at D=3 under the paper bound, then Z^2 -> C_10 with
+# images 1,1 at D=2 under the tight bound.  It pins certificate.v1 bytes.
+CERTIFICATE_DIGESTS_SHA256 = "fdaa32a8523826c7660eacf390efe8c78e3e4935a38a003f1fbc73687272a3c1"
+
+
+def test_verify_certificate_digests_are_pinned(tmp_path):
+    qpath = tmp_path / "quotient.json"
+    qpath.write_text(dumps({
+        "schema": "quotient.v1", "target": group_to_json(Cyclic(10)), "images": ["1", "1"],
+    }))
+    digests = []
+    for argv in (
+        ["--group", "zz", "--gens", "1", "--quotient", "cyclic:10",
+         "--target-depth", "3", "--bound-mode", "paper"],
+        ["--group", "grid:2", "--gens", "1,0;0,1", "--quotient", f"@{qpath}",
+         "--target-depth", "2", "--bound-mode", "tight"],
+    ):
+        code, report = run(tmp_path, "verify", *argv)
+        assert code == EXIT_OK
+        digests += [row["certificate_digest"] for row in report["results"]["verification_table"]]
+    assert len(digests) == 117 + 109
+    joined = hashlib.sha256("\n".join(digests).encode()).hexdigest()
+    assert joined == CERTIFICATE_DIGESTS_SHA256
 
 
 def test_construct_with_family_search(tmp_path):
@@ -270,6 +297,23 @@ def test_usage_error_exit_code(tmp_path):
     assert main(["depth", "--group", "nope", "--element", "1", "--radius", "2"]) == EXIT_USAGE
     assert main(["depth", "--group", "zz", "--radius", "2"]) == EXIT_USAGE
     assert main(["construct", "--group", "zz", "--gens", "1"]) == EXIT_USAGE
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ball", "--group", "zz", "--gens", "1", "--radius", "2", "--csv", "{missing}/b.csv"],
+        ["profile", "--group", "zz", "--gens", "1", "--radius", "2", "--csv", "{missing}/p.csv"],
+        ["ball", "--group", "zz", "--gens", "1", "--radius", "2", "--out", "{missing}/r.json"],
+        ["ball", "--group", "zz", "--gens", "1", "--radius", "2", "--cache-dir", "{file}/cache"],
+    ],
+    ids=["ball-csv", "profile-csv", "out", "cache-dir"],
+)
+def test_unwritable_output_path_is_a_usage_error(tmp_path, capsys, argv):
+    (tmp_path / "file").write_text("")
+    paths = {"missing": tmp_path / "missing", "file": tmp_path / "file"}
+    assert main([arg.format(**paths) for arg in argv]) == EXIT_USAGE
+    assert "error:" in capsys.readouterr().err
 
 
 def test_argparse_error_exit_code():

@@ -319,6 +319,14 @@ def test_integer_overflow_is_hard_error():
         small.element(1000)
 
 
+def test_grid_rank_is_capped():
+    assert IntegerGrid(1024).rank == 1024
+    # rejected before anything is allocated at that size
+    for rank in (1025, 100_000_000):
+        with pytest.raises(ValueError, match=r"rank must be an integer in \[1, 1024\]"):
+            IntegerGrid(rank)
+
+
 def test_lamplighter_overflow():
     tiny = Lamplighter(bits=8)
     far = tiny.element(((), 100))
@@ -405,6 +413,12 @@ def test_table_group_rejects_non_latin():
     # identity and every row pass; column 1 reads 1, 0, 0
     with pytest.raises(TableGroupError, match="column 1 is not a permutation"):
         TableGroup([[0, 1, 2], [1, 0, 2], [2, 0, 1]], identity_id=0)
+
+
+def test_table_group_rejects_cells_that_are_not_ids():
+    for cell in ("1", 1.0, True, 2):
+        with pytest.raises(TableGroupError, match=f"table entry {cell!r} is not an id in 0..1"):
+            TableGroup([[0, cell], [cell, 0]], identity_id=0)
 
 
 def test_table_group_rejects_non_associative():

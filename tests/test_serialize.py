@@ -46,6 +46,16 @@ def test_group_round_trip(group):
     assert group_from_json(json.loads(dumps(doc))) == group
 
 
+def test_table_rows_are_converted_in_place():
+    doc = json.loads(dumps(group_to_json(GROUPS[-1])))
+    rows = doc["table"]
+    group = group_from_json(doc)
+    # each row of strings was replaced by its ints, and the group keeps those tuples
+    assert all(a is b for a, b in zip(rows, group.table))
+    assert rows[1] == (1, 2, 3, 0)
+    assert group_from_json(doc) == group
+
+
 @pytest.mark.parametrize("group", GROUPS, ids=lambda g: repr(g))
 def test_element_round_trip(group):
     samples = {
