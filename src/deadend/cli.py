@@ -106,46 +106,9 @@ def _read_json(path: str) -> Any:
 def parse_element(group: Group, token: str) -> GroupElement:
     token = token.strip()
     try:
-        if isinstance(group, (IntegerLine, Cyclic)):
-            return group.element(int(token))
-        if isinstance(group, IntegerGrid):
-            return group.element([int(c) for c in token.split(",")])
-        if isinstance(group, Dihedral):
-            return _parse_dihedral(group, token)
-        if isinstance(group, Lamplighter):
-            return _parse_lamp(group, token)
-        return group.element(int(token))  # table groups use ids
+        return GroupElement(group, group.payload_from_token(token))
     except (ValueError, GroupError) as exc:
         raise UsageError(f"bad element token {token!r}: {exc}") from exc
-
-
-def _parse_dihedral(group: Dihedral, token: str) -> GroupElement:
-    # grammar: "r" / "r3" / "s" / "r2s"
-    rot, ref = 0, 0
-    rest = token
-    if rest.startswith("r"):
-        rest = rest[1:]
-        digits = ""
-        while rest and (rest[0].isdigit() or rest[0] == "-"):
-            digits += rest[0]
-            rest = rest[1:]
-        rot = int(digits) if digits else 1
-    if rest == "s":
-        ref, rest = 1, ""
-    if rest:
-        raise ValueError(f"cannot parse dihedral token {token!r}")
-    return group.element((rot, ref))
-
-
-def _parse_lamp(group: Lamplighter, token: str) -> GroupElement:
-    if token == "t":
-        return group.element(((), 1))
-    if token == "a":
-        return group.element(((0,), 0))
-    # grammar: "lamps@cursor", lamps dot-separated, e.g. "-1.0.1@0"
-    lamps_part, _, cursor = token.partition("@")
-    lamps = tuple(int(x) for x in lamps_part.split(".") if x != "")
-    return group.element((lamps, int(cursor or "0")))
 
 
 def parse_gens(group: Group, spec: Optional[str]) -> GeneratingSet:
@@ -160,8 +123,8 @@ def parse_gens(group: Group, spec: Optional[str]) -> GeneratingSet:
         if gens.group != group:
             raise UsageError("--gens file group does not match --group")
         return gens
-    sep = ";" if isinstance(group, IntegerGrid) else None
-    tokens = spec.split(sep) if sep else spec.replace(";", ",").split(",")
+    sep = group.gens_separator
+    tokens = spec.replace(";", sep).split(sep)
     try:
         return GeneratingSet([parse_element(group, t) for t in tokens if t.strip()])
     except (ValueError, GroupError) as exc:
@@ -485,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
     config = load_config(args.config) if getattr(args, "config", None) else {}
     for key, value in config.items():
-        if key not in _DEFAULTS and key != "group":
+        if key not in _DEFAULTS:
             raise UsageError(f"unknown config key {key!r}")
         if getattr(args, key, None) is None:
             if key in _INT_KEYS:

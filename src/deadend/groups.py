@@ -11,10 +11,16 @@ Words are read through one signed-letter table per generating set
 rejects a letter missing from the table as it reaches it; ``WordFold``
 gives the same results faster, over integer codes or letter tables.
 Walks (balls, depth searches) step on the element codes of ``Group.integer_code``.
+
+Each group class owns its formats: the byte encoding of a payload, its
+text, its JSON shape and CLI token, the ``group.v1`` parameter fields and
+the standard generators.  A class registers under its ``variant`` name as
+it is defined, so a new variant is one class.
 """
 
 from __future__ import annotations
 
+import re
 from abc import ABC, abstractmethod
 from itertools import accumulate, chain
 from operator import add, itemgetter, lt
@@ -88,10 +94,26 @@ def _same(x: Any) -> Any:
     return x
 
 
-def _check_bits(bits: int) -> int:
+def json_int(value: Any) -> int:
+    """A JSON integer or decimal string as an int; ValueError for anything else."""
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise ValueError(f"integer expected, got {value!r}")
+    return int(value)
+
+
+def json_field(doc: dict, key: str, kind: Any = object) -> Any:
+    """``doc[key]``; ValueError if the key is missing or its value is not a ``kind``."""
+    value = doc.get(key)
+    if key not in doc or not isinstance(value, kind):
+        raise ValueError(f"{doc['schema']} document: {key!r} missing or of the wrong type")
+    return value
+
+
+def _set_bits(group: "Group", bits: int) -> None:
+    """Give a capped integer group its ``bits``, payload cap and byte width."""
     if not isinstance(bits, int) or bits < 8 or bits > 1024 or bits % 8:
         raise ValueError(f"bit-width cap must be a multiple of 8 in [8, 1024], got {bits}")
-    return bits
+    group.bits, group._cap, group._width = bits, (1 << (bits - 1)) - 1, bits // 8
 
 
 class Group(ABC):
@@ -103,6 +125,17 @@ class Group(ABC):
     """
 
     variant: ClassVar[str]
+    # every class that names a variant, by that name
+    variants: ClassVar[dict[str, type["Group"]]] = {}
+    # group.v1 parameter fields, each an integer attribute: name -> default (None: required)
+    params: ClassVar[dict[str, Optional[int]]] = {}
+    # separates the tokens of a --gens list, as ";" always does
+    gens_separator: ClassVar[str] = ","
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        if "variant" in vars(cls):
+            Group.variants[cls.variant] = cls
 
     @abstractmethod
     def order(self) -> Optional[int]:
@@ -126,11 +159,11 @@ class Group(ABC):
     @abstractmethod
     def decode_payload(self, data: bytes) -> Any: ...
 
-    @abstractmethod
-    def format_payload(self, p: Any) -> str: ...
+    def format_payload(self, p: Any) -> str:
+        return str(p)
 
-    @abstractmethod
-    def _key(self) -> tuple: ...
+    def _key(self) -> tuple:
+        return (self.variant, *(getattr(self, k) for k in self.params))
 
     @property
     def is_finite(self) -> bool:
@@ -145,6 +178,34 @@ class Group(ABC):
         where the group has one that neither overflows nor outgrows the payloads,
         else the identity codec (codes are payloads, ``step`` is ``mul_payload``)."""
         return Codec(list(payloads), self.mul_payload, _same, _same)
+
+    # Formats besides bytes; the defaults suit integer payloads.
+
+    def params_to_json(self) -> dict:
+        """The ``group.v1`` parameter fields, integers as decimal strings."""
+        return {k: str(getattr(self, k)) for k in self.params}
+
+    @classmethod
+    def params_from_json(cls, doc: dict) -> "Group":
+        """The group of a ``group.v1`` document of this variant."""
+        return cls(**{
+            k: json_int(json_field(doc, k) if d is None else doc.get(k, d))
+            for k, d in cls.params.items()
+        })
+
+    def payload_to_json(self, p: Any) -> Any:
+        return str(p)
+
+    def payload_from_json(self, obj: Any) -> Any:
+        """The payload of a JSON value; KeyError, TypeError or ValueError if malformed."""
+        return self.canonical_payload(int(obj))
+
+    def payload_from_token(self, token: str) -> Any:
+        """The payload of a CLI element token; ValueError or GroupError if malformed."""
+        return self.canonical_payload(int(token))
+
+    def standard_gens(self) -> "GeneratingSet":
+        raise ValueError(f"no standard generating set for {self!r}")
 
     def identity(self) -> "GroupElement":
         return GroupElement(self, self.identity_payload())
@@ -387,11 +448,10 @@ class IntegerLine(Group):
     """The integers under addition, with a symmetric range cap."""
 
     variant = "integer_line"
+    params = {"bits": 64}
 
     def __init__(self, bits: int = 64):
-        self.bits = _check_bits(bits)
-        self._cap = (1 << (bits - 1)) - 1
-        self._width = bits // 8
+        _set_bits(self, bits)
 
     def order(self) -> Optional[int]:
         return None
@@ -428,11 +488,8 @@ class IntegerLine(Group):
     def decode_payload(self, data: bytes) -> int:
         return int.from_bytes(data, "big", signed=True)
 
-    def format_payload(self, p: int) -> str:
-        return str(p)
-
-    def _key(self) -> tuple:
-        return (self.variant, self.bits)
+    def standard_gens(self) -> GeneratingSet:
+        return GeneratingSet([self.element(1)], ["1"])
 
     def __repr__(self) -> str:
         return f"IntegerLine(bits={self.bits})"
@@ -442,14 +499,14 @@ class IntegerGrid(Group):
     """Free abelian group of finite rank (integer vectors under addition)."""
 
     variant = "integer_grid"
+    params = {"rank": None, "bits": 64}
+    gens_separator = ";"  # a token is comma-separated coordinates
 
     def __init__(self, rank: int, bits: int = 64):
         if not isinstance(rank, int) or not 1 <= rank <= 1024:  # rank R: R*R standard coordinates
             raise ValueError(f"rank must be an integer in [1, 1024], got {rank}")
         self.rank = rank
-        self.bits = _check_bits(bits)
-        self._cap = (1 << (bits - 1)) - 1
-        self._width = bits // 8
+        _set_bits(self, bits)
 
     def order(self) -> Optional[int]:
         return None
@@ -520,8 +577,18 @@ class IntegerGrid(Group):
     def format_payload(self, p: tuple) -> str:
         return "(" + ",".join(str(c) for c in p) + ")"
 
-    def _key(self) -> tuple:
-        return (self.variant, self.rank, self.bits)
+    def payload_to_json(self, p: tuple) -> list:
+        return [str(c) for c in p]
+
+    def payload_from_json(self, obj: Any) -> tuple:
+        return self.canonical_payload([int(c) for c in obj])
+
+    def payload_from_token(self, token: str) -> tuple:
+        return self.canonical_payload([int(c) for c in token.split(",")])
+
+    def standard_gens(self) -> GeneratingSet:
+        units = [[int(i == j) for j in range(self.rank)] for i in range(self.rank)]
+        return GeneratingSet(map(self.element, units), [f"e{i + 1}" for i in range(self.rank)])
 
     def __repr__(self) -> str:
         return f"IntegerGrid(rank={self.rank}, bits={self.bits})"
@@ -531,6 +598,7 @@ class Cyclic(Group):
     """Cyclic group of order m, additive notation on residues 0..m-1."""
 
     variant = "cyclic"
+    params = {"modulus": None}
 
     def __init__(self, modulus: int):
         if not isinstance(modulus, int) or modulus < 1:
@@ -569,11 +637,10 @@ class Cyclic(Group):
             raise InvalidElementError(f"residue {p} is not below the modulus {self.modulus}")
         return p
 
-    def format_payload(self, p: int) -> str:
-        return str(p)
-
-    def _key(self) -> tuple:
-        return (self.variant, self.modulus)
+    def standard_gens(self) -> GeneratingSet:
+        if self.modulus == 1:
+            return GeneratingSet.empty(self)
+        return GeneratingSet([self.element(1)], ["1"])
 
     def __repr__(self) -> str:
         return f"Cyclic({self.modulus})"
@@ -586,6 +653,7 @@ class Dihedral(Group):
     """
 
     variant = "dihedral"
+    params = {"m": None}
 
     def __init__(self, m: int):
         if not isinstance(m, int) or m < 3:
@@ -640,13 +708,26 @@ class Dihedral(Group):
 
     def format_payload(self, p: tuple) -> str:
         r, s = p
-        if r == 0 and s == 0:
-            return "e"
         rot = f"r{r}" if r else ""
         return (rot + ("s" if s else "")) or "e"
 
-    def _key(self) -> tuple:
-        return (self.variant, self.m)
+    def payload_to_json(self, p: tuple) -> dict:
+        r, s = p
+        return {"rot": str(r), "ref": str(s)}
+
+    def payload_from_json(self, obj: Any) -> tuple:
+        return self.canonical_payload((int(obj["rot"]), int(obj["ref"])))
+
+    def payload_from_token(self, token: str) -> tuple:
+        # "r" / "r3" / "s" / "r2s"
+        match = re.fullmatch(r"(?:r([-\d]*))?(s?)", token)
+        if match is None:
+            raise ValueError(f"cannot parse dihedral token {token!r}")
+        rot, ref = match.groups()
+        return self.canonical_payload((0 if rot is None else int(rot or 1), len(ref)))
+
+    def standard_gens(self) -> GeneratingSet:
+        return GeneratingSet([self.element((1, 0)), self.element((0, 1))], ["r", "s"])
 
     def __repr__(self) -> str:
         return f"Dihedral({self.m})"
@@ -662,11 +743,11 @@ class Lamplighter(Group):
     """
 
     variant = "lamplighter"
+    params = {"bits": 64}
+    _standard = {"t": ((), 1), "a": ((0,), 0)}  # the standard generators, also tokens
 
     def __init__(self, bits: int = 64):
-        self.bits = _check_bits(bits)
-        self._cap = (1 << (bits - 1)) - 1
-        self._width = bits // 8
+        _set_bits(self, bits)
 
     def order(self) -> Optional[int]:
         return None
@@ -771,8 +852,23 @@ class Lamplighter(Group):
         lamps, c = p
         return "{" + " ".join(str(x) for x in lamps) + "}@" + str(c)
 
-    def _key(self) -> tuple:
-        return (self.variant, self.bits)
+    def payload_to_json(self, p: tuple) -> dict:
+        lamps, cursor = p
+        return {"lamps": [str(q) for q in lamps], "cursor": str(cursor)}
+
+    def payload_from_json(self, obj: Any) -> tuple:
+        return self.canonical_payload((tuple(int(q) for q in obj["lamps"]), int(obj["cursor"])))
+
+    def payload_from_token(self, token: str) -> tuple:
+        # "t", "a", or "lamps@cursor" with lamps dot-separated, e.g. "-1.0.1@0"
+        if token in self._standard:
+            return self._standard[token]
+        lamps, _, cursor = token.partition("@")
+        positions = tuple(int(q) for q in lamps.split(".") if q)
+        return self.canonical_payload((positions, int(cursor or "0")))
+
+    def standard_gens(self) -> GeneratingSet:
+        return GeneratingSet(map(self.element, self._standard.values()), tuple(self._standard))
 
     def __repr__(self) -> str:
         return f"Lamplighter(bits={self.bits})"
@@ -896,8 +992,22 @@ class TableGroup(Group):
             raise InvalidElementError(f"element id {p} out of range 0..{self._m - 1}")
         return p
 
-    def format_payload(self, p: int) -> str:
-        return str(p)
+    def params_to_json(self) -> dict:
+        table = [[str(x) for x in row] for row in self.table]
+        return {"name": self.name, "identity": str(self.identity_id), "table": table}
+
+    @classmethod
+    def params_from_json(cls, doc: dict) -> "TableGroup":
+        """The group of a ``group.v1`` document, whose table rows become int tuples in place."""
+        rows = json_field(doc, "table", list)
+        if not all(isinstance(row, (list, tuple)) for row in rows):
+            raise ValueError("group.v1 table rows must be lists")
+        try:  # int() per cell, not json_int(): an order-520 table has 270k cells
+            for i, row in enumerate(rows):  # in place: each row's strings go as its ints come
+                rows[i] = tuple(map(int, row))
+        except TypeError as exc:
+            raise ValueError(f"group.v1 table cells must be integers: {exc}") from None
+        return cls(rows, json_int(json_field(doc, "identity")), name=doc.get("name", "table"))
 
     def _key(self) -> tuple:
         return (self.variant, self.table, self.identity_id)
@@ -919,24 +1029,5 @@ class TableGroup(Group):
 
 
 def standard_gens(group: Group) -> GeneratingSet:
-    """Conventional generating set for groups that have one."""
-    if isinstance(group, IntegerLine):
-        return GeneratingSet([group.element(1)], ["1"])
-    if isinstance(group, IntegerGrid):
-        entries = []
-        for i in range(group.rank):
-            vec = [0] * group.rank
-            vec[i] = 1
-            entries.append(group.element(vec))
-        return GeneratingSet(entries, [f"e{i + 1}" for i in range(group.rank)])
-    if isinstance(group, Cyclic):
-        if group.modulus == 1:
-            return GeneratingSet.empty(group)
-        return GeneratingSet([group.element(1)], ["1"])
-    if isinstance(group, Dihedral):
-        return GeneratingSet([group.element((1, 0)), group.element((0, 1))], ["r", "s"])
-    if isinstance(group, Lamplighter):
-        return GeneratingSet(
-            [group.element(((), 1)), group.element(((0,), 0))], ["t", "a"]
-        )
-    raise ValueError(f"no standard generating set for {group!r}")
+    """Conventional generating set for groups that have one; ValueError otherwise."""
+    return group.standard_gens()

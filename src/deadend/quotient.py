@@ -10,7 +10,8 @@ construction by closing the images under multiplication.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
+from functools import reduce
+from itertools import combinations, islice
 from typing import Any, Iterable, Iterator, Optional, Sequence
 
 from .cayley import Ball, Budget, DEFAULT_BUDGET, ball, bfs_layers
@@ -20,6 +21,7 @@ from .groups import (
     Group,
     GroupElement,
     GroupError,
+    IntegerGrid,
     IntegerLine,
     evaluate_word,
     fold_word,
@@ -166,23 +168,19 @@ def check_homomorphism(pi: QuotientMap, max_word_len: int = 8) -> None:
     """Verify that the generator images define a homomorphism.
 
     Raises HomomorphismError when two S-words for one source element map
-    to different images.  On an ``IntegerLine`` source the check is exact
-    and arithmetic: the generators g_1..g_s span hZ, h their gcd, and a
-    homomorphism on hZ is fixed by the image t of h.  With Bezout
-    coefficients sum(c_i * g_i) = h, t must be the product of the
-    pi(g_i)^c_i, so the images define one exactly when pi(g_i) =
-    t^(g_i / h) for every i.
+    to different images.  On the integers and on ``IntegerGrid`` sources
+    the check is exact and arithmetic (see ``_check_lattice_homomorphism``).
 
     Otherwise a BFS runs over (source, image) pairs, so a source element
     reached with two images shows up twice.  On a finite source it runs
     to closure, which is exact: the pairs then form the subgroup generated
     by the (generator, image) pairs, and it is the graph of a map exactly
-    when no source element carries two images.  Other infinite sources are
-    only probed: words up to ``max_word_len`` are compared.
+    when no source element carries two images.  The lamplighter is only
+    probed: words up to ``max_word_len`` are compared.
     """
     gens = pi.source_gens
-    if isinstance(gens.group, IntegerLine):
-        _check_line_homomorphism(pi)
+    if isinstance(gens.group, (IntegerLine, IntegerGrid)):
+        _check_lattice_homomorphism(pi)
         return
     mul_s = gens.group.mul_payload
     mul_t = pi.target.mul_payload
@@ -205,34 +203,53 @@ def check_homomorphism(pi: QuotientMap, max_word_len: int = 8) -> None:
                 raise HomomorphismError(f"two words for {src!r} map to different images")
 
 
-def _check_line_homomorphism(pi: QuotientMap) -> None:
-    # The one word g_i and the word (sum c_j g_j) * (g_i / h) both spell g_i.
-    values = [e.payload for e in pi.source_gens.entries]
-    h, coeffs = _bezout(values)
-    target = pi.target
-    t = target.identity_payload()
-    for i, c in enumerate(coeffs, 1):
-        t = target.mul_payload(t, _power(target, pi.letters[i], c))
-    for i, g in enumerate(values, 1):
-        if _power(target, t, g // h) != pi.letters[i]:
-            raise HomomorphismError(f"two words for {g!r} map to different images")
+def _check_lattice_homomorphism(pi: QuotientMap) -> None:
+    """Exact check for generators g_1..g_s of Z or Z^k with images t_1..t_s.
 
+    The images define a homomorphism exactly when they commute pairwise
+    (g_i + g_j = g_j + g_i) and every relation c (sum c_i g_i = 0) maps
+    to the identity (prod t_i^c_i = 1).  Integer row reduction of the rows
+    [g_i | e_i] brings the g-block to echelon form; the e-blocks of the
+    rows whose g-block is then zero form a basis of the relations, and
+    only those are checked.
+    """
+    target, mul = pi.target, pi.target.mul_payload
+    line = isinstance(pi.source, IntegerLine)
+    vectors = [(e.payload,) if line else e.payload for e in pi.source_gens.entries]
+    images = [pi.letters[i] for i in range(1, len(vectors) + 1)]
+    s, rank = len(vectors), len(vectors[0])
 
-def _bezout(values: Sequence[int]) -> tuple[int, list[int]]:
-    """(h, coeffs) with h = gcd(values) >= 0 and sum(c * v) == h."""
-    h, coeffs = 0, []
-    for v in values:
-        # extended Euclid on (h, v): x * h + y * v == r throughout
-        r0, r1, x0, x1, y0, y1 = h, v, 1, 0, 0, 1
-        while r1:
-            q = r0 // r1
-            r0, r1 = r1, r0 - q * r1
-            x0, x1 = x1, x0 - q * x1
-            y0, y1 = y1, y0 - q * y1
-        if r0 < 0:
-            r0, x0, y0 = -r0, -x0, -y0
-        h, coeffs = r0, [c * x0 for c in coeffs] + [y0]
-    return h, coeffs
+    def differ(c: Sequence[int]) -> HomomorphismError:
+        # the words for the positive and for the negative part of c spell one element
+        src = [sum(a * v[x] for a, v in zip(c, vectors) if a > 0) for x in range(rank)]
+        return HomomorphismError(
+            f"two words for {src[0] if line else tuple(src)!r} map to different images"
+        )
+
+    for i, j in combinations(range(s), 2):
+        if mul(images[i], images[j]) != mul(images[j], images[i]):
+            raise differ([int(x in (i, j)) for x in range(s)])
+    rows = [list(v) + [int(i == j) for j in range(s)] for i, v in enumerate(vectors)]
+    top = 0
+    for col in range(rank):
+        while True:  # Euclid down column col on the rows from top
+            live = [i for i in range(top, s) if rows[i][col]]
+            if not live:
+                break
+            low = min(live, key=lambda i: abs(rows[i][col]))
+            rows[top], rows[low] = rows[low], rows[top]
+            if len(live) == 1:
+                top += 1
+                break
+            pivot = rows[top]
+            for i in range(top + 1, s):
+                q = rows[i][col] // pivot[col]
+                rows[i] = [a - q * b for a, b in zip(rows[i], pivot)]
+    identity = target.identity_payload()
+    for row in rows[top:]:
+        powers = (_power(target, t, c) for t, c in zip(images, row[rank:]))
+        if reduce(mul, powers, identity) != identity:
+            raise differ(row[rank:])
 
 
 def _power(group: Group, p: Any, k: int) -> Any:

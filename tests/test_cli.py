@@ -11,12 +11,13 @@ from deadend.cli import (
     EXIT_BUDGET,
     EXIT_OK,
     EXIT_USAGE,
+    UsageError,
     main,
     parse_element,
     parse_gens,
     parse_group,
 )
-from deadend.groups import Cyclic, Dihedral, IntegerGrid, IntegerLine, Lamplighter
+from deadend.groups import Cyclic, Dihedral, IntegerGrid, IntegerLine, Lamplighter, TableGroup
 from deadend.serialize import dumps, genset_to_json, group_to_json
 from deadend.groups import GeneratingSet
 
@@ -66,6 +67,42 @@ def test_parse_gens_tokens():
     grid = IntegerGrid(2)
     gens = parse_gens(grid, "1,0;0,1")
     assert [e.payload for e in gens.entries] == [(1, 0), (0, 1)]
+
+
+# Per variant: an element token and the payload it parses to.
+TOKEN_PINS = [
+    (IntegerLine(), "-7", -7),
+    (IntegerGrid(3), "4,-5,6", (4, -5, 6)),
+    (Cyclic(17), "20", 3),
+    (Dihedral(5), "r2s", (2, 1)),
+    (Dihedral(5), "r-1", (4, 0)),
+    (Dihedral(5), "s", (0, 1)),
+    (Lamplighter(), "-1.0.1@4", ((-1, 0, 1), 4)),
+    (Lamplighter(), "t", ((), 1)),
+    (Lamplighter(), "3.1", ((1, 3), 0)),
+    (TableGroup([[(i + j) % 4 for j in range(4)] for i in range(4)], 0), "2", 2),
+]
+
+
+@pytest.mark.parametrize("group, token, payload", TOKEN_PINS,
+                         ids=[f"{pin[0].variant}:{pin[1]}" for pin in TOKEN_PINS])
+def test_element_tokens_are_pinned(group, token, payload):
+    assert parse_element(group, token).payload == payload
+
+
+@pytest.mark.parametrize("group, token", [
+    (IntegerLine(), "1.5"), (IntegerGrid(2), "1"), (Dihedral(5), "sr"), (Dihedral(5), "r-"),
+    (Lamplighter(), "1.1@0"), (TableGroup([[0, 1], [1, 0]], 0), "2"),
+])
+def test_bad_element_token_is_a_usage_error(group, token):
+    with pytest.raises(UsageError, match="bad element token"):
+        parse_element(group, token)
+
+
+def test_gens_lists_split_on_semicolons_and_commas():
+    assert [e.payload for e in parse_gens(IntegerLine(), "2;3,4")] == [2, 3, 4]
+    assert [e.payload for e in parse_gens(IntegerGrid(2), "1,0;0,1")] == [(1, 0), (0, 1)]
+    assert parse_gens(Dihedral(4), "r;s").labels == ("r1", "s")
 
 
 def test_parse_gens_from_file(tmp_path):
@@ -398,6 +435,15 @@ def test_unknown_config_key_rejected(tmp_path):
     assert code == EXIT_USAGE
 
 
+def test_group_config_key_rejected(tmp_path, capsys):
+    # --group is a required flag, so a group key in the file could never apply
+    config = tmp_path / "run.conf"
+    config.write_text("group = zz\n")
+    code = main(["ball", "--group", "zz", "--gens", "1", "--radius", "2", "--config", str(config)])
+    assert code == EXIT_USAGE
+    assert "unknown config key 'group'" in capsys.readouterr().err
+
+
 def test_reports_reproducible_modulo_timing(tmp_path):
     argv = [
         "construct", "--group", "zz", "--gens", "1",
@@ -453,6 +499,8 @@ MALFORMED_DOCUMENTS = {
         "quotient", {"schema": "quotient.v1", "target": _C10_GROUP, "images": [1.0]},
     ),
     "grid-no-rank": ("group", {"schema": "group.v1", "variant": "integer_grid"}),
+    "group-unknown-variant": ("group", {"schema": "group.v1", "variant": "klein"}),
+    "group-variant-a-list": ("group", {"schema": "group.v1", "variant": ["table"]}),
     "genset-no-entries": ("gens", {"schema": "genset.v1", "group": _ZZ_GROUP}),
     "genset-entries-a-string": (
         "gens", {"schema": "genset.v1", "group": _ZZ_GROUP, "entries": "12"},

@@ -3,11 +3,22 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from deadend.groups import Cyclic, Dihedral, GeneratingSet, IntegerLine, Lamplighter, standard_gens
+from deadend.groups import (
+    Cyclic,
+    Dihedral,
+    GeneratingSet,
+    IntegerGrid,
+    IntegerLine,
+    Lamplighter,
+    standard_gens,
+)
 from deadend.quotient import (
     FamilyExhaustedError,
     HomomorphismError,
@@ -126,16 +137,73 @@ def test_homomorphism_check_cyclic_and_word():
         # gcd 2: -4 -> 3 = -2 * t forces t = 1 as the image of 2, so 6 -> 3
         ((-4, 6), Cyclic(5), (3, 3), True),
         ((-4, 6), Cyclic(5), (3, 1), False),
+        # 1 -> r and 2 -> s do not commute, though 1 + 2 = 2 + 1
+        ((1, 2), Dihedral(3), ((1, 0), (0, 1)), False),
+        # Z^2: (21, 0) = 21 * (1, 0) must map to 21 * 1 = 1 in C_10
+        (((1, 0), (0, 1), (21, 0)), Cyclic(10), (1, 1, 1), True),
+        (((1, 0), (0, 1), (21, 0)), Cyclic(10), (1, 1, 2), False),
+        # (4, 6) = 2 * (2, 0) + 2 * (0, 3) -> 2 * 1 + 2 * 2 = 1 in C_5
+        (((2, 0), (0, 3), (4, 6)), Cyclic(5), (1, 2, 1), True),
+        (((2, 0), (0, 3), (4, 6)), Cyclic(5), (1, 2, 2), False),
+        # no relations, but r and s do not commute
+        (((1, 0), (0, 1)), Dihedral(4), ((1, 0), (0, 1)), False),
+        (((1, 0), (0, 1)), Dihedral(4), ((0, 1), (1, 1)), False),
     ],
 )
 def test_homomorphism_check_is_exact_on_the_integers(values, target, images, ok):
-    gens = GeneratingSet([ZZ.element(v) for v in values])
+    group = IntegerGrid(len(values[0])) if isinstance(values[0], tuple) else ZZ
+    gens = GeneratingSet([group.element(v) for v in values])
     pi = word_quotient(gens, target, [target.element(x) for x in images])
     if ok:
         check_homomorphism(pi, max_word_len=1)
     else:
         with pytest.raises(HomomorphismError, match="map to different images"):
             check_homomorphism(pi, max_word_len=1)
+
+
+@st.composite
+def lattice_quotients(draw):
+    """Z (rank 0 here) or Z^k, k <= 2, with s <= 3 distinct nonzero generators,
+    entries in +-2, onto C_m with surjective images."""
+    rank = draw(st.integers(0, 2))
+    coord = st.integers(-2, 2)
+    vector = st.tuples(*[coord] * max(rank, 1)).filter(any)
+    vectors = draw(st.lists(vector, min_size=1, max_size=3, unique=True))
+    m = draw(st.integers(2, 6))
+    images = draw(st.lists(st.integers(0, m - 1), min_size=len(vectors), max_size=len(vectors)))
+    assume(math.gcd(m, *images) == 1)
+    return rank, vectors, m, images
+
+
+@settings(max_examples=150, deadline=None)
+@given(lattice_quotients())
+def test_lattice_homomorphism_check_matches_brute_force(case):
+    rank, vectors, m, images = case
+    group = IntegerGrid(rank) if rank else ZZ
+    gens = GeneratingSet([group.element(v if rank else v[0]) for v in vectors])
+    target = Cyclic(m)
+    pi = word_quotient(gens, target, [target.element(x) for x in images])
+    # C_m is abelian, so the images define a map exactly when every relation
+    # c (sum c_i g_i = 0) has sum c_i t_i = 0 mod m; checking a set of
+    # relations that contains a basis of them suffices.  With entries at most
+    # B = 2 and k <= 2, s <= 3, every relation lattice has a basis in the box
+    # |c_i| <= 2 B^2: a rank-1 lattice is spanned by the primitive vector of
+    # the 2 x 2 minors (s = 3, rank 2; at most 2 B^2) or of (a_2, -a_1)
+    # where g_i = a_i w (s = 2; at most B); the rank-2 lattice a^perp of
+    # g_i = a_i w (s = 3) has determinant at most |a| <= sqrt(3) B, so a
+    # Gauss-reduced basis has lengths at most (2 / sqrt(3)) |a| <= 2 B.
+    box = 2 * 2 * 2
+    dims = range(len(vectors[0]))
+    violated = any(
+        sum(c * t for c, t in zip(cs, images)) % m
+        for cs in itertools.product(range(-box, box + 1), repeat=len(vectors))
+        if not any(sum(c * v[x] for c, v in zip(cs, vectors)) for x in dims)
+    )
+    if violated:
+        with pytest.raises(HomomorphismError, match="map to different images"):
+            check_homomorphism(pi)
+    else:
+        check_homomorphism(pi)
 
 
 def test_homomorphism_check_rejects_bad_images():

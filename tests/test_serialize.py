@@ -24,6 +24,8 @@ from deadend.serialize import (
     genset_to_json,
     group_from_json,
     group_to_json,
+    payload_from_json,
+    payload_to_json,
     word_from_json,
     word_to_json,
 )
@@ -44,6 +46,42 @@ def test_group_round_trip(group):
     doc = group_to_json(group)
     assert doc["schema"] == "group.v1"
     assert group_from_json(json.loads(dumps(doc))) == group
+
+
+C4_TABLE = '[["0","1","2","3"],["1","2","3","0"],["2","3","0","1"],["3","0","1","2"]]'
+# Per variant: the exact group.v1 text and the exact JSON text of one payload.
+FORMAT_PINS = [
+    (GROUPS[0], 5, '{"bits":"64","schema":"group.v1","variant":"integer_line"}', '"5"'),
+    (GROUPS[1], -9, '{"bits":"32","schema":"group.v1","variant":"integer_line"}', '"-9"'),
+    (GROUPS[2], (1, -2, 3),
+     '{"bits":"64","rank":"3","schema":"group.v1","variant":"integer_grid"}', '["1","-2","3"]'),
+    (GROUPS[3], 7, '{"modulus":"17","schema":"group.v1","variant":"cyclic"}', '"7"'),
+    (GROUPS[4], (3, 1), '{"m":"5","schema":"group.v1","variant":"dihedral"}',
+     '{"ref":"1","rot":"3"}'),
+    (GROUPS[5], ((-2, 1), 3), '{"bits":"64","schema":"group.v1","variant":"lamplighter"}',
+     '{"cursor":"3","lamps":["-2","1"]}'),
+    (GROUPS[6], 3,
+     '{"identity":"0","name":"c4","schema":"group.v1","table":' + C4_TABLE + ',"variant":"table"}',
+     '"3"'),
+]
+
+
+@pytest.mark.parametrize("group, payload, group_text, payload_text", FORMAT_PINS,
+                         ids=[repr(pin[0]) for pin in FORMAT_PINS])
+def test_formats_are_pinned(group, payload, group_text, payload_text):
+    assert dumps(group_to_json(group)) == group_text
+    assert dumps(payload_to_json(group, payload)) == payload_text
+    assert payload_from_json(group, json.loads(payload_text)) == payload
+
+
+@pytest.mark.parametrize("doc", [
+    {"schema": "group.v1", "variant": "cyclic"},
+    {"schema": "group.v1", "variant": "dihedral", "m": 4.0},
+    {"schema": "group.v1", "variant": "integer_line", "bits": 64.0},
+])
+def test_group_from_json_rejects_bad_documents(doc):
+    with pytest.raises(ValueError):
+        group_from_json(doc)
 
 
 def test_table_rows_are_converted_in_place():
