@@ -13,8 +13,10 @@ be engineered to create them.  Recipe, for a target depth D:
 
 Everything within A-distance d of the witness then stays inside the
 closed radius-n ball, so the witness has depth >= d + 1 = D.  The claim
-is verified twice per neighbor: by BFS norm, and by an explicit
-factorization certificate re-checkable without any search.
+is proved per neighbour by an explicit factorization certificate,
+re-checkable without any search.  The verification builds no ball over A;
+this demo builds one (``ctx.a_ball``) only to show norms and the exact
+depth by brute force.
 """
 
 from deadend import Construction, GeneratingSet, IntegerLine, cyclic_quotient, depth

@@ -6,8 +6,10 @@ bound, the generating set A collects every element of the radius-N S-ball
 whose image is a generator image.  The maximal-length quotient element
 lifts to a witness g_n with norm_A(g_n) = n, and every element within
 A-distance d of g_n stays inside the closed radius-n ball, which makes
-g_n a dead end of depth at least d+1.  Each membership claim is backed
-twice: by BFS and by an explicit factorization certificate.
+g_n a dead end of depth at least d+1.  Each membership claim is proved by
+a factorization certificate into k = |pi(g)|_T <= n factors from A or
+their inverses, with no ball over A; where the homomorphism check is only
+a probe (the lamplighter), an A-ball BFS cross-checks every norm as well.
 """
 
 from __future__ import annotations
@@ -17,13 +19,14 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, islice
 from pathlib import Path
 from typing import Any, NamedTuple, Optional, Sequence, Union
 
 from .cayley import Ball, Budget, DEFAULT_BUDGET, ball_cached, bfs_layers
-from .depth import DepthValue
+from .depth import DepthValue, depth
 from .groups import (
+    Codec,
     GeneratingSet,
     GroupElement,
     GroupError,
@@ -32,7 +35,7 @@ from .groups import (
     evaluate_word,
     invert_word,
 )
-from .quotient import DiameterReport, QuotientMap, group_ball
+from .quotient import DiameterReport, QuotientMap, check_homomorphism, group_ball
 from .serialize import dumps, payload_to_json
 
 __all__ = [
@@ -275,21 +278,23 @@ class DeadEndWitness:
 def find_witness(
     built: ConstructedGenSet,
     target_ball: Ball,
-    a_ball: Ball,
+    a_ball: Optional[Ball] = None,
     claimed_depth: Optional[int] = None,
 ) -> DeadEndWitness:
     """Lift the diameter witness of the target ball through the canonical
-    section and verify that its norm in a_ball, the A-ball of radius at
-    least the diameter, equals the diameter."""
+    section.  Its norm under A is the diameter n: at most n, as S lies in A±
+    and the lift has n letters; at least n, as pi is a homomorphism sending
+    A± into the image generators and the identity.  Where that was only
+    probed, pass a_ball (radius >= n) and the norm is looked up in it."""
     pi = built.pi
     report = DiameterReport.of_ball(target_ball)
     n = report.diameter
     section = _section(pi, target_ball)
     s_word = _lift(section, target_ball.geodesic_payload(report.witness.payload))
     g_n = evaluate_word(s_word, built.source_gens)
-    if pi.apply_word(s_word) != report.witness:
-        raise ConstructionError("lifted witness does not map onto the diameter witness")
-    found = a_ball.norm(g_n)
+    if len(s_word) != n or pi.apply_word(s_word) != report.witness:
+        raise ConstructionError("lifted witness is not an n-letter lift of the diameter witness")
+    found = n if a_ball is None else a_ball.norm(g_n)
     if found != n:
         raise ConstructionError(
             f"witness norm under A is {found}, expected the diameter {n}; "
@@ -364,12 +369,14 @@ class Construction:
         self.params = params
         self.report = report
         self.budget = budget
+        self.cache_dir = cache_dir
         self.target_ball = target_ball
         self.image_gens = target_ball.gens
+        self.homomorphism_exact = check_homomorphism(pi)  # else the A-ball cross-checks
         self.built = constructed_genset(source_gens, pi, params.N, budget, cache_dir)
         self.phi = phi_table(pi, target_ball)
-        self.a_ball = ball_cached(source_gens.group, self.built.genset, params.n, cache_dir, budget)
-        self.witness = find_witness(self.built, target_ball, self.a_ball, params.d + 1)
+        a_ball = None if self.homomorphism_exact else self.a_ball
+        self.witness = find_witness(self.built, target_ball, a_ball, params.d + 1)
 
     @classmethod
     def build(
@@ -387,6 +394,12 @@ class Construction:
         params = ConstructionParams.derive(target_depth, n, bound_mode)
         return cls(source_gens, pi, params, target_ball, budget, cache_dir)
 
+    @cached_property
+    def a_ball(self) -> Ball:
+        """The A-ball of radius n, built (or loaded from the cache) on first use."""
+        genset, n = self.built.genset, self.params.n
+        return ball_cached(self.source_gens.group, genset, n, self.cache_dir, self.budget)
+
     # -- S-words -----------------------------------------------------------
 
     def a_letter_s_word(self, letter: int) -> Word:
@@ -396,35 +409,30 @@ class Construction:
         return word if letter > 0 else invert_word(word)
 
     @cached_property
-    def _walk(self) -> tuple[dict, DepthValue]:
-        """One BFS about the witness, d+1 layers deep, on the A-ball's codes: an
+    def _walk(self) -> tuple[Codec, dict]:
+        """One BFS about the witness, d layers deep, on codes of its own: an
         S-word of length at most n + d*N for every element within A-distance d
         (the witness lift, then the S-geodesic of each A-step), keyed by code,
-        and the witness depth.  The first layer r leaving the A-ball (radius n)
-        gives finite(r), else at_least(d+1); no layer up to d+1 is empty, as
-        the identity is n > 2d steps away.  The walk stays within n + d + 1
-        steps of the identity, which the A-ball's codes cover."""
-        a_ball = self.a_ball
-        step, back, norm = a_ball.codec.step, a_ball.letter_codes, a_ball.dist.get
+        with the codec.  As norm_A(g_n) = n, the walk stays within n + d
+        A-steps of the identity, which the codes cover."""
+        p, letters = self.params, self.built.genset.letters
+        codec = self.source_gens.group.integer_code(list(letters.values()), p.n + p.d)
+        step, back = codec.step, dict(zip(letters, codec.codes))
         a_words = {letter: self.a_letter_s_word(letter) for letter in back}
-        start = a_ball.codec.encode(self.witness.element.payload)
+        start = codec.encode(self.witness.element.payload)
         words: dict = {start: self.witness.s_word}
         parent = {start: 0}
-        depth_value = DepthValue.at_least(self.params.d + 1)
-        for r, layer in bfs_layers(step, tuple(back.items()), start, parent, self.budget):
-            if depth_value.is_truncated and any(norm(y) is None for y in layer):
-                depth_value = DepthValue.finite(r)
-            if r > self.params.d:
-                break
+        layers = bfs_layers(step, tuple(back.items()), start, parent, self.budget)
+        for _, layer in islice(layers, p.d):
             for y in layer:
                 letter = parent[y]
                 words[y] = words[step(y, back[-letter])] + a_words[letter]
-        return words, depth_value
+        return codec, words
 
     def witness_neighborhood(self) -> list[tuple[GroupElement, Word]]:
         """Every g within A-distance d of the witness, with the S-word the walk gives it."""
-        group, decode = self.source_gens.group, self.a_ball.codec.decode
-        return [(GroupElement(group, decode(y)), word) for y, word in self._walk[0].items()]
+        (codec, words), group = self._walk, self.source_gens.group
+        return [(GroupElement(group, codec.decode(y)), word) for y, word in words.items()]
 
     def s_word_for(self, g: GroupElement) -> Word:
         """Some S-word of length <= n + d*N for g; ValueError if none is derivable."""
@@ -432,7 +440,8 @@ class Construction:
             return self.witness.s_word
         if self.built.s_ball.norm(g) is not None:
             return self.built.s_ball.geodesic(g)
-        word = self._walk[0].get(self.a_ball.codec.encode(g.payload))
+        codec, words = self._walk
+        word = words.get(codec.encode(g.payload))
         if word is None:
             raise ValueError(f"no S-word available for {g}: outside the S-ball and the "
                              "witness neighborhood")
@@ -611,7 +620,7 @@ class ConstructionReport:
     witness: DeadEndWitness
     neighborhood_size: int
     rows: tuple[dict, ...]
-    depth_value: DepthValue
+    depth_value: Optional[DepthValue]  # None: no depth search ran
     passed: bool
 
     def to_json(self) -> dict:
@@ -624,7 +633,7 @@ class ConstructionReport:
             "witness": self.witness.to_json(),
             "neighborhood_size": self.neighborhood_size,
             "verification_table": list(self.rows),
-            "witness_depth_search": self.depth_value.render(),
+            "witness_depth_search": self.depth_value.render() if self.depth_value else "not run",
             "depth_lower_bound": self.params.d + 1,
             "passed": self.passed,
         }
@@ -634,42 +643,40 @@ def verify_construction(ctx: Construction) -> ConstructionReport:
     """Exhaustively confirm that everything within A-distance d of the
     witness stays inside the closed radius-n ball, certifying depth >= d+1.
 
-    Each neighbor is checked twice: its BFS norm under A must be <= n,
-    and its factorization certificate must validate with k <= n.  Any
+    Each neighbour's certificate must validate with k <= n; k is then its
+    norm under A (``norm_A``), bounded above by the factors and below by
+    |pi(g)|_T = k.  Where the homomorphism check was only a probe, the
+    A-ball BFS must agree on each norm and a depth search of d+1 layers
+    must find no escape within d; elsewhere that search is "not run".  Any
     failure aborts loudly; a false claim here would be a bug.
     """
     params = ctx.params
-    n = params.n
+    cross_check = not ctx.homomorphism_exact
     failures: list[str] = []
     rows: list[dict] = []
     neighborhood = ctx.witness_neighborhood()
     for element, s_word in neighborhood:
         label = str(element)
-        norm_bfs = ctx.a_ball.norm(element)
-        cert_ok = False
-        cert_k = None
-        cert_digest = None
+        cert_k = cert_digest = None
         try:
             cert = factorize(ctx, element, s_word)
             validate_certificate(ctx, cert, near_witness=True)
-            cert_ok = True
-            cert_k = cert.k
-            cert_digest = cert.digest()
+            cert_k, cert_digest = cert.k, cert.digest()
         except CertificateError as exc:
             failures.append(f"{label}: certificate failed: {exc}")
-        if norm_bfs is None or norm_bfs > n:
-            failures.append(f"{label}: BFS norm {norm_bfs} not <= n = {n}")
+        if cross_check and ctx.a_ball.norm(element) != cert_k:
+            failures.append(f"{label}: BFS norm {ctx.a_ball.norm(element)} is not k = {cert_k}")
         rows.append(
             {
                 "element": label,
-                "norm_A": norm_bfs,
+                "norm_A": cert_k,
                 "certificate_k": cert_k,
-                "certificate_ok": cert_ok,
+                "certificate_ok": cert_k is not None,
                 "certificate_digest": cert_digest,
             }
         )
-    dv = ctx._walk[1]
-    if dv.is_finite and dv.value <= params.d:
+    dv = depth(ctx.a_ball, ctx.witness.element, cap=params.d + 1) if cross_check else None
+    if dv is not None and dv.is_finite and dv.value <= params.d:
         failures.append(
             f"depth search found an escape at distance {dv.value} <= d = {params.d}"
         )

@@ -62,10 +62,6 @@ class DepthValue:
     def is_infinite(self) -> bool:
         return self.kind == _INFINITE
 
-    @property
-    def is_truncated(self) -> bool:
-        return self.kind == _AT_LEAST
-
     def sort_key(self) -> tuple[int, int]:
         if self.kind == _INFINITE:
             return (2, 0)

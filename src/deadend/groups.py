@@ -198,7 +198,7 @@ class Group(ABC):
 
     def payload_from_json(self, obj: Any) -> Any:
         """The payload of a JSON value; KeyError, TypeError or ValueError if malformed."""
-        return self.canonical_payload(int(obj))
+        return self.canonical_payload(json_int(obj))
 
     def payload_from_token(self, token: str) -> Any:
         """The payload of a CLI element token; ValueError or GroupError if malformed."""
@@ -581,7 +581,7 @@ class IntegerGrid(Group):
         return [str(c) for c in p]
 
     def payload_from_json(self, obj: Any) -> tuple:
-        return self.canonical_payload([int(c) for c in obj])
+        return self.canonical_payload([json_int(c) for c in obj])
 
     def payload_from_token(self, token: str) -> tuple:
         return self.canonical_payload([int(c) for c in token.split(",")])
@@ -716,7 +716,7 @@ class Dihedral(Group):
         return {"rot": str(r), "ref": str(s)}
 
     def payload_from_json(self, obj: Any) -> tuple:
-        return self.canonical_payload((int(obj["rot"]), int(obj["ref"])))
+        return self.canonical_payload((json_int(obj["rot"]), json_int(obj["ref"])))
 
     def payload_from_token(self, token: str) -> tuple:
         # "r" / "r3" / "s" / "r2s"
@@ -731,6 +731,14 @@ class Dihedral(Group):
 
     def __repr__(self) -> str:
         return f"Dihedral({self.m})"
+
+
+class _ByteLamps(dict):
+    """base -> its 256-entry table, built on first use: byte -> lamps base + i, i a set bit."""
+
+    def __missing__(self, base: int) -> tuple:
+        self[base] = tuple(tuple(base + i for i in range(8) if x >> i & 1) for x in range(256))
+        return self[base]
 
 
 class Lamplighter(Group):
@@ -819,12 +827,19 @@ class Lamplighter(Group):
             inside = abs(c) <= span and (not lamps or -reach <= lamps[0] <= lamps[-1] <= reach)
             return sum(1 << (w + reach + q) for q in lamps) + c + span if inside else None
 
+        lamps_of_byte = _ByteLamps()
+
         def decode(code: int) -> tuple:
+            # a byte at a time from the lowest lit one; bit 0 of the mask is lamp -reach
             lamps, mask = [], code >> w
-            while mask:
-                bit = mask & -mask
-                lamps.append(bit.bit_length() - 1 - reach)
-                mask ^= bit
+            if mask:
+                low = ((mask & -mask).bit_length() - 1) & -8
+                mask >>= low
+                base = low - reach
+                while mask:
+                    lamps += lamps_of_byte[base][mask & 255]
+                    mask >>= 8
+                    base += 8
             return tuple(lamps), (code & field) - span
 
         return Codec(codes, step, encode, decode)
@@ -857,7 +872,7 @@ class Lamplighter(Group):
         return {"lamps": [str(q) for q in lamps], "cursor": str(cursor)}
 
     def payload_from_json(self, obj: Any) -> tuple:
-        return self.canonical_payload((tuple(int(q) for q in obj["lamps"]), int(obj["cursor"])))
+        return self.canonical_payload((tuple(map(json_int, obj["lamps"])), json_int(obj["cursor"])))
 
     def payload_from_token(self, token: str) -> tuple:
         # "t", "a", or "lamps@cursor" with lamps dot-separated, e.g. "-1.0.1@0"

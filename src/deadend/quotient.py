@@ -9,12 +9,12 @@ construction by closing the images under multiplication.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import reduce
 from itertools import combinations, islice
 from typing import Any, Iterable, Iterator, Optional, Sequence
 
-from .cayley import Ball, Budget, DEFAULT_BUDGET, ball, bfs_layers
+from .cayley import Ball, Budget, BudgetExceededError, DEFAULT_BUDGET, ball, bfs_layers
 from .groups import (
     Cyclic,
     GeneratingSet,
@@ -164,8 +164,8 @@ def word_quotient(
     return QuotientMap(source_gens, target, images)
 
 
-def check_homomorphism(pi: QuotientMap, max_word_len: int = 8) -> None:
-    """Verify that the generator images define a homomorphism.
+def check_homomorphism(pi: QuotientMap, max_word_len: int = 8) -> bool:
+    """Verify that the generator images define a homomorphism: True if exactly, False by probe.
 
     Raises HomomorphismError when two S-words for one source element map
     to different images.  On the integers and on ``IntegerGrid`` sources
@@ -181,7 +181,7 @@ def check_homomorphism(pi: QuotientMap, max_word_len: int = 8) -> None:
     gens = pi.source_gens
     if isinstance(gens.group, (IntegerLine, IntegerGrid)):
         _check_lattice_homomorphism(pi)
-        return
+        return True
     mul_s = gens.group.mul_payload
     mul_t = pi.target.mul_payload
     signed = list(range(1, len(gens.entries) + 1))
@@ -201,6 +201,7 @@ def check_homomorphism(pi: QuotientMap, max_word_len: int = 8) -> None:
             known = image_of.setdefault(src, img)
             if known != img:
                 raise HomomorphismError(f"two words for {src!r} map to different images")
+    return gens.group.order() is not None
 
 
 def _check_lattice_homomorphism(pi: QuotientMap) -> None:
@@ -292,11 +293,16 @@ class DiameterReport:
 
 
 def group_ball(target: Group, gens: GeneratingSet, budget: Budget = DEFAULT_BUDGET) -> Ball:
-    """Ball covering a whole finite group; errors if gens do not generate."""
+    """Ball covering a whole finite group; errors if gens do not generate.  The BFS
+    runs to closure under the element budget, and the radius it reaches is budgeted."""
     order = target.order()
     if order is None:
         raise ValueError("a full group ball requires a finite group")
-    b = ball(target, gens, radius=order, budget=budget)
+    b = ball(target, gens, order, replace(budget, max_radius=max(order, budget.max_radius)))
+    reached = len(b.sphere_sizes) - 1
+    if reached > budget.max_radius:
+        message = f"the whole-group BFS reached radius {reached}, above {budget.max_radius}"
+        raise BudgetExceededError(message, radius_reached=reached, elements_seen=len(b))
     if len(b) != order:
         raise SurjectivityError(f"generators reach only {len(b)} of {order} elements")
     return b

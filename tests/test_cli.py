@@ -277,6 +277,29 @@ def test_diameter_command(tmp_path):
     assert report["results"]["witness"] == "5"
 
 
+def test_paper_safe_family_starts_at_the_counting_bound(tmp_path, monkeypatch):
+    import deadend.quotient
+
+    built = []
+    real = deadend.quotient.cyclic_quotient
+    monkeypatch.setattr(deadend.quotient, "cyclic_quotient",
+                        lambda gens, m: built.append(m) or real(gens, m))
+    code, report = run(tmp_path, "construct", "--group", "zz", "--gens", "1", "--quotient",
+                       "cyclic", "--quotient-mode", "paper_safe", "--target-depth", "3")
+    assert code == EXIT_OK and report["results"]["passed"]
+    assert report["inputs"]["quotient_order"] == 243  # 3^5, for n' = 5
+    assert built == [243]
+
+
+def test_diameter_command_budgets_the_radius_reached(tmp_path):
+    code, report = run(tmp_path, "diameter", "--group", "cyclic:10001", "--gens", "1")
+    assert code == EXIT_OK
+    assert report["results"]["diameter"] == 5000
+    code, _ = run(tmp_path, "diameter", "--group", "cyclic:100", "--gens", "1",
+                  "--budget-radius", "10", name="small.json")
+    assert code == EXIT_BUDGET
+
+
 def test_profile_command_with_csv(tmp_path):
     csv_path = tmp_path / "profile.csv"
     code, report = run(

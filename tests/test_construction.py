@@ -37,7 +37,13 @@ from deadend.groups import (
     invert_word,
     standard_gens,
 )
-from deadend.quotient import cyclic_quotient, diameter, group_ball, word_quotient
+from deadend.quotient import (
+    HomomorphismError,
+    cyclic_quotient,
+    diameter,
+    group_ball,
+    word_quotient,
+)
 
 ZZ = IntegerLine()
 UNIT = GeneratingSet([ZZ.element(1)])
@@ -457,13 +463,54 @@ WALK_CASES = {
 
 
 @pytest.mark.parametrize("case", sorted(WALK_CASES))
-def test_walk_depth_matches_depth_search(case):
+def test_walk_depth_matches_depth_search(case, monkeypatch):
     make, rendered = WALK_CASES[case]
+    # exact homomorphism check: the certificates prove depth >= d+1, no search runs
     ctx = make()
+    assert ctx.homomorphism_exact
+    report = ctx.verify()
+    assert report.depth_value is None
+    assert report.to_json()["witness_depth_search"] == "not run"
+    assert not depth(ctx.a_ball, ctx.witness.element, cap=ctx.params.d).is_finite
+    # a check that is only a probe: the BFS cross-check and its depth search run
+    monkeypatch.setattr(deadend.construction, "check_homomorphism", lambda pi: False)
+    ctx = make()
+    assert not ctx.homomorphism_exact
     report = ctx.verify()
     reference = depth(ctx.a_ball, ctx.witness.element, cap=ctx.params.d + 1)
     assert report.depth_value == reference
     assert report.depth_value.render() == rendered
+    assert report.to_json()["witness_depth_search"] == rendered
+
+
+@pytest.mark.parametrize("case", sorted(WALK_CASES))
+def test_norm_column_is_the_bfs_norm(case):
+    ctx = WALK_CASES[case][0]()
+    report = ctx.verify()
+    for (element, _), row in zip(ctx.witness_neighborhood(), report.rows):
+        assert row["element"] == str(element)
+        assert row["norm_A"] == row["certificate_k"] == ctx.a_ball.norm(element)
+
+
+def test_verify_on_an_exact_source_builds_no_a_ball(monkeypatch):
+    built = []
+    real = deadend.construction.ball_cached
+    monkeypatch.setattr(deadend.construction, "ball_cached",
+                        lambda group, gens, *rest: built.append(gens) or real(group, gens, *rest))
+    ctx = Construction.build(_GRID, word_quotient(_GRID, Cyclic(10), [Cyclic(10).element(1)] * 2),
+                             target_depth=2, bound_mode="tight")
+    assert ctx.verify().passed
+    assert ctx.certify(ctx.witness_neighborhood()[-1][0]).k <= ctx.params.n
+    assert built == [_GRID]  # the S-ball only
+    assert "a_ball" not in vars(ctx)
+
+
+def test_construction_rejects_a_library_quotient_that_is_not_a_homomorphism():
+    # 21 -> 2, but 21 = 21 * 1 -> 1 in C_10: only words of 21 letters or more disagree
+    gens = GeneratingSet([ZZ.element(1), ZZ.element(21)])
+    pi = word_quotient(gens, Cyclic(10), [Cyclic(10).element(1), Cyclic(10).element(2)])
+    with pytest.raises(HomomorphismError, match="map to different images"):
+        Construction.build(gens, pi, target_depth=2, bound_mode="tight")
 
 
 @pytest.mark.parametrize("case", sorted(WALK_CASES))
@@ -507,7 +554,7 @@ def test_verify_construction_c10(c10_ctx):
         assert row["norm_A"] <= 5
         assert row["certificate_ok"]
         assert 3 <= row["certificate_k"] <= 5
-    assert report.depth_value.render() == ">=3"
+    assert report.to_json()["witness_depth_search"] == "not run"
 
 
 def test_verify_construction_c10_tight():
@@ -530,7 +577,7 @@ def test_verify_construction_c22():
     assert ctx.params.N == 66
     report = ctx.verify()
     assert report.passed
-    assert report.depth_value.render() == ">=4"
+    assert report.to_json()["witness_depth_search"] == "not run"
     dv = depth(ctx.a_ball, ctx.witness.element, cap=30)
     assert dv == type(dv).finite(9)
 
@@ -558,8 +605,11 @@ def test_construction_with_cache(tmp_path):
     ctx1 = Construction.build(
         UNIT, cyclic_quotient(UNIT, 10), target_depth=3, cache_dir=tmp_path
     )
+    assert ctx1.verify().passed
     files = sorted(p.name for p in tmp_path.glob("ball-*.bin"))
-    assert len(files) == 2  # S-ball and A-ball
+    assert len(files) == 1  # the S-ball: an exact homomorphism check needs no A-ball
+    assert ctx1.a_ball.norm(ctx1.witness.element) == 5  # read on request, it is cached too
+    assert len(list(tmp_path.glob("ball-*.bin"))) == 2
     ctx2 = Construction.build(
         UNIT, cyclic_quotient(UNIT, 10), target_depth=3, cache_dir=tmp_path
     )
@@ -567,6 +617,7 @@ def test_construction_with_cache(tmp_path):
         e.payload for e in ctx1.built.genset.entries
     ]
     assert ctx2.verify().passed
+    assert ctx2.a_ball.dist == ctx1.a_ball.dist
 
 
 def test_budget_propagates():

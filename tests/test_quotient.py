@@ -10,6 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from deadend.cayley import Budget, BudgetExceededError
 from deadend.groups import (
     Cyclic,
     Dihedral,
@@ -125,6 +126,22 @@ def test_homomorphism_check_cyclic_and_word():
     check_homomorphism(cyclic_quotient(UNIT, 10))
     target = Cyclic(6)
     check_homomorphism(word_quotient(UNIT, target, [target.element(1)]))
+
+
+def test_homomorphism_check_reports_whether_it_was_exact():
+    c6 = Cyclic(6)
+    grid = standard_gens(IntegerGrid(2))
+    c12 = GeneratingSet([Cyclic(12).element(1)])
+    lamp = standard_gens(Lamplighter())
+    assert check_homomorphism(word_quotient(UNIT, c6, [c6.element(1)])) is True
+    assert check_homomorphism(word_quotient(grid, c6, [c6.element(1)] * 2)) is True
+    assert check_homomorphism(word_quotient(c12, c6, [c6.element(1)])) is True
+    d4 = Dihedral(4)
+    d8_to_d4 = word_quotient(standard_gens(Dihedral(8)), d4, [d4.element((1, 0)),
+                                                             d4.element((0, 1))])
+    assert check_homomorphism(d8_to_d4) is True
+    parity = word_quotient(lamp, Cyclic(2), [Cyclic(2).element(0), Cyclic(2).element(1)])
+    assert check_homomorphism(parity) is False
 
 
 @pytest.mark.parametrize(
@@ -267,6 +284,18 @@ def test_diameter_errors_when_gens_do_not_generate():
     group = Cyclic(10)
     with pytest.raises(SurjectivityError):
         diameter(group, GeneratingSet([group.element(2)]))
+
+
+def test_whole_group_bfs_is_held_to_the_radius_it_reaches():
+    # order 10,001 is above the default radius budget, the diameter is not
+    big = Cyclic(10_001)
+    assert diameter(big, GeneratingSet([big.element(1)])).diameter == 5000
+    small = Cyclic(100)
+    with pytest.raises(BudgetExceededError, match="reached radius 50"):
+        diameter(small, GeneratingSet([small.element(1)]), Budget(max_radius=10))
+    assert diameter(small, GeneratingSet([small.element(1)]), Budget(max_radius=50)).diameter == 50
+    with pytest.raises(BudgetExceededError, match="element budget"):
+        diameter(small, GeneratingSet([small.element(1)]), Budget(max_elements=20))
 
 
 def test_diameter_witness_max_length_invariant():

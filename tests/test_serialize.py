@@ -8,6 +8,7 @@ import pytest
 
 from deadend.groups import (
     Cyclic,
+    InvalidElementError,
     Dihedral,
     GeneratingSet,
     IntegerGrid,
@@ -72,6 +73,31 @@ def test_formats_are_pinned(group, payload, group_text, payload_text):
     assert dumps(group_to_json(group)) == group_text
     assert dumps(payload_to_json(group, payload)) == payload_text
     assert payload_from_json(group, json.loads(payload_text)) == payload
+
+
+# Per variant: a payload with a float where an integer belongs, and one with a boolean.
+NON_INTEGER_PAYLOADS = [
+    (GROUPS[0], 1.9),
+    (GROUPS[0], True),
+    (GROUPS[2], ["1", 2.0, "3"]),
+    (GROUPS[2], ["1", True, "3"]),
+    (GROUPS[3], 2.7),
+    (GROUPS[3], False),
+    (GROUPS[4], {"rot": 2.7, "ref": "0"}),
+    (GROUPS[4], {"rot": "2", "ref": True}),
+    (GROUPS[5], {"lamps": ["-2", 1.0], "cursor": "3"}),
+    (GROUPS[5], {"lamps": [], "cursor": True}),
+    (GROUPS[6], 3.0),
+    (GROUPS[6], True),
+]
+
+
+@pytest.mark.parametrize("group, obj", NON_INTEGER_PAYLOADS,
+                         ids=[f"{g.variant}-{('float', 'bool')[i % 2]}"
+                              for i, (g, _) in enumerate(NON_INTEGER_PAYLOADS)])
+def test_payload_from_json_rejects_floats_and_booleans(group, obj):
+    with pytest.raises(InvalidElementError, match="malformed payload"):
+        payload_from_json(group, obj)
 
 
 @pytest.mark.parametrize("doc", [
