@@ -9,8 +9,8 @@ per generator in listed order, positive sign before negative.  Distances
 are exact; parent letters make geodesic recovery O(length).  A ball runs
 and keeps its BFS on the element codes of ``Group.integer_code`` (ints for
 Z, Z^k and the lamplighter while they stay small, else payloads) and
-decodes only at the edge: payload lookups and iteration, the cache and the
-CSV.
+decodes only at the edge: payload lookups and iteration, and the CSV.  The
+disk cache keeps the BFS tree and rebuilds each code from its parent's.
 """
 
 from __future__ import annotations
@@ -19,14 +19,15 @@ import csv
 import hashlib
 import os
 import struct
+import sys
 import time
-from contextlib import suppress
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
-from itertools import count, islice
+from itertools import chain, count, islice, repeat
 from typing import Any, Callable, Iterator, Optional, Sequence, Union
 
-from .groups import Codec, GeneratingSet, Group, GroupElement, GroupError, Word
+from .groups import Codec, GeneratingSet, Group, GroupElement, Word
 from .serialize import dumps, genset_to_json, group_to_json
 
 __all__ = [
@@ -44,9 +45,9 @@ __all__ = [
 ]
 
 CACHE_MAGIC = b"DECB"
-CACHE_VERSION = 1
-_LENGTH = struct.Struct(">H")
-_LINK = struct.Struct(">Ii")
+CACHE_VERSION = 2
+# magic, version, content hash, radius, element count, sphere count
+_HEADER = struct.Struct(">4sH32sIQI")
 
 
 @dataclass(frozen=True)
@@ -262,92 +263,109 @@ def ball_content_hash(group: Group, gens: GeneratingSet, radius: int) -> str:
     return hashlib.sha256(dumps(doc).encode("utf-8")).hexdigest()
 
 
-def save_ball(b: Ball, path: Union[str, Path]) -> None:
-    """Write a ball to disk: header (magic, version, content hash), records.
+def save_ball(b: Ball, path: Union[str, Path], *, digest: Optional[str] = None) -> None:
+    """Write a ball to disk as its BFS tree: a header, then three columns.
 
-    The bytes go to a temporary file that is then renamed over ``path``,
-    so a crash mid-write never leaves a truncated cache file behind.  An
-    element encoding too long for a record's 2-byte length is a ValueError.
+    The header holds magic, version, content hash (``digest`` when the
+    caller has it, else hashed here), radius, element count and sphere
+    count.  The big-endian columns are the sphere sizes (u64), then, per
+    record in BFS order, its parent's index (u32) and its parent letter
+    (i32); no element is stored.  The bytes go to a temporary file that is
+    then renamed over ``path``, so a crash mid-write never leaves a
+    truncated cache file behind.
     """
     path = Path(path)
-    digest = bytes.fromhex(ball_content_hash(b.group, b.gens, b.radius))
-    encode, decode = b.group.encode_payload, b.codec.decode
+    digest = digest or ball_content_hash(b.group, b.gens, b.radius)
+    index = dict(zip(b.dist, count()))
+    step, back = b.codec.step, b.letter_codes
+    parents = array("I", [0])
+    parents.extend([index[step(code, back[-letter])]
+                    for code, letter in islice(b.parent.items(), 1, None)])
+    columns = [array("Q", b.sphere_sizes), parents, array("i", b.parent.values())]
+    if sys.byteorder == "little":
+        for column in columns:
+            column.byteswap()
+    header = _HEADER.pack(CACHE_MAGIC, CACHE_VERSION, bytes.fromhex(digest), b.radius, len(b),
+                          len(b.sphere_sizes))
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as fh:
-            fh.write(CACHE_MAGIC)
-            fh.write(struct.pack(">H", CACHE_VERSION))
-            fh.write(digest)
-            fh.write(struct.pack(">IQ", b.radius, len(b.dist)))
-            for (code, d), letter in zip(b.dist.items(), b.parent.values()):
-                enc = encode(decode(code))
-                if len(enc) > 0xFFFF:
-                    raise ValueError(f"an element encodes to {len(enc)} bytes, above the "
-                                     "65535-byte limit of a ball cache record")
-                fh.write(_LENGTH.pack(len(enc)) + enc + _LINK.pack(d, letter))
+            fh.write(header)
+            for column in columns:
+                column.tofile(fh)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
 
 
-def load_ball(path: Union[str, Path], group: Group, gens: GeneratingSet) -> Ball:
+def load_ball(
+    path: Union[str, Path],
+    group: Group,
+    gens: GeneratingSet,
+    *,
+    key: Optional[tuple[int, str]] = None,
+) -> Ball:
     """Reload a cached ball; the stored content hash must match (group, gens, R).
 
-    Records must come in non-decreasing distance, the identity alone at
-    distance 0 with letter 0, and every other record's parent step (one
-    step on its code) must land on a record one layer closer.
+    ``key``, a radius and its ``ball_content_hash`` when the caller has
+    hashed already, must equal the stored radius and hash; without it the
+    stored radius is hashed here.
+
+    Each element is rebuilt as its parent's code stepped by its letter, so
+    the checks are structural: the file length matches the header; the
+    sphere sizes are nonzero, start with 1, sum to the count and number at
+    most radius + 1; record 0 is the identity with parent 0 and letter 0;
+    every parent lies in the previous sphere; every letter is one of
+    ``gens``; the rebuilt codes are distinct.  Every element then lies
+    within its claimed distance, and as many distinct elements as the ball
+    holds make up the whole ball, at exact distances.
     Raises ValueError on a foreign, mismatched, truncated or garbled file.
     """
     with open(path, "rb") as fh:
         data = fh.read()
-    if data[:4] != CACHE_MAGIC:
-        raise ValueError(f"not a ball cache file: {path}")
-    decode = group.decode_payload
-    dist: dict = {}
-    parent: dict = {}
-    spheres: list[int] = []
     try:
-        (version,) = struct.unpack_from(">H", data, 4)
-        if version != CACHE_VERSION:
-            raise ValueError(f"unsupported ball cache version {version}")
-        digest = data[6:38].hex()
-        radius, count = struct.unpack_from(">IQ", data, 38)
-        if digest != ball_content_hash(group, gens, radius):
-            raise ValueError("ball cache content hash does not match (group, gens, radius)")
+        magic, version, stored, radius, size, layers = _HEADER.unpack_from(data)
+    except struct.error:
+        raise ValueError(f"truncated ball cache file: {path}") from None
+    if magic != CACHE_MAGIC:
+        raise ValueError(f"not a ball cache file: {path}")
+    if version != CACHE_VERSION:
+        raise ValueError(f"unsupported ball cache version {version}")
+    if len(data) != _HEADER.size + 8 * layers + 8 * size:
+        raise ValueError(f"ball cache file length does not match its header: {path}")
+    if (radius, stored.hex()) != (key or (radius, ball_content_hash(group, gens, radius))):
+        raise ValueError("ball cache content hash does not match (group, gens, radius)")
+    spheres, parents, letters = array("Q"), array("I"), array("i")
+    view = memoryview(data)[_HEADER.size :]
+    spheres.frombytes(view[: 8 * layers])
+    parents.frombytes(view[8 * layers : 8 * layers + 4 * size])
+    letters.frombytes(view[8 * layers + 4 * size :])
+    if sys.byteorder == "little":
+        for column in (spheres, parents, letters):
+            column.byteswap()
+    garbled = ValueError(f"garbled sphere sizes, parents or letters in {path}")
+    if not (0 < layers <= radius + 1 and spheres[0] == 1 and 0 not in spheres
+            and sum(spheres) == size):
+        raise garbled
+    dists = list(chain.from_iterable(map(repeat, range(layers), spheres)))
+    # each record's parent is one sphere closer; the identity is its own parent
+    closer = [0, *chain.from_iterable(map(repeat, range(layers), spheres[1:]))]
+    try:
+        if letters[0] or list(map(dists.__getitem__, parents)) != closer:
+            raise garbled
         codec = _codec(gens, radius)
-        encode, step, back = codec.encode, codec.step, dict(zip(gens.letters, codec.codes))
-        identity = encode(group.identity_payload())
-        offset = 50
-        for _ in range(count):
-            (enc_len,) = _LENGTH.unpack_from(data, offset)
-            offset += 2
-            payload = decode(data[offset : offset + enc_len])
-            offset += enc_len
-            d, letter = _LINK.unpack_from(data, offset)
-            offset += 8
-            code = encode(payload)
-            if code is None:
-                raise GroupError(f"{payload!r} lies outside the codes of this ball")
-            if d == 0:
-                linked = letter == 0 and code == identity and not dist
-            else:
-                # Exact: the codes cover 2 * radius + 1 steps, so a step from a
-                # code in their range lands on its product's code or on none here.
-                s = back.get(-letter)
-                linked = s is not None and dist.get(step(code, s)) == d - 1
-            if d == len(spheres):
-                spheres.append(0)
-            if d > radius or d != len(spheres) - 1 or code in dist or not linked:
-                raise ValueError(f"garbled parent links or distances in {path}")
-            dist[code] = d
-            parent[code] = letter
-            spheres[d] += 1
-    except (struct.error, IndexError, GroupError) as exc:
-        raise ValueError(f"truncated or garbled ball cache file: {path}") from exc
-    if not spheres:
-        raise ValueError(f"no identity record in {path}")
-    return Ball(group, gens, radius, dist, parent, tuple(spheres), codec)
+        step, steps = codec.step, map(dict(zip(gens.letters, codec.codes)).__getitem__, letters[1:])
+        codes = [codec.encode(group.identity_payload())]
+        append = codes.append
+        for p, s in zip(parents[1:], steps):
+            append(step(codes[p], s))
+    except (IndexError, KeyError):
+        raise garbled from None
+    dist = dict(zip(codes, dists))
+    if len(dist) != size:
+        raise garbled
+    return Ball(group, gens, radius, dist, dict(zip(codes, letters)), tuple(spheres), codec)
 
 
 def ball_cached(
@@ -359,24 +377,23 @@ def ball_cached(
 ) -> Ball:
     """Compute a ball or reload it from ``cache_dir``, keyed by content hash.
 
+    The content hash is computed once and passed to the load and the save.
     A cache file that cannot be loaded counts as a miss and is rewritten.
-    Without a ``cache_dir``, or when an element is too long for a cache
-    record, the ball is computed and nothing is cached.
+    Without a ``cache_dir`` the ball is computed and nothing is cached.
     """
     if not cache_dir:
         return ball(group, gens, radius, budget)
     cache_dir = Path(cache_dir)
     cache_dir.mkdir(parents=True, exist_ok=True)
-    key = ball_content_hash(group, gens, radius)
-    path = cache_dir / f"ball-{key[:24]}.bin"
+    digest = ball_content_hash(group, gens, radius)
+    path = cache_dir / f"ball-{digest[:24]}.bin"
     if path.exists():
         try:
-            return load_ball(path, group, gens)
+            return load_ball(path, group, gens, key=(radius, digest))
         except (OSError, ValueError):
             pass
     b = ball(group, gens, radius, budget)
-    with suppress(ValueError):  # an element too long for a cache record
-        save_ball(b, path)
+    save_ball(b, path, digest=digest)
     return b
 
 

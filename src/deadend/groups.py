@@ -1,10 +1,9 @@
 """Element algebra for a fixed menu of finitely generated groups.
 
-Every group object owns a canonical payload encoding for its elements:
-equal elements have identical payloads (and identical byte encodings via
-``encode_payload``), so payloads can key hash tables directly.  All
-arithmetic is exact; integer payloads are capped at a configurable bit
-width and overflow is a hard error, never a silent wrap.
+Every group object owns a canonical payload for each of its elements:
+equal elements have identical payloads, so payloads can key hash tables
+directly.  All arithmetic is exact; integer payloads are capped at a
+configurable bit width and overflow is a hard error, never a silent wrap.
 
 Words are read through one signed-letter table per generating set
 (``letter_table``) and evaluated by one fold (``fold_word``), which
@@ -12,10 +11,10 @@ rejects a letter missing from the table as it reaches it; ``WordFold``
 gives the same results faster, over integer codes or letter tables.
 Walks (balls, depth searches) step on the element codes of ``Group.integer_code``.
 
-Each group class owns its formats: the byte encoding of a payload, its
-text, its JSON shape and CLI token, the ``group.v1`` parameter fields and
-the standard generators.  A class registers under its ``variant`` name as
-it is defined, so a new variant is one class.
+Each group class owns its formats: the text of a payload, its JSON shape
+and CLI token, the ``group.v1`` parameter fields and the standard
+generators.  A class registers under its ``variant`` name as it is
+defined, so a new variant is one class.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from __future__ import annotations
 import re
 from abc import ABC, abstractmethod
 from itertools import accumulate, chain
-from operator import add, itemgetter, lt
+from operator import add, itemgetter
 from typing import Any, Callable, ClassVar, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 __all__ = [
@@ -110,10 +109,10 @@ def json_field(doc: dict, key: str, kind: Any = object) -> Any:
 
 
 def _set_bits(group: "Group", bits: int) -> None:
-    """Give a capped integer group its ``bits``, payload cap and byte width."""
+    """Give a capped integer group its ``bits`` and payload cap."""
     if not isinstance(bits, int) or bits < 8 or bits > 1024 or bits % 8:
         raise ValueError(f"bit-width cap must be a multiple of 8 in [8, 1024], got {bits}")
-    group.bits, group._cap, group._width = bits, (1 << (bits - 1)) - 1, bits // 8
+    group.bits, group._cap = bits, (1 << (bits - 1)) - 1
 
 
 class Group(ABC):
@@ -153,12 +152,6 @@ class Group(ABC):
     @abstractmethod
     def inv_payload(self, p: Any) -> Any: ...
 
-    @abstractmethod
-    def encode_payload(self, p: Any) -> bytes: ...
-
-    @abstractmethod
-    def decode_payload(self, data: bytes) -> Any: ...
-
     def format_payload(self, p: Any) -> str:
         return str(p)
 
@@ -179,7 +172,7 @@ class Group(ABC):
         else the identity codec (codes are payloads, ``step`` is ``mul_payload``)."""
         return Codec(list(payloads), self.mul_payload, _same, _same)
 
-    # Formats besides bytes; the defaults suit integer payloads.
+    # Formats; the defaults suit integer payloads.
 
     def params_to_json(self) -> dict:
         """The ``group.v1`` parameter fields, integers as decimal strings."""
@@ -253,9 +246,6 @@ class GroupElement:
 
     def is_identity(self) -> bool:
         return self.payload == self.group.identity_payload()
-
-    def encode(self) -> bytes:
-        return self.group.encode_payload(self.payload)
 
     def __str__(self) -> str:
         return self.group.format_payload(self.payload)
@@ -482,12 +472,6 @@ class IntegerLine(Group):
             return super().integer_code(payloads, radius)
         return Codec(list(payloads), add, lambda p: p if -reach <= p <= reach else None, _same)
 
-    def encode_payload(self, p: int) -> bytes:
-        return p.to_bytes(self._width, "big", signed=True)
-
-    def decode_payload(self, data: bytes) -> int:
-        return int.from_bytes(data, "big", signed=True)
-
     def standard_gens(self) -> GeneratingSet:
         return GeneratingSet([self.element(1)], ["1"])
 
@@ -565,15 +549,6 @@ class IntegerGrid(Group):
 
         return Codec(codes, add, encode, decode)
 
-    def encode_payload(self, p: tuple) -> bytes:
-        return b"".join(c.to_bytes(self._width, "big", signed=True) for c in p)
-
-    def decode_payload(self, data: bytes) -> tuple:
-        w = self._width
-        return tuple(
-            int.from_bytes(data[i * w : (i + 1) * w], "big", signed=True) for i in range(self.rank)
-        )
-
     def format_payload(self, p: tuple) -> str:
         return "(" + ",".join(str(c) for c in p) + ")"
 
@@ -627,15 +602,6 @@ class Cyclic(Group):
 
     def inv_payload(self, p: int) -> int:
         return (-p) % self.modulus
-
-    def encode_payload(self, p: int) -> bytes:
-        return p.to_bytes(8, "big")
-
-    def decode_payload(self, data: bytes) -> int:
-        p = int.from_bytes(data, "big")
-        if p >= self.modulus:
-            raise InvalidElementError(f"residue {p} is not below the modulus {self.modulus}")
-        return p
 
     def standard_gens(self) -> GeneratingSet:
         if self.modulus == 1:
@@ -695,16 +661,6 @@ class Dihedral(Group):
         if s:
             return p
         return ((-r) % self.m, 0)
-
-    def encode_payload(self, p: tuple) -> bytes:
-        r, s = p
-        return r.to_bytes(8, "big") + bytes([s])
-
-    def decode_payload(self, data: bytes) -> tuple:
-        r, s = int.from_bytes(data[:8], "big"), data[8]
-        if r >= self.m or s > 1:
-            raise InvalidElementError(f"({r}, {s}) is not a canonical element of D_{self.m}")
-        return (r, s)
 
     def format_payload(self, p: tuple) -> str:
         r, s = p
@@ -844,25 +800,6 @@ class Lamplighter(Group):
 
         return Codec(codes, step, encode, decode)
 
-    def encode_payload(self, p: tuple) -> bytes:
-        lamps, c = p
-        w = self._width
-        parts = [c.to_bytes(w, "big", signed=True), len(lamps).to_bytes(4, "big")]
-        parts.extend(pos.to_bytes(w, "big", signed=True) for pos in lamps)
-        return b"".join(parts)
-
-    def decode_payload(self, data: bytes) -> tuple:
-        w = self._width
-        cursor = int.from_bytes(data[:w], "big", signed=True)
-        n = int.from_bytes(data[w : w + 4], "big")
-        lamps = tuple(
-            int.from_bytes(data[w + 4 + i * w : w + 4 + (i + 1) * w], "big", signed=True)
-            for i in range(n)
-        )
-        if not all(map(lt, lamps, lamps[1:])):
-            raise InvalidElementError(f"lamp positions {lamps} are not strictly increasing")
-        return (lamps, cursor)
-
     def format_payload(self, p: tuple) -> str:
         lamps, c = p
         return "{" + " ".join(str(x) for x in lamps) + "}@" + str(c)
@@ -997,15 +934,6 @@ class TableGroup(Group):
 
     def inv_payload(self, p: int) -> int:
         return self._inverse[p]
-
-    def encode_payload(self, p: int) -> bytes:
-        return p.to_bytes(4, "big")
-
-    def decode_payload(self, data: bytes) -> int:
-        p = int.from_bytes(data, "big")
-        if p >= self._m:
-            raise InvalidElementError(f"element id {p} out of range 0..{self._m - 1}")
-        return p
 
     def params_to_json(self) -> dict:
         table = [[str(x) for x in row] for row in self.table]

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+import time
 from itertools import islice
 from operator import add
 
@@ -11,12 +12,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from deadend import cayley
 from deadend.cayley import (
     Ball,
     Budget,
     BudgetExceededError,
     ball,
     ball_cached,
+    ball_content_hash,
     ball_to_csv,
     bfs_layers,
     load_ball,
@@ -33,6 +36,7 @@ from deadend.groups import (
     IntegerLine,
     Lamplighter,
     RangeOverflowError,
+    TableGroup,
     evaluate_word,
     standard_gens,
 )
@@ -275,113 +279,248 @@ def test_ball_cached_reuses_file(tmp_path):
     assert list(b2.payloads()) == list(b1.payloads())
 
 
-def test_ball_cache_skips_an_element_too_long_for_a_record(tmp_path):
-    # 1024 coordinates of 64 bytes: the identity encodes to 65,536 bytes, one
-    # more than a record's 2-byte length field holds
+def test_ball_cache_keeps_a_rank_1024_ball(tmp_path):
+    # 1024 coordinates of 64 bytes: one element took 65,536 bytes in the
+    # version-1 records, too long to cache; the BFS tree has no element bytes
     grid = IntegerGrid(1024, bits=512)
-    assert len(grid.encode_payload(grid.identity_payload())) == 65_536
-    gens = GeneratingSet([grid.element((1,) + (0,) * 1023)])
-    with pytest.raises(ValueError, match="above the 65535-byte limit"):
-        save_ball(ball(grid, gens, 0), tmp_path / "ball.bin")
-    assert list(tmp_path.iterdir()) == []
-    cache = tmp_path / "cache"
-    assert ball_cached(grid, gens, 0, cache).sphere_sizes == (1,)
-    assert list(cache.iterdir()) == []
+    gens = GeneratingSet([grid.element((1,) + (0,) * 1023), grid.element((0, 1) + (0,) * 1022)])
+    b = ball_cached(grid, gens, 2, tmp_path)
+    (path,) = tmp_path.glob("ball-*.bin")
+    loaded = load_ball(path, grid, gens)
+    assert ball_record(loaded) == ball_record(b)
+    assert ball_record(ball_cached(grid, gens, 2, tmp_path)) == ball_record(b)
 
 
-# Offset and new bytes per field of a D_7 record.  Records are 19 bytes from
-# offset 50: a 2-byte length, a 9-byte encoding, a 4-byte distance and a
-# 4-byte parent letter.  The first record is the identity; the parent letter
-# of the second (the rotation r) flipped from +1 to -1 names r^2 as parent.
+def test_ball_cached_hashes_once_per_call(tmp_path, monkeypatch):
+    calls = []
+    real = cayley.ball_content_hash
+    monkeypatch.setattr(cayley, "ball_content_hash",
+                        lambda *args: calls.append(args) or real(*args))
+    gens = standard_gens(Lamplighter())
+    miss = ball_cached(Lamplighter(), gens, 3, tmp_path)
+    assert len(calls) == 1
+    hit = ball_cached(Lamplighter(), gens, 3, tmp_path)
+    assert len(calls) == 2
+    assert ball_record(hit) == ball_record(miss)
+
+
+# The version-2 layout: a header of magic, version, content hash, radius,
+# count and sphere count, then the big-endian columns of sphere sizes (u64),
+# parent indices (u32) and parent letters (i32).
+HEADER_FIELDS = {"radius": (38, 4), "count": (42, 8), "layers": (50, 4)}
+
+
+def column_offset(b, column, i):
+    """Offset of entry i of a column in the version-2 bytes of ball b."""
+    layers, size = len(b.sphere_sizes), len(b)
+    return 54 + {"spheres": 8 * i, "parents": 8 * layers + 4 * i,
+                 "letters": 8 * layers + 4 * size + 4 * i}[column]
+
+
+def patched(data, offset, value):
+    return data[:offset] + value + data[offset + len(value):]
+
+
+# Per garbled column of a D_7 ball of radius 3 (spheres 1, 3, 4, 4): the
+# column, the entry and its new big-endian bytes.  Record 4 is r^2, in
+# sphere 2; its parent set to record 0 lies two spheres closer.  Record 1 is
+# r; letter 3 names no generator.  The sizes of the distances 1, 2 and 3
+# sum to one more than the count.
 GARBLED_FIELDS = {
-    "record_length": (50, b"\x00\x08"),
-    "distance": (61, (1000).to_bytes(4, "big")),
-    "parent_letter": (84, (-1).to_bytes(4, "big", signed=True)),
-    # the second record, r = (1, 0), with its rotation raised by 7 to 8
-    "non_canonical_rotation": (71, (8).to_bytes(8, "big")),
+    "distance": ("spheres", 1, (4).to_bytes(8, "big")),
+    "parent_index": ("parents", 4, (0).to_bytes(4, "big")),
+    "parent_letter": ("letters", 1, (3).to_bytes(4, "big", signed=True)),
+    "count": ("header", 42, (13).to_bytes(8, "big")),
 }
 
 
 @pytest.mark.parametrize("field", sorted(GARBLED_FIELDS))
 def test_ball_cached_recomputes_garbled_file(tmp_path, field):
-    offset, value = GARBLED_FIELDS[field]
+    column, i, value = GARBLED_FIELDS[field]
     group = Dihedral(7)
     gens = standard_gens(group)
     b1 = ball_cached(group, gens, 3, tmp_path)
+    assert (b1.sphere_sizes, len(b1)) == ((1, 3, 4, 4), 12)
     (path,) = tmp_path.glob("ball-*.bin")
     data = path.read_bytes()
-    path.write_bytes(data[:offset] + value + data[offset + len(value) :])
+    offset = i if column == "header" else column_offset(b1, column, i)
+    path.write_bytes(patched(data, offset, value))
+    with pytest.raises(ValueError):
+        load_ball(path, group, gens)
     b2 = ball_cached(group, gens, 3, tmp_path)
     assert b2.sphere_sizes == b1.sphere_sizes
     assert path.read_bytes() == data
 
 
-def test_load_ball_rejects_non_canonical_payload(tmp_path):
-    # C_10 under {1}: records are 18 bytes from offset 50 and the last one
-    # is 5.  Written as 15, its parent step (15 + 9 mod 10 = 4) still lands
-    # one layer closer, so only the canonical decode rejects it.
-    c10 = Cyclic(10)
-    gens = gens_of(c10, 1)
-    path = tmp_path / "ball.bin"
-    save_ball(ball(c10, gens, 10), path)
+@pytest.mark.parametrize("field", sorted(HEADER_FIELDS))
+def test_header_field_at_its_maximum_is_a_quick_miss(tmp_path, field):
+    # A garbled version-1 record once named about 4.3e9 lamps and hung the
+    # loader; every field is now checked against the file before it sizes
+    # anything.
+    offset, width = HEADER_FIELDS[field]
+    lamp = Lamplighter()
+    gens = standard_gens(lamp)
+    ball_cached(lamp, gens, 1, tmp_path)
+    (path,) = tmp_path.glob("ball-*.bin")
     data = path.read_bytes()
-    offset = 50 + 9 * 18 + 2
-    assert data[offset : offset + 8] == (5).to_bytes(8, "big")
-    path.write_bytes(data[:offset] + (15).to_bytes(8, "big") + data[offset + 8 :])
-    with pytest.raises(ValueError, match="garbled ball cache file"):
-        load_ball(path, c10, gens)
+    path.write_bytes(patched(data, offset, b"\xff" * width))
+    start = time.monotonic()
+    with pytest.raises(ValueError):
+        load_ball(path, lamp, gens)
+    assert ball_cached(lamp, gens, 1, tmp_path).sphere_sizes == (1, 3)
+    assert time.monotonic() - start < 1
+    assert path.read_bytes() == data
 
 
 def test_garbled_parent_links_raise(tmp_path):
-    # Records of Z under {1} are 18 bytes from offset 50; the parent letter
-    # of the second record (the element 1) is its last 4 bytes.  Flipped
-    # from +1 to -1, the parent of 1 becomes 2, one layer further out.
+    # Z under {1}, radius 3: records 0, 1, -1, 2, -2, 3, -3.  The parent of
+    # record 1 (the element 1) set to record 3 (the element 2) lies one
+    # layer further out, not one closer.
     gens = gens_of(ZZ, 1)
     path = tmp_path / "ball.bin"
-    save_ball(ball(ZZ, gens, 3), path)
+    b = ball(ZZ, gens, 3)
+    save_ball(b, path)
     data = path.read_bytes()
-    offset = 50 + 18 + 14
+    offset = column_offset(b, "parents", 1)
+    assert data[offset : offset + 4] == (0).to_bytes(4, "big")
+    path.write_bytes(patched(data, offset, (3).to_bytes(4, "big")))
+    with pytest.raises(ValueError, match="garbled"):
+        load_ball(path, ZZ, gens)
+
+
+def test_load_ball_rejects_a_repeated_element(tmp_path):
+    # C_10 under {1}: the last record is 5, reached from 4 by +1.  With
+    # letter -1 its parent step lands on 3, already a record: the rebuilt
+    # codes are not distinct.
+    c10 = Cyclic(10)
+    gens = gens_of(c10, 1)
+    path = tmp_path / "ball.bin"
+    b = ball(c10, gens, 10)
+    save_ball(b, path)
+    data = path.read_bytes()
+    offset = column_offset(b, "letters", 9)
     assert data[offset : offset + 4] == (1).to_bytes(4, "big", signed=True)
-    path.write_bytes(data[:offset] + (-1).to_bytes(4, "big", signed=True) + data[offset + 4 :])
-    with pytest.raises(ValueError, match="garbled parent links"):
-        load_ball(path, ZZ, gens)
+    path.write_bytes(patched(data, offset, (-1).to_bytes(4, "big", signed=True)))
+    with pytest.raises(ValueError, match="garbled"):
+        load_ball(path, c10, gens)
 
 
-def test_load_ball_rejects_overflowing_parent_step(tmp_path):
-    # The third record of Z under {1} is -1, letter -1; its payload set to
-    # the 64-bit cap makes the parent step cap + 1 overflow.
+@pytest.mark.parametrize("letter", [0, 2, -(2**31), 2**31 - 1])
+def test_load_ball_rejects_a_letter_outside_gens(tmp_path, letter):
+    # Z under {1}: record 2 is -1 with letter -1; letter 0 belongs to the
+    # identity alone, and no other letter is one of the generators'.
     gens = gens_of(ZZ, 1)
     path = tmp_path / "ball.bin"
-    save_ball(ball(ZZ, gens, 3), path)
+    b = ball(ZZ, gens, 3)
+    save_ball(b, path)
     data = path.read_bytes()
-    offset = 50 + 2 * 18 + 2
-    assert data[offset : offset + 8] == (-1).to_bytes(8, "big", signed=True)
-    cap = (2**63 - 1).to_bytes(8, "big", signed=True)
-    path.write_bytes(data[:offset] + cap + data[offset + 8 :])
-    with pytest.raises(ValueError, match="garbled ball cache file"):
+    offset = column_offset(b, "letters", 2)
+    assert data[offset : offset + 4] == (-1).to_bytes(4, "big", signed=True)
+    path.write_bytes(patched(data, offset, letter.to_bytes(4, "big", signed=True)))
+    with pytest.raises(ValueError, match="garbled"):
         load_ball(path, ZZ, gens)
 
 
-def test_load_ball_rejects_record_whose_parent_step_leaves_the_codes(tmp_path):
-    # Lamplighter under {t^3, a}, radius 2: the codes cover 5 steps, cursors
-    # -15..15 in a 5-bit field.  The last record, rewritten as cursor 15 at
-    # distance 2 with letter -1, lies in their range, but its parent step by
-    # t^3 carries out of the cursor field into the lamp bits.
+@pytest.mark.parametrize("parent", ["own", "next", "past_the_count"])
+def test_load_ball_rejects_a_parent_outside_the_previous_sphere(tmp_path, parent):
+    # Lamplighter under {t^3, a}, radius 2: a parent index in the record's
+    # own sphere, in no sphere yet, or past the last record.
     lamp = Lamplighter()
     gens = gens_of(lamp, ((), 3), ((0,), 0))
     b = ball(lamp, gens, 2)
-    assert b.codec.encode(((), 15)) is not None
     path = tmp_path / "ball.bin"
     save_ball(b, path)
     data = path.read_bytes()
-    last = lamp.encode_payload(list(b.payloads())[-1])
-    assert data[-(len(last) + 8) : -8] == last
-    forged = lamp.encode_payload(((), 15))
-    record = len(forged).to_bytes(2, "big") + forged + (2).to_bytes(4, "big")
-    record += (-1).to_bytes(4, "big", signed=True)
-    path.write_bytes(data[: -(len(last) + 10)] + record)
-    with pytest.raises(ValueError, match="garbled parent links"):
+    i = b.sphere_sizes[0] + b.sphere_sizes[1]  # the first record of sphere 2
+    index = {"own": i, "next": i + 1, "past_the_count": 2**32 - 1}[parent]
+    path.write_bytes(patched(data, column_offset(b, "parents", i), index.to_bytes(4, "big")))
+    with pytest.raises(ValueError, match="garbled"):
         load_ball(path, lamp, gens)
+
+
+def v1_cache_bytes(b):
+    """The version-1 bytes of a ball on Z^k or the lamplighter at 64 bits:
+    header (magic, version, content hash, radius, count), then per record in
+    BFS order a 2-byte length, the element bytes, its distance and its parent
+    letter."""
+
+    def coord(c):
+        return c.to_bytes(8, "big", signed=True)
+
+    def element(p):
+        if isinstance(b.group, Lamplighter):
+            lamps, cursor = p
+            return coord(cursor) + len(lamps).to_bytes(4, "big") + b"".join(map(coord, lamps))
+        return b"".join(map(coord, p))
+
+    out = [b"DECB", (1).to_bytes(2, "big"),
+           bytes.fromhex(ball_content_hash(b.group, b.gens, b.radius)),
+           b.radius.to_bytes(4, "big"), len(b).to_bytes(8, "big")]
+    for p, d, letter in zip(b.payloads(), b.dist.values(), b.parent.values()):
+        enc = element(p)
+        out += [len(enc).to_bytes(2, "big"), enc, d.to_bytes(4, "big"),
+                letter.to_bytes(4, "big", signed=True)]
+    return b"".join(out)
+
+
+def test_version_1_cache_file_is_a_miss_and_rewritten(tmp_path):
+    lamp = Lamplighter()
+    gens = standard_gens(lamp)
+    b = ball(lamp, gens, 4)
+    key = ball_content_hash(lamp, gens, 4)
+    path = tmp_path / f"ball-{key[:24]}.bin"
+    path.write_bytes(v1_cache_bytes(b))
+    with pytest.raises(ValueError, match="version 1"):
+        load_ball(path, lamp, gens)
+    assert ball_record(ball_cached(lamp, gens, 4, tmp_path)) == ball_record(b)
+    save_ball(b, tmp_path / "v2.bin")
+    assert path.read_bytes() == (tmp_path / "v2.bin").read_bytes()
+    assert path.read_bytes()[4:6] == (2).to_bytes(2, "big")
+
+
+def _table_of(group):
+    """An identity-codec copy of a finite group: its multiplication table."""
+    payloads = [x.payload for x in group.elements()]
+    ids = {p: i for i, p in enumerate(payloads)}
+    return TableGroup([[ids[group.mul_payload(p, q)] for q in payloads] for p in payloads], 0)
+
+
+FUZZ_BALLS = {
+    "Z-R5": (ZZ, (1,), 5),
+    "Z2-R3": (IntegerGrid(2), ((1, 0), (0, 1)), 3),
+    "C10-R10": (Cyclic(10), (1,), 10),
+    "D7-R3": (Dihedral(7), ((1, 0), (0, 1)), 3),
+    "lamplighter-R4": (Lamplighter(), (((), 1), ((0,), 0)), 4),
+    "lamplighter-t3-R2": (Lamplighter(), (((), 3), ((0,), 0)), 2),
+    "table-D5-R3": (_table_of(Dihedral(5)), (1, 5), 3),
+}
+
+
+@pytest.mark.parametrize("name", FUZZ_BALLS)
+def test_mutated_cache_bytes_load_the_ball_or_raise(tmp_path, name):
+    # Every byte flipped (^1, ^0x80), and truncations: each mutated file
+    # loads a ball equal to the fresh one, or is a ValueError.
+    group, payloads, radius = FUZZ_BALLS[name]
+    gens = gens_of(group, *payloads)
+    b = ball(group, gens, radius)
+    path = tmp_path / "ball.bin"
+    save_ball(b, path)
+    fresh = load_ball(path, group, gens)
+    assert (fresh.radius, ball_record(fresh)) == (b.radius, ball_record(b))
+    assert all(fresh.geodesic(x) == b.geodesic(x) for x in b.elements())
+    data = path.read_bytes()
+    rng = random.Random(name)
+    mutants = [patched(data, i, bytes([data[i] ^ bit]))
+               for i in range(len(data)) for bit in (1, 0x80)]
+    mutants += [data[:n] for n in sorted(rng.sample(range(len(data)), 20)) + [0, 54, len(data) - 1]]
+    expected = (b.radius, ball_record(b))
+    for mutant in mutants:
+        path.write_bytes(mutant)
+        try:
+            loaded = load_ball(path, group, gens)
+        except ValueError:
+            continue
+        assert (loaded.radius, ball_record(loaded)) == expected
 
 
 def test_ball_csv_export(tmp_path):
@@ -657,18 +796,24 @@ def test_lamplighter_code_steps_and_decodes():
     assert codec.encode(((-33,), 0)) is None
 
 
-# Pinned before balls kept their codes: SHA-256 of the save_ball bytes.
+# SHA-256 of the version-1 record stream, pinned before balls kept their
+# codes, and of the version-2 save_ball bytes: both pin BFS order and parents.
 BALL_CACHE_PINS = [
     ("lamplighter", (((), 1), ((0,), 0)), 10,
-     "ceeb54d35c2a0efa38e2723e1a35a2b976cfb53c835730bc60987aa716ebc9ec"),
+     "ceeb54d35c2a0efa38e2723e1a35a2b976cfb53c835730bc60987aa716ebc9ec",
+     "f9a0a72d648640533c3543c27e2cf01e48e1f14de21bd3c5494359edadd9170e"),
     ("grid2", ((1, 0), (0, 1)), 6,
-     "fb0f2d97acfdffbc737421dfc99e9eb214db88eaba2eeb7db8aeb3029f3a552b"),
+     "fb0f2d97acfdffbc737421dfc99e9eb214db88eaba2eeb7db8aeb3029f3a552b",
+     "1e77043cb44709c2f7ee7467ce323986c274ebfdc921caf81e856988114c1a3f"),
 ]
 
 
-@pytest.mark.parametrize("name,payloads,radius,sha", BALL_CACHE_PINS, ids=["lamplighter", "grid2"])
-def test_ball_cache_bytes_pinned(tmp_path, name, payloads, radius, sha):
+@pytest.mark.parametrize("name,payloads,radius,v1_sha,v2_sha", BALL_CACHE_PINS,
+                         ids=["lamplighter", "grid2"])
+def test_ball_cache_bytes_pinned(tmp_path, name, payloads, radius, v1_sha, v2_sha):
     group = Lamplighter() if name == "lamplighter" else IntegerGrid(2)
+    b = ball(group, gens_of(group, *payloads), radius)
+    assert hashlib.sha256(v1_cache_bytes(b)).hexdigest() == v1_sha
     path = tmp_path / "ball.bin"
-    save_ball(ball(group, gens_of(group, *payloads), radius), path)
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == sha
+    save_ball(b, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == v2_sha

@@ -249,7 +249,7 @@ def test_lamplighter_toggle_and_shift():
     assert multiply(a, a) == LAMP.identity()
 
 
-# -- canonical encodings -------------------------------------------------------
+# -- canonical payloads ----------------------------------------------------------
 
 
 @pytest.mark.parametrize(
@@ -258,30 +258,33 @@ def test_lamplighter_toggle_and_shift():
     ids=lambda g: repr(g),
 )
 def test_canonical_encoding_unique(group):
+    # equal elements have equal payloads, and a payload is its own canonical form
     rng = random.Random(7)
     elems = _sample_elements(group, rng, count=30)
     for x in elems:
         for y in elems:
-            assert (x == y) == (x.encode() == y.encode())
-        # round trip through bytes
-        assert group.decode_payload(x.encode()) == x.payload
+            assert (x == y) == (x.payload == y.payload)
+        assert group.canonical_payload(x.payload) == x.payload
 
 
 @pytest.mark.parametrize(
-    "group, data",
+    "group, raw, canonical",
     [
-        (C10, (15).to_bytes(8, "big")),
-        (Dihedral(7), (8).to_bytes(8, "big") + b"\x00"),
-        (Dihedral(7), (1).to_bytes(8, "big") + b"\x02"),
-        (TableGroup(cyclic_table(6), 0), (6).to_bytes(4, "big")),
-        # cursor 0, then 2 lamps, at 3 and 1
-        (LAMP, bytes(8) + (2).to_bytes(4, "big") + (3).to_bytes(8, "big") + (1).to_bytes(8, "big")),
+        (C10, 15, 5),
+        (Dihedral(7), (8, 0), (1, 0)),
+        (Dihedral(7), (1, 2), InvalidElementError),
+        (TableGroup(cyclic_table(6), 0), 6, InvalidElementError),
+        (LAMP, ((3, 1), 0), ((1, 3), 0)),
     ],
     ids=["cyclic-residue", "dihedral-rotation", "dihedral-reflection", "table-id", "lamps"],
 )
-def test_decode_rejects_non_canonical_bytes(group, data):
-    with pytest.raises(InvalidElementError):
-        group.decode_payload(data)
+def test_canonical_payload_of_non_canonical_raw(group, raw, canonical):
+    # a non-canonical raw value is reduced to the one payload of its element, or rejected
+    if canonical is InvalidElementError:
+        with pytest.raises(InvalidElementError):
+            group.canonical_payload(raw)
+    else:
+        assert group.canonical_payload(raw) == canonical
 
 
 def test_lamplighter_canonical_sorted():
