@@ -27,7 +27,7 @@ from pathlib import Path
 from itertools import chain, count, islice, repeat
 from typing import Any, Callable, Iterator, Optional, Sequence, Union
 
-from .groups import Codec, GeneratingSet, Group, GroupElement, Word
+from .groups import Codec, GeneratingSet, Group, GroupElement, RangeOverflowError, Word
 from .serialize import dumps, genset_to_json, group_to_json
 
 __all__ = [
@@ -317,7 +317,7 @@ def load_ball(
     sphere sizes are nonzero, start with 1, sum to the count and number at
     most radius + 1; record 0 is the identity with parent 0 and letter 0;
     every parent lies in the previous sphere; every letter is one of
-    ``gens``; the rebuilt codes are distinct.  Every element then lies
+    ``gens``; no parent step overflows; the rebuilt codes are distinct.  Every element then lies
     within its claimed distance, and as many distinct elements as the ball
     holds make up the whole ball, at exact distances.
     Raises ValueError on a foreign, mismatched, truncated or garbled file.
@@ -360,7 +360,7 @@ def load_ball(
         append = codes.append
         for p, s in zip(parents[1:], steps):
             append(step(codes[p], s))
-    except (IndexError, KeyError):
+    except (IndexError, KeyError, RangeOverflowError):
         raise garbled from None
     dist = dict(zip(codes, dists))
     if len(dist) != size:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+import struct
 import time
 from itertools import islice
 from operator import add
@@ -419,6 +420,25 @@ def test_load_ball_rejects_a_letter_outside_gens(tmp_path, letter):
     path.write_bytes(patched(data, offset, letter.to_bytes(4, "big", signed=True)))
     with pytest.raises(ValueError, match="garbled"):
         load_ball(path, ZZ, gens)
+
+
+def test_load_ball_rejects_overflowing_parent_step(tmp_path):
+    # Z with an 8-bit cap under {100}: the radius-2 ball overflows, so none
+    # is saved.  A file forged for it, with the hash of (Z, {100}, 2), its
+    # spheres 1, 2, 1 and record 3 as record 1 (100) stepped by +1, makes
+    # the parent step 100 + 100 pass the cap.
+    z8 = IntegerLine(bits=8)
+    gens = gens_of(z8, 100)
+    with pytest.raises(RangeOverflowError):
+        ball(z8, gens, 2)
+    path = tmp_path / "ball.bin"
+    save_ball(ball(z8, gens, 1), path)
+    magic_and_version = path.read_bytes()[:6]
+    digest = bytes.fromhex(ball_content_hash(z8, gens, 2))
+    header = magic_and_version + digest + struct.pack(">IQI", 2, 4, 3)
+    path.write_bytes(header + struct.pack(">3Q4I4i", 1, 2, 1, 0, 0, 0, 1, 0, 1, -1, 1))
+    with pytest.raises(ValueError, match="garbled"):
+        load_ball(path, z8, gens)
 
 
 @pytest.mark.parametrize("parent", ["own", "next", "past_the_count"])
