@@ -28,7 +28,7 @@ from itertools import chain, count, islice, repeat
 from typing import Any, Callable, Iterator, Optional, Sequence, Union
 
 from .groups import Codec, GeneratingSet, Group, GroupElement, RangeOverflowError, Word
-from .serialize import dumps, genset_to_json, group_to_json
+from .serialize import genset_text, spliced_dumps
 
 __all__ = [
     "Budget",
@@ -255,12 +255,10 @@ def ball(
 
 
 def ball_content_hash(group: Group, gens: GeneratingSet, radius: int) -> str:
-    doc = {
-        "group": group_to_json(group),
-        "gens": genset_to_json(gens),
-        "radius": str(radius),
-    }
-    return hashlib.sha256(dumps(doc).encode("utf-8")).hexdigest()
+    """SHA-256 of ``dumps({"gens": genset_to_json(gens), "group": group_to_json(group),
+    "radius": str(radius)})``, each group's text made once per group object."""
+    texts = {"gens": genset_text(gens), "group": group.json_text}
+    return hashlib.sha256(spliced_dumps({"radius": str(radius)}, texts).encode("utf-8")).hexdigest()
 
 
 def save_ball(b: Ball, path: Union[str, Path], *, digest: Optional[str] = None) -> None:
@@ -400,7 +398,7 @@ def ball_cached(
 def ball_to_csv(b: Ball, path: Union[str, Path]) -> None:
     """CSV export of (element, norm) pairs in BFS order."""
     fmt = b.group.format_payload
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["element", "norm"])
         writer.writerows(zip(map(fmt, b.payloads()), b.dist.values()))

@@ -10,6 +10,7 @@ from the ball necessarily lies in the complement.
 from __future__ import annotations
 
 import csv
+import functools
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Iterator, Optional, Union
@@ -81,14 +82,25 @@ class DepthValue:
 
 
 def _searcher(b: Ball, cap: int) -> Callable[[Any, int], DepthValue]:
-    """(code, norm) of an element of b -> its depth, searched outward up to ``cap`` layers."""
+    """(code, norm) of an element of b -> its depth, searched outward up to ``cap`` layers.
+
+    Equal outcomes are one shared ``DepthValue``: one per distance found,
+    made on first use, one ``at_least(cap)`` and one ``infinite()``.
+    """
     if cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
     step, lookup = b.codec.step, b.dist.get
     steps = tuple(b.letter_codes.values())
+    finite = functools.cache(DepthValue.finite)
+    capped, infinite = DepthValue.at_least(cap), DepthValue.infinite()
 
     # Own loop, not cayley.bfs_layers: the hot path of profiles, it exits mid-layer.
     def search(start: Any, norm_g: int) -> DepthValue:
+        # The first layer, with nothing allocated: most elements have depth 1.
+        for s in steps:
+            norm_y = lookup(step(start, s))
+            if norm_y is None or norm_y > norm_g:
+                return finite(1)
         visited = {start}
         layer = [start]
         for dist in range(1, cap + 1):
@@ -101,13 +113,13 @@ def _searcher(b: Ball, cap: int) -> Callable[[Any, int], DepthValue]:
                     visited.add(y)
                     norm_y = lookup(y)
                     if norm_y is None or norm_y > norm_g:
-                        return DepthValue.finite(dist)
+                        return finite(dist)
                     nxt.append(y)
             if not nxt:
                 # Whole group explored without leaving the closed ball.
-                return DepthValue.infinite()
+                return infinite
             layer = nxt
-        return DepthValue.at_least(cap)
+        return capped
 
     return search
 
@@ -141,44 +153,61 @@ class DepthProfile:
         return len(self._entries)
 
     def depth_of(self, x: GroupElement) -> DepthValue:
-        return self._entries[self._codec.encode(x.payload)][1]
+        entry = self._entries.get(self._codec.encode(x.payload))
+        if entry is None:
+            raise ValueError("element not recorded in the profile")
+        return entry[1]
 
     def rows(self) -> Iterator[tuple[Any, int, DepthValue]]:
         decode = self._codec.decode
         for code, (norm, dv) in self._entries.items():
             yield decode(code), norm, dv
 
-    def max_depth_by_norm(self) -> list[DepthValue]:
-        out: list[Optional[DepthValue]] = [None] * (self.radius + 1)
-        for _, (norm, dv) in self._entries.items():
-            cur = out[norm]
+    def _maxima(self) -> tuple[list[DepthValue], Optional[int]]:
+        """The deepest value at each norm and the largest finite depth, from one read."""
+        deepest: list[Optional[DepthValue]] = [None] * (self.radius + 1)
+        finite: Optional[int] = None
+        last = None
+        for entry in self._entries.values():
+            # Entries come in runs of one (norm, shared value); a repeat changes nothing.
+            if entry == last:
+                continue
+            last = entry
+            norm, dv = entry
+            cur = deepest[norm]
             if cur is None or dv.sort_key() > cur.sort_key():
-                out[norm] = dv
-        return [dv for dv in out if dv is not None]
+                deepest[norm] = dv
+            if dv.is_finite and (finite is None or dv.value > finite):
+                finite = dv.value
+        return [dv for dv in deepest if dv is not None], finite
+
+    def max_depth_by_norm(self) -> list[DepthValue]:
+        return self._maxima()[0]
 
     def overall_max(self) -> DepthValue:
-        return max((dv for _, (_, dv) in self._entries.items()), key=DepthValue.sort_key)
+        return max(self.max_depth_by_norm(), key=DepthValue.sort_key)
 
     def max_finite_depth(self) -> Optional[int]:
-        values = [dv.value for _, (_, dv) in self._entries.items() if dv.is_finite]
-        return max(values) if values else None
+        return self._maxima()[1]
 
     def to_csv(self, path: Union[str, Path]) -> None:
-        fmt = self.group.format_payload
-        with open(path, "w", newline="") as fh:
+        fmt, decode = self.group.format_payload, self._codec.decode
+        with open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["element", "norm", "depth"])
-            writer.writerows([fmt(p), norm, dv.render()] for p, norm, dv in self.rows())
+            writer.writerows([fmt(decode(code)), norm, dv.render()]
+                             for code, (norm, dv) in self._entries.items())
 
     def summary_json(self) -> dict:
+        by_norm, max_finite = self._maxima()
         return {
             "schema": "depth-profile-summary.v1",
             "radius": self.radius,
             "cap": self.cap,
             "elements": len(self._entries),
-            "max_depth_by_norm": [dv.render() for dv in self.max_depth_by_norm()],
-            "max_finite_depth": self.max_finite_depth(),
-            "overall_max": self.overall_max().render(),
+            "max_depth_by_norm": [dv.render() for dv in by_norm],
+            "max_finite_depth": max_finite,
+            "overall_max": max(by_norm, key=DepthValue.sort_key).render(),
         }
 
 

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from deadend import cayley
+from deadend import cayley, serialize
 from deadend.cayley import (
     Ball,
     Budget,
@@ -41,6 +41,7 @@ from deadend.groups import (
     evaluate_word,
     standard_gens,
 )
+from deadend.serialize import dumps, genset_to_json, group_to_json
 
 ZZ = IntegerLine()
 
@@ -304,6 +305,45 @@ def test_ball_cached_hashes_once_per_call(tmp_path, monkeypatch):
     assert len(calls) == 2
     assert ball_record(hit) == ball_record(miss)
 
+
+C4 = TableGroup([[(i + j) % 4 for j in range(4)] for i in range(4)], 0, name="c4")
+# One generating set per group variant; the labels need JSON escapes.
+HASHED_GENSETS = [
+    GeneratingSet([ZZ.element(2), ZZ.element(3)], ["two", 'th"ree']),
+    gens_of(IntegerLine(bits=32), 1),
+    gens_of(IntegerGrid(3), (1, 0, 0), (0, -2, 3)),
+    gens_of(Cyclic(17), 1),
+    standard_gens(Dihedral(5)),
+    GeneratingSet([Lamplighter().element(((-1, 2), 1))], ["\u00e9\\n"]),
+    gens_of(C4, 1),
+    # equal to C4 but named apart: the genset's group text is its own
+    gens_of(TableGroup(C4.table, 0, name="other"), 1),
+]
+
+
+def old_content_hash(group, gens, radius):
+    doc = {"group": group_to_json(group), "gens": genset_to_json(gens), "radius": str(radius)}
+    return hashlib.sha256(dumps(doc).encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("gens", HASHED_GENSETS, ids=lambda g: repr(g.group))
+def test_content_hash_is_the_dumps_formula(gens):
+    for group in (gens.group, C4):
+        for radius in (0, 7, 10**12):
+            assert ball_content_hash(group, gens, radius) == old_content_hash(group, gens, radius)
+
+
+def test_content_hash_serialises_a_group_once(monkeypatch):
+    calls = []
+    real = serialize.group_to_json
+    monkeypatch.setattr(serialize, "group_to_json", lambda g: calls.append(g) or real(g))
+    group = TableGroup(C4.table, 0, name="fresh")
+    gens = gens_of(group, 1)
+    first = ball_content_hash(group, gens, 3)
+    assert calls == [group]
+    assert ball_content_hash(group, gens, 3) == first
+    assert ball_content_hash(group, gens, 4) != first
+    assert calls == [group]
 
 # The version-2 layout: a header of magic, version, content hash, radius,
 # count and sphere count, then the big-endian columns of sphere sizes (u64),

@@ -3,8 +3,12 @@
 from __future__ import annotations
 
 import hashlib
+import time
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_table_groups
 from deadend.cayley import ball
@@ -15,8 +19,10 @@ from deadend.groups import (
     GeneratingSet,
     IntegerLine,
     Lamplighter,
+    RangeOverflowError,
     standard_gens,
 )
+from test_cayley import free_abelian_cases, lamplighter_cases, outcome, reference_depth
 
 ZZ = IntegerLine()
 
@@ -100,6 +106,69 @@ def test_depth_at_least_one_everywhere():
         dv = depth(b, x, cap=20)
         assert dv.is_infinite or dv.value >= 1
 
+
+@pytest.mark.parametrize("group", [ZZ, Cyclic(10)], ids=repr)
+def test_huge_cap_allocates_nothing_for_it(group):
+    # Z exits at the first layer; in C10 the search from 5 runs out of group.
+    b = ball(group, unit_gens(group), 8)
+    far = group.element(5)
+
+    def peak(cap):
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            profile = depth_profile(b, cap)
+            value = depth(b, far, cap)
+            elapsed = time.perf_counter() - start
+            return tracemalloc.get_traced_memory()[1], elapsed, list(profile.rows()), value
+        finally:
+            tracemalloc.stop()
+
+    small, _, rows, value = peak(16)
+    huge, elapsed, huge_rows, huge_value = peak(10**9)
+    assert elapsed < 0.5
+    assert huge <= small + 4096
+    assert huge_rows == rows and huge_value == value
+
+
+def test_trivial_group_profile_is_infinite():
+    c1 = Cyclic(1)
+    for cap in (1, 2, 10**9):
+        rows = list(depth_profile(ball(c1, GeneratingSet.empty(c1), 3), cap).rows())
+        assert rows == [(0, 0, DepthValue.infinite())]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(free_abelian_cases(), lamplighter_cases()))
+def test_profile_rows_match_reference_search(case):
+    # Caps 1 and 2 meet the first-layer exit at >=1 and >=2.
+    group, gens, radius = case
+    b = outcome(ball, group, gens, radius)
+    if b is RangeOverflowError:
+        return
+    norms = dict(zip(b.payloads(), b.dist.values()))
+    for cap in (1, 2, 4):
+        expected = outcome(lambda: [
+            (p, n, reference_depth(group, gens, norms, p, cap)) for p, n in norms.items()
+        ])
+        assert outcome(lambda: list(depth_profile(b, cap).rows())) == expected
+
+
+def test_equal_profile_values_are_shared():
+    lamp = Lamplighter()
+    prof = depth_profile(ball(lamp, standard_gens(lamp), 8), cap=2)
+    by_value: dict = {}
+    for _, _, dv in prof.rows():
+        by_value.setdefault(dv, set()).add(id(dv))
+    assert set(by_value) == {DepthValue.finite(1), DepthValue.at_least(2)}
+    assert all(len(ids) == 1 for ids in by_value.values())
+
+
+def test_depth_of_outside_the_profile():
+    prof = depth_profile(ball(ZZ, unit_gens(ZZ), 3), cap=2)
+    assert prof.depth_of(ZZ.element(-3)) == DepthValue.finite(1)
+    with pytest.raises(ValueError, match="not recorded in the profile"):
+        prof.depth_of(ZZ.element(4))
 
 # -- profiles ------------------------------------------------------------------------
 
