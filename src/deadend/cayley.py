@@ -28,7 +28,7 @@ from itertools import chain, count, islice, repeat
 from typing import Any, Callable, Iterator, Optional, Sequence, Union
 
 from .groups import Codec, GeneratingSet, Group, GroupElement, RangeOverflowError, Word
-from .serialize import genset_text, spliced_dumps
+from .serialize import dumps, genset_to_json, group_to_json
 
 __all__ = [
     "Budget",
@@ -255,10 +255,12 @@ def ball(
 
 
 def ball_content_hash(group: Group, gens: GeneratingSet, radius: int) -> str:
-    """SHA-256 of ``dumps({"gens": genset_to_json(gens), "group": group_to_json(group),
-    "radius": str(radius)})``, each group's text made once per group object."""
-    texts = {"gens": genset_text(gens), "group": group.json_text}
-    return hashlib.sha256(spliced_dumps({"radius": str(radius)}, texts).encode("utf-8")).hexdigest()
+    doc = {
+        "group": group_to_json(group),
+        "gens": genset_to_json(gens),
+        "radius": str(radius),
+    }
+    return hashlib.sha256(dumps(doc).encode("utf-8")).hexdigest()
 
 
 def save_ball(b: Ball, path: Union[str, Path], *, digest: Optional[str] = None) -> None:

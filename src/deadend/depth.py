@@ -167,13 +167,7 @@ class DepthProfile:
         """The deepest value at each norm and the largest finite depth, from one read."""
         deepest: list[Optional[DepthValue]] = [None] * (self.radius + 1)
         finite: Optional[int] = None
-        last = None
-        for entry in self._entries.values():
-            # Entries come in runs of one (norm, shared value); a repeat changes nothing.
-            if entry == last:
-                continue
-            last = entry
-            norm, dv = entry
+        for norm, dv in self._entries.values():
             cur = deepest[norm]
             if cur is None or dv.sort_key() > cur.sort_key():
                 deepest[norm] = dv

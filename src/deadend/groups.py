@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import re
 from abc import ABC, abstractmethod
-from functools import cached_property
 from itertools import accumulate, chain
 from operator import add, itemgetter
 from typing import Any, Callable, ClassVar, Iterable, Iterator, NamedTuple, Optional, Sequence
@@ -172,13 +171,6 @@ class Group(ABC):
         where the group has one that neither overflows nor outgrows the payloads,
         else the identity codec (codes are payloads, ``step`` is ``mul_payload``)."""
         return Codec(list(payloads), self.mul_payload, _same, _same)
-
-    @cached_property
-    def json_text(self) -> str:
-        """``dumps(group_to_json(self))``, made once per group object: groups are immutable."""
-        from .serialize import dumps, group_to_json  # serialize imports this module
-
-        return dumps(group_to_json(self))
 
     # Formats; the defaults suit integer payloads.
 

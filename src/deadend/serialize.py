@@ -28,7 +28,6 @@ WORD_SCHEMA = "word.v1"
 
 __all__ = [
     "dumps",
-    "spliced_dumps",
     "content_hash",
     "group_to_json",
     "group_from_json",
@@ -37,7 +36,6 @@ __all__ = [
     "element_to_json",
     "element_from_json",
     "genset_to_json",
-    "genset_text",
     "genset_from_json",
     "word_to_json",
     "word_from_json",
@@ -47,13 +45,6 @@ __all__ = [
 def dumps(obj: Any) -> str:
     """Canonical JSON text: sorted keys, no frivolous whitespace."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
-def spliced_dumps(doc: dict, texts: dict[str, str]) -> str:
-    """``dumps`` of ``doc`` plus the keys of ``texts``, whose values come as their ``dumps`` text."""
-    items = {k: dumps(k) + ":" + dumps(v) for k, v in doc.items()}
-    items.update((k, dumps(k) + ":" + text) for k, text in texts.items())
-    return "{" + ",".join(items[k] for k in sorted(items)) + "}"
 
 
 def content_hash(obj: Any) -> str:
@@ -109,18 +100,9 @@ def element_from_json(doc: Any) -> GroupElement:
 
 
 def genset_to_json(gens: GeneratingSet) -> dict:
-    return {"group": group_to_json(gens.group), **_genset_fields(gens)}
-
-
-def genset_text(gens: GeneratingSet) -> str:
-    """``dumps(genset_to_json(gens))``, with its group's memoised ``Group.json_text``."""
-    return spliced_dumps(_genset_fields(gens), {"group": gens.group.json_text})
-
-
-def _genset_fields(gens: GeneratingSet) -> dict:
-    """The fields of a ``genset.v1`` document but its group."""
     return {
         "schema": GENSET_SCHEMA,
+        "group": group_to_json(gens.group),
         "entries": [payload_to_json(gens.group, e.payload) for e in gens.entries],
         "labels": list(gens.labels),
     }

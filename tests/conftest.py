@@ -1,10 +1,21 @@
-"""Shared test helpers: random permutation-closure table groups."""
+"""Shared test helpers: random permutation-closure table groups, and the
+reference depth search with the coded-ball cases it is checked on."""
 
 from __future__ import annotations
 
 import random
 
-from deadend.groups import GeneratingSet, TableGroup
+from hypothesis import strategies as st
+
+from deadend.depth import DepthValue
+from deadend.groups import (
+    GeneratingSet,
+    IntegerGrid,
+    IntegerLine,
+    Lamplighter,
+    RangeOverflowError,
+    TableGroup,
+)
 
 
 def _compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
@@ -59,3 +70,66 @@ def random_table_groups(count: int, max_order: int = 64, seed: int = 2024,
         gens = GeneratingSet([group.element(i) for i in gen_ids])
         out.append((group, gens))
     return out
+
+
+def gens_of(group, *payloads):
+    return GeneratingSet([group.element(p) for p in payloads])
+
+
+def reference_depth(group, gens, norms, payload, cap):
+    """depth.depth's closed-ball search, on payloads and a plain norm dict."""
+    norm_g = norms[payload]
+    visited, layer = {payload}, [payload]
+    for dist in range(1, cap + 1):
+        nxt = []
+        for x in layer:
+            for _, step in gens.symmetrized_letters():
+                y = group.mul_payload(x, step)
+                if y in visited:
+                    continue
+                visited.add(y)
+                if norms.get(y) is None or norms[y] > norm_g:
+                    return DepthValue.finite(dist)
+                nxt.append(y)
+        if not nxt:
+            return DepthValue.infinite()
+        layer = nxt
+    return DepthValue.at_least(cap)
+
+
+def outcome(f, *args):
+    """f(*args), or the type of the RangeOverflowError it raises."""
+    try:
+        return f(*args)
+    except RangeOverflowError:
+        return RangeOverflowError
+
+
+@st.composite
+def free_abelian_cases(draw):
+    rank = draw(st.integers(0, 3))  # 0 stands for IntegerLine
+    bits = draw(st.sampled_from([8, 16, 64]))
+    coord = st.integers(-40, 40)
+    if rank == 0:
+        group = IntegerLine(bits=bits)
+        payload = coord.filter(bool)
+    else:
+        group = IntegerGrid(rank, bits=bits)
+        payload = st.tuples(*[coord] * rank).filter(any)
+    payloads = draw(st.lists(payload, min_size=1, max_size=3, unique=True))
+    return group, gens_of(group, *payloads), draw(st.integers(0, 6))
+
+
+@st.composite
+def lamplighter_cases(draw):
+    """One or two generators with lamps and cursor in +-3, or one of them with
+    a far cursor: too wide to code at 8 bits, and past the 8-bit cap within
+    six steps when it exceeds 127 / 6."""
+    group = Lamplighter(bits=draw(st.sampled_from([8, 64])))
+    lamps = st.lists(st.integers(-3, 3), max_size=3, unique=True).map(sorted).map(tuple)
+    payload = st.tuples(lamps, st.integers(-3, 3)).filter(lambda p: p != ((), 0))
+    payloads = draw(st.lists(payload, min_size=1, max_size=2, unique=True))
+    if draw(st.booleans()):
+        far = draw(st.integers(20, 127)) * draw(st.sampled_from([-1, 1]))
+        payloads[-1] = (draw(lamps), far)
+    return group, gens_of(group, *payloads), draw(st.integers(0, 6))

@@ -13,7 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from deadend import cayley, serialize
+from conftest import free_abelian_cases, gens_of, lamplighter_cases, outcome, reference_depth
+from deadend import cayley
 from deadend.cayley import (
     Ball,
     Budget,
@@ -26,7 +27,7 @@ from deadend.cayley import (
     load_ball,
     save_ball,
 )
-from deadend.depth import DepthValue, depth, depth_profile
+from deadend.depth import depth, depth_profile
 from deadend.groups import (
     Codec,
     Cyclic,
@@ -41,7 +42,6 @@ from deadend.groups import (
     evaluate_word,
     standard_gens,
 )
-from deadend.serialize import dumps, genset_to_json, group_to_json
 
 ZZ = IntegerLine()
 
@@ -66,10 +66,6 @@ def brute_force_norms(group, gens, radius):
             norms[y] = length
         current = nxt
     return norms
-
-
-def gens_of(group, *payloads):
-    return GeneratingSet([group.element(p) for p in payloads])
 
 
 # -- spec'd examples -----------------------------------------------------------
@@ -305,45 +301,6 @@ def test_ball_cached_hashes_once_per_call(tmp_path, monkeypatch):
     assert len(calls) == 2
     assert ball_record(hit) == ball_record(miss)
 
-
-C4 = TableGroup([[(i + j) % 4 for j in range(4)] for i in range(4)], 0, name="c4")
-# One generating set per group variant; the labels need JSON escapes.
-HASHED_GENSETS = [
-    GeneratingSet([ZZ.element(2), ZZ.element(3)], ["two", 'th"ree']),
-    gens_of(IntegerLine(bits=32), 1),
-    gens_of(IntegerGrid(3), (1, 0, 0), (0, -2, 3)),
-    gens_of(Cyclic(17), 1),
-    standard_gens(Dihedral(5)),
-    GeneratingSet([Lamplighter().element(((-1, 2), 1))], ["\u00e9\\n"]),
-    gens_of(C4, 1),
-    # equal to C4 but named apart: the genset's group text is its own
-    gens_of(TableGroup(C4.table, 0, name="other"), 1),
-]
-
-
-def old_content_hash(group, gens, radius):
-    doc = {"group": group_to_json(group), "gens": genset_to_json(gens), "radius": str(radius)}
-    return hashlib.sha256(dumps(doc).encode("utf-8")).hexdigest()
-
-
-@pytest.mark.parametrize("gens", HASHED_GENSETS, ids=lambda g: repr(g.group))
-def test_content_hash_is_the_dumps_formula(gens):
-    for group in (gens.group, C4):
-        for radius in (0, 7, 10**12):
-            assert ball_content_hash(group, gens, radius) == old_content_hash(group, gens, radius)
-
-
-def test_content_hash_serialises_a_group_once(monkeypatch):
-    calls = []
-    real = serialize.group_to_json
-    monkeypatch.setattr(serialize, "group_to_json", lambda g: calls.append(g) or real(g))
-    group = TableGroup(C4.table, 0, name="fresh")
-    gens = gens_of(group, 1)
-    first = ball_content_hash(group, gens, 3)
-    assert calls == [group]
-    assert ball_content_hash(group, gens, 3) == first
-    assert ball_content_hash(group, gens, 4) != first
-    assert calls == [group]
 
 # The version-2 layout: a header of magic, version, content hash, radius,
 # count and sphere count, then the big-endian columns of sphere sizes (u64),
@@ -642,65 +599,6 @@ def reference_geodesic(group, gens, parent, payload, d):
         letters.append(parent[payload])
         payload = group.mul_payload(payload, gens.letters[-letters[-1]])
     return tuple(reversed(letters))
-
-
-def reference_depth(group, gens, norms, payload, cap):
-    """depth.depth's closed-ball search, on payloads and a plain norm dict."""
-    norm_g = norms[payload]
-    visited, layer = {payload}, [payload]
-    for dist in range(1, cap + 1):
-        nxt = []
-        for x in layer:
-            for _, step in gens.symmetrized_letters():
-                y = group.mul_payload(x, step)
-                if y in visited:
-                    continue
-                visited.add(y)
-                if norms.get(y) is None or norms[y] > norm_g:
-                    return DepthValue.finite(dist)
-                nxt.append(y)
-        if not nxt:
-            return DepthValue.infinite()
-        layer = nxt
-    return DepthValue.at_least(cap)
-
-
-def outcome(f, *args):
-    """f(*args), or the type of the RangeOverflowError it raises."""
-    try:
-        return f(*args)
-    except RangeOverflowError:
-        return RangeOverflowError
-
-
-@st.composite
-def free_abelian_cases(draw):
-    rank = draw(st.integers(0, 3))  # 0 stands for IntegerLine
-    bits = draw(st.sampled_from([8, 16, 64]))
-    coord = st.integers(-40, 40)
-    if rank == 0:
-        group = IntegerLine(bits=bits)
-        payload = coord.filter(bool)
-    else:
-        group = IntegerGrid(rank, bits=bits)
-        payload = st.tuples(*[coord] * rank).filter(any)
-    payloads = draw(st.lists(payload, min_size=1, max_size=3, unique=True))
-    return group, gens_of(group, *payloads), draw(st.integers(0, 6))
-
-
-@st.composite
-def lamplighter_cases(draw):
-    """One or two generators with lamps and cursor in +-3, or one of them with
-    a far cursor: too wide to code at 8 bits, and past the 8-bit cap within
-    six steps when it exceeds 127 / 6."""
-    group = Lamplighter(bits=draw(st.sampled_from([8, 64])))
-    lamps = st.lists(st.integers(-3, 3), max_size=3, unique=True).map(sorted).map(tuple)
-    payload = st.tuples(lamps, st.integers(-3, 3)).filter(lambda p: p != ((), 0))
-    payloads = draw(st.lists(payload, min_size=1, max_size=2, unique=True))
-    if draw(st.booleans()):
-        far = draw(st.integers(20, 127)) * draw(st.sampled_from([-1, 1]))
-        payloads[-1] = (draw(lamps), far)
-    return group, gens_of(group, *payloads), draw(st.integers(0, 6))
 
 
 @settings(max_examples=200, deadline=None)

@@ -10,7 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_table_groups
+from conftest import (
+    free_abelian_cases,
+    lamplighter_cases,
+    outcome,
+    random_table_groups,
+    reference_depth,
+)
 from deadend.cayley import ball
 from deadend.depth import DepthValue, depth, depth_oracle, depth_profile
 from deadend.groups import (
@@ -22,7 +28,6 @@ from deadend.groups import (
     RangeOverflowError,
     standard_gens,
 )
-from test_cayley import free_abelian_cases, lamplighter_cases, outcome, reference_depth
 
 ZZ = IntegerLine()
 
