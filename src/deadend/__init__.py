@@ -69,7 +69,6 @@ from .construction import (
     constructed_genset,
     factorize,
     find_witness,
-    phi_table,
     required_N,
     required_n,
     validate_certificate,

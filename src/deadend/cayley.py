@@ -239,13 +239,13 @@ def ball(
     codec = _codec(gens, radius)
     start = codec.encode(group.identity_payload())
     letters = list(zip(gens.letters, codec.codes))
-    dist: dict = {start: 0}
     parent: dict = {start: 0}
     spheres = [1]
-    for r, layer in islice(bfs_layers(codec.step, letters, start, parent, budget), radius):
-        for y in layer:
-            dist[y] = r
+    for _, layer in islice(bfs_layers(codec.step, letters, start, parent, budget), radius):
         spheres.append(len(layer))
+    # parent holds the codes in discovery order, sphere by sphere; a budget
+    # stop raises before any distance is stored
+    dist = dict(zip(parent, chain.from_iterable(map(repeat, count(), spheres))))
     return Ball(group, gens, radius, dist, parent, tuple(spheres), codec)
 
 

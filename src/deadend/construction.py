@@ -10,6 +10,9 @@ g_n a dead end of depth at least d+1.  Each membership claim is proved by
 a factorization certificate into k = |pi(g)|_T <= n factors from A or
 their inverses, with no ball over A; where the homomorphism check is only
 a probe (the lamplighter), an A-ball BFS cross-checks every norm as well.
+The target side reads the quotient map's one ball of its target: the
+diameter, the witness, every target geodesic, and the lift of each target
+element, folded down its BFS tree through the section of pi.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from .groups import (
     evaluate_word,
     invert_word,
 )
-from .quotient import DiameterReport, QuotientMap, check_homomorphism, group_ball
+from .quotient import DiameterReport, QuotientMap, check_homomorphism, held_to
 from .serialize import dumps, payload_to_json
 
 __all__ = [
@@ -52,7 +55,6 @@ __all__ = [
     "required_N",
     "bound_inequality_holds",
     "constructed_genset",
-    "phi_table",
     "find_witness",
     "factorize",
     "validate_certificate",
@@ -221,39 +223,9 @@ def constructed_genset(
     return built
 
 
-def _section(pi: QuotientMap, target_ball: Ball) -> tuple[int, ...]:
-    """The canonical section of pi, once target_ball is known to be its full target ball."""
-    image_gens, section = pi.image_genset()
-    if (
-        target_ball.group != pi.target
-        or len(target_ball) != pi.target.order()
-        or [e.payload for e in target_ball.gens] != [e.payload for e in image_gens]
-    ):
-        raise ConstructionError("target ball does not cover the target under the image generators")
-    return section
-
-
 def _lift(section: Sequence[int], t_word: Word) -> Word:
     """S-word spelling a target word through the section, letter by letter."""
     return tuple((section[abs(letter) - 1] + 1) * (1 if letter > 0 else -1) for letter in t_word)
-
-
-def phi_table(pi: QuotientMap, target_ball: Ball) -> dict:
-    """Minimal lift per target element: payload -> (S-word, lifted payload).
-
-    The S-word arises from the target geodesic through the canonical
-    section (least source index per image), so its length equals the
-    target norm of the element.
-    """
-    section = _section(pi, target_ball)
-    gens = pi.source_gens
-    mul = gens.group.mul_payload
-
-    def step(entry: tuple, t_letter: int) -> tuple:
-        (s_letter,) = _lift(section, (t_letter,))
-        return entry[0] + (s_letter,), mul(entry[1], gens.letters[s_letter])
-
-    return target_ball.along_parents(((), gens.group.identity_payload()), step)
 
 
 @dataclass(frozen=True)
@@ -277,20 +249,19 @@ class DeadEndWitness:
 
 def find_witness(
     built: ConstructedGenSet,
-    target_ball: Ball,
     a_ball: Optional[Ball] = None,
     claimed_depth: Optional[int] = None,
 ) -> DeadEndWitness:
-    """Lift the diameter witness of the target ball through the canonical
-    section.  Its norm under A is the diameter n: at most n, as S lies in A±
-    and the lift has n letters; at least n, as pi is a homomorphism sending
-    A± into the image generators and the identity.  Where that was only
-    probed, pass a_ball (radius >= n) and the norm is looked up in it."""
+    """Lift the diameter witness of the quotient's target ball through the
+    canonical section.  Its norm under A is the diameter n: at most n, as S
+    lies in A± and the lift has n letters; at least n, as pi is a
+    homomorphism sending A± into the image generators and the identity.
+    Where that was only probed, pass a_ball (radius >= n) and the norm is
+    looked up in it."""
     pi = built.pi
-    report = DiameterReport.of_ball(target_ball)
+    report = DiameterReport.of_ball(pi.ball)
     n = report.diameter
-    section = _section(pi, target_ball)
-    s_word = _lift(section, target_ball.geodesic_payload(report.witness.payload))
+    s_word = _lift(pi.section, pi.ball.geodesic_payload(report.witness.payload))
     g_n = evaluate_word(s_word, built.source_gens)
     if len(s_word) != n or pi.apply_word(s_word) != report.witness:
         raise ConstructionError("lifted witness is not an n-letter lift of the diameter witness")
@@ -308,10 +279,11 @@ class Certificate:
     """Factorization g = v_1 ... v_k with every factor in A or its inverses.
 
     A validating certificate witnesses norm_A(g) <= k without BFS.  Of each
-    factor word phi(c_{i-1})^-1 u_i phi(c_i) it keeps the value and length,
-    never the word.  The degenerate flag marks arguments mapping to the
-    target identity, where no factorization into generator-image
-    preimages exists.
+    factor word phi(c_{i-1})^-1 u_i phi(c_i), where phi(c) is the S-word
+    the target geodesic of c spells through the section of pi, it keeps
+    the value and length, never the word.  The degenerate flag marks
+    arguments mapping to the target identity, where no factorization into
+    generator-image preimages exists.
     """
 
     target: GroupElement
@@ -340,7 +312,9 @@ class Certificate:
 
 
 class _Lift(NamedTuple):
-    """A checked phi entry of one target element: word length, lift and inverse."""
+    """The lift of one target element: its length (the target norm), the
+    source element its target geodesic spells through the section, and
+    that element's inverse."""
 
     length: int
     payload: Any
@@ -348,18 +322,17 @@ class _Lift(NamedTuple):
 
 
 class Construction:
-    """Full pipeline state: quotient, parameters, A, witness, lift table."""
+    """Full pipeline state: quotient, parameters, A, witness, lifts."""
 
     def __init__(
         self,
         source_gens: GeneratingSet,
         pi: QuotientMap,
         params: ConstructionParams,
-        target_ball: Ball,
         budget: Budget = DEFAULT_BUDGET,
         cache_dir: Optional[Union[str, Path]] = None,
     ):
-        report = DiameterReport.of_ball(target_ball)
+        report = DiameterReport.of_ball(pi.ball)
         if report.diameter != params.n:
             raise ConstructionError(
                 f"params.n={params.n} does not match quotient diameter {report.diameter}"
@@ -370,13 +343,10 @@ class Construction:
         self.report = report
         self.budget = budget
         self.cache_dir = cache_dir
-        self.target_ball = target_ball
-        self.image_gens = target_ball.gens
         self.homomorphism_exact = check_homomorphism(pi)  # else the A-ball cross-checks
         self.built = constructed_genset(source_gens, pi, params.N, budget, cache_dir)
-        self.phi = phi_table(pi, target_ball)
         a_ball = None if self.homomorphism_exact else self.a_ball
-        self.witness = find_witness(self.built, target_ball, a_ball, params.d + 1)
+        self.witness = find_witness(self.built, a_ball, params.d + 1)
 
     @classmethod
     def build(
@@ -388,11 +358,11 @@ class Construction:
         budget: Budget = DEFAULT_BUDGET,
         cache_dir: Optional[Union[str, Path]] = None,
     ) -> "Construction":
-        """Measure the quotient diameter and derive parameters from it."""
-        target_ball = group_ball(pi.target, pi.image_genset()[0], budget)
-        n = DiameterReport.of_ball(target_ball).diameter
+        """Read the quotient diameter off the map's target ball, held to the
+        budget, and derive parameters from it."""
+        n = DiameterReport.of_ball(held_to(pi.ball, budget)).diameter
         params = ConstructionParams.derive(target_depth, n, bound_mode)
-        return cls(source_gens, pi, params, target_ball, budget, cache_dir)
+        return cls(source_gens, pi, params, budget, cache_dir)
 
     @cached_property
     def a_ball(self) -> Ball:
@@ -457,25 +427,28 @@ class Construction:
         p = self.params
         return (
             WordFold(self.source_gens.group, self.source_gens.letters, p.n + p.d * p.N),
-            WordFold(self.pi.target, self.pi.letters, elements=self.target_ball.payloads()),
+            WordFold(self.pi.target, self.pi.letters, elements=self.pi.ball.payloads()),
         )
 
     @cached_property
     def _lifts(self) -> dict:
-        """Target payload -> its phi entry as a ``_Lift``, once every target
-        element's phi word is checked to have at most n letters (so a factor
-        word has at most |u| + 2n), to fold to its lift and to map onto it."""
-        fold_s, fold_t = self._folds
-        inv, n = self.source_gens.group.inv_payload, self.params.n
-        lifts = {}
-        for c in self.target_ball.payloads():
-            word, lift = self.phi.get(c, ((), None))
-            if len(word) > n:
-                raise CertificateError(f"phi table entry for {c!r} is longer than n = {n}")
-            if fold_s(word) != lift or fold_t(word) != c:
-                raise CertificateError(f"phi table entry for {c!r} does not lift it")
-            lifts[c] = _Lift(len(word), lift, inv(lift))
-        return lifts
+        """Target payload -> its ``_Lift``, folded down the target ball's BFS
+        tree: each step appends the section letter of its parent letter, which
+        pi maps onto that letter.  So, by induction down the tree, every lift
+        maps onto its element, and its length is the target norm, at most n
+        (a factor word has at most |u| + 2n letters)."""
+        group, pi = self.source_gens.group, self.pi
+        mul, inv = group.mul_payload, group.inv_payload
+        t_letters = tuple(pi.image_gens.letters)
+        s_steps = map(self.source_gens.letters.__getitem__, _lift(pi.section, t_letters))
+        steps = dict(zip(t_letters, s_steps))
+
+        def step(parent: _Lift, t_letter: int) -> _Lift:
+            lift = mul(parent.payload, steps[t_letter])
+            return _Lift(parent.length + 1, lift, inv(lift))
+
+        identity = group.identity_payload()
+        return self.pi.ball.along_parents(_Lift(0, identity, identity), step)
 
     def certify(self, g: GroupElement, s_word: Optional[Sequence[int]] = None) -> Certificate:
         if s_word is None:
@@ -513,12 +486,12 @@ def factorize(ctx: Construction, g: GroupElement, s_word: Sequence[int]) -> Cert
         raise CertificateError(f"S-word length {L} exceeds n + d*N = {limit}")
     image = fold_t.prefixes(s_word)
     pi_g = image(L)
-    k = ctx.target_ball.norm_payload(pi_g)
+    k = ctx.pi.ball.norm_payload(pi_g)
     if k is None:
         raise CertificateError("image norm unavailable; target ball incomplete")
     if k == 0:
         return Certificate(g, 0, (), (), (), (), degenerate=True)
-    t_letters = ctx.target_ball.geodesic_payload(pi_g)
+    t_letters = ctx.pi.ball.geodesic_payload(pi_g)
     base, extra = divmod(L, k)
     # k near-equal pieces, the extra longer ones first
     cuts = [i * base + min(i, extra) for i in range(k + 1)]
@@ -536,7 +509,7 @@ def _discrepancies(ctx: Construction, prefix_images, t_letters: Word) -> list:
     """c_i = P_i^-1 Q_i for i = 0..k: prefix images against geodesic prefixes Q_i."""
     target = ctx.pi.target
     mul_t, inv_t = target.mul_payload, target.inv_payload
-    steps = map(ctx.image_gens.letters.__getitem__, t_letters)
+    steps = map(ctx.pi.image_gens.letters.__getitem__, t_letters)
     geodesic = accumulate(steps, mul_t, initial=target.identity_payload())
     return [mul_t(inv_t(p), q) for p, q in zip(prefix_images, geodesic)]
 
@@ -552,7 +525,7 @@ def validate_certificate(
     k >= n - d is enforced as well.  Each piece is folded once in each
     group.  The factor v_i spells phi(c_{i-1})^-1 u_i phi(c_i), with c_i
     recomputed from the pieces and the geodesic: its value and image come
-    from the checked phi lifts and those folds, and its claimed length must
+    from the lifts and those folds, and its claimed length must
     be |phi(c_{i-1})| + |u_i| + |phi(c_i)|, at most |u_i| + 2n.  Its image
     is the geodesic letter t_i with no check: c_i = P_i^-1 Q_i, where
     P_{i+1} = P_i pi(u_i) and Q_{i+1} = Q_i t_i, so c_i^-1 pi(u_i) c_{i+1}
@@ -580,10 +553,10 @@ def validate_certificate(
     piece_images = [fold_t(w) for w in cert.u_words]
     prefix_images = list(accumulate(piece_images, mul_t, initial=target.identity_payload()))
     pi_g = prefix_images[-1]
-    if ctx.target_ball.norm_payload(pi_g) != k:
+    if ctx.pi.ball.norm_payload(pi_g) != k:
         raise CertificateError("k is not the target norm of the image")
     # Geodesic letters must spell the image.
-    if evaluate_word(cert.t_letters, ctx.image_gens).payload != pi_g:
+    if evaluate_word(cert.t_letters, ctx.pi.image_gens).payload != pi_g:
         raise CertificateError("target geodesic does not spell the image")
     c = _discrepancies(ctx, prefix_images, cert.t_letters)
     # Factor-level checks.
@@ -595,10 +568,7 @@ def validate_certificate(
             raise CertificateError("factor word does not evaluate to the factor", index=i)
         if v_length != before.length + len(u) + after.length:
             raise CertificateError("factor word length disagrees with its lifts and piece", index=i)
-        s_norm = ctx.built.s_ball.norm_payload(v_payload)
-        if s_norm is None or s_norm > params.N:
-            raise CertificateError("factor norm under S exceeds N", index=i)
-        if v_payload not in ctx.built.symmetrized:
+        if v_payload not in ctx.built.symmetrized:  # A lies in the S-ball of radius N
             raise CertificateError("factor is not in A or its inverses", index=i)
         product = mul(product, v_payload)
     if product != cert.target.payload:

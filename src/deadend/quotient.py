@@ -3,8 +3,10 @@
 A quotient map is given by the images of the source generators and keeps
 them as a signed-letter table (``QuotientMap.letters``: +i is the image of
 the i-th generator, -i its inverse); the image of an element is that table
-folded along an S-word that spells it.  Surjectivity is verified on
-construction by closing the images under multiplication.
+folded along an S-word that spells it.  On construction a map builds the
+one BFS ball of its target under the distinct non-identity images
+(``QuotientMap.ball``); surjectivity is read off its size, and diameters,
+target geodesics and lifts all read the same ball.
 """
 
 from __future__ import annotations
@@ -14,7 +16,9 @@ from functools import reduce
 from itertools import combinations, islice
 from typing import Any, Iterable, Iterator, Optional, Sequence
 
-from .cayley import Ball, Budget, BudgetExceededError, DEFAULT_BUDGET, ball, bfs_layers
+from .cayley import (
+    Ball, Budget, BudgetExceededError, DEFAULT_BUDGET, _check_budget, ball, bfs_layers
+)
 from .groups import (
     Cyclic,
     GeneratingSet,
@@ -47,6 +51,10 @@ __all__ = [
 ]
 
 
+# Longest words compared where the homomorphism check is only a probe.
+PROBE_WORD_LEN = 8
+
+
 class QuotientError(GroupError):
     """Base class for quotient map errors."""
 
@@ -68,7 +76,12 @@ class QuotientMap:
 
     ``images[i]`` is the image of ``source_gens.entries[i]``; ``letters``
     maps each signed source letter to its image payload, and an element's
-    image is the product of those along an S-word for it.
+    image is the product of those along an S-word for it.  ``image_gens``
+    holds the distinct non-identity images in generator order, and
+    ``section[j]`` is the least source-generator index mapping onto entry j,
+    which fixes a deterministic lift for target letters.  ``ball`` covers
+    the target under ``image_gens``; it is built under the element and time
+    limits of ``DEFAULT_BUDGET``, with no radius cap.
     """
 
     def __init__(
@@ -90,17 +103,22 @@ class QuotientMap:
         self.target = target
         self.images = images
         self.letters = letter_table(target, [im.payload for im in images])
-        self._check_surjective()
-
-    def _check_surjective(self) -> None:
-        order = self.target.order()
-        identity = self.target.identity_payload()
-        seen = {identity: 0}
-        for _ in bfs_layers(self.target.mul_payload, tuple(self.letters.items()), identity, seen):
-            pass
-        if len(seen) != order:
+        identity = target.identity_payload()
+        entries: dict = {}  # distinct non-identity image -> least source index
+        for i, im in enumerate(images):
+            if im.payload != identity:
+                entries.setdefault(im.payload, i)
+        if not entries:
+            raise SurjectivityError("all generator images are the target identity")
+        self.section = tuple(entries.values())
+        self.image_gens = GeneratingSet(
+            [images[i] for i in self.section], [source_gens.labels[i] for i in self.section]
+        )
+        order = target.order()
+        self.ball = _whole_ball(target, self.image_gens, DEFAULT_BUDGET)
+        if len(self.ball) != order:
             raise SurjectivityError(
-                f"images generate only {len(seen)} of {order} target elements"
+                f"images generate only {len(self.ball)} of {order} target elements"
             )
 
     def apply(self, g: GroupElement, word_hint: Optional[Sequence[int]] = None) -> GroupElement:
@@ -122,28 +140,6 @@ class QuotientMap:
         """Payloads of all generator images (the un-symmetrized image set)."""
         return frozenset(im.payload for im in self.images)
 
-    def image_genset(self) -> tuple[GeneratingSet, tuple[int, ...]]:
-        """Distinct non-identity images as a generating set, plus a section.
-
-        ``section[j]`` is the least source-generator index mapping onto
-        entry j, fixing a deterministic lift for target letters.
-        """
-        identity = self.target.identity_payload()
-        entries: list[GroupElement] = []
-        labels: list[str] = []
-        section: list[int] = []
-        seen: set = set()
-        for i, im in enumerate(self.images):
-            if im.payload == identity or im.payload in seen:
-                continue
-            seen.add(im.payload)
-            entries.append(im)
-            labels.append(self.source_gens.labels[i])
-            section.append(i)
-        if not entries:
-            raise SurjectivityError("all generator images are the target identity")
-        return GeneratingSet(entries, labels), tuple(section)
-
     def __repr__(self) -> str:
         return f"QuotientMap({self.source!r} -> {self.target!r})"
 
@@ -164,7 +160,7 @@ def word_quotient(
     return QuotientMap(source_gens, target, images)
 
 
-def check_homomorphism(pi: QuotientMap, max_word_len: int = 8) -> bool:
+def check_homomorphism(pi: QuotientMap) -> bool:
     """Verify that the generator images define a homomorphism: True if exactly, False by probe.
 
     Raises HomomorphismError when two S-words for one source element map
@@ -176,7 +172,7 @@ def check_homomorphism(pi: QuotientMap, max_word_len: int = 8) -> bool:
     to closure, which is exact: the pairs then form the subgroup generated
     by the (generator, image) pairs, and it is the graph of a map exactly
     when no source element carries two images.  The lamplighter is only
-    probed: words up to ``max_word_len`` are compared.
+    probed: words up to ``PROBE_WORD_LEN`` letters are compared.
     """
     gens = pi.source_gens
     if isinstance(gens.group, (IntegerLine, IntegerGrid)):
@@ -195,7 +191,7 @@ def check_homomorphism(pi: QuotientMap, max_word_len: int = 8) -> bool:
         {start: 0},
     )
     if gens.group.order() is None:
-        layers = islice(layers, max_word_len)
+        layers = islice(layers, PROBE_WORD_LEN)
     for _, layer in layers:
         for src, img in layer:
             known = image_of.setdefault(src, img)
@@ -292,17 +288,30 @@ class DiameterReport:
         }
 
 
+def _whole_ball(target: Group, gens: GeneratingSet, budget: Budget) -> Ball:
+    """BFS of a finite group to closure, under the element and time limits of budget."""
+    order = target.order()
+    return ball(target, gens, order, replace(budget, max_radius=order))
+
+
+def held_to(b: Ball, budget: Budget) -> Ball:
+    """A whole-group ball held to budget: its size to the element limit and
+    the radius its BFS reached to the radius limit."""
+    reached = len(b.sphere_sizes) - 1
+    _check_budget(budget, len(b), reached)
+    if reached > budget.max_radius:
+        message = f"the whole-group BFS reached radius {reached}, above {budget.max_radius}"
+        raise BudgetExceededError(message, radius_reached=reached, elements_seen=len(b))
+    return b
+
+
 def group_ball(target: Group, gens: GeneratingSet, budget: Budget = DEFAULT_BUDGET) -> Ball:
     """Ball covering a whole finite group; errors if gens do not generate.  The BFS
     runs to closure under the element budget, and the radius it reaches is budgeted."""
     order = target.order()
     if order is None:
         raise ValueError("a full group ball requires a finite group")
-    b = ball(target, gens, order, replace(budget, max_radius=max(order, budget.max_radius)))
-    reached = len(b.sphere_sizes) - 1
-    if reached > budget.max_radius:
-        message = f"the whole-group BFS reached radius {reached}, above {budget.max_radius}"
-        raise BudgetExceededError(message, radius_reached=reached, elements_seen=len(b))
+    b = held_to(_whole_ball(target, gens, budget), budget)
     if len(b) != order:
         raise SurjectivityError(f"generators reach only {len(b)} of {order} elements")
     return b
@@ -338,12 +347,11 @@ def find_quotient(
     if n_prime < 1:
         raise ValueError(f"length target must be >= 1, got {n_prime}")
     for pi in family:
-        gens, _ = pi.image_genset()
         if mode == "paper_safe":
             a = len(pi.source_gens.entries)
             if pi.target.order() < (2 * a + 1) ** n_prime:
                 continue
-        report = diameter(pi.target, gens, budget)
+        report = DiameterReport.of_ball(held_to(pi.ball, budget))
         if report.diameter >= n_prime:
             return pi, report
         if mode == "paper_safe":

@@ -9,7 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import deadend.cayley
 import deadend.construction
+import deadend.quotient
 from deadend.cayley import Budget, ball
 from deadend.construction import (
     Certificate,
@@ -21,7 +23,6 @@ from deadend.construction import (
     constructed_genset,
     factorize,
     find_witness,
-    phi_table,
     required_N,
     required_n,
     validate_certificate,
@@ -39,9 +40,10 @@ from deadend.groups import (
 )
 from deadend.quotient import (
     HomomorphismError,
+    cyclic_family,
     cyclic_quotient,
     diameter,
-    group_ball,
+    find_quotient,
     word_quotient,
 )
 
@@ -159,9 +161,9 @@ def test_find_witness_minimal_quotient():
     # C_2 with N=1: the constructed set is S itself, witness is 1.
     pi = cyclic_quotient(UNIT, 2)
     built = constructed_genset(UNIT, pi, N=1)
-    report = diameter(pi.target, pi.image_genset()[0])
+    report = diameter(pi.target, pi.image_gens)
     assert report.diameter == 1
-    w = find_witness(built, group_ball(pi.target, pi.image_genset()[0]), ball(ZZ, built.genset, 1))
+    w = find_witness(built, ball(ZZ, built.genset, 1))
     assert w.element.payload == 1
     assert w.n == 1
 
@@ -173,28 +175,68 @@ def test_find_witness_c22():
     assert ctx.a_ball.norm(ctx.witness.element) == 11
 
 
-# -- phi table ----------------------------------------------------------------------
+# -- lifts and the target ball ------------------------------------------------------
 
 
-def test_phi_examples():
-    pi = cyclic_quotient(UNIT, 10)
-    phi = phi_table(pi, group_ball(pi.target, pi.image_genset()[0]))
-    assert phi[6] == ((-1, -1, -1, -1), -4)
-    assert phi[0] == ((), 0)
-    assert phi[5] == ((1, 1, 1, 1, 1), 5)
+def _lifts_of(gens, pi):
+    # _lifts reads only the source generators and the quotient map
+    ctx = object.__new__(Construction)
+    ctx.source_gens, ctx.pi = gens, pi
+    return ctx._lifts
 
 
-def test_phi_lengths_match_target_norms():
-    pi = cyclic_quotient(UNIT, 10)
-    image_gens, _ = pi.image_genset()
-    report = diameter(pi.target, image_gens)
-    tb = ball(pi.target, image_gens, report.diameter)
-    phi = phi_table(pi, tb)
-    for h, (word, lift) in phi.items():
-        assert len(word) == tb.norm_payload(h)
-        assert len(word) <= report.diameter
-        assert pi.apply(ZZ.element(lift), word).payload == h
-        assert evaluate_word(word, UNIT).payload == lift
+def _section_word(pi, h):
+    """S-word that the target geodesic of h spells through the section of pi."""
+    return tuple((pi.section[abs(x) - 1] + 1) * (1 if x > 0 else -1)
+                 for x in pi.ball.geodesic_payload(h))
+
+
+def test_lift_examples(c10_ctx):
+    lifts = c10_ctx._lifts
+    assert lifts[6] == (4, -4, 4)
+    assert lifts[0] == (0, 0, 0)
+    assert lifts[5] == (5, 5, -5)
+
+
+def test_lift_lengths_match_target_norms(c10_ctx):
+    pi = c10_ctx.pi
+    for h, lift in c10_ctx._lifts.items():
+        assert lift.length == pi.ball.norm_payload(h) <= c10_ctx.params.n
+        assert pi.apply(ZZ.element(lift.payload), _section_word(pi, h)).payload == h
+        assert lift.inverse == -lift.payload
+
+
+def _bfs_over(cls, monkeypatch):
+    """Record every BFS whose steps multiply in a group of class cls."""
+    calls = []
+    for module in (deadend.cayley, deadend.quotient):
+        real = module.bfs_layers
+
+        def counting(mul, *rest, real=real):
+            if isinstance(getattr(mul, "__self__", None), cls):
+                calls.append(mul.__self__)
+            return real(mul, *rest)
+
+        monkeypatch.setattr(module, "bfs_layers", counting)
+    return calls
+
+
+def test_one_target_bfs_per_quotient_map(monkeypatch):
+    calls = _bfs_over(Cyclic, monkeypatch)
+    ctx = Construction.build(UNIT, cyclic_quotient(UNIT, 22), target_depth=4)
+    assert ctx.verify().passed
+    assert calls == [ctx.pi.target]
+    calls.clear()
+    members = []
+
+    def family():
+        for pi in cyclic_family(UNIT):
+            members.append(pi.target)
+            yield pi
+
+    pi, report = find_quotient(family(), 5)
+    assert (pi.target.modulus, report.diameter) == (10, 5)
+    assert calls == members and len(members) == 9
 
 
 def _dihedral_table_quotient():
@@ -244,17 +286,18 @@ def _z23_quotient():
     ids=["z23-c14", "grid-c10", "lamplighter-c6", "dihedral-table"],
 )
 def test_parent_folds_match_geodesic_reference(make, N):
-    # Reference: evaluate every geodesic from scratch, as the tables did
-    # before they were folded down the BFS tree.
+    # Reference: lift every target geodesic through the section and evaluate
+    # it from scratch, with no fold down the BFS tree.
     gens, pi = make()
-    image_gens, section = pi.image_genset()
-    tb = group_ball(pi.target, image_gens)
-    expected_phi = []
-    for h in tb.payloads():
-        geodesic = tb.geodesic_payload(h)
-        word = tuple((section[abs(x) - 1] + 1) * (1 if x > 0 else -1) for x in geodesic)
-        expected_phi.append((h, (word, evaluate_word(word, gens).payload)))
-    assert list(phi_table(pi, tb).items()) == expected_phi
+    inv = gens.group.inv_payload
+    expected = []
+    for h in pi.ball.payloads():
+        word = _section_word(pi, h)
+        assert len(word) == pi.ball.norm_payload(h)
+        assert pi.apply_word(word).payload == h
+        lift = evaluate_word(word, gens).payload
+        expected.append((h, (len(word), lift, inv(lift))))
+    assert list(_lifts_of(gens, pi).items()) == expected
 
     built = constructed_genset(gens, pi, N)
     s_ball = built.s_ball
@@ -269,12 +312,6 @@ def test_parent_folds_match_geodesic_reference(make, N):
         if pi.apply_word(s_ball.geodesic_payload(p)).payload in tset:
             expected_a.append(p)
     assert [e.payload for e in built.genset.entries] == expected_a
-
-
-def test_phi_table_rejects_a_partial_target_ball():
-    pi = cyclic_quotient(UNIT, 10)
-    with pytest.raises(ConstructionError):
-        phi_table(pi, ball(pi.target, pi.image_genset()[0], 2))
 
 
 # -- certificates --------------------------------------------------------------------
@@ -337,24 +374,12 @@ def test_certificate_corruption_rejected(c10_ctx, field):
         validate_certificate(c10_ctx, bad, near_witness=True)
 
 
-PHI_CORRUPTIONS = {
-    # the word of 6 spells 7 and lifts to -3, no longer -4
-    "word": lambda word, lift: (word[:-1], lift),
-    # -4 + 10 still maps to 6, so only the check against the word shows it
-    "lift": lambda word, lift: (word, lift + 10),
-    # a cancelling pair: the word still folds to -4 and maps onto 6, but its
-    # 6 letters exceed n = 5, which would let a factor word exceed |u| + 2n
-    "padded": lambda word, lift: (word[:1] + (1, -1) + word[1:], lift),
-}
-
-
-@pytest.mark.parametrize("field", sorted(PHI_CORRUPTIONS))
-def test_corrupted_phi_table_raises_on_certify(field):
-    ctx = Construction.build(UNIT, cyclic_quotient(UNIT, 10), target_depth=3)
-    ctx.phi = dict(ctx.phi)
-    ctx.phi[6] = PHI_CORRUPTIONS[field](*ctx.phi[6])
-    with pytest.raises(CertificateError, match="phi table entry for 6"):
-        ctx.certify(ZZ.element(46))
+def test_certificate_factor_outside_a_rejected(c10_ctx, monkeypatch):
+    cert = c10_ctx.certify(ZZ.element(46))
+    symmetrized = c10_ctx.built.symmetrized - {cert.v_payloads[1]}
+    monkeypatch.setattr(c10_ctx.built, "symmetrized", symmetrized)
+    with pytest.raises(CertificateError, match="factor 1: factor is not in A"):
+        validate_certificate(c10_ctx, cert, near_witness=True)
 
 
 def reference_factorize(ctx, g, s_word):
@@ -365,19 +390,19 @@ def reference_factorize(ctx, g, s_word):
     assert evaluate_word(s_word, ctx.source_gens) == g
     L = len(s_word)
     pi_g = ctx.pi.apply_word(s_word).payload
-    k = ctx.target_ball.norm_payload(pi_g)
+    k = ctx.pi.ball.norm_payload(pi_g)
     if k == 0:
         return Certificate(g, 0, (), (), (), (), degenerate=True)
-    t_letters = ctx.target_ball.geodesic_payload(pi_g)
+    t_letters = ctx.pi.ball.geodesic_payload(pi_g)
     base, extra = divmod(L, k)
     cuts = [i * base + min(i, extra) for i in range(k + 1)]
     target = ctx.pi.target
     corrections = [()]
     for i in range(1, k):
         prefix_image = ctx.pi.apply_word(s_word[: cuts[i]]).payload
-        prefix_geo = evaluate_word(t_letters[:i], ctx.image_gens).payload
-        corrections.append(ctx.phi[target.mul_payload(target.inv_payload(prefix_image),
-                                                      prefix_geo)][0])
+        prefix_geo = evaluate_word(t_letters[:i], ctx.pi.image_gens).payload
+        corrections.append(_section_word(ctx.pi, target.mul_payload(
+            target.inv_payload(prefix_image), prefix_geo)))
     corrections.append(())
     u_words = tuple(s_word[a:b] for a, b in zip(cuts, cuts[1:]))
     v_words = tuple(invert_word(corrections[i]) + u_words[i] + corrections[i + 1]
@@ -585,9 +610,8 @@ def test_verify_construction_c22():
 def test_construction_requires_matching_diameter():
     pi = cyclic_quotient(UNIT, 10)
     params = ConstructionParams(3, 2, 7, required_N(7, 2), "paper")
-    target_ball = group_ball(pi.target, pi.image_genset()[0])
     with pytest.raises(ConstructionError):
-        Construction(UNIT, pi, params, target_ball)
+        Construction(UNIT, pi, params)
 
 
 def test_report_json_round_trip(c10_ctx):
@@ -688,7 +712,7 @@ def test_nonabelian_target_construction():
     d4 = Dihedral(4)
     gens = standard_gens(d8)
     pi = word_quotient(gens, d4, [d4.element((1, 0)), d4.element((0, 1))])
-    check_homomorphism(pi, max_word_len=8)
+    check_homomorphism(pi)
     ctx = Construction.build(gens, pi, target_depth=2, bound_mode="tight")
     assert ctx.params.n == 3
     assert [e.payload for e in ctx.built.genset.entries] == [
