@@ -399,8 +399,7 @@ def ball_cached(
 
 def ball_to_csv(b: Ball, path: Union[str, Path]) -> None:
     """CSV export of (element, norm) pairs in BFS order."""
-    fmt = b.group.format_payload
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["element", "norm"])
-        writer.writerows(zip(map(fmt, b.payloads()), b.dist.values()))
+        writer.writerows(zip(map(b.codec.text, b.dist), b.dist.values()))

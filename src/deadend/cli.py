@@ -130,14 +130,15 @@ def parse_gens(group: Group, spec: Optional[str]) -> GeneratingSet:
         raise UsageError(f"bad generating set {spec!r}: {exc}") from exc
 
 
-def parse_quotient(spec: str, source_gens: GeneratingSet):
-    """Returns either a QuotientMap (fixed) or a family iterator spec tuple."""
+def parse_quotient(spec: str, source_gens: GeneratingSet, budget: Budget):
+    """Returns either a QuotientMap (fixed), its target ball built under
+    ``budget``, or a family iterator spec tuple."""
     spec = spec.strip()
     if spec == "cyclic":
         return ("family", "cyclic")
     if spec.startswith("cyclic:"):
         try:
-            return cyclic_quotient(source_gens, int(spec.split(":", 1)[1]))
+            return cyclic_quotient(source_gens, int(spec.split(":", 1)[1]), budget)
         except (ValueError, GroupError) as exc:
             raise UsageError(f"bad quotient {spec!r}: {exc}") from exc
     if spec.startswith("@"):
@@ -151,7 +152,7 @@ def parse_quotient(spec: str, source_gens: GeneratingSet):
             GroupElement(target, payload_from_json(target, obj)) for obj in doc["images"]
         ]
         try:  # Construction checks the homomorphism law
-            return word_quotient(source_gens, target, images)
+            return word_quotient(source_gens, target, images, budget)
         except GroupError as exc:
             raise UsageError(f"bad quotient file: {exc}") from exc
     raise UsageError(f"unrecognized quotient spec {spec!r}")
@@ -223,10 +224,12 @@ def _build_construction(args) -> tuple[Construction, dict]:
     group = parse_group(args.group)
     if args.target_depth is None:
         raise UsageError("--target-depth is required")
+    if args.target_depth < 2:
+        raise UsageError(f"--target-depth must be >= 2, got {args.target_depth}")
     gens = parse_gens(group, args.gens)
     budget = _budget_from_args(args)
     quotient_spec = args.quotient or "cyclic"
-    parsed = parse_quotient(quotient_spec, gens)
+    parsed = parse_quotient(quotient_spec, gens, budget)
     if isinstance(parsed, QuotientMap):
         pi = parsed
     else:
@@ -235,7 +238,7 @@ def _build_construction(args) -> tuple[Construction, dict]:
         n_prime = required_n(args.target_depth - 1)
         # paper_safe takes the first member of order >= (2a+1)^n': build none below it
         start = (2 * len(gens) + 1) ** n_prime if args.quotient_mode == "paper_safe" else 2
-        family = cyclic_family(gens, start=start, stop=args.quotient_max)
+        family = cyclic_family(gens, start=start, stop=args.quotient_max, budget=budget)
         pi, _ = find_quotient(family, n_prime, mode=args.quotient_mode, budget=budget)
     ctx = Construction.build(
         gens,

@@ -169,6 +169,8 @@ class DepthProfile:
         finite: Optional[int] = None
         for norm, dv in self._entries.values():
             cur = deepest[norm]
+            if dv is cur:  # equal outcomes of a search are one object
+                continue
             if cur is None or dv.sort_key() > cur.sort_key():
                 deepest[norm] = dv
             if dv.is_finite and (finite is None or dv.value > finite):
@@ -185,11 +187,11 @@ class DepthProfile:
         return self._maxima()[1]
 
     def to_csv(self, path: Union[str, Path]) -> None:
-        fmt, decode = self.group.format_payload, self._codec.decode
+        text = self._codec.text
         with open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["element", "norm", "depth"])
-            writer.writerows([fmt(decode(code)), norm, dv.render()]
+            writer.writerows([text(code), norm, dv.render()]
                              for code, (norm, dv) in self._entries.items())
 
     def summary_json(self) -> dict:

@@ -80,13 +80,16 @@ class Codec(NamedTuple):
     """Element codes, injective on the products of at most ``radius`` of ``payloads``.
 
     ``step(code, codes[i])`` codes the product by ``payloads[i]``; ``encode`` maps
-    a payload to its code (None outside the coded range), ``decode`` back.  Where
-    ``step`` is ``operator.add``, 0 codes the identity."""
+    a payload to its code (None outside the coded range), ``decode`` back, and
+    ``text`` maps a code to the ``format_payload`` text of its payload, which
+    writers of element text (CSV exports) call without building the payload
+    where the group can.  Where ``step`` is ``operator.add``, 0 codes the identity."""
 
     codes: list
     step: Callable[[Any, Any], Any]
     encode: Callable[[Any], Any]
     decode: Callable[[Any], Any]
+    text: Callable[[Any], str]
 
 
 def _same(x: Any) -> Any:
@@ -170,7 +173,7 @@ class Group(ABC):
         """A ``Codec`` for products of at most ``radius`` of ``payloads``: an int code
         where the group has one that neither overflows nor outgrows the payloads,
         else the identity codec (codes are payloads, ``step`` is ``mul_payload``)."""
-        return Codec(list(payloads), self.mul_payload, _same, _same)
+        return Codec(list(payloads), self.mul_payload, _same, _same, self.format_payload)
 
     # Formats; the defaults suit integer payloads.
 
@@ -470,7 +473,8 @@ class IntegerLine(Group):
         reach = radius * max(map(abs, payloads), default=0)
         if reach > self._cap:
             return super().integer_code(payloads, radius)
-        return Codec(list(payloads), add, lambda p: p if -reach <= p <= reach else None, _same)
+        return Codec(list(payloads), add, lambda p: p if -reach <= p <= reach else None, _same,
+                     self.format_payload)
 
     def standard_gens(self) -> GeneratingSet:
         return GeneratingSet([self.element(1)], ["1"])
@@ -547,7 +551,8 @@ class IntegerGrid(Group):
             code += bias
             return tuple(((code >> s) & mask) - reach for s in shifts)
 
-        return Codec(codes, add, encode, decode)
+        fmt = self.format_payload
+        return Codec(codes, add, encode, decode, lambda code: fmt(decode(code)))
 
     def format_payload(self, p: tuple) -> str:
         return "(" + ",".join(str(c) for c in p) + ")"
@@ -690,10 +695,15 @@ class Dihedral(Group):
 
 
 class _ByteLamps(dict):
-    """base -> its 256-entry table, built on first use: byte -> lamps base + i, i a set bit."""
+    """base -> its 256-entry table, built on first use: byte -> ``form`` of the
+    lamps base + i, i a set bit, in increasing order."""
+
+    def __init__(self, form: Callable[[Iterator[int]], Any]):
+        super().__init__()
+        self.form = form
 
     def __missing__(self, base: int) -> tuple:
-        self[base] = tuple(tuple(base + i for i in range(8) if x >> i & 1) for x in range(256))
+        self[base] = tuple(self.form(base + i for i in range(8) if x >> i & 1) for x in range(256))
         return self[base]
 
 
@@ -783,22 +793,32 @@ class Lamplighter(Group):
             inside = abs(c) <= span and (not lamps or -reach <= lamps[0] <= lamps[-1] <= reach)
             return sum(1 << (w + reach + q) for q in lamps) + c + span if inside else None
 
-        lamps_of_byte = _ByteLamps()
-
-        def decode(code: int) -> tuple:
-            # a byte at a time from the lowest lit one; bit 0 of the mask is lamp -reach
-            lamps, mask = [], code >> w
+        def lit_bytes(code: int, table: _ByteLamps) -> list:
+            # table entries of the lit bytes, a byte at a time from the lowest
+            # lit one; bit 0 of the mask is lamp -reach
+            out, mask = [], code >> w
             if mask:
                 low = ((mask & -mask).bit_length() - 1) & -8
                 mask >>= low
                 base = low - reach
                 while mask:
-                    lamps += lamps_of_byte[base][mask & 255]
+                    if mask & 255:
+                        out.append(table[base][mask & 255])
                     mask >>= 8
                     base += 8
-            return tuple(lamps), (code & field) - span
+            return out
 
-        return Codec(codes, step, encode, decode)
+        lamps_of_byte = _ByteLamps(tuple)
+        text_of_byte = _ByteLamps(lambda q: " ".join(map(str, q)))
+
+        def decode(code: int) -> tuple:
+            return sum(lit_bytes(code, lamps_of_byte), ()), (code & field) - span
+
+        def text(code: int) -> str:
+            lamps = " ".join(lit_bytes(code, text_of_byte))
+            return "{" + lamps + "}@" + str((code & field) - span)
+
+        return Codec(codes, step, encode, decode, text)
 
     def format_payload(self, p: tuple) -> str:
         lamps, c = p

@@ -81,7 +81,8 @@ class QuotientMap:
     ``section[j]`` is the least source-generator index mapping onto entry j,
     which fixes a deterministic lift for target letters.  ``ball`` covers
     the target under ``image_gens``; it is built under the element and time
-    limits of ``DEFAULT_BUDGET``, with no radius cap.
+    limits of ``budget``, with no radius cap, so a target too large for the
+    budget raises BudgetExceededError here.
     """
 
     def __init__(
@@ -89,6 +90,7 @@ class QuotientMap:
         source_gens: GeneratingSet,
         target: Group,
         images: Sequence[GroupElement],
+        budget: Budget = DEFAULT_BUDGET,
     ):
         if target.order() is None:
             raise ValueError("quotient target must be finite")
@@ -115,7 +117,7 @@ class QuotientMap:
             [images[i] for i in self.section], [source_gens.labels[i] for i in self.section]
         )
         order = target.order()
-        self.ball = _whole_ball(target, self.image_gens, DEFAULT_BUDGET)
+        self.ball = _whole_ball(target, self.image_gens, budget)
         if len(self.ball) != order:
             raise SurjectivityError(
                 f"images generate only {len(self.ball)} of {order} target elements"
@@ -144,20 +146,23 @@ class QuotientMap:
         return f"QuotientMap({self.source!r} -> {self.target!r})"
 
 
-def cyclic_quotient(source_gens: GeneratingSet, m: int) -> QuotientMap:
+def cyclic_quotient(
+    source_gens: GeneratingSet, m: int, budget: Budget = DEFAULT_BUDGET
+) -> QuotientMap:
     """Reduction of the integers onto the cyclic group of order m."""
     if not isinstance(source_gens.group, IntegerLine):
         raise ValueError("cyclic quotient requires an IntegerLine source")
     target = Cyclic(m)
     images = [target.element(e.payload) for e in source_gens.entries]
-    return QuotientMap(source_gens, target, images)
+    return QuotientMap(source_gens, target, images, budget)
 
 
 def word_quotient(
-    source_gens: GeneratingSet, target: Group, images: Sequence[GroupElement]
+    source_gens: GeneratingSet, target: Group, images: Sequence[GroupElement],
+    budget: Budget = DEFAULT_BUDGET,
 ) -> QuotientMap:
     """Quotient map defined purely by generator images."""
-    return QuotientMap(source_gens, target, images)
+    return QuotientMap(source_gens, target, images, budget)
 
 
 def check_homomorphism(pi: QuotientMap) -> bool:
@@ -363,17 +368,19 @@ def find_quotient(
 
 
 def cyclic_family(
-    source_gens: GeneratingSet, start: int = 2, stop: Optional[int] = None
+    source_gens: GeneratingSet, start: int = 2, stop: Optional[int] = None,
+    budget: Budget = DEFAULT_BUDGET,
 ) -> Iterator[QuotientMap]:
     """Lazily enumerated cyclic quotients Z -> C_m for m = start, start+1, ...
 
     Members whose images fail to generate (for example m sharing a factor
-    with every generator) are skipped.
+    with every generator) are skipped; each member's ball is built under
+    ``budget``.
     """
     m = start
     while stop is None or m <= stop:
         try:
-            yield cyclic_quotient(source_gens, m)
+            yield cyclic_quotient(source_gens, m, budget)
         except SurjectivityError:
             pass
         m += 1

@@ -589,7 +589,7 @@ def payload_ball(group, gens, radius):
     """The reference BFS as a Ball on the identity codec: codes are payloads."""
     dist, parent, spheres = reference_ball(group, gens, radius)
     same = lambda p: p  # noqa: E731
-    codec = Codec(list(gens.letters.values()), group.mul_payload, same, same)
+    codec = Codec(list(gens.letters.values()), group.mul_payload, same, same, group.format_payload)
     return Ball(group, gens, radius, dict(dist), dict(parent), spheres, codec)
 
 
@@ -639,6 +639,15 @@ def test_coded_ball_matches_payload_bfs(tmp_path_factory, case):
     ball_to_csv(b, tmp / "coded.csv")
     ball_to_csv(ref, tmp / "payload.csv")
     assert (tmp / "coded.csv").read_bytes() == (tmp / "payload.csv").read_bytes()
+    assert outcome(profile_csv, b, tmp / "coded-depth.csv") == outcome(
+        profile_csv, ref, tmp / "payload-depth.csv"
+    )
+
+
+def profile_csv(b, path):
+    """The bytes of the cap-4 depth profile CSV of b, written to path."""
+    depth_profile(b, 4).to_csv(path)
+    return path.read_bytes()
 
 
 def is_coded(b):
@@ -750,8 +759,36 @@ def test_lamplighter_code_steps_and_decodes():
             payload = lamp.mul_payload(payload, steps[i])
         assert codec.decode(code) == payload
         assert codec.encode(payload) == code
+        assert codec.text(code) == lamp.format_payload(payload)
     assert codec.encode(((), 31)) is None
     assert codec.encode(((-33,), 0)) is None
+
+
+CODEC_TEXT_CASES = [
+    # steps ((-2, 1), 3), ((0,), 0), ((), -1) for 10 steps: cursor within 30, lamps within 32
+    (Lamplighter(), [((-2, 1), 3), ((0,), 0), ((), -1)], 10, [
+        ((), 0), ((), 30), ((), -30),  # no lamps, cursors of both signs
+        ((-32,), 5),  # a lamp at -reach, bit 0 of the mask
+        ((-25, -24, -17, -16), -3),  # lamps on both sides of two byte boundaries
+        ((32,), -7), ((-32, 32), 0),  # a far lamp, alone and with the nearest
+        (tuple(range(-32, 33, 3)), 17),
+    ]),
+    (IntegerGrid(3), [(3, -1, 0), (-2, 5, 7), (0, 0, -4)], 8,
+     [(0, 0, 0), (-24, 40, 56), (3, -8, -32)]),
+    (IntegerLine(), [3, -5], 4, [0, 20, -20, 7]),
+    # lamp 12 is too wide for 8-bit codes over 3 steps: the identity codec
+    (Lamplighter(bits=8), [((), 1), ((12,), 0)], 3, [((), 0), ((-12, 12), -1)]),
+]
+
+
+@pytest.mark.parametrize("group, steps, radius, payloads", CODEC_TEXT_CASES,
+                         ids=["lamplighter", "grid", "line", "identity"])
+def test_codec_text_is_the_format_of_the_payload(group, steps, radius, payloads):
+    codec = group.integer_code(steps, radius)
+    for payload in payloads:
+        code = codec.encode(payload)
+        assert code is not None and codec.decode(code) == payload
+        assert codec.text(code) == group.format_payload(payload)
 
 
 # SHA-256 of the version-1 record stream, pinned before balls kept their

@@ -283,7 +283,7 @@ def test_paper_safe_family_starts_at_the_counting_bound(tmp_path, monkeypatch):
     built = []
     real = deadend.quotient.cyclic_quotient
     monkeypatch.setattr(deadend.quotient, "cyclic_quotient",
-                        lambda gens, m: built.append(m) or real(gens, m))
+                        lambda gens, m, budget: built.append(m) or real(gens, m, budget))
     code, report = run(tmp_path, "construct", "--group", "zz", "--gens", "1", "--quotient",
                        "cyclic", "--quotient-mode", "paper_safe", "--target-depth", "3")
     assert code == EXIT_OK and report["results"]["passed"]
@@ -357,6 +357,15 @@ def test_usage_error_exit_code(tmp_path):
     assert main(["depth", "--group", "nope", "--element", "1", "--radius", "2"]) == EXIT_USAGE
     assert main(["depth", "--group", "zz", "--radius", "2"]) == EXIT_USAGE
     assert main(["construct", "--group", "zz", "--gens", "1"]) == EXIT_USAGE
+
+
+@pytest.mark.parametrize("target_depth", ["1", "0", "-5"])
+def test_target_depth_below_two_is_a_usage_error(capsys, target_depth):
+    for command in ("verify", "construct", "certify"):
+        argv = [command, "--group", "zz", "--gens", "1", "--quotient", "cyclic:10"]
+        assert main([*argv, "--target-depth", target_depth]) == EXIT_USAGE
+        message = f"--target-depth must be >= 2, got {target_depth}"
+        assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -297,6 +297,12 @@ def test_whole_group_bfs_is_held_to_the_radius_it_reaches():
         diameter(small, GeneratingSet([small.element(1)]), Budget(max_elements=20))
 
 
+def test_quotient_map_builds_its_ball_under_the_callers_budget():
+    with pytest.raises(BudgetExceededError, match="element budget 1000") as info:
+        cyclic_quotient(UNIT, 200_001, budget=Budget(max_elements=1000))
+    assert info.value.elements_seen <= 1001
+
+
 def test_diameter_witness_max_length_invariant():
     report = diameter(Cyclic(17), GeneratingSet([Cyclic(17).element(1)]))
     assert report.sphere_sizes[report.diameter] >= 1
