@@ -52,7 +52,6 @@ from .quotient import (
     diameter,
     find_quotient,
     group_ball,
-    word_quotient,
 )
 from .depth import DepthProfile, DepthValue, depth, depth_oracle, depth_profile
 from .construction import (

@@ -44,7 +44,6 @@ from .quotient import (
     cyclic_quotient,
     diameter,
     find_quotient,
-    word_quotient,
 )
 from .serialize import (
     content_hash,
@@ -152,7 +151,7 @@ def parse_quotient(spec: str, source_gens: GeneratingSet, budget: Budget):
             GroupElement(target, payload_from_json(target, obj)) for obj in doc["images"]
         ]
         try:  # Construction checks the homomorphism law
-            return word_quotient(source_gens, target, images, budget)
+            return QuotientMap(source_gens, target, images, budget)
         except GroupError as exc:
             raise UsageError(f"bad quotient file: {exc}") from exc
     raise UsageError(f"unrecognized quotient spec {spec!r}")

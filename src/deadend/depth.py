@@ -169,8 +169,6 @@ class DepthProfile:
         finite: Optional[int] = None
         for norm, dv in self._entries.values():
             cur = deepest[norm]
-            if dv is cur:  # equal outcomes of a search are one object
-                continue
             if cur is None or dv.sort_key() > cur.sort_key():
                 deepest[norm] = dv
             if dv.is_finite and (finite is None or dv.value > finite):

@@ -696,14 +696,15 @@ class Dihedral(Group):
 
 class _ByteLamps(dict):
     """base -> its 256-entry table, built on first use: byte -> ``form`` of the
-    lamps base + i, i a set bit, in increasing order."""
+    tuple of lamps base + i, i a set bit, in increasing order."""
 
-    def __init__(self, form: Callable[[Iterator[int]], Any]):
+    def __init__(self, form: Callable[[tuple], tuple]):
         super().__init__()
         self.form = form
 
     def __missing__(self, base: int) -> tuple:
-        self[base] = tuple(self.form(base + i for i in range(8) if x >> i & 1) for x in range(256))
+        self[base] = tuple(self.form(tuple(base + i for i in range(8) if x >> i & 1))
+                           for x in range(256))
         return self[base]
 
 
@@ -793,30 +794,30 @@ class Lamplighter(Group):
             inside = abs(c) <= span and (not lamps or -reach <= lamps[0] <= lamps[-1] <= reach)
             return sum(1 << (w + reach + q) for q in lamps) + c + span if inside else None
 
-        def lit_bytes(code: int, table: _ByteLamps) -> list:
-            # table entries of the lit bytes, a byte at a time from the lowest
-            # lit one; bit 0 of the mask is lamp -reach
-            out, mask = [], code >> w
-            if mask:
-                low = ((mask & -mask).bit_length() - 1) & -8
-                mask >>= low
-                base = low - reach
-                while mask:
-                    if mask & 255:
-                        out.append(table[base][mask & 255])
-                    mask >>= 8
-                    base += 8
-            return out
+        # decode and text walk the mask alike; join makes the lamps a tuple or text
+        def reader(lamps_of_byte: _ByteLamps, join: Callable) -> Callable:
+            def read(code: int) -> tuple:
+                # a byte at a time from the lowest lit one; bit 0 of the mask is lamp -reach
+                lamps, mask = [], code >> w
+                if mask:
+                    low = ((mask & -mask).bit_length() - 1) & -8
+                    mask >>= low
+                    base = low - reach
+                    while mask:
+                        lamps += lamps_of_byte[base][mask & 255]
+                        mask >>= 8
+                        base += 8
+                return join(lamps), (code & field) - span
 
-        lamps_of_byte = _ByteLamps(tuple)
-        text_of_byte = _ByteLamps(lambda q: " ".join(map(str, q)))
+            return read
 
-        def decode(code: int) -> tuple:
-            return sum(lit_bytes(code, lamps_of_byte), ()), (code & field) - span
+        decode = reader(_ByteLamps(_same), tuple)
+        # a lit byte's lamps as one text fragment: a table of 256 strings, not 1,024
+        lamp_text = reader(_ByteLamps(lambda q: (" ".join(map(str, q)),) if q else ()), " ".join)
 
         def text(code: int) -> str:
-            lamps = " ".join(lit_bytes(code, text_of_byte))
-            return "{" + lamps + "}@" + str((code & field) - span)
+            lamps, c = lamp_text(code)
+            return "{" + lamps + "}@" + str(c)
 
         return Codec(codes, step, encode, decode, text)
 

@@ -41,7 +41,6 @@ __all__ = [
     "HomomorphismError",
     "FamilyExhaustedError",
     "cyclic_quotient",
-    "word_quotient",
     "check_homomorphism",
     "group_ball",
     "diameter",
@@ -154,14 +153,6 @@ def cyclic_quotient(
         raise ValueError("cyclic quotient requires an IntegerLine source")
     target = Cyclic(m)
     images = [target.element(e.payload) for e in source_gens.entries]
-    return QuotientMap(source_gens, target, images, budget)
-
-
-def word_quotient(
-    source_gens: GeneratingSet, target: Group, images: Sequence[GroupElement],
-    budget: Budget = DEFAULT_BUDGET,
-) -> QuotientMap:
-    """Quotient map defined purely by generator images."""
     return QuotientMap(source_gens, target, images, budget)
 
 

@@ -40,11 +40,11 @@ from deadend.groups import (
 )
 from deadend.quotient import (
     HomomorphismError,
+    QuotientMap,
     cyclic_family,
     cyclic_quotient,
     diameter,
     find_quotient,
-    word_quotient,
 )
 
 ZZ = IntegerLine()
@@ -241,7 +241,7 @@ def test_one_target_bfs_per_quotient_map(monkeypatch):
 
 def _dihedral_table_quotient():
     from deadend.groups import Dihedral, TableGroup, standard_gens
-    from deadend.quotient import word_quotient
+    from deadend.quotient import QuotientMap
 
     d4 = Dihedral(4)
     ids = {e.payload: i for i, e in enumerate(d4.elements())}
@@ -249,25 +249,25 @@ def _dihedral_table_quotient():
     target = TableGroup(table, ids[d4.identity_payload()], name="D_4")
     gens = standard_gens(Dihedral(8))
     images = [target.element(ids[(1, 0)]), target.element(ids[(0, 1)])]
-    return gens, word_quotient(gens, target, images)
+    return gens, QuotientMap(gens, target, images)
 
 
 def _grid_quotient():
     from deadend.groups import IntegerGrid, standard_gens
-    from deadend.quotient import word_quotient
+    from deadend.quotient import QuotientMap
 
     gens = standard_gens(IntegerGrid(2))
     c10 = Cyclic(10)
-    return gens, word_quotient(gens, c10, [c10.element(1), c10.element(1)])
+    return gens, QuotientMap(gens, c10, [c10.element(1), c10.element(1)])
 
 
 def _lamplighter_quotient():
     from deadend.groups import Lamplighter, standard_gens
-    from deadend.quotient import word_quotient
+    from deadend.quotient import QuotientMap
 
     gens = standard_gens(Lamplighter())
     c6 = Cyclic(6)
-    return gens, word_quotient(gens, c6, [c6.element(1), c6.element(3)])
+    return gens, QuotientMap(gens, c6, [c6.element(1), c6.element(3)])
 
 
 def _z23_quotient():
@@ -464,7 +464,7 @@ def _cyclic_case(gens, m, target_depth, mode="paper"):
 
 def _word_case(gens, target, images, target_depth):
     return lambda: Construction.build(
-        gens, word_quotient(gens, target, images), target_depth, "tight"
+        gens, QuotientMap(gens, target, images), target_depth, "tight"
     )
 
 
@@ -522,7 +522,7 @@ def test_verify_on_an_exact_source_builds_no_a_ball(monkeypatch):
     real = deadend.construction.ball_cached
     monkeypatch.setattr(deadend.construction, "ball_cached",
                         lambda group, gens, *rest: built.append(gens) or real(group, gens, *rest))
-    ctx = Construction.build(_GRID, word_quotient(_GRID, Cyclic(10), [Cyclic(10).element(1)] * 2),
+    ctx = Construction.build(_GRID, QuotientMap(_GRID, Cyclic(10), [Cyclic(10).element(1)] * 2),
                              target_depth=2, bound_mode="tight")
     assert ctx.verify().passed
     assert ctx.certify(ctx.witness_neighborhood()[-1][0]).k <= ctx.params.n
@@ -533,7 +533,7 @@ def test_verify_on_an_exact_source_builds_no_a_ball(monkeypatch):
 def test_construction_rejects_a_library_quotient_that_is_not_a_homomorphism():
     # 21 -> 2, but 21 = 21 * 1 -> 1 in C_10: only words of 21 letters or more disagree
     gens = GeneratingSet([ZZ.element(1), ZZ.element(21)])
-    pi = word_quotient(gens, Cyclic(10), [Cyclic(10).element(1), Cyclic(10).element(2)])
+    pi = QuotientMap(gens, Cyclic(10), [Cyclic(10).element(1), Cyclic(10).element(2)])
     with pytest.raises(HomomorphismError, match="map to different images"):
         Construction.build(gens, pi, target_depth=2, bound_mode="tight")
 
@@ -668,12 +668,12 @@ def test_find_witness_c22_large_slack():
 def test_finite_source_construction():
     # C_12 -> C_6: the witness lands on an extremal element of the finite
     # source, so its true depth is infinite (>= d+1 holds a fortiori)
-    from deadend.quotient import word_quotient
+    from deadend.quotient import QuotientMap
 
     c12 = Cyclic(12)
     s12 = GeneratingSet([c12.element(1)])
     c6 = Cyclic(6)
-    pi = word_quotient(s12, c6, [c6.element(1)])
+    pi = QuotientMap(s12, c6, [c6.element(1)])
     ctx = Construction.build(s12, pi, target_depth=2, bound_mode="tight")
     assert [e.payload for e in ctx.built.genset.entries] == [1, 7]
     assert ctx.witness.element.payload == 3
@@ -686,12 +686,12 @@ def test_grid_source_with_identity_image():
     # rank-2 grid -> C_6 killing the second coordinate: one generator
     # image is the target identity, so the kernel direction enters A
     from deadend.groups import IntegerGrid
-    from deadend.quotient import word_quotient
+    from deadend.quotient import QuotientMap
 
     grid = IntegerGrid(2)
     gens = GeneratingSet([grid.element((1, 0)), grid.element((0, 1))], ["x", "y"])
     c6 = Cyclic(6)
-    pi = word_quotient(gens, c6, [c6.element(1), c6.element(0)])
+    pi = QuotientMap(gens, c6, [c6.element(1), c6.element(0)])
     with pytest.warns(UserWarning, match="identity"):
         ctx = Construction.build(gens, pi, target_depth=2, bound_mode="tight")
     assert ctx.params.n == 3
@@ -706,12 +706,12 @@ def test_nonabelian_target_construction():
     # D_8 -> D_4 (rotation reduced mod 4): the target geodesic corrections
     # run through genuinely noncommutative algebra
     from deadend.groups import Dihedral, standard_gens
-    from deadend.quotient import check_homomorphism, word_quotient
+    from deadend.quotient import QuotientMap, check_homomorphism
 
     d8 = Dihedral(8)
     d4 = Dihedral(4)
     gens = standard_gens(d8)
-    pi = word_quotient(gens, d4, [d4.element((1, 0)), d4.element((0, 1))])
+    pi = QuotientMap(gens, d4, [d4.element((1, 0)), d4.element((0, 1))])
     check_homomorphism(pi)
     ctx = Construction.build(gens, pi, target_depth=2, bound_mode="tight")
     assert ctx.params.n == 3
@@ -727,12 +727,12 @@ def test_nonabelian_target_construction():
 
 
 def test_word_mode_quotient_runs_the_same_pipeline():
-    # the same mod-10 map, declared through word_quotient instead of
+    # the same mod-10 map, declared through QuotientMap instead of
     # cyclic_quotient, gives the same pipeline
-    from deadend.quotient import word_quotient
+    from deadend.quotient import QuotientMap
 
     target = Cyclic(10)
-    pi = word_quotient(UNIT, target, [target.element(1)])
+    pi = QuotientMap(UNIT, target, [target.element(1)])
     ctx = Construction.build(UNIT, pi, target_depth=3, bound_mode="tight")
     assert [e.payload for e in ctx.built.genset.entries] == [1, -9, 11, -19, 21, -29, 31]
     assert ctx.witness.element.payload == 5
@@ -743,12 +743,12 @@ def test_identity_image_excluded_with_warning():
     # lamplighter -> C_2 by lamp parity: the shift maps to the identity,
     # so the group identity lies in the filter and is dropped with a warning
     from deadend.groups import Lamplighter, standard_gens
-    from deadend.quotient import word_quotient
+    from deadend.quotient import QuotientMap
 
     lamp = Lamplighter()
     gens = standard_gens(lamp)
     target = Cyclic(2)
-    pi = word_quotient(gens, target, [target.element(0), target.element(1)])
+    pi = QuotientMap(gens, target, [target.element(0), target.element(1)])
     with pytest.warns(UserWarning, match="identity"):
         built = constructed_genset(gens, pi, N=2)
     payloads = [e.payload for e in built.genset.entries]

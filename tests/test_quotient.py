@@ -24,6 +24,7 @@ from deadend.quotient import (
     FamilyExhaustedError,
     HomomorphismError,
     QuotientError,
+    QuotientMap,
     SurjectivityError,
     check_homomorphism,
     counting_bound_check,
@@ -31,7 +32,6 @@ from deadend.quotient import (
     cyclic_quotient,
     diameter,
     find_quotient,
-    word_quotient,
 )
 
 ZZ = IntegerLine()
@@ -71,7 +71,7 @@ def test_cyclic_apply_examples():
 
 def test_word_apply_requires_hint():
     target = Cyclic(6)
-    pi = word_quotient(UNIT, target, [target.element(1)])
+    pi = QuotientMap(UNIT, target, [target.element(1)])
     with pytest.raises(QuotientError):
         pi.apply(ZZ.element(3))
     assert pi.apply(ZZ.element(3), word_hint=[1, 1, 1]).payload == 3
@@ -79,7 +79,7 @@ def test_word_apply_requires_hint():
 
 def test_word_apply_rejects_bad_hint():
     target = Cyclic(6)
-    pi = word_quotient(UNIT, target, [target.element(1)])
+    pi = QuotientMap(UNIT, target, [target.element(1)])
     with pytest.raises(QuotientError):
         pi.apply(ZZ.element(3), word_hint=[1, 1])
 
@@ -95,14 +95,14 @@ def test_apply_word_rejects_letters_out_of_range():
 def test_quotient_letters_are_images_and_inverses():
     gens = standard_gens(Lamplighter())
     target = Cyclic(6)
-    pi = word_quotient(gens, target, [target.element(1), target.element(3)])
+    pi = QuotientMap(gens, target, [target.element(1), target.element(3)])
     assert list(pi.letters.items()) == [(1, 1), (-1, 5), (2, 3), (-2, 3)]
     assert list(pi.letters) == [x for x, _ in gens.symmetrized_letters()]
 
 
 def test_apply_constant_across_words():
     target = Cyclic(6)
-    pi = word_quotient(UNIT, target, [target.element(1)])
+    pi = QuotientMap(UNIT, target, [target.element(1)])
     rng = random.Random(11)
     for value in range(-6, 7):
         base = [1] * value if value >= 0 else [-1] * (-value)
@@ -125,7 +125,7 @@ def test_surjectivity_enforced():
 def test_homomorphism_check_cyclic_and_word():
     check_homomorphism(cyclic_quotient(UNIT, 10))
     target = Cyclic(6)
-    check_homomorphism(word_quotient(UNIT, target, [target.element(1)]))
+    check_homomorphism(QuotientMap(UNIT, target, [target.element(1)]))
 
 
 def test_homomorphism_check_reports_whether_it_was_exact():
@@ -133,14 +133,14 @@ def test_homomorphism_check_reports_whether_it_was_exact():
     grid = standard_gens(IntegerGrid(2))
     c12 = GeneratingSet([Cyclic(12).element(1)])
     lamp = standard_gens(Lamplighter())
-    assert check_homomorphism(word_quotient(UNIT, c6, [c6.element(1)])) is True
-    assert check_homomorphism(word_quotient(grid, c6, [c6.element(1)] * 2)) is True
-    assert check_homomorphism(word_quotient(c12, c6, [c6.element(1)])) is True
+    assert check_homomorphism(QuotientMap(UNIT, c6, [c6.element(1)])) is True
+    assert check_homomorphism(QuotientMap(grid, c6, [c6.element(1)] * 2)) is True
+    assert check_homomorphism(QuotientMap(c12, c6, [c6.element(1)])) is True
     d4 = Dihedral(4)
-    d8_to_d4 = word_quotient(standard_gens(Dihedral(8)), d4, [d4.element((1, 0)),
+    d8_to_d4 = QuotientMap(standard_gens(Dihedral(8)), d4, [d4.element((1, 0)),
                                                              d4.element((0, 1))])
     assert check_homomorphism(d8_to_d4) is True
-    parity = word_quotient(lamp, Cyclic(2), [Cyclic(2).element(0), Cyclic(2).element(1)])
+    parity = QuotientMap(lamp, Cyclic(2), [Cyclic(2).element(0), Cyclic(2).element(1)])
     assert check_homomorphism(parity) is False
 
 
@@ -170,7 +170,7 @@ def test_homomorphism_check_reports_whether_it_was_exact():
 def test_homomorphism_check_is_exact_on_the_integers(values, target, images, ok):
     group = IntegerGrid(len(values[0])) if isinstance(values[0], tuple) else ZZ
     gens = GeneratingSet([group.element(v) for v in values])
-    pi = word_quotient(gens, target, [target.element(x) for x in images])
+    pi = QuotientMap(gens, target, [target.element(x) for x in images])
     if ok:
         check_homomorphism(pi)
     else:
@@ -199,7 +199,7 @@ def test_lattice_homomorphism_check_matches_brute_force(case):
     group = IntegerGrid(rank) if rank else ZZ
     gens = GeneratingSet([group.element(v if rank else v[0]) for v in vectors])
     target = Cyclic(m)
-    pi = word_quotient(gens, target, [target.element(x) for x in images])
+    pi = QuotientMap(gens, target, [target.element(x) for x in images])
     # C_m is abelian, so the images define a map exactly when every relation
     # c (sum c_i g_i = 0) has sum c_i t_i = 0 mod m; checking a set of
     # relations that contains a basis of them suffices.  With entries at most
@@ -229,7 +229,7 @@ def test_homomorphism_check_rejects_bad_images():
     lamp = Lamplighter()
     gens = standard_gens(lamp)
     target = Cyclic(3)
-    pi = word_quotient(gens, target, [target.element(1), target.element(1)])
+    pi = QuotientMap(gens, target, [target.element(1), target.element(1)])
     with pytest.raises(HomomorphismError):
         check_homomorphism(pi)
 
@@ -239,7 +239,7 @@ def test_lamp_parity_quotient_is_well_defined():
     lamp = Lamplighter()
     gens = standard_gens(lamp)
     target = Cyclic(2)
-    pi = word_quotient(gens, target, [target.element(0), target.element(1)])
+    pi = QuotientMap(gens, target, [target.element(0), target.element(1)])
     check_homomorphism(pi)
     assert [e.payload for e in pi.image_gens.entries] == [1]
     assert pi.section == (1,)
