@@ -63,7 +63,9 @@ from .construction import (
     ConstructionParams,
     ConstructionReport,
     DeadEndWitness,
+    PrefixTable,
     VerificationError,
+    WordPath,
     bound_inequality_holds,
     constructed_genset,
     factorize,

@@ -10,19 +10,25 @@ g_n a dead end of depth at least d+1.  Each membership claim is proved by
 a factorization certificate into k = |pi(g)|_T <= n factors from A or
 their inverses, with no ball over A; where the homomorphism check is only
 a probe (the lamplighter), an A-ball BFS cross-checks every norm as well.
-The target side reads the quotient map's one ball of its target: the
-diameter, the witness, every target geodesic, and the lift of each target
-element, folded down its BFS tree through the section of pi.
+
+A certificate reads its k + 1 cuts from prefix tables, built and checked
+once: a neighbour of the witness is a path through them, and a plain
+S-word a path of one segment.  The target side reads the quotient map's
+one ball of its target: the diameter, the witness, every target geodesic,
+and the lift of each target element, folded down its BFS tree.
 """
 
 from __future__ import annotations
 
 import hashlib
 import warnings
-from dataclasses import dataclass
+from array import array
+from bisect import bisect_right
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, islice
+from itertools import accumulate, chain, islice
+from operator import add, attrgetter, eq, sub
 from pathlib import Path
 from typing import Any, NamedTuple, Optional, Sequence, Union
 
@@ -48,6 +54,8 @@ __all__ = [
     "ConstructionParams",
     "ConstructedGenSet",
     "DeadEndWitness",
+    "PrefixTable",
+    "WordPath",
     "Certificate",
     "ConstructionReport",
     "Construction",
@@ -223,6 +231,14 @@ def constructed_genset(
     return built
 
 
+def _compact(entries: list) -> Sequence:
+    """Integer payloads in one array of 64-bit cells, any others as they are."""
+    try:
+        return array("q", entries)
+    except (TypeError, OverflowError):
+        return entries
+
+
 def _lift(section: Sequence[int], t_word: Word) -> Word:
     """S-word spelling a target word through the section, letter by letter."""
     return tuple((section[abs(letter) - 1] + 1) * (1 if letter > 0 else -1) for letter in t_word)
@@ -274,25 +290,57 @@ def find_witness(
     return DeadEndWitness(g_n, n, claimed_depth, s_word)
 
 
+class PrefixTable(NamedTuple):
+    """One S-word with its prefix products: ``source[i]`` is the product of
+    its first i letters and ``image[i]`` that product's image under pi."""
+
+    word: Word
+    source: Sequence
+    image: Sequence
+
+
+class WordPath(NamedTuple):
+    """An S-word as table segments: segment j starts at letter ``offsets[j]``
+    and enters at ``bases[j]``, the (source, image) product before it; both
+    end with the whole word's length and product."""
+
+    tables: tuple[PrefixTable, ...]
+    offsets: tuple[int, ...]
+    bases: tuple[tuple[Any, Any], ...]
+
+    @property
+    def length(self) -> int:
+        return self.offsets[-1]
+
+    def word(self) -> Word:
+        """The S-word the path spells."""
+        return tuple(chain.from_iterable(table.word for table in self.tables))
+
+
 @dataclass(frozen=True)
 class Certificate:
     """Factorization g = v_1 ... v_k with every factor in A or its inverses.
 
-    A validating certificate witnesses norm_A(g) <= k without BFS.  Of each
-    factor word phi(c_{i-1})^-1 u_i phi(c_i), where phi(c) is the S-word
-    the target geodesic of c spells through the section of pi, it keeps
-    the value and length, never the word.  The degenerate flag marks
-    arguments mapping to the target identity, where no factorization into
-    generator-image preimages exists.
+    A validating certificate witnesses norm_A(g) <= k without BFS.  It keeps
+    the path of an S-word for g and the k + 1 cuts of its pieces u_i.  Of
+    each factor word phi(c_{i-1})^-1 u_i phi(c_i), where phi(c) is the S-word
+    the target geodesic of c spells through the section of pi, it keeps the
+    value and length, never the word.  The degenerate flag marks arguments
+    mapping to the target identity, which have no such factorization.
     """
 
     target: GroupElement
     k: int
-    u_words: tuple[Word, ...]
+    cuts: tuple[int, ...]
     t_letters: Word
     v_payloads: tuple[Any, ...]
     v_word_lengths: tuple[int, ...]
+    path: WordPath = field(compare=False, repr=False)
     degenerate: bool = False
+
+    @property
+    def u_lengths(self) -> list[int]:
+        return list(map(sub, self.cuts[1:], self.cuts))
 
     def to_json(self) -> dict:
         group = self.target.group
@@ -301,9 +349,9 @@ class Certificate:
             "target": payload_to_json(group, self.target.payload),
             "k": self.k,
             "degenerate": self.degenerate,
-            "u_lengths": [len(w) for w in self.u_words],
+            "u_lengths": self.u_lengths,
             "t_letters": list(self.t_letters),
-            "v_factors": [payload_to_json(group, p) for p in self.v_payloads],
+            "v_factors": list(map(group.payload_to_json, self.v_payloads)),
             "v_word_lengths": list(self.v_word_lengths),
         }
 
@@ -312,17 +360,24 @@ class Certificate:
 
 
 class _Lift(NamedTuple):
-    """The lift of one target element: its length (the target norm), the
-    source element its target geodesic spells through the section, and
-    that element's inverse."""
+    """The lift of one target element: its length (the target norm) and the
+    source element its target geodesic spells through the section."""
 
     length: int
     payload: Any
-    inverse: Any
+
+
+_LENGTH, _PAYLOAD = map(attrgetter, _Lift._fields)
 
 
 class Construction:
-    """Full pipeline state: quotient, parameters, A, witness, lifts."""
+    """Full pipeline state: quotient, parameters, A, witness, lifts, tables.
+
+    Certificates read their cuts from prefix tables of the witness lift and
+    of each signed A-letter's S-geodesic.  Each table is checked letter by
+    letter once, as it is built: the independent check has moved from each
+    certificate, which once re-folded its pieces, to each table.
+    """
 
     def __init__(
         self,
@@ -361,6 +416,9 @@ class Construction:
         """Read the quotient diameter off the map's target ball, held to the
         budget, and derive parameters from it."""
         n = DiameterReport.of_ball(held_to(pi.ball, budget)).diameter
+        if n <= 2 * (target_depth - 1) and target_depth >= 2:
+            raise ValueError(f"quotient diameter {n} is too small for target depth "
+                             f"{target_depth} (needs a diameter above {2 * (target_depth - 1)})")
         params = ConstructionParams.derive(target_depth, n, bound_mode)
         return cls(source_gens, pi, params, budget, cache_dir)
 
@@ -370,7 +428,7 @@ class Construction:
         genset, n = self.built.genset, self.params.n
         return ball_cached(self.source_gens.group, genset, n, self.cache_dir, self.budget)
 
-    # -- S-words -----------------------------------------------------------
+    # -- prefix tables and paths -------------------------------------------
 
     def a_letter_s_word(self, letter: int) -> Word:
         """S-geodesic of the A-generator named by a signed letter."""
@@ -379,56 +437,136 @@ class Construction:
         return word if letter > 0 else invert_word(word)
 
     @cached_property
-    def _walk(self) -> tuple[Codec, dict]:
-        """One BFS about the witness, d layers deep, on codes of its own: an
-        S-word of length at most n + d*N for every element within A-distance d
-        (the witness lift, then the S-geodesic of each A-step), keyed by code,
-        with the codec.  As norm_A(g_n) = n, the walk stays within n + d
-        A-steps of the identity, which the codes cover."""
-        p, letters = self.params, self.built.genset.letters
-        codec = self.source_gens.group.integer_code(list(letters.values()), p.n + p.d)
-        step, back = codec.step, dict(zip(letters, codec.codes))
-        a_words = {letter: self.a_letter_s_word(letter) for letter in back}
-        start = codec.encode(self.witness.element.payload)
-        words: dict = {start: self.witness.s_word}
-        parent = {start: 0}
-        layers = bfs_layers(step, tuple(back.items()), start, parent, self.budget)
-        for _, layer in islice(layers, p.d):
-            for y in layer:
-                letter = parent[y]
-                words[y] = words[step(y, back[-letter])] + a_words[letter]
-        return codec, words
-
-    def witness_neighborhood(self) -> list[tuple[GroupElement, Word]]:
-        """Every g within A-distance d of the witness, with the S-word the walk gives it."""
-        (codec, words), group = self._walk, self.source_gens.group
-        return [(GroupElement(group, codec.decode(y)), word) for y, word in words.items()]
-
-    def s_word_for(self, g: GroupElement) -> Word:
-        """Some S-word of length <= n + d*N for g; ValueError if none is derivable."""
-        if g == self.witness.element:
-            return self.witness.s_word
-        if self.built.s_ball.norm(g) is not None:
-            return self.built.s_ball.geodesic(g)
-        codec, words = self._walk
-        word = words.get(codec.encode(g.payload))
-        if word is None:
-            raise ValueError(f"no S-word available for {g}: outside the S-ball and the "
-                             "witness neighborhood")
-        return word
-
-    # -- certificate folds -------------------------------------------------
-
-    @cached_property
     def _folds(self) -> tuple[WordFold, WordFold]:
-        """Source and target folds of S-words: integer codes in the source
-        where they cover the longest word a certificate folds (an S-word of
-        n + d*N letters), the target's letter tables."""
+        """Source and target folds of S-words, on integer codes in the source
+        where they cover an S-word of n + d*N letters."""
         p = self.params
         return (
             WordFold(self.source_gens.group, self.source_gens.letters, p.n + p.d * p.N),
-            WordFold(self.pi.target, self.pi.letters, elements=self.pi.ball.payloads()),
+            WordFold(self.pi.target, self.pi.letters),
         )
+
+    def _table(self, word: Sequence[int]) -> PrefixTable:
+        fold_s, fold_t = self._folds
+        return PrefixTable(tuple(word), _compact(fold_s.prefixes(word)),
+                           _compact(fold_t.prefixes(word)))
+
+    @cached_property
+    def _tables(self) -> dict:
+        """0 -> the checked table of the witness lift, whose image ends at the
+        diameter witness; each signed A-letter -> that of its S-geodesic,
+        whose image ends at a generator image (inverted for a negative
+        letter), as A was built to map."""
+        inv_t, images = self.pi.target.inv_payload, self.pi.image_set()
+        inverses = frozenset(map(inv_t, images))
+        witness = self.witness
+        tables = {0: self._checked(0, witness.s_word, witness.element.payload,
+                                   {self.report.witness.payload})}
+        for letter, payload in self.built.genset.letters.items():
+            word, last_images = self.a_letter_s_word(letter), images if letter > 0 else inverses
+            tables[letter] = self._checked(letter, word, payload, last_images)
+        return tables
+
+    def _checked(self, key: int, word: Word, last: Any, last_images) -> PrefixTable:
+        """The table of ``word``, once checked: in each group entry 0 is the
+        identity and entry i+1 is entry i times letter i+1, stepped with
+        ``mul_payload`` on payloads, not on the integer codes a source fold
+        may sum; the last source entry is ``last``, and the last image lies
+        in ``last_images``."""
+        table = self._table(word)
+        what = "the witness lift" if key == 0 else f"A-letter {key}"
+        sides = (
+            (table.source, self.source_gens.letters, self.source_gens.group),
+            (table.image, self.pi.letters, self.pi.target),
+        )
+        for entries, letters, group in sides:
+            stepped = map(group.mul_payload, entries, map(letters.__getitem__, word))
+            if (len(entries) != len(word) + 1 or entries[0] != group.identity_payload()
+                    or not all(map(eq, entries[1:], stepped))):
+                raise ConstructionError(f"prefix table of {what} does not step by its letters")
+        if table.source[-1] != last or table.image[-1] not in last_images:
+            raise ConstructionError(f"prefix table of {what} does not end at its element")
+        return table
+
+    @cached_property
+    def _empty(self) -> WordPath:
+        """The path of the empty word."""
+        identities = (self.source_gens.group.identity_payload(), self.pi.target.identity_payload())
+        return WordPath((), (0,), (identities,))
+
+    def _extend(self, path: WordPath, table: PrefixTable) -> WordPath:
+        """``path`` followed by one more segment: it enters at the path's end
+        product, and the new end is that times the table's last entries."""
+        (s, t), length = path.bases[-1], path.offsets[-1] + len(table.word)
+        end = (self.source_gens.group.mul_payload(s, table.source[-1]),
+               self.pi.target.mul_payload(t, table.image[-1]))
+        return WordPath(path.tables + (table,), path.offsets + (length,), path.bases + (end,))
+
+    def word_path(self, s_word: Sequence[int]) -> WordPath:
+        """A plain S-word as a one-segment path: its table is one fold of the
+        word in each group."""
+        return self._extend(self._empty, self._table(s_word))
+
+    def _at_cuts(self, path: WordPath, cuts: Sequence[int]) -> tuple[list, list]:
+        """The source prefix products of a path at each cut, and their images:
+        the base of the segment that holds the cut times one table entry."""
+        mul, mul_t = self.source_gens.group.mul_payload, self.pi.target.mul_payload
+        offsets, bases, tables = path.offsets, path.bases, path.tables
+        source, image = [], []
+        for c in cuts:
+            j = bisect_right(offsets, c, 0, len(tables)) - 1  # the end cut is in the last segment
+            (s, t), table, i = bases[j], tables[j], c - offsets[j]
+            source.append(mul(s, table.source[i]))
+            image.append(mul_t(t, table.image[i]))
+        return source, image
+
+    # -- the walk about the witness ----------------------------------------
+
+    @cached_property
+    def _walk(self) -> tuple[Codec, dict]:
+        """One BFS about the witness, d layers deep, on codes of its own: the
+        codec, and the path of every element within A-distance d by code, in
+        discovery order.  A path is its parent's and its parent A-letter's
+        table, so no word is kept.  As norm_A(g_n) = n, the walk stays within
+        n + d A-steps of the identity, which the codes cover."""
+        p, letters = self.params, self.built.genset.letters
+        codec = self.source_gens.group.integer_code(list(letters.values()), p.n + p.d)
+        back = dict(zip(letters, codec.codes))
+        start = codec.encode(self.witness.element.payload)
+        parent = {start: 0}
+        for _ in islice(bfs_layers(codec.step, tuple(back.items()), start, parent, self.budget),
+                        p.d):
+            pass
+        paths: dict = {}
+        for y, letter in parent.items():
+            before = paths[codec.step(y, back[-letter])] if letter else self._empty
+            paths[y] = self._extend(before, self._tables[letter])
+        return codec, paths
+
+    def witness_neighborhood(self) -> list[tuple[GroupElement, WordPath]]:
+        """Every g within A-distance d of the witness, with the path the walk gives it."""
+        (codec, paths), group = self._walk, self.source_gens.group
+        return [(GroupElement(group, codec.decode(y)), path) for y, path in paths.items()]
+
+    def path_for(self, g: GroupElement) -> WordPath:
+        """The path of an S-word of length <= n + d*N for g: the witness lift,
+        an S-ball geodesic or the walk's path; ValueError if none is derivable."""
+        if g == self.witness.element:
+            return self.word_path(self.witness.s_word)
+        if self.built.s_ball.norm(g) is not None:
+            return self.word_path(self.built.s_ball.geodesic(g))
+        codec, paths = self._walk
+        path = paths.get(codec.encode(g.payload))
+        if path is None:
+            raise ValueError(f"no S-word available for {g}: outside the S-ball and the "
+                             "witness neighborhood")
+        return path
+
+    def s_word_for(self, g: GroupElement) -> Word:
+        """Some S-word of length <= n + d*N for g, spelled from its path."""
+        return self.path_for(g).word()
+
+    # -- certificates ------------------------------------------------------
 
     @cached_property
     def _lifts(self) -> dict:
@@ -438,22 +576,20 @@ class Construction:
         maps onto its element, and its length is the target norm, at most n
         (a factor word has at most |u| + 2n letters)."""
         group, pi = self.source_gens.group, self.pi
-        mul, inv = group.mul_payload, group.inv_payload
+        mul = group.mul_payload
         t_letters = tuple(pi.image_gens.letters)
         s_steps = map(self.source_gens.letters.__getitem__, _lift(pi.section, t_letters))
         steps = dict(zip(t_letters, s_steps))
 
         def step(parent: _Lift, t_letter: int) -> _Lift:
-            lift = mul(parent.payload, steps[t_letter])
-            return _Lift(parent.length + 1, lift, inv(lift))
+            return _Lift(parent.length + 1, mul(parent.payload, steps[t_letter]))
 
-        identity = group.identity_payload()
-        return self.pi.ball.along_parents(_Lift(0, identity, identity), step)
+        return self.pi.ball.along_parents(_Lift(0, group.identity_payload()), step)
 
-    def certify(self, g: GroupElement, s_word: Optional[Sequence[int]] = None) -> Certificate:
-        if s_word is None:
-            s_word = self.s_word_for(g)
-        cert = factorize(self, g, s_word)
+    def certify(
+        self, g: GroupElement, path: Union[WordPath, Sequence[int], None] = None
+    ) -> Certificate:
+        cert = factorize(self, g, self.path_for(g) if path is None else path)
         if not cert.degenerate:
             validate_certificate(self, cert)
         return cert
@@ -462,56 +598,69 @@ class Construction:
         return verify_construction(self)
 
 
-def factorize(ctx: Construction, g: GroupElement, s_word: Sequence[int]) -> Certificate:
-    """Split an S-word for g along a target geodesic into certified factors.
+def factorize(
+    ctx: Construction, g: GroupElement, path: Union[WordPath, Sequence[int]]
+) -> Certificate:
+    """Split an S-word for g (a path, or a plain word read as one) along a
+    target geodesic into certified factors.
 
-    The word splits into k = norm(pi(g)) near-equal pieces u_i; every
-    piece is corrected by lifts of quotient discrepancies so the factors
-    v_i multiply to g while each maps onto one geodesic letter.  With
-    prefix products S_i (source) and P_i (target) of one fold of the word
-    in each group, Q_i the geodesic prefixes and c_i = P_i^-1 Q_i, the
-    factor v_i spells phi(c_{i-1})^-1 u_i phi(c_i), unbuilt: its value is
-    lift(c_{i-1})^-1 S_a^-1 S_b lift(c_i) for the cuts a, b of u_i.
+    The word is cut into k = norm(pi(g)) near-equal pieces u_i, each
+    corrected by lifts of quotient discrepancies so the factors v_i
+    multiply to g while each maps onto one geodesic letter (see
+    ``_corrected``).  Prefix products are read off the path's tables at the
+    cuts alone: O(k) group operations, whatever the length of the word.
     """
-    params = ctx.params
-    s_word = tuple(s_word)
-    fold_s, fold_t = ctx._folds
-    L = len(s_word)
-    source = fold_s.prefixes(s_word)
-    group = ctx.source_gens.group
-    if GroupElement(group, source(L)) != g:
+    if not isinstance(path, WordPath):
+        path = ctx.word_path(path)
+    params, L = ctx.params, path.length
+    end, pi_g = path.bases[-1]
+    if end != g.payload or g.group != ctx.source_gens.group:
         raise CertificateError("provided S-word does not evaluate to the element")
     limit = params.n + params.d * params.N
     if L > limit:
         raise CertificateError(f"S-word length {L} exceeds n + d*N = {limit}")
-    image = fold_t.prefixes(s_word)
-    pi_g = image(L)
     k = ctx.pi.ball.norm_payload(pi_g)
     if k is None:
         raise CertificateError("image norm unavailable; target ball incomplete")
     if k == 0:
-        return Certificate(g, 0, (), (), (), (), degenerate=True)
+        return Certificate(g, 0, (), (), (), (), path, degenerate=True)
     t_letters = ctx.pi.ball.geodesic_payload(pi_g)
+    cuts = _cuts(L, k)
+    corrected, v_lengths, _ = _corrected(ctx, path, cuts, t_letters)
+    group = ctx.source_gens.group
+    v_payloads = map(group.mul_payload, map(group.inv_payload, corrected), corrected[1:])
+    return Certificate(g, k, cuts, t_letters, tuple(v_payloads), tuple(v_lengths), path)
+
+
+def _cuts(L: int, k: int) -> tuple[int, ...]:
+    """The k + 1 cuts of k near-equal pieces of L >= k letters, the longer ones first."""
     base, extra = divmod(L, k)
-    # k near-equal pieces, the extra longer ones first
-    cuts = [i * base + min(i, extra) for i in range(k + 1)]
-    lifts = [ctx._lifts[c] for c in _discrepancies(ctx, map(image, cuts), t_letters)]
-    mul, inv = group.mul_payload, group.inv_payload
-    u_words, v_lengths, v_payloads = [], [], []
-    for (a, b), before, after in zip(zip(cuts, cuts[1:]), lifts, lifts[1:]):
-        u_words.append(s_word[a:b])
-        v_lengths.append(before.length + b - a + after.length)
-        v_payloads.append(mul(mul(before.inverse, mul(inv(source(a)), source(b))), after.payload))
-    return Certificate(g, k, tuple(u_words), t_letters, tuple(v_payloads), tuple(v_lengths))
+    return (*range(0, extra * (base + 1), base + 1), *range(extra * (base + 1), L + 1, base))
 
 
-def _discrepancies(ctx: Construction, prefix_images, t_letters: Word) -> list:
-    """c_i = P_i^-1 Q_i for i = 0..k: prefix images against geodesic prefixes Q_i."""
+def _corrected(ctx: Construction, path: WordPath, cuts: Sequence[int], t_letters: Word):
+    """R_i = S_i lift(c_i) at each cut i, where c_i = P_i^-1 Q_i with Q_i the
+    geodesic prefixes, so pi maps R_i onto Q_i; R_0 is the identity, and the
+    factor v_i = R_{i-1}^-1 R_i is the value of phi(c_{i-1})^-1 u_i phi(c_i).
+    With them, the length |phi(c_{i-1})| + |u_i| + |phi(c_i)| of each factor
+    word, and c_k, the identity when the geodesic spells P_L."""
     target = ctx.pi.target
-    mul_t, inv_t = target.mul_payload, target.inv_payload
+    source, image = ctx._at_cuts(path, cuts)
     steps = map(ctx.pi.image_gens.letters.__getitem__, t_letters)
-    geodesic = accumulate(steps, mul_t, initial=target.identity_payload())
-    return [mul_t(inv_t(p), q) for p, q in zip(prefix_images, geodesic)]
+    geodesic = accumulate(steps, target.mul_payload, initial=target.identity_payload())
+    discrepancies = list(map(target.mul_payload, map(target.inv_payload, image), geodesic))
+    lifts = list(map(ctx._lifts.__getitem__, discrepancies))
+    corrected = list(map(ctx.source_gens.group.mul_payload, source, map(_PAYLOAD, lifts)))
+    lift_lengths = list(map(_LENGTH, lifts))
+    lengths = map(add, map(add, lift_lengths, map(sub, cuts[1:], cuts)), lift_lengths[1:])
+    return corrected, list(lengths), discrepancies[-1]
+
+
+def _require(claimed: list, derived: list, what: str) -> None:
+    """Raise CertificateError at the first factor where two per-factor lists differ."""
+    if claimed != derived:
+        index = next(i for i, (x, y) in enumerate(zip(claimed, derived)) if x != y)
+        raise CertificateError(what, index=index)
 
 
 def validate_certificate(
@@ -522,56 +671,44 @@ def validate_certificate(
     """Re-check every claim a certificate makes; raise CertificateError if any fails.
 
     With near_witness=True the triangle-inequality lower bound
-    k >= n - d is enforced as well.  Each piece is folded once in each
-    group.  The factor v_i spells phi(c_{i-1})^-1 u_i phi(c_i), with c_i
-    recomputed from the pieces and the geodesic: its value and image come
-    from the lifts and those folds, and its claimed length must
-    be |phi(c_{i-1})| + |u_i| + |phi(c_i)|, at most |u_i| + 2n.  Its image
-    is the geodesic letter t_i with no check: c_i = P_i^-1 Q_i, where
-    P_{i+1} = P_i pi(u_i) and Q_{i+1} = Q_i t_i, so c_i^-1 pi(u_i) c_{i+1}
-    = t_i in any group.
+    k >= n - d is enforced as well.  The cuts must be the near-equal split
+    of the path.  Prefix products are read off the path's tables, checked
+    letter by letter once when the construction built them: the independent
+    check has moved from each certificate to each table.  Each factor must
+    satisfy R_{i-1} v_i = R_i and each claimed length must be
+    |phi(c_{i-1})| + |u_i| + |phi(c_i)|, at most |u_i| + 2n.  The image of
+    v_i is the geodesic letter t_i with no check: pi(R_i) = Q_i, so
+    pi(v_i) = Q_{i-1}^-1 Q_i.
     """
     params = ctx.params
     if cert.degenerate:
         raise CertificateError("degenerate certificate (image is the identity) cannot validate")
-    group, target = ctx.source_gens.group, ctx.pi.target
-    mul, mul_t = group.mul_payload, target.mul_payload
-    fold_s, fold_t = ctx._folds
-    lifts = ctx._lifts
-    k = cert.k
-    if k != len(cert.u_words) or k != len(cert.v_word_lengths) or k != len(cert.t_letters):
+    group = ctx.source_gens.group
+    k, cuts, L = cert.k, cert.cuts, cert.path.length
+    if not 1 <= k <= L or k != len(cert.v_payloads) or k != len(cert.v_word_lengths):
         raise CertificateError("piece counts disagree with k")
-    # Piece split: contiguous, near-equal, longer pieces first.
-    if not all(cert.u_words):
-        raise CertificateError("empty piece")
-    lengths = [len(w) for w in cert.u_words]
-    if max(lengths) - min(lengths) > 1 or sorted(lengths, reverse=True) != lengths:
-        raise CertificateError("piece lengths are not an as-equal-as-possible split")
-    if not Fraction(lengths[0]) < Fraction(params.n + params.d * params.N, k) + 1:
-        raise CertificateError(f"|u| = {lengths[0]} not < (n+dN)/k + 1", index=0)
-    # Image norm consistency: pi(g), folded piece after piece.
-    piece_images = [fold_t(w) for w in cert.u_words]
-    prefix_images = list(accumulate(piece_images, mul_t, initial=target.identity_payload()))
-    pi_g = prefix_images[-1]
-    if ctx.pi.ball.norm_payload(pi_g) != k:
+    if cuts != _cuts(L, k):
+        raise CertificateError("cuts are not an as-equal-as-possible split of the path")
+    if not k * (cuts[1] - 1) < params.n + params.d * params.N:  # |u| < (n+dN)/k + 1
+        raise CertificateError(f"|u| = {cuts[1]} not < (n+dN)/k + 1", index=0)
+    # Image norm consistency: pi(g), the image at the end of the path.
+    if ctx.pi.ball.norm_payload(cert.path.bases[-1][1]) != k:
         raise CertificateError("k is not the target norm of the image")
-    # Geodesic letters must spell the image.
-    if evaluate_word(cert.t_letters, ctx.pi.image_gens).payload != pi_g:
+    if len(cert.t_letters) != k or not ctx.pi.image_gens.letters.keys() >= set(cert.t_letters):
+        raise CertificateError("target geodesic is not k image-generator letters")
+    corrected, lengths, last = _corrected(ctx, cert.path, cuts, cert.t_letters)
+    if last != ctx.pi.target.identity_payload():
         raise CertificateError("target geodesic does not spell the image")
-    c = _discrepancies(ctx, prefix_images, cert.t_letters)
-    # Factor-level checks.
-    product = group.identity_payload()
-    factors = zip(cert.u_words, cert.v_payloads, cert.v_word_lengths)
-    for i, (u, v_payload, v_length) in enumerate(factors):
-        before, after = lifts[c[i]], lifts[c[i + 1]]
-        if mul(mul(before.inverse, fold_s(u)), after.payload) != v_payload:
-            raise CertificateError("factor word does not evaluate to the factor", index=i)
-        if v_length != before.length + len(u) + after.length:
-            raise CertificateError("factor word length disagrees with its lifts and piece", index=i)
-        if v_payload not in ctx.built.symmetrized:  # A lies in the S-ball of radius N
-            raise CertificateError("factor is not in A or its inverses", index=i)
-        product = mul(product, v_payload)
-    if product != cert.target.payload:
+    # Factor-level checks, each over every factor: R_{i-1} v_i = R_i.
+    _require(list(map(group.mul_payload, corrected, cert.v_payloads)), corrected[1:],
+             "factor word does not evaluate to the factor")
+    _require(list(cert.v_word_lengths), lengths,
+             "factor word length disagrees with its lifts and piece")
+    # A lies in the S-ball of radius N
+    _require(list(map(ctx.built.symmetrized.__contains__, cert.v_payloads)), [True] * k,
+             "factor is not in A or its inverses")
+    # The factors multiply to R_0^-1 R_k.
+    if corrected[0] != group.identity_payload() or corrected[-1] != cert.target.payload:
         raise CertificateError("factors do not multiply to the element")
     if k > params.n:
         raise CertificateError(f"k = {k} exceeds the diameter n = {params.n}")
@@ -625,11 +762,11 @@ def verify_construction(ctx: Construction) -> ConstructionReport:
     failures: list[str] = []
     rows: list[dict] = []
     neighborhood = ctx.witness_neighborhood()
-    for element, s_word in neighborhood:
+    for element, path in neighborhood:
         label = str(element)
         cert_k = cert_digest = None
         try:
-            cert = factorize(ctx, element, s_word)
+            cert = factorize(ctx, element, path)
             validate_certificate(ctx, cert, near_witness=True)
             cert_k, cert_digest = cert.k, cert.digest()
         except CertificateError as exc:

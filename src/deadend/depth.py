@@ -186,10 +186,13 @@ class DepthProfile:
 
     def to_csv(self, path: Union[str, Path]) -> None:
         text = self._codec.text
+        # Equal outcomes mostly share one DepthValue: render each object once.
+        distinct = {id(dv): dv for _, dv in self._entries.values()}
+        rendered = {key: dv.render() for key, dv in distinct.items()}
         with open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["element", "norm", "depth"])
-            writer.writerows([text(code), norm, dv.render()]
+            writer.writerows([text(code), norm, rendered[id(dv)]]
                              for code, (norm, dv) in self._entries.items())
 
     def summary_json(self) -> dict:

@@ -8,7 +8,7 @@ configurable bit width and overflow is a hard error, never a silent wrap.
 Words are read through one signed-letter table per generating set
 (``letter_table``) and evaluated by one fold (``fold_word``), which
 rejects a letter missing from the table as it reaches it; ``WordFold``
-gives the same results faster, over integer codes or letter tables.
+gives every prefix product of a word, over integer codes where it can.
 Walks (balls, depth searches) step on the element codes of ``Group.integer_code``.
 
 Each group class owns its formats: the text of a payload, its JSON shape
@@ -23,7 +23,7 @@ import re
 from abc import ABC, abstractmethod
 from itertools import accumulate, chain
 from operator import add, itemgetter
-from typing import Any, Callable, ClassVar, Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Any, Callable, ClassVar, Iterator, NamedTuple, Optional, Sequence
 
 __all__ = [
     "Codec",
@@ -360,62 +360,33 @@ def fold_word(word: Sequence[int], table: dict, mul: Callable[[Any, Any], Any], 
 
 
 class WordFold:
-    """``fold_word`` from the identity over one letter table, made fast where it can be.
+    """Prefix products of words over one letter table, as ``fold_word`` gives them.
 
-    Given ``elements`` (every payload of a finite group) it steps through
-    per-letter right-multiplication dicts.  Otherwise, where
-    ``group.integer_code`` codes the letters additively for ``radius`` steps,
-    a word of at most ``radius`` letters is summed over its codes at C speed
-    and decoded; longer words and other groups take ``fold_word``'s loop.
+    Where ``group.integer_code`` codes the letters additively for ``radius``
+    steps, a word of at most ``radius`` letters is summed over its codes at
+    C speed and decoded; longer words and other groups multiply payloads.
     Results and errors are those of ``fold_word``.
     """
 
-    def __init__(
-        self, group: Group, table: dict, radius: int = 0, elements: Optional[Iterable[Any]] = None
-    ):
+    def __init__(self, group: Group, table: dict, radius: int = 0):
         self.table = table
         self.mul = group.mul_payload
         self.identity = group.identity_payload()
-        self.right = None
         self.codes = None
-        if elements is not None:
-            elements = tuple(elements)
-            self.right = {x: {t: self.mul(t, p) for t in elements} for x, p in table.items()}
-            return
         coded = group.integer_code(list(table.values()), radius)
         if coded.step is add:
             self.codes = dict(zip(table, coded.codes))
             self.radius = radius
             self.decode = coded.decode
 
-    def __call__(self, word: Sequence[int]) -> Any:
+    def prefixes(self, word: Sequence[int]) -> list:
+        """The product of the first i letters of ``word`` for i = 0..len(word), from one pass."""
         try:
-            if self.right is not None:
-                right, acc = self.right, self.identity
-                for letter in word:
-                    acc = right[letter][acc]
-                return acc
             if self.codes is not None and len(word) <= self.radius:
-                return self.decode(sum(map(self.codes.__getitem__, word)))
-        except KeyError:
-            fold_word(word, self.table, self.mul, self.identity)  # raises on the missing letter
-            raise
-        return fold_word(word, self.table, self.mul, self.identity)
-
-    def prefixes(self, word: Sequence[int]) -> Callable[[int], Any]:
-        """i -> the product of the first i letters of ``word``, from one pass."""
-        try:
-            if self.right is not None:
-                right, acc, out = self.right, self.identity, [self.identity]
-                for letter in word:
-                    acc = right[letter][acc]
-                    out.append(acc)
-                return out.__getitem__
-            if self.codes is not None and len(word) <= self.radius:
-                sums = list(accumulate(map(self.codes.__getitem__, word), initial=0))
-                return lambda i: self.decode(sums[i])
+                sums = accumulate(map(self.codes.__getitem__, word), initial=0)
+                return list(map(self.decode, sums))
             steps = map(self.table.__getitem__, word)
-            return list(accumulate(steps, self.mul, initial=self.identity)).__getitem__
+            return list(accumulate(steps, self.mul, initial=self.identity))
         except KeyError:
             fold_word(word, self.table, self.mul, self.identity)  # raises on the missing letter
             raise

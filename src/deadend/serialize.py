@@ -42,9 +42,12 @@ __all__ = [
 ]
 
 
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def dumps(obj: Any) -> str:
     """Canonical JSON text: sorted keys, no frivolous whitespace."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return _CANONICAL.encode(obj)
 
 
 def content_hash(obj: Any) -> str:

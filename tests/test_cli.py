@@ -368,6 +368,17 @@ def test_target_depth_below_two_is_a_usage_error(capsys, target_depth):
         assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("modulus,target_depth,diameter", [(2, 2, 1), (4, 3, 2)])
+def test_quotient_diameter_too_small_names_the_diameter(capsys, modulus, target_depth, diameter):
+    code = main(["construct", "--group", "zz", "--gens", "1", "--quotient", f"cyclic:{modulus}",
+                 "--target-depth", str(target_depth)])
+    assert code == EXIT_USAGE
+    needs = 2 * (target_depth - 1)
+    message = (f"error: quotient diameter {diameter} is too small for target depth "
+               f"{target_depth} (needs a diameter above {needs})")
+    assert message in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

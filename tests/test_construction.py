@@ -19,6 +19,7 @@ from deadend.construction import (
     Construction,
     ConstructionError,
     ConstructionParams,
+    WordPath,
     bound_inequality_holds,
     constructed_genset,
     factorize,
@@ -193,9 +194,9 @@ def _section_word(pi, h):
 
 def test_lift_examples(c10_ctx):
     lifts = c10_ctx._lifts
-    assert lifts[6] == (4, -4, 4)
-    assert lifts[0] == (0, 0, 0)
-    assert lifts[5] == (5, 5, -5)
+    assert lifts[6] == (4, -4)
+    assert lifts[0] == (0, 0)
+    assert lifts[5] == (5, 5)
 
 
 def test_lift_lengths_match_target_norms(c10_ctx):
@@ -203,7 +204,6 @@ def test_lift_lengths_match_target_norms(c10_ctx):
     for h, lift in c10_ctx._lifts.items():
         assert lift.length == pi.ball.norm_payload(h) <= c10_ctx.params.n
         assert pi.apply(ZZ.element(lift.payload), _section_word(pi, h)).payload == h
-        assert lift.inverse == -lift.payload
 
 
 def _bfs_over(cls, monkeypatch):
@@ -289,14 +289,13 @@ def test_parent_folds_match_geodesic_reference(make, N):
     # Reference: lift every target geodesic through the section and evaluate
     # it from scratch, with no fold down the BFS tree.
     gens, pi = make()
-    inv = gens.group.inv_payload
     expected = []
     for h in pi.ball.payloads():
         word = _section_word(pi, h)
         assert len(word) == pi.ball.norm_payload(h)
         assert pi.apply_word(word).payload == h
         lift = evaluate_word(word, gens).payload
-        expected.append((h, (len(word), lift, inv(lift))))
+        expected.append((h, (len(word), lift)))
     assert list(_lifts_of(gens, pi).items()) == expected
 
     built = constructed_genset(gens, pi, N)
@@ -320,7 +319,7 @@ def test_parent_folds_match_geodesic_reference(make, N):
 def test_certificate_for_witness(c10_ctx):
     cert = c10_ctx.certify(c10_ctx.witness.element)
     assert cert.k == 5
-    assert [len(w) for w in cert.u_words] == [1, 1, 1, 1, 1]
+    assert cert.u_lengths == [1, 1, 1, 1, 1]
     assert all(length <= 1 + 2 * 5 for length in cert.v_word_lengths)
     assert cert.v_payloads == (1, 1, 1, 1, 1)
 
@@ -354,7 +353,7 @@ def test_certificate_rejects_overlong_word(c10_ctx):
 
 
 CERTIFICATE_CORRUPTIONS = {
-    "piece": lambda c: {"u_words": (c.u_words[0] + (1,),) + c.u_words[1:]},
+    "cut": lambda c: {"cuts": (0, c.cuts[1] + 1) + c.cuts[2:]},
     "t_letter": lambda c: {"t_letters": (-c.t_letters[0],) + c.t_letters[1:]},
     "v_payload": lambda c: {"v_payloads": (c.v_payloads[0] + 10,) + c.v_payloads[1:]},
     # the length of a factor word padded with a cancelling pair
@@ -392,7 +391,7 @@ def reference_factorize(ctx, g, s_word):
     pi_g = ctx.pi.apply_word(s_word).payload
     k = ctx.pi.ball.norm_payload(pi_g)
     if k == 0:
-        return Certificate(g, 0, (), (), (), (), degenerate=True)
+        return Certificate(g, 0, (), (), (), (), None, degenerate=True)
     t_letters = ctx.pi.ball.geodesic_payload(pi_g)
     base, extra = divmod(L, k)
     cuts = [i * base + min(i, extra) for i in range(k + 1)]
@@ -404,18 +403,18 @@ def reference_factorize(ctx, g, s_word):
         corrections.append(_section_word(ctx.pi, target.mul_payload(
             target.inv_payload(prefix_image), prefix_geo)))
     corrections.append(())
-    u_words = tuple(s_word[a:b] for a, b in zip(cuts, cuts[1:]))
-    v_words = tuple(invert_word(corrections[i]) + u_words[i] + corrections[i + 1]
-                    for i in range(k))
+    v_words = tuple(invert_word(corrections[i]) + s_word[cuts[i]:cuts[i + 1]]
+                    + corrections[i + 1] for i in range(k))
     v_payloads = tuple(evaluate_word(w, ctx.source_gens).payload for w in v_words)
-    return Certificate(g, k, u_words, t_letters, v_payloads, tuple(map(len, v_words)))
+    return Certificate(g, k, tuple(cuts), t_letters, v_payloads, tuple(map(len, v_words)), None)
 
 
-def _assert_matches_reference(ctx, g, s_word):
-    cert = factorize(ctx, g, s_word)
-    expected = reference_factorize(ctx, g, s_word)
-    assert (cert.u_words, cert.t_letters, cert.v_word_lengths, cert.v_payloads) == (
-        expected.u_words, expected.t_letters, expected.v_word_lengths, expected.v_payloads)
+def _assert_matches_reference(ctx, g, path):
+    # a path is checked against the word it spells
+    cert = factorize(ctx, g, path)
+    expected = reference_factorize(ctx, g, path.word() if isinstance(path, WordPath) else path)
+    assert (cert.u_lengths, cert.t_letters, cert.v_word_lengths, cert.v_payloads) == (
+        expected.u_lengths, expected.t_letters, expected.v_word_lengths, expected.v_payloads)
     assert cert == expected
     assert cert.digest() == expected.digest()
     return cert
@@ -449,10 +448,67 @@ def test_factorize_matches_reference_on_padded_d8_words(word):
 
 def test_certificate_soundness_sampled(c10_ctx):
     # every validating certificate upper-bounds the BFS norm by k
-    for element, s_word in c10_ctx.witness_neighborhood():
-        cert = factorize(c10_ctx, element, s_word)
+    for element, path in c10_ctx.witness_neighborhood():
+        cert = factorize(c10_ctx, element, path)
         validate_certificate(c10_ctx, cert, near_witness=True)
         assert c10_ctx.a_ball.norm(element) <= cert.k
+
+
+# -- prefix tables and paths ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("side,at", [("source", 0), ("source", 1), ("image", 1), ("image", -1)])
+@pytest.mark.parametrize("key,name", [(0, "the witness lift"), (1, "A-letter 1"),
+                                      (-15, "A-letter -15")])
+def test_table_check_rejects_a_corrupted_entry(monkeypatch, side, at, key, name):
+    ctx = Construction.build(UNIT, cyclic_quotient(UNIT, 10), target_depth=3)
+    real, group = ctx._table, {"source": ZZ, "image": ctx.pi.target}[side]
+    word = ctx.witness.s_word if key == 0 else ctx.a_letter_s_word(key)
+
+    def corrupted(w):
+        table = real(w)
+        if tuple(w) != word:
+            return table
+        entries = list(getattr(table, side))
+        entries[at] = group.mul_payload(entries[at], 1)
+        return table._replace(**{side: entries})
+
+    monkeypatch.setattr(ctx, "_table", corrupted)
+    with pytest.raises(ConstructionError, match=f"prefix table of {name} does not step"):
+        ctx.verify()
+
+
+def test_table_check_rejects_a_word_that_misses_its_a_element(monkeypatch):
+    ctx = Construction.build(UNIT, cyclic_quotient(UNIT, 10), target_depth=3)
+    real = ctx.a_letter_s_word
+    monkeypatch.setattr(ctx, "a_letter_s_word", lambda letter: real(letter) + (1, -1, 1))
+    with pytest.raises(ConstructionError, match="prefix table of A-letter 1 does not end at its"):
+        ctx.verify()
+
+
+@functools.lru_cache(maxsize=None)
+def _lamplighter_reader():
+    # a construction's path reading needs only its groups, quotient and fold radius
+    gens, pi = _lamplighter_quotient()
+    ctx = object.__new__(Construction)
+    ctx.source_gens, ctx.pi, ctx.params = gens, pi, ConstructionParams.derive(2, 3, "tight")
+    return ctx
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.lists(st.sampled_from((1, -1, 2, -2)), max_size=6), min_size=1, max_size=4),
+       st.data())
+def test_paths_read_the_prefixes_of_the_word_they_spell(segments, data):
+    # the lamplighter's code is not additive, so its tables hold payloads
+    ctx = _lamplighter_reader()
+    path = functools.reduce(ctx._extend, map(ctx._table, segments), ctx._empty)
+    word = path.word()
+    assert word == tuple(letter for segment in segments for letter in segment)
+    assert path.length == len(word)
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(word)), max_size=8)))
+    source, image = ctx._at_cuts(path, cuts)
+    assert source == [evaluate_word(word[:c], ctx.source_gens).payload for c in cuts]
+    assert image == [ctx.pi.apply_word(word[:c]).payload for c in cuts]
 
 
 # -- the walk about the witness ------------------------------------------------------
@@ -541,8 +597,8 @@ def test_construction_rejects_a_library_quotient_that_is_not_a_homomorphism():
 @pytest.mark.parametrize("case", sorted(WALK_CASES))
 def test_factorize_matches_reference_on_every_neighbour(case):
     ctx = WALK_CASES[case][0]()
-    for element, s_word in ctx.witness_neighborhood():
-        _assert_matches_reference(ctx, element, s_word)
+    for element, path in ctx.witness_neighborhood():
+        _assert_matches_reference(ctx, element, path)
 
 
 def test_certify_outside_the_s_ball_walks_once(monkeypatch):
