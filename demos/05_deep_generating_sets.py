@@ -15,11 +15,11 @@ Everything within A-distance d of the witness then stays inside the
 closed radius-n ball, so the witness has depth >= d + 1 = D.  The claim
 is proved per neighbour by an explicit factorization certificate,
 re-checkable without any search.  The verification builds no ball over A;
-this demo builds one (``ctx.a_ball``) only to show norms and the exact
+this demo builds one (``ball(zz, A, n)``) only to show norms and the exact
 depth by brute force.
 """
 
-from deadend import Construction, GeneratingSet, IntegerLine, cyclic_quotient, depth
+from deadend import Construction, GeneratingSet, IntegerLine, ball, cyclic_quotient, depth
 
 
 def main():
@@ -35,14 +35,15 @@ def main():
     print(f"A has {len(entries)} entries (all = 1 mod 10, magnitude <= {p.N}):")
     print(f"  {entries}")
     w = ctx.witness
-    print(f"witness: {w.element} with norm_A = {ctx.a_ball.norm(w.element)} = n")
+    a_ball = ball(zz, ctx.built.genset, p.n)
+    print(f"witness: {w.element} with norm_A = {a_ball.norm(w.element)} = n")
 
     print()
     print("== exhaustive verification of the depth bound ==")
     report = ctx.verify()
     print(f"checked {report.neighborhood_size} elements within distance {p.d} "
           f"of the witness: all norms <= {p.n}, all certificates valid")
-    exact = depth(ctx.a_ball, w.element, cap=20)
+    exact = depth(a_ball, w.element, cap=20)
     print(f"certified depth >= {p.d + 1}; exhaustive search says depth = {exact}")
 
     print()

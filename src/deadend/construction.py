@@ -8,8 +8,8 @@ lifts to a witness g_n with norm_A(g_n) = n, and every element within
 A-distance d of g_n stays inside the closed radius-n ball, which makes
 g_n a dead end of depth at least d+1.  Each membership claim is proved by
 a factorization certificate into k = |pi(g)|_T <= n factors from A or
-their inverses, with no ball over A; where the homomorphism check is only
-a probe (the lamplighter), an A-ball BFS cross-checks every norm as well.
+their inverses, with no ball over A: the homomorphism check is exact on
+every source, so the norms follow from the certificates alone.
 
 A certificate reads its k + 1 cuts from prefix tables, built and checked
 once: a neighbour of the witness is a path through them, and a plain
@@ -33,7 +33,6 @@ from pathlib import Path
 from typing import Any, NamedTuple, Optional, Sequence, Union
 
 from .cayley import Ball, Budget, DEFAULT_BUDGET, ball_cached, bfs_layers
-from .depth import DepthValue, depth
 from .groups import (
     Codec,
     GeneratingSet,
@@ -263,17 +262,11 @@ class DeadEndWitness:
         }
 
 
-def find_witness(
-    built: ConstructedGenSet,
-    a_ball: Optional[Ball] = None,
-    claimed_depth: Optional[int] = None,
-) -> DeadEndWitness:
+def find_witness(built: ConstructedGenSet, claimed_depth: Optional[int] = None) -> DeadEndWitness:
     """Lift the diameter witness of the quotient's target ball through the
     canonical section.  Its norm under A is the diameter n: at most n, as S
     lies in A± and the lift has n letters; at least n, as pi is a
-    homomorphism sending A± into the image generators and the identity.
-    Where that was only probed, pass a_ball (radius >= n) and the norm is
-    looked up in it."""
+    homomorphism sending A± into the image generators and the identity."""
     pi = built.pi
     report = DiameterReport.of_ball(pi.ball)
     n = report.diameter
@@ -281,12 +274,6 @@ def find_witness(
     g_n = evaluate_word(s_word, built.source_gens)
     if len(s_word) != n or pi.apply_word(s_word) != report.witness:
         raise ConstructionError("lifted witness is not an n-letter lift of the diameter witness")
-    found = n if a_ball is None else a_ball.norm(g_n)
-    if found != n:
-        raise ConstructionError(
-            f"witness norm under A is {found}, expected the diameter {n}; "
-            "this indicates a construction bug"
-        )
     return DeadEndWitness(g_n, n, claimed_depth, s_word)
 
 
@@ -397,11 +384,9 @@ class Construction:
         self.params = params
         self.report = report
         self.budget = budget
-        self.cache_dir = cache_dir
-        self.homomorphism_exact = check_homomorphism(pi)  # else the A-ball cross-checks
+        check_homomorphism(pi, budget)
         self.built = constructed_genset(source_gens, pi, params.N, budget, cache_dir)
-        a_ball = None if self.homomorphism_exact else self.a_ball
-        self.witness = find_witness(self.built, a_ball, params.d + 1)
+        self.witness = find_witness(self.built, params.d + 1)
 
     @classmethod
     def build(
@@ -421,12 +406,6 @@ class Construction:
                              f"{target_depth} (needs a diameter above {2 * (target_depth - 1)})")
         params = ConstructionParams.derive(target_depth, n, bound_mode)
         return cls(source_gens, pi, params, budget, cache_dir)
-
-    @cached_property
-    def a_ball(self) -> Ball:
-        """The A-ball of radius n, built (or loaded from the cache) on first use."""
-        genset, n = self.built.genset, self.params.n
-        return ball_cached(self.source_gens.group, genset, n, self.cache_dir, self.budget)
 
     # -- prefix tables and paths -------------------------------------------
 
@@ -727,7 +706,6 @@ class ConstructionReport:
     witness: DeadEndWitness
     neighborhood_size: int
     rows: tuple[dict, ...]
-    depth_value: Optional[DepthValue]  # None: no depth search ran
     passed: bool
 
     def to_json(self) -> dict:
@@ -740,7 +718,6 @@ class ConstructionReport:
             "witness": self.witness.to_json(),
             "neighborhood_size": self.neighborhood_size,
             "verification_table": list(self.rows),
-            "witness_depth_search": self.depth_value.render() if self.depth_value else "not run",
             "depth_lower_bound": self.params.d + 1,
             "passed": self.passed,
         }
@@ -752,13 +729,10 @@ def verify_construction(ctx: Construction) -> ConstructionReport:
 
     Each neighbour's certificate must validate with k <= n; k is then its
     norm under A (``norm_A``), bounded above by the factors and below by
-    |pi(g)|_T = k.  Where the homomorphism check was only a probe, the
-    A-ball BFS must agree on each norm and a depth search of d+1 layers
-    must find no escape within d; elsewhere that search is "not run".  Any
-    failure aborts loudly; a false claim here would be a bug.
+    |pi(g)|_T = k.  Any failure aborts loudly; a false claim here would be
+    a bug.
     """
     params = ctx.params
-    cross_check = not ctx.homomorphism_exact
     failures: list[str] = []
     rows: list[dict] = []
     neighborhood = ctx.witness_neighborhood()
@@ -771,8 +745,6 @@ def verify_construction(ctx: Construction) -> ConstructionReport:
             cert_k, cert_digest = cert.k, cert.digest()
         except CertificateError as exc:
             failures.append(f"{label}: certificate failed: {exc}")
-        if cross_check and ctx.a_ball.norm(element) != cert_k:
-            failures.append(f"{label}: BFS norm {ctx.a_ball.norm(element)} is not k = {cert_k}")
         rows.append(
             {
                 "element": label,
@@ -781,11 +753,6 @@ def verify_construction(ctx: Construction) -> ConstructionReport:
                 "certificate_ok": cert_k is not None,
                 "certificate_digest": cert_digest,
             }
-        )
-    dv = depth(ctx.a_ball, ctx.witness.element, cap=params.d + 1) if cross_check else None
-    if dv is not None and dv.is_finite and dv.value <= params.d:
-        failures.append(
-            f"depth search found an escape at distance {dv.value} <= d = {params.d}"
         )
     if failures:
         raise VerificationError(
@@ -799,6 +766,5 @@ def verify_construction(ctx: Construction) -> ConstructionReport:
         witness=ctx.witness,
         neighborhood_size=len(neighborhood),
         rows=tuple(rows),
-        depth_value=dv,
         passed=True,
     )

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import reduce
-from itertools import combinations, islice
+from itertools import combinations
 from typing import Any, Iterable, Iterator, Optional, Sequence
 
 from .cayley import (
@@ -27,6 +27,7 @@ from .groups import (
     GroupError,
     IntegerGrid,
     IntegerLine,
+    Lamplighter,
     evaluate_word,
     fold_word,
     letter_table,
@@ -48,10 +49,6 @@ __all__ = [
     "find_quotient",
     "cyclic_family",
 ]
-
-
-# Longest words compared where the homomorphism check is only a probe.
-PROBE_WORD_LEN = 8
 
 
 class QuotientError(GroupError):
@@ -156,44 +153,75 @@ def cyclic_quotient(
     return QuotientMap(source_gens, target, images, budget)
 
 
-def check_homomorphism(pi: QuotientMap) -> bool:
-    """Verify that the generator images define a homomorphism: True if exactly, False by probe.
+def check_homomorphism(pi: QuotientMap, budget: Budget = DEFAULT_BUDGET) -> None:
+    """Verify, exactly, that the generator images define a homomorphism.
 
     Raises HomomorphismError when two S-words for one source element map
     to different images.  On the integers and on ``IntegerGrid`` sources
-    the check is exact and arithmetic (see ``_check_lattice_homomorphism``).
+    the check is arithmetic (see ``_check_lattice_homomorphism``).
 
-    Otherwise a BFS runs over (source, image) pairs, so a source element
-    reached with two images shows up twice.  On a finite source it runs
-    to closure, which is exact: the pairs then form the subgroup generated
+    Otherwise a BFS runs over (source, image) pairs under ``budget``, so a
+    source element reached with two images shows up twice.  On a finite
+    source it runs to closure: the pairs then form the subgroup generated
     by the (generator, image) pairs, and it is the graph of a map exactly
-    when no source element carries two images.  The lamplighter is only
-    probed: words up to ``PROBE_WORD_LEN`` letters are compared.
+    when no source element carries two images.  On the lamplighter it runs
+    until t and a have images, which ``_check_lamplighter_images`` checks
+    against Baumslag's presentation; where S does not generate the
+    lamplighter, the budget runs out first.
     """
-    gens = pi.source_gens
-    if isinstance(gens.group, (IntegerLine, IntegerGrid)):
-        _check_lattice_homomorphism(pi)
-        return True
-    mul_s = gens.group.mul_payload
-    mul_t = pi.target.mul_payload
+    gens, group = pi.source_gens, pi.source
+    if isinstance(group, (IntegerLine, IntegerGrid)):
+        return _check_lattice_homomorphism(pi)
+    t_a = [e.payload for e in group.standard_gens()] if isinstance(group, Lamplighter) else ()
+    mul_s, mul_t = group.mul_payload, pi.target.mul_payload
     signed = list(range(1, len(gens.entries) + 1))
     letters = [(x, (gens.letters[x], pi.letters[x])) for x in signed + [-x for x in signed]]
-    start = (gens.group.identity_payload(), pi.target.identity_payload())
+    start = (group.identity_payload(), pi.target.identity_payload())
     image_of = {start[0]: start[1]}
-    layers = bfs_layers(
-        lambda x, step: (mul_s(x[0], step[0]), mul_t(x[1], step[1])),
-        letters,
-        start,
-        {start: 0},
-    )
-    if gens.group.order() is None:
-        layers = islice(layers, PROBE_WORD_LEN)
-    for _, layer in layers:
-        for src, img in layer:
-            known = image_of.setdefault(src, img)
-            if known != img:
-                raise HomomorphismError(f"two words for {src!r} map to different images")
-    return gens.group.order() is not None
+    try:
+        for _, layer in bfs_layers(lambda x, step: (mul_s(x[0], step[0]), mul_t(x[1], step[1])),
+                                   letters, start, {start: 0}, budget):
+            for src, img in layer:
+                known = image_of.setdefault(src, img)
+                if known != img:
+                    raise HomomorphismError(f"two words for {src!r} map to different images")
+            if t_a and all(p in image_of for p in t_a):
+                return _check_lamplighter_images(pi, *map(image_of.__getitem__, t_a))
+    except BudgetExceededError as exc:
+        where = ", looking for S-words for t and a: S may not generate the lamplighter"
+        raise BudgetExceededError(f"{exc} in the homomorphism check{where if t_a else ''}",
+                                  exc.radius_reached, exc.elements_seen) from None
+
+
+def _check_lamplighter_images(pi: QuotientMap, tau: Any, alpha: Any) -> None:
+    """Exact check on a lamplighter source, given the images tau of t and alpha of a.
+
+    The relators of <a, t | a^2, [a, t^k a t^-k] for k >= 1> (Baumslag) map
+    to the identity when alpha^2 = 1 and alpha commutes with each conjugate
+    tau^k alpha tau^-k.  The first holds already: the BFS layer that first
+    reaches a = a^-1 holds a word for it and the inverse word, with images
+    alpha and alpha^-1.  The conjugates repeat from the first k at which
+    one is alpha again, so k never passes the order of tau.  Then t -> tau,
+    a -> alpha is a homomorphism, and the images define it exactly when
+    each generator (lamps, c) = prod_q t^q a t^-q . t^c maps to
+    prod_q tau^q alpha tau^-q . tau^c.
+    """
+    target = pi.target
+    mul, identity = target.mul_payload, target.identity_payload()
+
+    def conjugate(k: int) -> Any:
+        return mul(mul(_power(target, tau, k), alpha), _power(target, tau, -k))
+
+    k = 1
+    while (c := conjugate(k)) != alpha:
+        if mul(alpha, c) != mul(c, alpha):
+            raise HomomorphismError(f"[a, t^{k} a t^-{k}] and 1 map to different images")
+        k += 1
+    for i, (lamps, cursor) in enumerate(e.payload for e in pi.source_gens):
+        normal_form = mul(reduce(mul, map(conjugate, lamps), identity), _power(target, tau, cursor))
+        if normal_form != pi.letters[i + 1]:
+            label = pi.source_gens.labels[i]
+            raise HomomorphismError(f"{label} and its normal form map to different images")
 
 
 def _check_lattice_homomorphism(pi: QuotientMap) -> None:

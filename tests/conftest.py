@@ -1,5 +1,6 @@
-"""Shared test helpers: random permutation-closure table groups, and the
-reference depth search with the coded-ball cases it is checked on."""
+"""Shared test helpers: random permutation-closure table groups, the A-ball
+oracle of a construction, and the reference depth search with the
+coded-ball cases it is checked on."""
 
 from __future__ import annotations
 
@@ -7,6 +8,7 @@ import random
 
 from hypothesis import strategies as st
 
+from deadend.cayley import ball
 from deadend.depth import DepthValue
 from deadend.groups import (
     GeneratingSet,
@@ -74,6 +76,12 @@ def random_table_groups(count: int, max_order: int = 64, seed: int = 2024,
 
 def gens_of(group, *payloads):
     return GeneratingSet([group.element(p) for p in payloads])
+
+
+def a_ball(ctx):
+    """The A-ball of radius n of a construction: a BFS oracle for the norms
+    and depths its certificates prove."""
+    return ball(ctx.source_gens.group, ctx.built.genset, ctx.params.n)
 
 
 def reference_depth(group, gens, norms, payload, cap):

@@ -9,7 +9,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from conftest import random_table_groups
+from conftest import a_ball, random_table_groups
 from deadend.cayley import Budget, ball
 from deadend.construction import Construction, bound_inequality_holds, required_N
 from deadend.depth import DepthValue, depth, depth_oracle, depth_profile
@@ -21,7 +21,7 @@ from deadend.groups import (
     Lamplighter,
     standard_gens,
 )
-from deadend.quotient import cyclic_family, cyclic_quotient, diameter, find_quotient
+from deadend.quotient import QuotientMap, cyclic_family, cyclic_quotient, diameter, find_quotient
 
 ZZ = IntegerLine()
 UNIT = GeneratingSet([ZZ.element(1)])
@@ -47,15 +47,16 @@ def test_01_construction_c10_paper_bound():
         entries = sorted(e.payload for e in ctx.built.genset.entries)
         assert entries == [k for k in range(-78, 79) if k % 10 == 1]
         assert len(entries) == 15
-        assert ctx.a_ball.norm(ctx.witness.element) == 5
+        helper = a_ball(ctx)
+        assert helper.norm(ctx.witness.element) == 5
         neighborhood = ctx.witness_neighborhood()
         for element, _ in neighborhood:
-            norm = ctx.a_ball.norm(element)
+            norm = helper.norm(element)
             assert norm is not None and norm <= 5
         report = ctx.verify()
         assert report.passed
         # depth(5) >= 3, exact value pinned by brute-force BFS
-        value = depth(ctx.a_ball, ctx.witness.element, cap=20)
+        value = depth(helper, ctx.witness.element, cap=20)
         assert value.is_finite and value.value >= 3
         assert value == DepthValue.finite(5)
 
@@ -168,10 +169,11 @@ def test_07_second_scale_construction_c22():
         assert ctx.params.n == 11
         assert ctx.params.N == 66
         assert ctx.witness.element.payload == 11
-        assert ctx.a_ball.norm(ctx.witness.element) == 11
+        helper = a_ball(ctx)
+        assert helper.norm(ctx.witness.element) == 11
         report = ctx.verify()
         assert report.passed
-        value = depth(ctx.a_ball, ctx.witness.element, cap=30)
+        value = depth(helper, ctx.witness.element, cap=30)
         assert value.is_finite and value.value >= 4
 
 
@@ -191,3 +193,25 @@ def test_08_lamplighter_regression():
         assert {p: (n, dv) for p, n, dv in again.rows()} == {
             p: (n, dv) for p, n, dv in prof.rows()
         }
+
+
+def test_09_lamplighter_construction_onto_d4():
+    with criterion(9, "lamplighter -> D_4 (t -> s, a -> rs) at D=2, tight: passes, witness norm 4"):
+        lamp = Lamplighter()
+        gens = standard_gens(lamp)
+        d4 = Dihedral(4)
+        pi = QuotientMap(gens, d4, [d4.element((0, 1)), d4.element((1, 1))])
+        ctx = Construction.build(gens, pi, target_depth=2, bound_mode="tight")
+        assert (ctx.params.n, ctx.params.d, ctx.params.N) == (4, 1, 16)
+        report = ctx.verify()
+        assert report.passed
+        assert report.neighborhood_size == 5998
+        # The A-ball of radius 4 is a BFS over 6,080 signed letters, out of a
+        # test's reach.  S lies in A, so the S-ball bounds norm_A(w) <= 4;
+        # pi maps A into {s, rs}, so the target ball bounds it from below.
+        w = ctx.witness
+        assert w.n == 4
+        assert ball(lamp, gens, 4).norm(w.element) == 4
+        assert ball(d4, pi.image_gens, 4).norm(pi.apply_word(w.s_word)) == 4
+        assert all(pi.apply_word(ctx.built.s_ball.geodesic(e)) in pi.image_gens
+                   for e in ctx.built.genset)

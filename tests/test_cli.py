@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import time
 
 import pytest
 
@@ -410,6 +411,30 @@ def test_budget_exit_code(tmp_path):
         ]
     )
     assert code == EXIT_BUDGET
+
+
+def test_lamplighter_budget_stop_names_the_homomorphism_check(tmp_path, capsys):
+    # {a, 0@2} does not generate the lamplighter: no S-word for t exists, so
+    # the homomorphism check's BFS runs into the element budget
+    quotient_doc = {
+        "schema": "quotient.v1",
+        "target": group_to_json(Dihedral(4)),
+        "images": [{"rot": "0", "ref": "1"}, {"rot": "1", "ref": "1"}],
+    }
+    qpath = tmp_path / "q_d4.json"
+    qpath.write_text(dumps(quotient_doc))
+    start = time.monotonic()
+    code = main([
+        "construct", "--group", "lamplighter", "--gens", "a,0@2", "--quotient", f"@{qpath}",
+        "--target-depth", "2", "--budget-elements", "20000",
+    ])
+    seconds = time.monotonic() - start
+    err = capsys.readouterr().err
+    assert code == EXIT_BUDGET
+    assert seconds < 1
+    assert "in the homomorphism check, looking for S-words for t and a" in err
+    assert "S may not generate the lamplighter" in err
+    assert "Traceback" not in err
 
 
 def test_invalid_quotient_for_gens(tmp_path):

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import deadend.cayley
 import deadend.construction
 import deadend.quotient
+from conftest import a_ball
 from deadend.cayley import Budget, ball
 from deadend.construction import (
     Certificate,
@@ -155,7 +156,7 @@ def test_find_witness_c10(c10_ctx):
     assert w.n == 5
     assert w.depth_lower_bound == 3
     assert w.s_word == (1, 1, 1, 1, 1)
-    assert c10_ctx.a_ball.norm(w.element) == 5
+    assert a_ball(c10_ctx).norm(w.element) == 5
 
 
 def test_find_witness_minimal_quotient():
@@ -164,16 +165,17 @@ def test_find_witness_minimal_quotient():
     built = constructed_genset(UNIT, pi, N=1)
     report = diameter(pi.target, pi.image_gens)
     assert report.diameter == 1
-    w = find_witness(built, ball(ZZ, built.genset, 1))
+    w = find_witness(built)
     assert w.element.payload == 1
     assert w.n == 1
+    assert ball(ZZ, built.genset, 1).norm(w.element) == 1
 
 
 def test_find_witness_c22():
     ctx = Construction.build(UNIT, cyclic_quotient(UNIT, 22), target_depth=4)
     assert [e.payload for e in ctx.built.genset.entries] == [1, -21, 23, -43, 45, -65]
     assert ctx.witness.element.payload == 11
-    assert ctx.a_ball.norm(ctx.witness.element) == 11
+    assert a_ball(ctx).norm(ctx.witness.element) == 11
 
 
 # -- lifts and the target ball ------------------------------------------------------
@@ -329,7 +331,7 @@ def test_certificate_one_step_from_witness(c10_ctx):
     assert cert.k == 4
     assert cert.k >= c10_ctx.params.n - c10_ctx.params.d
     validate_certificate(c10_ctx, cert, near_witness=True)
-    assert c10_ctx.a_ball.norm(ZZ.element(76)) <= cert.k
+    assert a_ball(c10_ctx).norm(ZZ.element(76)) <= cert.k
 
 
 def test_certificate_degenerate_when_image_trivial(c10_ctx):
@@ -448,10 +450,11 @@ def test_factorize_matches_reference_on_padded_d8_words(word):
 
 def test_certificate_soundness_sampled(c10_ctx):
     # every validating certificate upper-bounds the BFS norm by k
+    helper = a_ball(c10_ctx)
     for element, path in c10_ctx.witness_neighborhood():
         cert = factorize(c10_ctx, element, path)
         validate_certificate(c10_ctx, cert, near_witness=True)
-        assert c10_ctx.a_ball.norm(element) <= cert.k
+        assert helper.norm(element) <= cert.k
 
 
 # -- prefix tables and paths ---------------------------------------------------------
@@ -544,33 +547,24 @@ WALK_CASES = {
 
 
 @pytest.mark.parametrize("case", sorted(WALK_CASES))
-def test_walk_depth_matches_depth_search(case, monkeypatch):
+def test_walk_depth_matches_depth_search(case):
+    # the certificates prove depth >= d+1; a search in the A-ball pins the depth
     make, rendered = WALK_CASES[case]
-    # exact homomorphism check: the certificates prove depth >= d+1, no search runs
     ctx = make()
-    assert ctx.homomorphism_exact
-    report = ctx.verify()
-    assert report.depth_value is None
-    assert report.to_json()["witness_depth_search"] == "not run"
-    assert not depth(ctx.a_ball, ctx.witness.element, cap=ctx.params.d).is_finite
-    # a check that is only a probe: the BFS cross-check and its depth search run
-    monkeypatch.setattr(deadend.construction, "check_homomorphism", lambda pi: False)
-    ctx = make()
-    assert not ctx.homomorphism_exact
-    report = ctx.verify()
-    reference = depth(ctx.a_ball, ctx.witness.element, cap=ctx.params.d + 1)
-    assert report.depth_value == reference
-    assert report.depth_value.render() == rendered
-    assert report.to_json()["witness_depth_search"] == rendered
+    assert ctx.verify().passed
+    helper = a_ball(ctx)
+    assert not depth(helper, ctx.witness.element, cap=ctx.params.d).is_finite
+    assert depth(helper, ctx.witness.element, cap=ctx.params.d + 1).render() == rendered
 
 
 @pytest.mark.parametrize("case", sorted(WALK_CASES))
 def test_norm_column_is_the_bfs_norm(case):
     ctx = WALK_CASES[case][0]()
     report = ctx.verify()
+    helper = a_ball(ctx)
     for (element, _), row in zip(ctx.witness_neighborhood(), report.rows):
         assert row["element"] == str(element)
-        assert row["norm_A"] == row["certificate_k"] == ctx.a_ball.norm(element)
+        assert row["norm_A"] == row["certificate_k"] == helper.norm(element)
 
 
 def test_verify_on_an_exact_source_builds_no_a_ball(monkeypatch):
@@ -583,7 +577,6 @@ def test_verify_on_an_exact_source_builds_no_a_ball(monkeypatch):
     assert ctx.verify().passed
     assert ctx.certify(ctx.witness_neighborhood()[-1][0]).k <= ctx.params.n
     assert built == [_GRID]  # the S-ball only
-    assert "a_ball" not in vars(ctx)
 
 
 def test_construction_rejects_a_library_quotient_that_is_not_a_homomorphism():
@@ -635,7 +628,7 @@ def test_verify_construction_c10(c10_ctx):
         assert row["norm_A"] <= 5
         assert row["certificate_ok"]
         assert 3 <= row["certificate_k"] <= 5
-    assert report.to_json()["witness_depth_search"] == "not run"
+    assert "witness_depth_search" not in report.to_json()
 
 
 def test_verify_construction_c10_tight():
@@ -648,7 +641,7 @@ def test_verify_construction_c10_tight():
 
 def test_exact_depth_of_witness(c10_ctx):
     # pinned from the brute-force search; the certified bound is only >= 3
-    dv = depth(c10_ctx.a_ball, c10_ctx.witness.element, cap=20)
+    dv = depth(a_ball(c10_ctx), c10_ctx.witness.element, cap=20)
     assert dv.is_finite and dv.value == 5
 
 
@@ -658,8 +651,8 @@ def test_verify_construction_c22():
     assert ctx.params.N == 66
     report = ctx.verify()
     assert report.passed
-    assert report.to_json()["witness_depth_search"] == "not run"
-    dv = depth(ctx.a_ball, ctx.witness.element, cap=30)
+    assert "witness_depth_search" not in report.to_json()
+    dv = depth(a_ball(ctx), ctx.witness.element, cap=30)
     assert dv == type(dv).finite(9)
 
 
@@ -687,9 +680,7 @@ def test_construction_with_cache(tmp_path):
     )
     assert ctx1.verify().passed
     files = sorted(p.name for p in tmp_path.glob("ball-*.bin"))
-    assert len(files) == 1  # the S-ball: an exact homomorphism check needs no A-ball
-    assert ctx1.a_ball.norm(ctx1.witness.element) == 5  # read on request, it is cached too
-    assert len(list(tmp_path.glob("ball-*.bin"))) == 2
+    assert len(files) == 1  # the S-ball: no A-ball is ever built
     ctx2 = Construction.build(
         UNIT, cyclic_quotient(UNIT, 10), target_depth=3, cache_dir=tmp_path
     )
@@ -697,7 +688,8 @@ def test_construction_with_cache(tmp_path):
         e.payload for e in ctx1.built.genset.entries
     ]
     assert ctx2.verify().passed
-    assert ctx2.a_ball.dist == ctx1.a_ball.dist
+    assert ctx2.built.s_ball.dist == ctx1.built.s_ball.dist
+    assert sorted(p.name for p in tmp_path.glob("ball-*.bin")) == files
 
 
 def test_budget_propagates():
@@ -718,7 +710,7 @@ def test_find_witness_c22_large_slack():
     assert ctx.params.N == 369
     assert len(ctx.built.genset) == 33
     assert ctx.witness.element.payload == 11
-    assert ctx.a_ball.norm(ctx.witness.element) == 11
+    assert a_ball(ctx).norm(ctx.witness.element) == 11
 
 
 def test_finite_source_construction():
@@ -733,9 +725,10 @@ def test_finite_source_construction():
     ctx = Construction.build(s12, pi, target_depth=2, bound_mode="tight")
     assert [e.payload for e in ctx.built.genset.entries] == [1, 7]
     assert ctx.witness.element.payload == 3
-    assert ctx.a_ball.norm(ctx.witness.element) == 3
+    helper = a_ball(ctx)
+    assert helper.norm(ctx.witness.element) == 3
     assert ctx.verify().passed
-    assert depth(ctx.a_ball, ctx.witness.element, cap=20).is_infinite
+    assert depth(helper, ctx.witness.element, cap=20).is_infinite
 
 
 def test_grid_source_with_identity_image():
@@ -752,7 +745,7 @@ def test_grid_source_with_identity_image():
         ctx = Construction.build(gens, pi, target_depth=2, bound_mode="tight")
     assert ctx.params.n == 3
     assert ctx.witness.element.payload == (3, 0)
-    assert ctx.a_ball.norm(ctx.witness.element) == 3
+    assert a_ball(ctx).norm(ctx.witness.element) == 3
     report = ctx.verify()
     assert report.passed
     assert report.neighborhood_size == 307
@@ -775,11 +768,12 @@ def test_nonabelian_target_construction():
         (1, 0), (0, 1), (5, 0), (4, 1),
     ]
     assert ctx.witness.element.payload == (2, 1)
-    assert ctx.a_ball.norm(ctx.witness.element) == 3
+    helper = a_ball(ctx)
+    assert helper.norm(ctx.witness.element) == 3
     report = ctx.verify()
     assert report.passed
     assert report.neighborhood_size == 7
-    assert depth(ctx.a_ball, ctx.witness.element, cap=16).is_infinite
+    assert depth(helper, ctx.witness.element, cap=16).is_infinite
 
 
 def test_word_mode_quotient_runs_the_same_pipeline():

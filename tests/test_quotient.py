@@ -18,6 +18,7 @@ from deadend.groups import (
     IntegerGrid,
     IntegerLine,
     Lamplighter,
+    TableGroup,
     standard_gens,
 )
 from deadend.quotient import (
@@ -128,20 +129,95 @@ def test_homomorphism_check_cyclic_and_word():
     check_homomorphism(QuotientMap(UNIT, target, [target.element(1)]))
 
 
-def test_homomorphism_check_reports_whether_it_was_exact():
+def test_homomorphism_check_returns_none_on_every_source():
     c6 = Cyclic(6)
     grid = standard_gens(IntegerGrid(2))
     c12 = GeneratingSet([Cyclic(12).element(1)])
     lamp = standard_gens(Lamplighter())
-    assert check_homomorphism(QuotientMap(UNIT, c6, [c6.element(1)])) is True
-    assert check_homomorphism(QuotientMap(grid, c6, [c6.element(1)] * 2)) is True
-    assert check_homomorphism(QuotientMap(c12, c6, [c6.element(1)])) is True
+    assert check_homomorphism(QuotientMap(UNIT, c6, [c6.element(1)])) is None
+    assert check_homomorphism(QuotientMap(grid, c6, [c6.element(1)] * 2)) is None
+    assert check_homomorphism(QuotientMap(c12, c6, [c6.element(1)])) is None
     d4 = Dihedral(4)
     d8_to_d4 = QuotientMap(standard_gens(Dihedral(8)), d4, [d4.element((1, 0)),
                                                              d4.element((0, 1))])
-    assert check_homomorphism(d8_to_d4) is True
+    assert check_homomorphism(d8_to_d4) is None
     parity = QuotientMap(lamp, Cyclic(2), [Cyclic(2).element(0), Cyclic(2).element(1)])
-    assert check_homomorphism(parity) is False
+    assert check_homomorphism(parity) is None
+
+
+# -- the lamplighter -------------------------------------------------------------
+
+_LAMP = Lamplighter()
+# t, a and t^21
+_T_A_T21 = GeneratingSet([_LAMP.element(((), 1)), _LAMP.element(((0,), 0)),
+                          _LAMP.element(((), 21))])
+
+
+@pytest.mark.parametrize("images, ok", [((1, 11, 21), True), ((1, 11, 2), False)])
+def test_lamplighter_check_reads_each_generator_off_t_and_a(images, ok):
+    # in C_22, t -> 1 forces t^21 -> 21: an image of 2 shows up only in words
+    # of 21 letters or more, past any short probe
+    c22 = Cyclic(22)
+    pi = QuotientMap(_T_A_T21, c22, [c22.element(x) for x in images])
+    if ok:
+        check_homomorphism(pi)
+    else:
+        with pytest.raises(HomomorphismError, match="@21 and its normal form map to different"):
+            check_homomorphism(pi)
+
+
+def test_lamplighter_onto_d4_is_a_homomorphism():
+    # t -> s, a -> rs: a and its conjugates by s are reflections rs, r^-1 s of D_4,
+    # which commute (their product is the central r^2)
+    d4 = Dihedral(4)
+    pi = QuotientMap(standard_gens(_LAMP), d4, [d4.element((0, 1)), d4.element((1, 1))])
+    assert check_homomorphism(pi) is None
+
+
+def _wreath(m):
+    """C_2 wr C_m as a table on ids lamps * m + cursor: (v, i)(w, j) = (v ^ w<<i, i + j),
+    the lamp masks rotated mod m, so lamps and cursor reduce mod m."""
+    def rotate(w, i):
+        return ((w << i) | (w >> (m - i))) & ((1 << m) - 1)
+
+    table = [[(v ^ rotate(w, i)) * m + (i + j) % m for w in range(1 << m) for j in range(m)]
+             for v in range(1 << m) for i in range(m)]
+    return TableGroup(table, identity_id=0, name=f"C2wrC{m}")
+
+
+@pytest.mark.parametrize("m", [3, 4, 6])
+@pytest.mark.parametrize(
+    "t_image, a_image, ok",
+    [
+        ((0, 1), (1, 0), True),  # the natural map: t -> shift, a -> toggle
+        ((1, 1), (1, 0), True),  # t -> toggle * shift: a's conjugates are still lamps
+        # a -> toggle * shift: a = a^-1 has two images, as the first BFS layer shows
+        ((0, 1), (1, 1), False),
+    ],
+)
+def test_lamplighter_onto_wreath_products(m, t_image, a_image, ok):
+    group = _wreath(m)
+    assert group.order() == m << m
+    images = [group.element(lamps * m + cursor) for lamps, cursor in (t_image, a_image)]
+    pi = QuotientMap(standard_gens(_LAMP), group, images)
+    if ok:
+        assert check_homomorphism(pi) is None
+    else:
+        with pytest.raises(HomomorphismError, match="map to different images"):
+            check_homomorphism(pi)
+
+
+def test_lamplighter_check_needs_a_to_commute_with_its_conjugates():
+    # onto S_3, t -> (0 1 2) and a -> (0 1): a^2 = 1, but a and t a t^-1 are
+    # different transpositions, which do not commute
+    perms = list(itertools.permutations(range(3)))
+    index = {p: i for i, p in enumerate(perms)}
+    table = [[index[tuple(p[q[x]] for x in range(3))] for q in perms] for p in perms]
+    s3 = TableGroup(table, identity_id=index[(0, 1, 2)], name="S3")
+    images = [s3.element(index[(1, 2, 0)]), s3.element(index[(1, 0, 2)])]
+    pi = QuotientMap(standard_gens(_LAMP), s3, images)
+    with pytest.raises(HomomorphismError, match=r"\[a, t\^1 a t\^-1\] and 1 map to different"):
+        check_homomorphism(pi)
 
 
 @pytest.mark.parametrize(
