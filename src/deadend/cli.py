@@ -452,13 +452,11 @@ def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
         if key not in _DEFAULTS:
             raise UsageError(f"unknown config key {key!r}")
         if getattr(args, key, None) is None:
-            if key in _INT_KEYS:
-                parsed: Any = int(value)
-            elif key in _FLOAT_KEYS:
-                parsed = float(value)
-            else:
-                parsed = value
-            setattr(args, key, parsed)
+            kind = int if key in _INT_KEYS else float if key in _FLOAT_KEYS else str
+            try:
+                setattr(args, key, kind(value))
+            except ValueError as exc:
+                raise UsageError(f"config key {key!r}: {exc}") from None
     for key, default in _DEFAULTS.items():
         if getattr(args, key, None) is None:
             setattr(args, key, default)

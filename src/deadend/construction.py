@@ -11,11 +11,12 @@ a factorization certificate into k = |pi(g)|_T <= n factors from A or
 their inverses, with no ball over A: the homomorphism check is exact on
 every source, so the norms follow from the certificates alone.
 
-A certificate reads its k + 1 cuts from prefix tables, built and checked
-once: a neighbour of the witness is a path through them, and a plain
-S-word a path of one segment.  The target side reads the quotient map's
-one ball of its target: the diameter, the witness, every target geodesic,
-and the lift of each target element, folded down its BFS tree.
+A certificate reads its k + 1 cuts from prefix tables, each one fold of
+``mul_payload`` built once and checked at its end: a neighbour of the
+witness is a path through them, and a plain S-word a path of one
+segment.  The target side reads the quotient map's one ball of its
+target: the diameter, the witness, every target geodesic, and the lift of
+each target element, folded down its BFS tree.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, chain, islice
-from operator import add, attrgetter, eq, sub
+from operator import add, attrgetter, sub
 from pathlib import Path
 from typing import Any, NamedTuple, Optional, Sequence, Union
 
@@ -36,11 +37,12 @@ from .cayley import Ball, Budget, DEFAULT_BUDGET, ball_cached, bfs_layers
 from .groups import (
     Codec,
     GeneratingSet,
+    Group,
     GroupElement,
     GroupError,
     Word,
-    WordFold,
     evaluate_word,
+    fold_word,
     invert_word,
 )
 from .quotient import DiameterReport, QuotientMap, check_homomorphism, held_to
@@ -230,8 +232,17 @@ def constructed_genset(
     return built
 
 
-def _compact(entries: list) -> Sequence:
-    """Integer payloads in one array of 64-bit cells, any others as they are."""
+def _prefixes(word: Sequence[int], letters: dict, group: Group) -> Sequence:
+    """The product of the first i letters of ``word`` for i = 0..len(word), from
+    one fold of ``mul_payload``: integer payloads in one array of 64-bit cells,
+    any others as they are.  A letter missing from ``letters`` raises
+    ``fold_word``'s ValueError."""
+    mul, identity = group.mul_payload, group.identity_payload()
+    try:
+        entries = list(accumulate(map(letters.__getitem__, word), mul, initial=identity))
+    except KeyError:
+        fold_word(word, letters, mul, identity)  # raises on the missing letter
+        raise
     try:
         return array("q", entries)
     except (TypeError, OverflowError):
@@ -361,9 +372,12 @@ class Construction:
     """Full pipeline state: quotient, parameters, A, witness, lifts, tables.
 
     Certificates read their cuts from prefix tables of the witness lift and
-    of each signed A-letter's S-geodesic.  Each table is checked letter by
-    letter once, as it is built: the independent check has moved from each
-    certificate, which once re-folded its pieces, to each table.
+    of each signed A-letter's S-geodesic.  Each table is one fold of
+    ``mul_payload`` in the source and in the target, built once and checked
+    at its end: the last source entry is its element, which cross-checks
+    the ball codes an A-letter's geodesic was walked on against payload
+    arithmetic, and the last image is the diameter witness or a generator
+    image.
     """
 
     def __init__(
@@ -415,20 +429,10 @@ class Construction:
         word = self.built.s_ball.geodesic_payload(payload)
         return word if letter > 0 else invert_word(word)
 
-    @cached_property
-    def _folds(self) -> tuple[WordFold, WordFold]:
-        """Source and target folds of S-words, on integer codes in the source
-        where they cover an S-word of n + d*N letters."""
-        p = self.params
-        return (
-            WordFold(self.source_gens.group, self.source_gens.letters, p.n + p.d * p.N),
-            WordFold(self.pi.target, self.pi.letters),
-        )
-
     def _table(self, word: Sequence[int]) -> PrefixTable:
-        fold_s, fold_t = self._folds
-        return PrefixTable(tuple(word), _compact(fold_s.prefixes(word)),
-                           _compact(fold_t.prefixes(word)))
+        gens = self.source_gens
+        return PrefixTable(tuple(word), _prefixes(word, gens.letters, gens.group),
+                           _prefixes(word, self.pi.letters, self.pi.target))
 
     @cached_property
     def _tables(self) -> dict:
@@ -447,23 +451,11 @@ class Construction:
         return tables
 
     def _checked(self, key: int, word: Word, last: Any, last_images) -> PrefixTable:
-        """The table of ``word``, once checked: in each group entry 0 is the
-        identity and entry i+1 is entry i times letter i+1, stepped with
-        ``mul_payload`` on payloads, not on the integer codes a source fold
-        may sum; the last source entry is ``last``, and the last image lies
-        in ``last_images``."""
+        """The table of ``word``, checked at its end: the last source entry is
+        ``last``, and the last image lies in ``last_images``."""
         table = self._table(word)
-        what = "the witness lift" if key == 0 else f"A-letter {key}"
-        sides = (
-            (table.source, self.source_gens.letters, self.source_gens.group),
-            (table.image, self.pi.letters, self.pi.target),
-        )
-        for entries, letters, group in sides:
-            stepped = map(group.mul_payload, entries, map(letters.__getitem__, word))
-            if (len(entries) != len(word) + 1 or entries[0] != group.identity_payload()
-                    or not all(map(eq, entries[1:], stepped))):
-                raise ConstructionError(f"prefix table of {what} does not step by its letters")
         if table.source[-1] != last or table.image[-1] not in last_images:
+            what = "the witness lift" if key == 0 else f"A-letter {key}"
             raise ConstructionError(f"prefix table of {what} does not end at its element")
         return table
 
@@ -651,12 +643,11 @@ def validate_certificate(
 
     With near_witness=True the triangle-inequality lower bound
     k >= n - d is enforced as well.  The cuts must be the near-equal split
-    of the path.  Prefix products are read off the path's tables, checked
-    letter by letter once when the construction built them: the independent
-    check has moved from each certificate to each table.  Each factor must
-    satisfy R_{i-1} v_i = R_i and each claimed length must be
-    |phi(c_{i-1})| + |u_i| + |phi(c_i)|, at most |u_i| + 2n.  The image of
-    v_i is the geodesic letter t_i with no check: pi(R_i) = Q_i, so
+    of the path.  Prefix products are read off the path's tables, each one
+    fold of ``mul_payload`` whose ends the construction checked as it built
+    it.  Each factor must satisfy R_{i-1} v_i = R_i and each claimed length
+    must be |phi(c_{i-1})| + |u_i| + |phi(c_i)|, at most |u_i| + 2n.  The
+    image of v_i is the geodesic letter t_i with no check: pi(R_i) = Q_i, so
     pi(v_i) = Q_{i-1}^-1 Q_i.
     """
     params = ctx.params

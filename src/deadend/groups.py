@@ -7,9 +7,8 @@ configurable bit width and overflow is a hard error, never a silent wrap.
 
 Words are read through one signed-letter table per generating set
 (``letter_table``) and evaluated by one fold (``fold_word``), which
-rejects a letter missing from the table as it reaches it; ``WordFold``
-gives every prefix product of a word, over integer codes where it can.
-Walks (balls, depth searches) step on the element codes of ``Group.integer_code``.
+rejects a letter missing from the table as it reaches it.  Walks (balls,
+depth searches) step on the element codes of ``Group.integer_code``.
 
 Each group class owns its formats: the text of a payload, its JSON shape
 and CLI token, the ``group.v1`` parameter fields and the standard
@@ -21,7 +20,7 @@ from __future__ import annotations
 
 import re
 from abc import ABC, abstractmethod
-from itertools import accumulate, chain
+from itertools import chain
 from operator import add, itemgetter
 from typing import Any, Callable, ClassVar, Iterator, NamedTuple, Optional, Sequence
 
@@ -42,7 +41,6 @@ __all__ = [
     "RangeOverflowError",
     "InvalidElementError",
     "TableGroupError",
-    "WordFold",
     "multiply",
     "evaluate_word",
     "fold_word",
@@ -83,7 +81,7 @@ class Codec(NamedTuple):
     a payload to its code (None outside the coded range), ``decode`` back, and
     ``text`` maps a code to the ``format_payload`` text of its payload, which
     writers of element text (CSV exports) call without building the payload
-    where the group can.  Where ``step`` is ``operator.add``, 0 codes the identity."""
+    where the group can."""
 
     codes: list
     step: Callable[[Any, Any], Any]
@@ -357,39 +355,6 @@ def fold_word(word: Sequence[int], table: dict, mul: Callable[[Any, Any], Any], 
             raise ValueError(f"word letter {letter} out of range for {len(table) // 2} generators")
         acc = mul(acc, step)
     return acc
-
-
-class WordFold:
-    """Prefix products of words over one letter table, as ``fold_word`` gives them.
-
-    Where ``group.integer_code`` codes the letters additively for ``radius``
-    steps, a word of at most ``radius`` letters is summed over its codes at
-    C speed and decoded; longer words and other groups multiply payloads.
-    Results and errors are those of ``fold_word``.
-    """
-
-    def __init__(self, group: Group, table: dict, radius: int = 0):
-        self.table = table
-        self.mul = group.mul_payload
-        self.identity = group.identity_payload()
-        self.codes = None
-        coded = group.integer_code(list(table.values()), radius)
-        if coded.step is add:
-            self.codes = dict(zip(table, coded.codes))
-            self.radius = radius
-            self.decode = coded.decode
-
-    def prefixes(self, word: Sequence[int]) -> list:
-        """The product of the first i letters of ``word`` for i = 0..len(word), from one pass."""
-        try:
-            if self.codes is not None and len(word) <= self.radius:
-                sums = accumulate(map(self.codes.__getitem__, word), initial=0)
-                return list(map(self.decode, sums))
-            steps = map(self.table.__getitem__, word)
-            return list(accumulate(steps, self.mul, initial=self.identity))
-        except KeyError:
-            fold_word(word, self.table, self.mul, self.identity)  # raises on the missing letter
-            raise
 
 
 def evaluate_word(word: Sequence[int], gens: GeneratingSet) -> GroupElement:

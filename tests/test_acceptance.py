@@ -5,6 +5,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 
 from __future__ import annotations
 
+import hashlib
 from contextlib import contextmanager
 
 import pytest
@@ -25,6 +26,8 @@ from deadend.quotient import QuotientMap, cyclic_family, cyclic_quotient, diamet
 
 ZZ = IntegerLine()
 UNIT = GeneratingSet([ZZ.element(1)])
+# SHA-256 of the newline-joined certificate digests of lamplighter -> D_4 at D=2, tight
+LAMPLIGHTER_D4_DIGESTS_SHA256 = "37889cbd9d2e7fd9479d6acddc5ed0ddeeae7b278943cc482702e7816f10f3b6"
 
 
 @contextmanager
@@ -206,6 +209,8 @@ def test_09_lamplighter_construction_onto_d4():
         report = ctx.verify()
         assert report.passed
         assert report.neighborhood_size == 5998
+        digests = "\n".join(row["certificate_digest"] for row in report.rows)
+        assert hashlib.sha256(digests.encode()).hexdigest() == LAMPLIGHTER_D4_DIGESTS_SHA256
         # The A-ball of radius 4 is a BFS over 6,080 signed letters, out of a
         # test's reach.  S lies in A, so the S-ball bounds norm_A(w) <= 4;
         # pi maps A into {s, rs}, so the target ball bounds it from below.

@@ -512,6 +512,18 @@ def test_group_config_key_rejected(tmp_path, capsys):
     assert "unknown config key 'group'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line,message", [
+    ("budget_seconds = abc", "config key 'budget_seconds': could not convert string to float: 'abc'"),
+    ("radius = 2.5", "config key 'radius': invalid literal for int() with base 10: '2.5'"),
+])
+def test_unparsable_config_value_names_its_key(tmp_path, capsys, line, message):
+    config = tmp_path / "run.conf"
+    config.write_text(line + "\n")
+    code = main(["ball", "--group", "zz", "--gens", "1", "--config", str(config)])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_reports_reproducible_modulo_timing(tmp_path):
     argv = [
         "construct", "--group", "zz", "--gens", "1",

@@ -19,11 +19,9 @@ from deadend.groups import (
     RangeOverflowError,
     TableGroup,
     TableGroupError,
-    WordFold,
     evaluate_word,
     fold_word,
     invert_word,
-    letter_table,
     multiply,
     standard_gens,
 )
@@ -123,66 +121,6 @@ def test_fold_word_pieces_in_sequence():
         for a, b in zip([0] + cuts, cuts + [len(word)]):
             acc = fold_word(word[a:b], gens.letters, group.mul_payload, acc)
         assert acc == evaluate_word(word, gens).payload
-
-
-def _fold_outcome(fold, word):
-    """The value of fold(word), or the type and message of what it raises."""
-    try:
-        return fold(word)
-    except (ValueError, RangeOverflowError) as exc:
-        return type(exc), str(exc)
-
-
-def _assert_folds_like_fold_word(group, fold, words):
-    table, mul, e = fold.table, group.mul_payload, group.identity_payload()
-    for word in words:
-        expected = _fold_outcome(lambda w: fold_word(w, table, mul, e), word)
-        prefixes = _fold_outcome(fold.prefixes, word)
-        if isinstance(expected, tuple) and expected[0] in (ValueError, RangeOverflowError):
-            assert prefixes == expected, word
-        else:
-            assert prefixes == [
-                fold_word(word[:i], table, mul, e) for i in range(len(word) + 1)
-            ]
-
-
-def _words(letters, max_len):
-    return [w for n in range(max_len + 1) for w in itertools.product(letters, repeat=n)]
-
-
-def test_coded_fold_at_the_cap():
-    # 8-bit cap 127: radius 2 codes steps of size 60, radius 3 does not
-    line = IntegerLine(bits=8)
-    table = letter_table(line, [60, 3])
-    fold = WordFold(line, table, radius=2)
-    assert fold.codes is not None
-    assert WordFold(line, table, radius=3).codes is None
-    # words up to the radius are coded; longer ones take the payload loop,
-    # which overflows at 180 as fold_word does, and a missing letter raises
-    # fold_word's ValueError on either path
-    words = _words((1, -1, 2, -2, 5), 2) + [(1, 1, 1), (2, 2, 2), (1, 1, 1, 5), (2, 2, 5)]
-    assert _fold_outcome(fold.prefixes, (1, 1, 1))[0] is RangeOverflowError
-    missing = (ValueError, "word letter 5 out of range for 2 generators")
-    assert _fold_outcome(fold.prefixes, (1, 5)) == missing
-    _assert_folds_like_fold_word(line, fold, words)
-    grid = IntegerGrid(2, bits=8)
-    table = letter_table(grid, [(60, -3), (0, 1)])
-    fold = WordFold(grid, table, radius=2)
-    assert fold.codes is not None
-    words = _words((1, -1, 2, -2, 3), 2) + [(1, 1, 1), (-1, 2, -1, -1), (2, 2, 2, 3), ("1",)]
-    assert _fold_outcome(fold.prefixes, (-1, -1, -1))[0] is RangeOverflowError
-    _assert_folds_like_fold_word(grid, fold, words)
-
-
-def test_payload_folds_match_fold_word():
-    # D_5 does not commute, so a slip in the fold order shows
-    group = Dihedral(5)
-    table = standard_gens(group).letters
-    words = _words((1, -1, 2, -2), 3) + [(1, 2, 3), (0,)]
-    _assert_folds_like_fold_word(group, WordFold(group, table), words)
-    _assert_folds_like_fold_word(LAMP, WordFold(LAMP, standard_gens(LAMP).letters), words)
-    # the lamplighter's code is not additive: no C-level sum over it
-    _assert_folds_like_fold_word(LAMP, WordFold(LAMP, standard_gens(LAMP).letters, 8), words)
 
 
 def test_invert_word_reverses_and_flips():
