@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deadend.cli import (
     EXIT_BUDGET,
@@ -604,6 +608,77 @@ def test_malformed_json_document_is_a_usage_error(tmp_path, capsys, case):
     }[kind]
     assert main(argv) == EXIT_USAGE
     assert "error:" in capsys.readouterr().err
+
+
+# Values a fuzzed group.v1 table may hold where an id or a name belongs.
+ODD_VALUES = ["x", "", " 1", "05", "+1", "-0", "1e3", "99999999999999999999",
+              None, [1], {}, True, False, 1.5, -1]
+
+
+@st.composite
+def mutated_table_docs(draw):
+    """A relabelled cyclic group.v1 table of order 1..6, then up to three
+    mutations of its cells, rows, shape, identity or name."""
+    m = draw(st.integers(1, 6))
+    label = draw(st.permutations(range(m)))
+    rows = [[""] * m for _ in range(m)]
+    for a in range(m):
+        for b in range(m):
+            rows[label[a]][label[b]] = str(label[(a + b) % m])
+    doc = {"schema": "group.v1", "variant": "table", "name": "fuzz",
+           "identity": str(label[0]), "table": rows}
+    value = st.one_of(st.integers(-2, m + 2), st.integers(-2, m + 2).map(str),
+                      st.sampled_from(ODD_VALUES))
+    for kind in draw(st.lists(st.sampled_from(["cell", "row", "shape", "identity", "name"]),
+                              max_size=3)):
+        t = doc.get("table")
+        if kind == "identity":
+            if draw(st.booleans()):
+                doc["identity"] = draw(value)
+            else:
+                doc.pop("identity", None)
+        elif kind == "name":
+            doc["name"] = draw(value)
+        elif kind == "shape":
+            doc["table"] = draw(st.sampled_from([[], [[]], [[["0"]]], "01", {}, None, 3]))
+        elif not isinstance(t, list) or not t:
+            continue
+        elif kind == "row":
+            i = draw(st.integers(0, len(t) - 1))
+            op = draw(st.sampled_from(["drop", "copy", "swap", "scalar", "shorten", "lengthen"]))
+            if op == "drop":
+                del t[i]
+            elif op == "copy":
+                t.insert(i, list(t[i]) if isinstance(t[i], list) else t[i])
+            elif op == "swap":
+                j = draw(st.integers(0, len(t) - 1))
+                t[i], t[j] = t[j], t[i]
+            elif op == "scalar":
+                t[i] = draw(st.sampled_from(["01", 5, None, {}]))
+            elif isinstance(t[i], list):
+                t[i] = t[i][:-1] if op == "shorten" else [*t[i], draw(value)]
+        else:  # a cell: set it, or swap it with another of its row
+            i = draw(st.integers(0, len(t) - 1))
+            if isinstance(t[i], list) and t[i]:
+                j, k = (draw(st.integers(0, len(t[i]) - 1)) for _ in "jk")
+                if draw(st.booleans()):
+                    t[i][j] = draw(value)
+                else:
+                    t[i][j], t[i][k] = t[i][k], t[i][j]
+    return doc
+
+
+@settings(max_examples=150, deadline=None)
+@given(doc=mutated_table_docs(), gens=st.sampled_from(["1", "1,2", "0,1"]))
+def test_fuzzed_table_documents_exit_0_or_2(tmp_path_factory, doc, gens):
+    path = tmp_path_factory.getbasetemp() / "fuzzed-table.json"
+    path.write_text(json.dumps(doc))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(["diameter", "--group", f"table:{path}", "--gens", gens])  # raises on a crash
+    assert code in (EXIT_OK, EXIT_USAGE)
+    assert "Traceback" not in err.getvalue()
+    assert (code == EXIT_OK) == (err.getvalue() == "")
 
 
 def test_certify_element_without_s_word_is_a_usage_error(capsys):

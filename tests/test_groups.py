@@ -383,6 +383,29 @@ def test_table_group_rejects_large_non_associative():
         TableGroup(table, identity_id=0)
 
 
+@pytest.mark.parametrize("table, message", [
+    # column 1 reads 1, 0, 0, 2 and row 2 reads 2, 0, 0, 1: column 1 comes first
+    ([[0, 1, 2, 3], [1, 0, 3, 2], [2, 0, 0, 1], [3, 2, 1, 0]], "column 1 is not a permutation"),
+    # row 1 and column 1 both read 1, 1, ...: row 1 comes first
+    ([[0, 1, 2, 3], [1, 1, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]], "row 1 is not a permutation"),
+    # a Latin square with identity 0 whose Light's test picks generators 1 and 2,
+    # failing at both: at g = 1 first with x = 2, though x = 1 fails at g = 2
+    ([
+        [0, 1, 2, 3, 4, 5, 6],
+        [1, 3, 6, 0, 5, 2, 4],
+        [2, 4, 0, 5, 6, 3, 1],
+        [3, 0, 4, 1, 2, 6, 5],
+        [4, 2, 5, 6, 0, 1, 3],
+        [5, 6, 1, 2, 3, 4, 0],
+        [6, 5, 3, 4, 1, 0, 2],
+    ], "associativity fails at (2, 1, 1)"),
+], ids=["column-before-later-row", "row-before-its-column", "associativity-generator-order"])
+def test_table_group_names_the_first_failure(table, message):
+    with pytest.raises(TableGroupError) as info:
+        TableGroup(table, identity_id=0)
+    assert str(info.value) == message
+
+
 def test_table_validation_agrees_with_brute_force_oracle():
     # Relabeled group tables must load; perturbed ones must be rejected
     # exactly when the cubic oracle rejects them.

@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deadend.groups import (
     Cyclic,
@@ -118,6 +120,62 @@ def test_table_rows_are_converted_in_place():
     assert all(a is b for a, b in zip(rows, group.table))
     assert rows[1] == (1, 2, 3, 0)
     assert group_from_json(doc) == group
+
+
+# Spellings of an id that int() reads as that id, canonical first.
+CELL_FORMS = [str, lambda x: f"0{x}", lambda x: f" {x}", lambda x: f"+{x}", lambda x: x]
+BAD_CELLS = ["x", "", [1], None]
+
+
+@st.composite
+def table_docs(draw, orders):
+    """A cyclic group.v1 table whose cells are spelled in a mix of CELL_FORMS:
+    every cell drawn at orders up to 8, a few at larger orders; sometimes
+    with a few BAD_CELLS too."""
+    m = draw(st.sampled_from(orders))
+    rows = [[str((i + j) % m) for j in range(m)] for i in range(m)]
+    cell = st.tuples(st.integers(0, m - 1), st.integers(0, m - 1))
+    spots = [(i, j) for i in range(m) for j in range(m)] if m <= 8 else draw(
+        st.lists(cell, max_size=12))
+    for i, j in spots:
+        rows[i][j] = draw(st.sampled_from(CELL_FORMS))(int(rows[i][j]))
+    for i, j in draw(st.lists(cell, max_size=2)):
+        rows[i][j] = draw(st.sampled_from(BAD_CELLS))
+    return {"schema": "group.v1", "variant": "table", "identity": "0", "table": rows}
+
+
+def int_rows(table):
+    """The rows as ``tuple(map(int, row))`` makes them, and its error as the loader words it."""
+    try:
+        return [tuple(map(int, row)) for row in table]
+    except TypeError as exc:
+        raise ValueError(f"group.v1 table cells must be integers: {exc}") from None
+
+
+def check_cells_convert_as_int_does(doc):
+    rows = doc["table"]
+    try:
+        expected = int_rows(rows)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as info:
+            group_from_json(doc)
+        assert (type(info.value), str(info.value)) == (type(exc), str(exc))
+        return
+    group = group_from_json(doc)
+    assert list(group.table) == expected
+    assert all(a is b for a, b in zip(rows, group.table))  # replaced in place
+
+
+@settings(max_examples=100, deadline=None)
+@given(table_docs(range(1, 9)))
+def test_table_cells_convert_as_int_does(doc):
+    check_cells_convert_as_int_does(doc)
+
+
+@settings(max_examples=10, deadline=None)
+@given(table_docs([256]))
+def test_table_cells_convert_as_int_does_at_order_256(doc):
+    check_cells_convert_as_int_does(doc)
 
 
 @pytest.mark.parametrize("group", GROUPS, ids=lambda g: repr(g))
