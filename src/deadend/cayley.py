@@ -28,7 +28,7 @@ from itertools import chain, count, islice, repeat
 from typing import Any, Callable, Iterator, Optional, Sequence, Union
 
 from .groups import Codec, GeneratingSet, Group, GroupElement, RangeOverflowError, Word
-from .serialize import dumps, genset_to_json, group_to_json
+from .serialize import dumps, genset_to_json
 
 __all__ = [
     "Budget",
@@ -254,12 +254,10 @@ def ball(
 # ---------------------------------------------------------------------------
 
 
-def ball_content_hash(group: Group, gens: GeneratingSet, radius: int) -> str:
-    doc = {
-        "group": group_to_json(group),
-        "gens": genset_to_json(gens),
-        "radius": str(radius),
-    }
+def ball_content_hash(gens: GeneratingSet, radius: int) -> str:
+    """SHA-256 of the ``genset.v1`` document of ``gens``, which embeds its
+    group, and the radius."""
+    doc = {"gens": genset_to_json(gens), "radius": str(radius)}
     return hashlib.sha256(dumps(doc).encode("utf-8")).hexdigest()
 
 
@@ -275,7 +273,7 @@ def save_ball(b: Ball, path: Union[str, Path], *, digest: Optional[str] = None) 
     truncated cache file behind.
     """
     path = Path(path)
-    digest = digest or ball_content_hash(b.group, b.gens, b.radius)
+    digest = digest or ball_content_hash(b.gens, b.radius)
     index = dict(zip(b.dist, count()))
     step, back = b.codec.step, b.letter_codes
     parents = array("I", [0])
@@ -334,7 +332,7 @@ def load_ball(
         raise ValueError(f"unsupported ball cache version {version}")
     if len(data) != _HEADER.size + 8 * layers + 8 * size:
         raise ValueError(f"ball cache file length does not match its header: {path}")
-    if (radius, stored.hex()) != (key or (radius, ball_content_hash(group, gens, radius))):
+    if (radius, stored.hex()) != (key or (radius, ball_content_hash(gens, radius))):
         raise ValueError("ball cache content hash does not match (group, gens, radius)")
     spheres, parents, letters = array("Q"), array("I"), array("i")
     view = memoryview(data)[_HEADER.size :]
@@ -385,7 +383,7 @@ def ball_cached(
         return ball(group, gens, radius, budget)
     cache_dir = Path(cache_dir)
     cache_dir.mkdir(parents=True, exist_ok=True)
-    digest = ball_content_hash(group, gens, radius)
+    digest = ball_content_hash(gens, radius)
     path = cache_dir / f"ball-{digest[:24]}.bin"
     if path.exists():
         try:

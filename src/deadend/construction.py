@@ -10,6 +10,9 @@ g_n a dead end of depth at least d+1.  Each membership claim is proved by
 a factorization certificate into k = |pi(g)|_T <= n factors from A or
 their inverses, with no ball over A: the homomorphism check is exact on
 every source, so the norms follow from the certificates alone.
+``factorize`` derives each certificate once and checks, as it derives it,
+every fact the bound needs; ``validate_certificate`` checks a certificate
+made elsewhere by deriving it again and comparing.
 
 A certificate reads its k + 1 cuts from prefix tables, each one fold of
 ``mul_payload`` built once and checked at its end: a neighbour of the
@@ -25,7 +28,7 @@ import hashlib
 import warnings
 from array import array
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, chain, islice
@@ -78,7 +81,7 @@ class ConstructionError(GroupError):
 
 
 class CertificateError(ConstructionError):
-    """A factorization certificate failed validation."""
+    """A factorization certificate failed a check of its derivation."""
 
     def __init__(self, message: str, index: Optional[int] = None):
         super().__init__(message if index is None else f"factor {index}: {message}")
@@ -319,7 +322,8 @@ class WordPath(NamedTuple):
 class Certificate:
     """Factorization g = v_1 ... v_k with every factor in A or its inverses.
 
-    A validating certificate witnesses norm_A(g) <= k without BFS.  It keeps
+    A certificate from ``factorize``, which checks every claim as it
+    derives it, witnesses norm_A(g) <= k without BFS.  It keeps
     the path of an S-word for g and the k + 1 cuts of its pieces u_i.  Of
     each factor word phi(c_{i-1})^-1 u_i phi(c_i), where phi(c) is the S-word
     the target geodesic of c spells through the section of pi, it keeps the
@@ -414,8 +418,10 @@ class Construction:
     ) -> "Construction":
         """Read the quotient diameter off the map's target ball, held to the
         budget, and derive parameters from it."""
+        if target_depth < 2:
+            raise ValueError(f"target depth must be >= 2, got {target_depth}")
         n = DiameterReport.of_ball(held_to(pi.ball, budget)).diameter
-        if n <= 2 * (target_depth - 1) and target_depth >= 2:
+        if n <= 2 * (target_depth - 1):
             raise ValueError(f"quotient diameter {n} is too small for target depth "
                              f"{target_depth} (needs a diameter above {2 * (target_depth - 1)})")
         params = ConstructionParams.derive(target_depth, n, bound_mode)
@@ -560,26 +566,37 @@ class Construction:
     def certify(
         self, g: GroupElement, path: Union[WordPath, Sequence[int], None] = None
     ) -> Certificate:
-        cert = factorize(self, g, self.path_for(g) if path is None else path)
-        if not cert.degenerate:
-            validate_certificate(self, cert)
-        return cert
+        """The certificate of g, along ``path`` or the one ``path_for`` gives,
+        checked as ``factorize`` derives it; degenerate if pi(g) is the identity."""
+        return factorize(self, g, self.path_for(g) if path is None else path)
 
     def verify(self) -> "ConstructionReport":
         return verify_construction(self)
 
 
 def factorize(
-    ctx: Construction, g: GroupElement, path: Union[WordPath, Sequence[int]]
+    ctx: Construction,
+    g: GroupElement,
+    path: Union[WordPath, Sequence[int]],
+    near_witness: bool = False,
 ) -> Certificate:
     """Split an S-word for g (a path, or a plain word read as one) along a
-    target geodesic into certified factors.
+    target geodesic into factors from A or their inverses; the one
+    derivation of a certificate, which raises CertificateError on the first
+    fact of the depth bound that fails.
 
-    The word is cut into k = norm(pi(g)) near-equal pieces u_i, each
+    The word is cut into k = |pi(g)|_T near-equal pieces u_i, each
     corrected by lifts of quotient discrepancies so the factors v_i
     multiply to g while each maps onto one geodesic letter (see
     ``_corrected``).  Prefix products are read off the path's tables at the
     cuts alone: O(k) group operations, whatever the length of the word.
+    Checked as it goes: the path ends at g, in the source group; its length
+    is at most n + d*N; k exists and k <= n, and with near_witness=True also
+    k >= n - d (the triangle bound), which a degenerate neighbour fails; the
+    geodesic spells pi(g) (c_k = 1); R_0 = 1 and R_k = g, so the factors
+    multiply to g; and every factor lies in A or its inverses.  An element
+    mapping to the target identity (k = 0) has no factors, and its
+    certificate is marked degenerate.
     """
     if not isinstance(path, WordPath):
         path = ctx.word_path(path)
@@ -593,14 +610,25 @@ def factorize(
     k = ctx.pi.ball.norm_payload(pi_g)
     if k is None:
         raise CertificateError("image norm unavailable; target ball incomplete")
+    if k > params.n:
+        raise CertificateError(f"k = {k} exceeds the diameter n = {params.n}")
+    if near_witness and k < params.n - params.d:
+        raise CertificateError(f"k = {k} below the triangle bound n - d = {params.n - params.d}")
     if k == 0:
         return Certificate(g, 0, (), (), (), (), path, degenerate=True)
     t_letters = ctx.pi.ball.geodesic_payload(pi_g)
     cuts = _cuts(L, k)
-    corrected, v_lengths, _ = _corrected(ctx, path, cuts, t_letters)
+    corrected, v_lengths, last = _corrected(ctx, path, cuts, t_letters)
+    if last != ctx.pi.target.identity_payload():
+        raise CertificateError("target geodesic does not spell the image")
     group = ctx.source_gens.group
-    v_payloads = map(group.mul_payload, map(group.inv_payload, corrected), corrected[1:])
-    return Certificate(g, k, cuts, t_letters, tuple(v_payloads), tuple(v_lengths), path)
+    if corrected[0] != group.identity_payload() or corrected[-1] != g.payload:
+        raise CertificateError("factors do not multiply to the element")
+    v_payloads = tuple(map(group.mul_payload, map(group.inv_payload, corrected), corrected[1:]))
+    inside = list(map(ctx.built.symmetrized.__contains__, v_payloads))
+    if not all(inside):
+        raise CertificateError("factor is not in A or its inverses", index=inside.index(False))
+    return Certificate(g, k, cuts, t_letters, v_payloads, tuple(v_lengths), path)
 
 
 def _cuts(L: int, k: int) -> tuple[int, ...]:
@@ -627,63 +655,26 @@ def _corrected(ctx: Construction, path: WordPath, cuts: Sequence[int], t_letters
     return corrected, list(lengths), discrepancies[-1]
 
 
-def _require(claimed: list, derived: list, what: str) -> None:
-    """Raise CertificateError at the first factor where two per-factor lists differ."""
-    if claimed != derived:
-        index = next(i for i, (x, y) in enumerate(zip(claimed, derived)) if x != y)
-        raise CertificateError(what, index=index)
-
-
 def validate_certificate(
     ctx: Construction,
     cert: Certificate,
     near_witness: bool = False,
 ) -> None:
-    """Re-check every claim a certificate makes; raise CertificateError if any fails.
+    """Check a certificate made elsewhere; raise CertificateError if it fails.
 
-    With near_witness=True the triangle-inequality lower bound
-    k >= n - d is enforced as well.  The cuts must be the near-equal split
-    of the path.  Prefix products are read off the path's tables, each one
-    fold of ``mul_payload`` whose ends the construction checked as it built
-    it.  Each factor must satisfy R_{i-1} v_i = R_i and each claimed length
-    must be |phi(c_{i-1})| + |u_i| + |phi(c_i)|, at most |u_i| + 2n.  The
-    image of v_i is the geodesic letter t_i with no check: pi(R_i) = Q_i, so
-    pi(v_i) = Q_{i-1}^-1 Q_i.
+    A degenerate certificate is rejected.  Any other is derived again from
+    its element and path by ``factorize``, which runs every check of the
+    proof (with near_witness=True the triangle bound k >= n - d too), and
+    must equal the derivation field by field: so its cuts, geodesic, factors
+    and factor lengths are the canonical ones.  The error names the first
+    field that differs.
     """
-    params = ctx.params
     if cert.degenerate:
         raise CertificateError("degenerate certificate (image is the identity) cannot validate")
-    group = ctx.source_gens.group
-    k, cuts, L = cert.k, cert.cuts, cert.path.length
-    if not 1 <= k <= L or k != len(cert.v_payloads) or k != len(cert.v_word_lengths):
-        raise CertificateError("piece counts disagree with k")
-    if cuts != _cuts(L, k):
-        raise CertificateError("cuts are not an as-equal-as-possible split of the path")
-    if not k * (cuts[1] - 1) < params.n + params.d * params.N:  # |u| < (n+dN)/k + 1
-        raise CertificateError(f"|u| = {cuts[1]} not < (n+dN)/k + 1", index=0)
-    # Image norm consistency: pi(g), the image at the end of the path.
-    if ctx.pi.ball.norm_payload(cert.path.bases[-1][1]) != k:
-        raise CertificateError("k is not the target norm of the image")
-    if len(cert.t_letters) != k or not ctx.pi.image_gens.letters.keys() >= set(cert.t_letters):
-        raise CertificateError("target geodesic is not k image-generator letters")
-    corrected, lengths, last = _corrected(ctx, cert.path, cuts, cert.t_letters)
-    if last != ctx.pi.target.identity_payload():
-        raise CertificateError("target geodesic does not spell the image")
-    # Factor-level checks, each over every factor: R_{i-1} v_i = R_i.
-    _require(list(map(group.mul_payload, corrected, cert.v_payloads)), corrected[1:],
-             "factor word does not evaluate to the factor")
-    _require(list(cert.v_word_lengths), lengths,
-             "factor word length disagrees with its lifts and piece")
-    # A lies in the S-ball of radius N
-    _require(list(map(ctx.built.symmetrized.__contains__, cert.v_payloads)), [True] * k,
-             "factor is not in A or its inverses")
-    # The factors multiply to R_0^-1 R_k.
-    if corrected[0] != group.identity_payload() or corrected[-1] != cert.target.payload:
-        raise CertificateError("factors do not multiply to the element")
-    if k > params.n:
-        raise CertificateError(f"k = {k} exceeds the diameter n = {params.n}")
-    if near_witness and k < params.n - params.d:
-        raise CertificateError(f"k = {k} below the triangle bound n - d = {params.n - params.d}")
+    derived = factorize(ctx, cert.target, cert.path, near_witness)
+    for f in fields(cert):
+        if f.compare and getattr(cert, f.name) != getattr(derived, f.name):
+            raise CertificateError(f"{f.name} differs from the derivation along its path")
 
 
 @dataclass
@@ -718,10 +709,10 @@ def verify_construction(ctx: Construction) -> ConstructionReport:
     """Exhaustively confirm that everything within A-distance d of the
     witness stays inside the closed radius-n ball, certifying depth >= d+1.
 
-    Each neighbour's certificate must validate with k <= n; k is then its
-    norm under A (``norm_A``), bounded above by the factors and below by
-    |pi(g)|_T = k.  Any failure aborts loudly; a false claim here would be
-    a bug.
+    Each neighbour's certificate is derived once, by ``factorize`` with the
+    triangle bound n - d <= k <= n; k is then its norm under A
+    (``norm_A``), bounded above by the factors and below by |pi(g)|_T = k.
+    Any failure aborts loudly; a false claim here would be a bug.
     """
     params = ctx.params
     failures: list[str] = []
@@ -731,8 +722,7 @@ def verify_construction(ctx: Construction) -> ConstructionReport:
         label = str(element)
         cert_k = cert_digest = None
         try:
-            cert = factorize(ctx, element, path)
-            validate_certificate(ctx, cert, near_witness=True)
+            cert = factorize(ctx, element, path, near_witness=True)
             cert_k, cert_digest = cert.k, cert.digest()
         except CertificateError as exc:
             failures.append(f"{label}: certificate failed: {exc}")

@@ -85,9 +85,9 @@ def test_03_certificate_suite_full_neighborhood():
         for element, s_word in neighborhood:
             cert = ctx.certify(element, s_word)
             assert not cert.degenerate
-            # validating certificate: product, images, lengths already
-            # re-checked by the validator inside certify(); re-assert the
-            # headline facts directly
+            # product, images and membership were checked by factorize
+            # inside certify(), as it derived the certificate; re-assert
+            # the headline facts directly
             product = ZZ.identity()
             for payload in cert.v_payloads:
                 product = product * ZZ.element(payload)

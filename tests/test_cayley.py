@@ -431,7 +431,7 @@ def test_load_ball_rejects_overflowing_parent_step(tmp_path):
     path = tmp_path / "ball.bin"
     save_ball(ball(z8, gens, 1), path)
     magic_and_version = path.read_bytes()[:6]
-    digest = bytes.fromhex(ball_content_hash(z8, gens, 2))
+    digest = bytes.fromhex(ball_content_hash(gens, 2))
     header = magic_and_version + digest + struct.pack(">IQI", 2, 4, 3)
     path.write_bytes(header + struct.pack(">3Q4I4i", 1, 2, 1, 0, 0, 0, 1, 0, 1, -1, 1))
     with pytest.raises(ValueError, match="garbled"):
@@ -471,7 +471,7 @@ def v1_cache_bytes(b):
         return b"".join(map(coord, p))
 
     out = [b"DECB", (1).to_bytes(2, "big"),
-           bytes.fromhex(ball_content_hash(b.group, b.gens, b.radius)),
+           bytes.fromhex(ball_content_hash(b.gens, b.radius)),
            b.radius.to_bytes(4, "big"), len(b).to_bytes(8, "big")]
     for p, d, letter in zip(b.payloads(), b.dist.values(), b.parent.values()):
         enc = element(p)
@@ -484,7 +484,7 @@ def test_version_1_cache_file_is_a_miss_and_rewritten(tmp_path):
     lamp = Lamplighter()
     gens = standard_gens(lamp)
     b = ball(lamp, gens, 4)
-    key = ball_content_hash(lamp, gens, 4)
+    key = ball_content_hash(gens, 4)
     path = tmp_path / f"ball-{key[:24]}.bin"
     path.write_bytes(v1_cache_bytes(b))
     with pytest.raises(ValueError, match="version 1"):
@@ -793,13 +793,15 @@ def test_codec_text_is_the_format_of_the_payload(group, steps, radius, payloads)
 
 # SHA-256 of the version-1 record stream, pinned before balls kept their
 # codes, and of the version-2 save_ball bytes: both pin BFS order and parents.
+# Both hold the content hash, so they were pinned again when it became the
+# hash of the genset.v1 document and the radius; no other byte changed.
 BALL_CACHE_PINS = [
     ("lamplighter", (((), 1), ((0,), 0)), 10,
-     "ceeb54d35c2a0efa38e2723e1a35a2b976cfb53c835730bc60987aa716ebc9ec",
-     "f9a0a72d648640533c3543c27e2cf01e48e1f14de21bd3c5494359edadd9170e"),
+     "ef9b99b4c56416990f4a48470b3833af6193fad8f39f72c314efec68f32a34bd",
+     "12809db4ad18b5a1fa1f826fe6153a3206853fe1e6d679f45a65c2dbc5659cdf"),
     ("grid2", ((1, 0), (0, 1)), 6,
-     "fb0f2d97acfdffbc737421dfc99e9eb214db88eaba2eeb7db8aeb3029f3a552b",
-     "1e77043cb44709c2f7ee7467ce323986c274ebfdc921caf81e856988114c1a3f"),
+     "7e56fa3e4fa9185e87a848c76de6e5dea5a5f17bbdd12cccf1d2a7019b842f52",
+     "cc5a70085645d0566a9fc3865c144b8cd67fecac01914c8d724f141b06c3b330"),
 ]
 
 

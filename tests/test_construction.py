@@ -343,15 +343,42 @@ def test_certificate_degenerate_when_image_trivial(c10_ctx):
 
 
 def test_certificate_rejects_wrong_word(c10_ctx):
-    with pytest.raises(CertificateError):
+    with pytest.raises(CertificateError, match="does not evaluate to the element"):
         factorize(c10_ctx, ZZ.element(5), (1, 1, 1))
 
 
 def test_certificate_rejects_overlong_word(c10_ctx):
     long_word = (1,) * (c10_ctx.params.n + c10_ctx.params.d * c10_ctx.params.N + 1)
     g = evaluate_word(long_word, UNIT)
-    with pytest.raises(CertificateError):
+    with pytest.raises(CertificateError, match=r"S-word length 162 exceeds n \+ d\*N = 161"):
         factorize(c10_ctx, g, long_word)
+
+
+@pytest.mark.parametrize("g", [1, 30], ids=["k=1", "degenerate"])
+def test_triangle_bound_rejects_an_element_far_from_the_witness(c10_ctx, g):
+    g = ZZ.element(g)
+    with pytest.raises(CertificateError, match="k = [01] below the triangle bound n - d = 3"):
+        factorize(c10_ctx, g, c10_ctx.path_for(g), near_witness=True)
+
+
+# A corrupted target ball or lift table, each caught by the check named.
+FACTORIZE_FAULTS = {
+    "k = 6 exceeds the diameter n = 5": lambda ctx: (
+        ctx.pi.ball, "norm_payload", lambda p: ctx.params.n + 1),
+    "target geodesic does not spell the image": lambda ctx: (
+        ctx.pi.ball, "geodesic_payload",
+        lambda p, real=ctx.pi.ball.geodesic_payload: invert_word(real(p))),
+    "factors do not multiply to the element": lambda ctx: (
+        ctx, "_lifts", {**ctx._lifts, 0: ctx._lifts[0]._replace(payload=1)}),
+}
+
+
+@pytest.mark.parametrize("message", sorted(FACTORIZE_FAULTS))
+def test_factorize_rejects_a_corrupted_derivation(monkeypatch, message):
+    ctx = Construction.build(UNIT, cyclic_quotient(UNIT, 10), target_depth=3)
+    monkeypatch.setattr(*FACTORIZE_FAULTS[message](ctx))
+    with pytest.raises(CertificateError, match=message):
+        ctx.certify(ZZ.element(46))
 
 
 def test_certificate_rejects_a_word_letter_out_of_range(c10_ctx):
@@ -371,6 +398,8 @@ CERTIFICATE_CORRUPTIONS = {
     "v_word_length": lambda c: {"v_word_lengths": (c.v_word_lengths[0] + 2,)
                                                   + c.v_word_lengths[1:]},
     "k": lambda c: {"k": c.k + 1},
+    # another source element: the path no longer ends at the target
+    "target": lambda c: {"target": ZZ.element(c.target.payload + 1)},
 }
 
 
@@ -669,6 +698,24 @@ def test_verify_construction_c22():
     assert "witness_depth_search" not in report.to_json()
     dv = depth(a_ball(ctx), ctx.witness.element, cap=30)
     assert dv == type(dv).finite(9)
+
+
+def test_verify_derives_each_certificate_once(c10_ctx, monkeypatch):
+    reads = []
+    real = c10_ctx._at_cuts
+    monkeypatch.setattr(c10_ctx, "_at_cuts",
+                        lambda path, cuts: reads.append(path) or real(path, cuts))
+    report = c10_ctx.verify()
+    assert len(reads) == report.neighborhood_size == 117
+
+
+@pytest.mark.parametrize("target_depth", [1, 0])
+def test_build_rejects_a_target_depth_below_2_before_the_diameter(monkeypatch, target_depth):
+    pi = cyclic_quotient(UNIT, 10)
+    monkeypatch.setattr(deadend.construction, "held_to",
+                        lambda *args: pytest.fail("the diameter was read"))
+    with pytest.raises(ValueError, match=f"^target depth must be >= 2, got {target_depth}$"):
+        Construction.build(UNIT, pi, target_depth)
 
 
 def test_construction_requires_matching_diameter():
