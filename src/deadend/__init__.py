@@ -72,7 +72,6 @@ from .construction import (
     find_witness,
     required_N,
     required_n,
-    validate_certificate,
     verify_construction,
 )
 

@@ -238,7 +238,7 @@ def _build_construction(args) -> tuple[Construction, dict]:
         # paper_safe takes the first member of order >= (2a+1)^n': build none below it
         start = (2 * len(gens) + 1) ** n_prime if args.quotient_mode == "paper_safe" else 2
         family = cyclic_family(gens, start=start, stop=args.quotient_max, budget=budget)
-        pi, _ = find_quotient(family, n_prime, mode=args.quotient_mode, budget=budget)
+        pi, _ = find_quotient(family, n_prime, mode=args.quotient_mode)
     ctx = Construction.build(
         gens,
         pi,

@@ -11,15 +11,15 @@ a factorization certificate into k = |pi(g)|_T <= n factors from A or
 their inverses, with no ball over A: the homomorphism check is exact on
 every source, so the norms follow from the certificates alone.
 ``factorize`` derives each certificate once and checks, as it derives it,
-every fact the bound needs; ``validate_certificate`` checks a certificate
-made elsewhere by deriving it again and comparing.
+every fact the bound needs.
 
 A certificate reads its k + 1 cuts from prefix tables, each one fold of
 ``mul_payload`` built once and checked at its end: a neighbour of the
 witness is a path through them, and a plain S-word a path of one
 segment.  The target side reads the quotient map's one ball of its
-target: the diameter, the witness, every target geodesic, and the lift of
-each target element, folded down its BFS tree.
+target, held to the budget when the map was built, and the diameter
+report read off it: the diameter, the witness, every target geodesic, and
+the lift of each target element, folded down its BFS tree.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import hashlib
 import warnings
 from array import array
 from bisect import bisect_right
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, chain, islice
@@ -48,7 +48,7 @@ from .groups import (
     fold_word,
     invert_word,
 )
-from .quotient import DiameterReport, QuotientMap, check_homomorphism, held_to
+from .quotient import QuotientMap, check_homomorphism
 from .serialize import dumps, payload_to_json
 
 __all__ = [
@@ -69,7 +69,6 @@ __all__ = [
     "constructed_genset",
     "find_witness",
     "factorize",
-    "validate_certificate",
     "verify_construction",
 ]
 
@@ -279,16 +278,14 @@ class DeadEndWitness:
 def find_witness(built: ConstructedGenSet, claimed_depth: Optional[int] = None) -> DeadEndWitness:
     """Lift the diameter witness of the quotient's target ball through the
     canonical section.  Its norm under A is the diameter n: at most n, as S
-    lies in A± and the lift has n letters; at least n, as pi is a
-    homomorphism sending A± into the image generators and the identity."""
+    lies in A± and the lift has one S-letter per geodesic letter; at least
+    n, as pi is a homomorphism sending A± into the image generators and the
+    identity.  That the lift maps onto the witness is checked at the end of
+    its prefix table (``Construction._tables``)."""
     pi = built.pi
-    report = DiameterReport.of_ball(pi.ball)
-    n = report.diameter
-    s_word = _lift(pi.section, pi.ball.geodesic_payload(report.witness.payload))
+    s_word = _lift(pi.section, pi.ball.geodesic_payload(pi.report.witness.payload))
     g_n = evaluate_word(s_word, built.source_gens)
-    if len(s_word) != n or pi.apply_word(s_word) != report.witness:
-        raise ConstructionError("lifted witness is not an n-letter lift of the diameter witness")
-    return DeadEndWitness(g_n, n, claimed_depth, s_word)
+    return DeadEndWitness(g_n, pi.report.diameter, claimed_depth, s_word)
 
 
 class PrefixTable(NamedTuple):
@@ -323,8 +320,8 @@ class Certificate:
     """Factorization g = v_1 ... v_k with every factor in A or its inverses.
 
     A certificate from ``factorize``, which checks every claim as it
-    derives it, witnesses norm_A(g) <= k without BFS.  It keeps
-    the path of an S-word for g and the k + 1 cuts of its pieces u_i.  Of
+    derives it, witnesses norm_A(g) <= k without BFS.  It keeps the k + 1
+    cuts of an S-word for g into its pieces u_i, never the word.  Of
     each factor word phi(c_{i-1})^-1 u_i phi(c_i), where phi(c) is the S-word
     the target geodesic of c spells through the section of pi, it keeps the
     value and length, never the word.  The degenerate flag marks arguments
@@ -337,7 +334,6 @@ class Certificate:
     t_letters: Word
     v_payloads: tuple[Any, ...]
     v_word_lengths: tuple[int, ...]
-    path: WordPath = field(compare=False, repr=False)
     degenerate: bool = False
 
     @property
@@ -392,15 +388,13 @@ class Construction:
         budget: Budget = DEFAULT_BUDGET,
         cache_dir: Optional[Union[str, Path]] = None,
     ):
-        report = DiameterReport.of_ball(pi.ball)
-        if report.diameter != params.n:
+        if pi.report.diameter != params.n:
             raise ConstructionError(
-                f"params.n={params.n} does not match quotient diameter {report.diameter}"
+                f"params.n={params.n} does not match quotient diameter {pi.report.diameter}"
             )
         self.source_gens = source_gens
         self.pi = pi
         self.params = params
-        self.report = report
         self.budget = budget
         check_homomorphism(pi, budget)
         self.built = constructed_genset(source_gens, pi, params.N, budget, cache_dir)
@@ -416,11 +410,11 @@ class Construction:
         budget: Budget = DEFAULT_BUDGET,
         cache_dir: Optional[Union[str, Path]] = None,
     ) -> "Construction":
-        """Read the quotient diameter off the map's target ball, held to the
-        budget, and derive parameters from it."""
+        """Read the quotient diameter off the map's report and derive
+        parameters from it."""
         if target_depth < 2:
             raise ValueError(f"target depth must be >= 2, got {target_depth}")
-        n = DiameterReport.of_ball(held_to(pi.ball, budget)).diameter
+        n = pi.report.diameter
         if n <= 2 * (target_depth - 1):
             raise ValueError(f"quotient diameter {n} is too small for target depth "
                              f"{target_depth} (needs a diameter above {2 * (target_depth - 1)})")
@@ -450,7 +444,7 @@ class Construction:
         inverses = frozenset(map(inv_t, images))
         witness = self.witness
         tables = {0: self._checked(0, witness.s_word, witness.element.payload,
-                                   {self.report.witness.payload})}
+                                   {self.pi.report.witness.payload})}
         for letter, payload in self.built.genset.letters.items():
             word, last_images = self.a_letter_s_word(letter), images if letter > 0 else inverses
             tables[letter] = self._checked(letter, word, payload, last_images)
@@ -615,7 +609,7 @@ def factorize(
     if near_witness and k < params.n - params.d:
         raise CertificateError(f"k = {k} below the triangle bound n - d = {params.n - params.d}")
     if k == 0:
-        return Certificate(g, 0, (), (), (), (), path, degenerate=True)
+        return Certificate(g, 0, (), (), (), (), degenerate=True)
     t_letters = ctx.pi.ball.geodesic_payload(pi_g)
     cuts = _cuts(L, k)
     corrected, v_lengths, last = _corrected(ctx, path, cuts, t_letters)
@@ -628,7 +622,7 @@ def factorize(
     inside = list(map(ctx.built.symmetrized.__contains__, v_payloads))
     if not all(inside):
         raise CertificateError("factor is not in A or its inverses", index=inside.index(False))
-    return Certificate(g, k, cuts, t_letters, v_payloads, tuple(v_lengths), path)
+    return Certificate(g, k, cuts, t_letters, v_payloads, tuple(v_lengths))
 
 
 def _cuts(L: int, k: int) -> tuple[int, ...]:
@@ -653,28 +647,6 @@ def _corrected(ctx: Construction, path: WordPath, cuts: Sequence[int], t_letters
     lift_lengths = list(map(_LENGTH, lifts))
     lengths = map(add, map(add, lift_lengths, map(sub, cuts[1:], cuts)), lift_lengths[1:])
     return corrected, list(lengths), discrepancies[-1]
-
-
-def validate_certificate(
-    ctx: Construction,
-    cert: Certificate,
-    near_witness: bool = False,
-) -> None:
-    """Check a certificate made elsewhere; raise CertificateError if it fails.
-
-    A degenerate certificate is rejected.  Any other is derived again from
-    its element and path by ``factorize``, which runs every check of the
-    proof (with near_witness=True the triangle bound k >= n - d too), and
-    must equal the derivation field by field: so its cuts, geodesic, factors
-    and factor lengths are the canonical ones.  The error names the first
-    field that differs.
-    """
-    if cert.degenerate:
-        raise CertificateError("degenerate certificate (image is the identity) cannot validate")
-    derived = factorize(ctx, cert.target, cert.path, near_witness)
-    for f in fields(cert):
-        if f.compare and getattr(cert, f.name) != getattr(derived, f.name):
-            raise CertificateError(f"{f.name} differs from the derivation along its path")
 
 
 @dataclass
@@ -714,25 +686,22 @@ def verify_construction(ctx: Construction) -> ConstructionReport:
     (``norm_A``), bounded above by the factors and below by |pi(g)|_T = k.
     Any failure aborts loudly; a false claim here would be a bug.
     """
-    params = ctx.params
     failures: list[str] = []
     rows: list[dict] = []
     neighborhood = ctx.witness_neighborhood()
     for element, path in neighborhood:
-        label = str(element)
-        cert_k = cert_digest = None
         try:
             cert = factorize(ctx, element, path, near_witness=True)
-            cert_k, cert_digest = cert.k, cert.digest()
         except CertificateError as exc:
-            failures.append(f"{label}: certificate failed: {exc}")
+            failures.append(f"{element}: certificate failed: {exc}")
+            continue
         rows.append(
             {
-                "element": label,
-                "norm_A": cert_k,
-                "certificate_k": cert_k,
-                "certificate_ok": cert_k is not None,
-                "certificate_digest": cert_digest,
+                "element": str(element),
+                "norm_A": cert.k,
+                "certificate_k": cert.k,
+                "certificate_ok": True,
+                "certificate_digest": cert.digest(),
             }
         )
     if failures:
@@ -740,8 +709,8 @@ def verify_construction(ctx: Construction) -> ConstructionReport:
             f"construction verification failed for {len(failures)} case(s)", failures
         )
     return ConstructionReport(
-        params=params,
-        quotient_order=ctx.report.order,
+        params=ctx.params,
+        quotient_order=ctx.pi.report.order,
         a_size=len(ctx.built.genset),
         a_entries=tuple(str(e) for e in ctx.built.genset.entries),
         witness=ctx.witness,

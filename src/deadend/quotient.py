@@ -5,8 +5,9 @@ them as a signed-letter table (``QuotientMap.letters``: +i is the image of
 the i-th generator, -i its inverse); the image of an element is that table
 folded along an S-word that spells it.  On construction a map builds the
 one BFS ball of its target under the distinct non-identity images
-(``QuotientMap.ball``); surjectivity is read off its size, and diameters,
-target geodesics and lifts all read the same ball.
+(``QuotientMap.ball``), held to the caller's budget, and reads its
+diameter report off it (``QuotientMap.report``); surjectivity is read off
+its size, and diameters, target geodesics and lifts all read the same ball.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from itertools import combinations
 from typing import Any, Iterable, Iterator, Optional, Sequence
 
 from .cayley import (
-    Ball, Budget, BudgetExceededError, DEFAULT_BUDGET, _check_budget, ball, bfs_layers
+    Ball, Budget, BudgetExceededError, DEFAULT_BUDGET, ball, bfs_layers
 )
 from .groups import (
     Cyclic,
@@ -76,9 +77,9 @@ class QuotientMap:
     holds the distinct non-identity images in generator order, and
     ``section[j]`` is the least source-generator index mapping onto entry j,
     which fixes a deterministic lift for target letters.  ``ball`` covers
-    the target under ``image_gens``; it is built under the element and time
-    limits of ``budget``, with no radius cap, so a target too large for the
-    budget raises BudgetExceededError here.
+    the target under ``image_gens``; ``group_ball`` builds it under
+    ``budget``, so a target too large for the budget raises
+    BudgetExceededError here.  ``report`` is its ``DiameterReport``.
     """
 
     def __init__(
@@ -112,12 +113,8 @@ class QuotientMap:
         self.image_gens = GeneratingSet(
             [images[i] for i in self.section], [source_gens.labels[i] for i in self.section]
         )
-        order = target.order()
-        self.ball = _whole_ball(target, self.image_gens, budget)
-        if len(self.ball) != order:
-            raise SurjectivityError(
-                f"images generate only {len(self.ball)} of {order} target elements"
-            )
+        self.ball = group_ball(target, self.image_gens, budget)
+        self.report = DiameterReport.of_ball(self.ball)
 
     def apply(self, g: GroupElement, word_hint: Optional[Sequence[int]] = None) -> GroupElement:
         """Image of g, read off an S-word that evaluates to g (required)."""
@@ -312,32 +309,20 @@ class DiameterReport:
         }
 
 
-def _whole_ball(target: Group, gens: GeneratingSet, budget: Budget) -> Ball:
-    """BFS of a finite group to closure, under the element and time limits of budget."""
-    order = target.order()
-    return ball(target, gens, order, replace(budget, max_radius=order))
-
-
-def held_to(b: Ball, budget: Budget) -> Ball:
-    """A whole-group ball held to budget: its size to the element limit and
-    the radius its BFS reached to the radius limit."""
-    reached = len(b.sphere_sizes) - 1
-    _check_budget(budget, len(b), reached)
-    if reached > budget.max_radius:
-        message = f"the whole-group BFS reached radius {reached}, above {budget.max_radius}"
-        raise BudgetExceededError(message, radius_reached=reached, elements_seen=len(b))
-    return b
-
-
 def group_ball(target: Group, gens: GeneratingSet, budget: Budget = DEFAULT_BUDGET) -> Ball:
     """Ball covering a whole finite group; errors if gens do not generate.  The BFS
-    runs to closure under the element budget, and the radius it reaches is budgeted."""
+    runs to closure under the element and time limits of budget, and the radius
+    it reaches is then held to the radius limit."""
     order = target.order()
     if order is None:
         raise ValueError("a full group ball requires a finite group")
-    b = held_to(_whole_ball(target, gens, budget), budget)
+    b = ball(target, gens, order, replace(budget, max_radius=order))
     if len(b) != order:
         raise SurjectivityError(f"generators reach only {len(b)} of {order} elements")
+    reached = len(b.sphere_sizes) - 1
+    if reached > budget.max_radius:
+        message = f"the whole-group BFS reached radius {reached}, above {budget.max_radius}"
+        raise BudgetExceededError(message, radius_reached=reached, elements_seen=len(b))
     return b
 
 
@@ -357,14 +342,15 @@ def find_quotient(
     family: Iterable[QuotientMap],
     n_prime: int,
     mode: str = "greedy",
-    budget: Budget = DEFAULT_BUDGET,
 ) -> tuple[QuotientMap, DiameterReport]:
     """First family member whose diameter meets the length target n'.
 
     mode "paper_safe" picks the first member of order >= (2a+1)^n', which
     the counting bound guarantees has diameter >= n'.  mode "greedy"
-    measures diameters in family order and returns the first that
-    reaches n'.  Raises FamilyExhaustedError when no member qualifies.
+    reads diameters in family order and returns the first that reaches
+    n'.  Each member's diameter is its map's ``report``, read off a ball
+    already held to the budget the member was built under.  Raises
+    FamilyExhaustedError when no member qualifies.
     """
     if mode not in ("paper_safe", "greedy"):
         raise ValueError(f"mode must be 'paper_safe' or 'greedy', got {mode!r}")
@@ -375,7 +361,7 @@ def find_quotient(
             a = len(pi.source_gens.entries)
             if pi.target.order() < (2 * a + 1) ** n_prime:
                 continue
-        report = DiameterReport.of_ball(held_to(pi.ball, budget))
+        report = pi.report
         if report.diameter >= n_prime:
             return pi, report
         if mode == "paper_safe":

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 
 import pytest
@@ -27,7 +26,6 @@ from deadend.construction import (
     find_witness,
     required_N,
     required_n,
-    validate_certificate,
 )
 from deadend.depth import depth
 from deadend.groups import (
@@ -330,7 +328,6 @@ def test_certificate_one_step_from_witness(c10_ctx):
     cert = c10_ctx.certify(ZZ.element(76))
     assert cert.k == 4
     assert cert.k >= c10_ctx.params.n - c10_ctx.params.d
-    validate_certificate(c10_ctx, cert, near_witness=True)
     assert a_ball(c10_ctx).norm(ZZ.element(76)) <= cert.k
 
 
@@ -338,8 +335,6 @@ def test_certificate_degenerate_when_image_trivial(c10_ctx):
     cert = c10_ctx.certify(ZZ.element(30))
     assert cert.degenerate
     assert cert.k == 0
-    with pytest.raises(CertificateError):
-        validate_certificate(c10_ctx, cert)
 
 
 def test_certificate_rejects_wrong_word(c10_ctx):
@@ -390,35 +385,12 @@ def test_certificate_rejects_a_word_letter_out_of_range(c10_ctx):
         c10_ctx.certify(ZZ.element(5), (1, 9))
 
 
-CERTIFICATE_CORRUPTIONS = {
-    "cut": lambda c: {"cuts": (0, c.cuts[1] + 1) + c.cuts[2:]},
-    "t_letter": lambda c: {"t_letters": (-c.t_letters[0],) + c.t_letters[1:]},
-    "v_payload": lambda c: {"v_payloads": (c.v_payloads[0] + 10,) + c.v_payloads[1:]},
-    # the length of a factor word padded with a cancelling pair
-    "v_word_length": lambda c: {"v_word_lengths": (c.v_word_lengths[0] + 2,)
-                                                  + c.v_word_lengths[1:]},
-    "k": lambda c: {"k": c.k + 1},
-    # another source element: the path no longer ends at the target
-    "target": lambda c: {"target": ZZ.element(c.target.payload + 1)},
-}
-
-
-@pytest.mark.parametrize("field", sorted(CERTIFICATE_CORRUPTIONS))
-def test_certificate_corruption_rejected(c10_ctx, field):
-    # 46 has correction words in every factor, so no v_i equals its piece u_i
-    cert = c10_ctx.certify(ZZ.element(46))
-    validate_certificate(c10_ctx, cert, near_witness=True)
-    bad = dataclasses.replace(cert, **CERTIFICATE_CORRUPTIONS[field](cert))
-    with pytest.raises(CertificateError):
-        validate_certificate(c10_ctx, bad, near_witness=True)
-
-
 def test_certificate_factor_outside_a_rejected(c10_ctx, monkeypatch):
     cert = c10_ctx.certify(ZZ.element(46))
     symmetrized = c10_ctx.built.symmetrized - {cert.v_payloads[1]}
     monkeypatch.setattr(c10_ctx.built, "symmetrized", symmetrized)
     with pytest.raises(CertificateError, match="factor 1: factor is not in A"):
-        validate_certificate(c10_ctx, cert, near_witness=True)
+        c10_ctx.certify(ZZ.element(46))
 
 
 def reference_factorize(ctx, g, s_word):
@@ -431,7 +403,7 @@ def reference_factorize(ctx, g, s_word):
     pi_g = ctx.pi.apply_word(s_word).payload
     k = ctx.pi.ball.norm_payload(pi_g)
     if k == 0:
-        return Certificate(g, 0, (), (), (), (), None, degenerate=True)
+        return Certificate(g, 0, (), (), (), (), degenerate=True)
     t_letters = ctx.pi.ball.geodesic_payload(pi_g)
     base, extra = divmod(L, k)
     cuts = [i * base + min(i, extra) for i in range(k + 1)]
@@ -446,7 +418,7 @@ def reference_factorize(ctx, g, s_word):
     v_words = tuple(invert_word(corrections[i]) + s_word[cuts[i]:cuts[i + 1]]
                     + corrections[i + 1] for i in range(k))
     v_payloads = tuple(evaluate_word(w, ctx.source_gens).payload for w in v_words)
-    return Certificate(g, k, tuple(cuts), t_letters, v_payloads, tuple(map(len, v_words)), None)
+    return Certificate(g, k, tuple(cuts), t_letters, v_payloads, tuple(map(len, v_words)))
 
 
 def _assert_matches_reference(ctx, g, path):
@@ -481,17 +453,14 @@ def padded_d8_words(draw):
 @given(padded_d8_words())
 def test_factorize_matches_reference_on_padded_d8_words(word):
     ctx = _d8_ctx()
-    cert = _assert_matches_reference(ctx, evaluate_word(word, _D8), word)
-    if not cert.degenerate:
-        validate_certificate(ctx, cert)
+    _assert_matches_reference(ctx, evaluate_word(word, _D8), word)
 
 
 def test_certificate_soundness_sampled(c10_ctx):
-    # every validating certificate upper-bounds the BFS norm by k
+    # every certificate that derives with the triangle bound upper-bounds the BFS norm by k
     helper = a_ball(c10_ctx)
     for element, path in c10_ctx.witness_neighborhood():
-        cert = factorize(c10_ctx, element, path)
-        validate_certificate(c10_ctx, cert, near_witness=True)
+        cert = factorize(c10_ctx, element, path, near_witness=True)
         assert helper.norm(element) <= cert.k
 
 
@@ -654,8 +623,7 @@ def test_certify_outside_the_s_ball_walks_once(monkeypatch):
     second = ctx.certify(g)
     assert walks == [ctx.witness.element.payload]
     assert first == second
-    assert not first.degenerate and first.k <= ctx.params.n
-    validate_certificate(ctx, first, near_witness=True)
+    assert not first.degenerate and ctx.params.n - ctx.params.d <= first.k <= ctx.params.n
     assert len(ctx.s_word_for(g)) <= ctx.params.n + ctx.params.d * ctx.params.N
 
 
@@ -710,10 +678,8 @@ def test_verify_derives_each_certificate_once(c10_ctx, monkeypatch):
 
 
 @pytest.mark.parametrize("target_depth", [1, 0])
-def test_build_rejects_a_target_depth_below_2_before_the_diameter(monkeypatch, target_depth):
+def test_build_rejects_a_target_depth_below_2_before_the_diameter(target_depth):
     pi = cyclic_quotient(UNIT, 10)
-    monkeypatch.setattr(deadend.construction, "held_to",
-                        lambda *args: pytest.fail("the diameter was read"))
     with pytest.raises(ValueError, match=f"^target depth must be >= 2, got {target_depth}$"):
         Construction.build(UNIT, pi, target_depth)
 

@@ -359,6 +359,9 @@ def test_diameter_errors_when_gens_do_not_generate():
     group = Cyclic(10)
     with pytest.raises(SurjectivityError):
         diameter(group, GeneratingSet([group.element(2)]))
+    # the subgroup's radius 2 is above the radius budget, but a larger budget would not help
+    with pytest.raises(SurjectivityError, match="generators reach only 5 of 10 elements"):
+        diameter(group, GeneratingSet([group.element(2)]), Budget(max_radius=1))
 
 
 def test_whole_group_bfs_is_held_to_the_radius_it_reaches():
@@ -377,6 +380,9 @@ def test_quotient_map_builds_its_ball_under_the_callers_budget():
     with pytest.raises(BudgetExceededError, match="element budget 1000") as info:
         cyclic_quotient(UNIT, 200_001, budget=Budget(max_elements=1000))
     assert info.value.elements_seen <= 1001
+    with pytest.raises(BudgetExceededError, match="reached radius 15, above 5") as info:
+        cyclic_quotient(UNIT, 30, budget=Budget(max_radius=5))
+    assert (info.value.radius_reached, info.value.elements_seen) == (15, 30)
 
 
 def test_diameter_witness_max_length_invariant():
