@@ -14,8 +14,9 @@ be engineered to create them.  Recipe, for a target depth D:
 Everything within A-distance d of the witness then stays inside the
 closed radius-n ball, so the witness has depth >= d + 1 = D.  The claim
 is proved per neighbour by an explicit factorization certificate,
-re-checkable without any search.  The verification builds no ball over A;
-this demo builds one (``ball(zz, A, n)``) only to show norms and the exact
+re-checkable without any search.  The verification builds no ball over A
+beyond the radius-d one it walks about the witness, and reads no norm off
+it; this demo builds ``ball(zz, A, n)`` only to show norms and the exact
 depth by brute force.
 """
 
@@ -28,14 +29,14 @@ def main():
     pi = cyclic_quotient(unit, 10)
 
     print("== build for target depth 3 through the mod-10 quotient ==")
-    ctx = Construction.build(unit, pi, target_depth=3, bound_mode="paper")
+    ctx = Construction(unit, pi, target_depth=3, bound_mode="paper")
     p = ctx.params
     print(f"parameters: d={p.d}, quotient diameter n={p.n}, ball radius N={p.N}")
-    entries = [e.payload for e in ctx.built.genset.entries]
+    entries = [e.payload for e in ctx.genset.entries]
     print(f"A has {len(entries)} entries (all = 1 mod 10, magnitude <= {p.N}):")
     print(f"  {entries}")
     w = ctx.witness
-    a_ball = ball(zz, ctx.built.genset, p.n)
+    a_ball = ball(zz, ctx.genset, p.n)
     print(f"witness: {w.element} with norm_A = {a_ball.norm(w.element)} = n")
 
     print()
@@ -56,9 +57,9 @@ def main():
 
     print()
     print("== the same bound, tighter ==")
-    tight = Construction.build(unit, pi, target_depth=3, bound_mode="tight")
+    tight = Construction(unit, pi, target_depth=3, bound_mode="tight")
     print(f"tight mode shrinks N from 78 to {tight.params.N} "
-          f"(|A| = {len(tight.built.genset)}) and still verifies: "
+          f"(|A| = {len(tight.genset)}) and still verifies: "
           f"{tight.verify().passed}")
 
 

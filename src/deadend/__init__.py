@@ -57,7 +57,6 @@ from .depth import DepthProfile, DepthValue, depth, depth_oracle, depth_profile
 from .construction import (
     Certificate,
     CertificateError,
-    ConstructedGenSet,
     Construction,
     ConstructionError,
     ConstructionParams,

@@ -239,7 +239,7 @@ def _build_construction(args) -> tuple[Construction, dict]:
         start = (2 * len(gens) + 1) ** n_prime if args.quotient_mode == "paper_safe" else 2
         family = cyclic_family(gens, start=start, stop=args.quotient_max, budget=budget)
         pi, _ = find_quotient(family, n_prime, mode=args.quotient_mode)
-    ctx = Construction.build(
+    ctx = Construction(
         gens,
         pi,
         target_depth=args.target_depth,

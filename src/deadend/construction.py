@@ -1,17 +1,18 @@
 """Deep generating sets from finite quotients, with verifiable certificates.
 
-Pipeline: given source generators S, a quotient pi onto a finite group of
-diameter n, a depth slack d with n > 2d, and a ball radius N meeting the
-bound, the generating set A collects every element of the radius-N S-ball
-whose image is a generator image.  The maximal-length quotient element
-lifts to a witness g_n with norm_A(g_n) = n, and every element within
-A-distance d of g_n stays inside the closed radius-n ball, which makes
-g_n a dead end of depth at least d+1.  Each membership claim is proved by
-a factorization certificate into k = |pi(g)|_T <= n factors from A or
-their inverses, with no ball over A: the homomorphism check is exact on
-every source, so the norms follow from the certificates alone.
-``factorize`` derives each certificate once and checks, as it derives it,
-every fact the bound needs.
+Pipeline: a target depth D and a quotient pi onto a finite group of
+diameter n give the depth slack d = D-1, with n > 2d, and the least ball
+radius N meeting the bound; the generating set A collects every element
+of the radius-N S-ball whose image is a generator image.  The
+maximal-length quotient element lifts to a witness g_n with
+norm_A(g_n) = n, and every element of g_n·B_A(d), the radius-d ball over
+A moved to the witness, stays inside the closed radius-n ball, which
+makes g_n a dead end of depth at least d+1.  Each membership claim is
+proved by a factorization certificate into k = |pi(g)|_T <= n factors
+from A or their inverses; no norm is read off a ball over A: the
+homomorphism check is exact on every source, so the norms follow from
+the certificates alone.  ``factorize`` derives each certificate once and
+checks, as it derives it, every fact the bound needs.
 
 A certificate reads its k + 1 cuts from prefix tables, each one fold of
 ``mul_payload`` built once and checked at its end: a neighbour of the
@@ -28,17 +29,16 @@ import hashlib
 import warnings
 from array import array
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, chain, islice
+from itertools import accumulate, chain
 from operator import add, attrgetter, sub
 from pathlib import Path
 from typing import Any, NamedTuple, Optional, Sequence, Union
 
-from .cayley import Ball, Budget, DEFAULT_BUDGET, ball_cached, bfs_layers
+from .cayley import Ball, Budget, DEFAULT_BUDGET, ball, ball_cached
 from .groups import (
-    Codec,
     GeneratingSet,
     Group,
     GroupElement,
@@ -56,7 +56,6 @@ __all__ = [
     "CertificateError",
     "VerificationError",
     "ConstructionParams",
-    "ConstructedGenSet",
     "DeadEndWitness",
     "PrefixTable",
     "WordPath",
@@ -134,31 +133,25 @@ def bound_inequality_holds(n: int, d: int, N: int) -> bool:
 
 @dataclass(frozen=True)
 class ConstructionParams:
-    """Validated parameter bundle: target depth D, slack d=D-1, n > 2d, N."""
+    """Target depth D and quotient diameter n, checked in that order, with the
+    two values derived from them: the slack d = D-1, which needs n > 2d, and
+    the least ball radius N meeting the bound of ``bound_mode``."""
 
     target_depth: int
-    d: int
     n: int
-    N: int
     bound_mode: str = "paper"
+    d: int = field(init=False)
+    N: int = field(init=False)
 
     def __post_init__(self):
-        if self.target_depth < 2:
-            raise ValueError(f"target depth must be >= 2, got {self.target_depth}")
-        if self.d != self.target_depth - 1:
-            raise ValueError(f"d must equal target_depth - 1, got d={self.d}")
-        if self.n <= 2 * self.d:
-            raise ValueError(f"need n > 2d (n={self.n}, d={self.d})")
-        minimum = required_N(self.n, self.d, self.bound_mode)
-        if self.N < minimum:
-            raise ValueError(
-                f"N={self.N} below required_N={minimum} for mode {self.bound_mode!r}"
-            )
-
-    @classmethod
-    def derive(cls, target_depth: int, n: int, bound_mode: str = "paper") -> "ConstructionParams":
-        d = target_depth - 1
-        return cls(target_depth, d, n, required_N(n, d, bound_mode), bound_mode)
+        D, n = self.target_depth, self.n
+        if D < 2:
+            raise ValueError(f"target depth must be >= 2, got {D}")
+        if n <= 2 * (D - 1):
+            raise ValueError(f"quotient diameter {n} is too small for target depth "
+                             f"{D} (needs a diameter above {2 * (D - 1)})")
+        object.__setattr__(self, "d", D - 1)
+        object.__setattr__(self, "N", required_N(n, D - 1, self.bound_mode))
 
     def to_json(self) -> dict:
         return {
@@ -170,33 +163,15 @@ class ConstructionParams:
         }
 
 
-class ConstructedGenSet:
-    """The generating set A with its provenance (S, quotient, N, S-ball)."""
-
-    def __init__(
-        self,
-        genset: GeneratingSet,
-        source_gens: GeneratingSet,
-        pi: QuotientMap,
-        N: int,
-        s_ball: Ball,
-    ):
-        self.genset = genset
-        self.source_gens = source_gens
-        self.pi = pi
-        self.N = N
-        self.s_ball = s_ball
-        self.symmetrized = genset.symmetrized_payloads()
-
-
 def constructed_genset(
     source_gens: GeneratingSet,
     pi: QuotientMap,
     N: int,
     budget: Budget = DEFAULT_BUDGET,
     cache_dir: Optional[Union[str, Path]] = None,
-) -> ConstructedGenSet:
-    """Intersect the radius-N S-ball with the generator-image preimage.
+) -> tuple[GeneratingSet, Ball]:
+    """Intersect the radius-N S-ball with the generator-image preimage: the
+    generating set A, and the S-ball it was read off.
 
     Entries come out in deterministic BFS order.  The identity is dropped
     with a warning if some generator image is the target identity; when
@@ -227,11 +202,12 @@ def constructed_genset(
             continue
         kept.add(payload)
         entries.append(GroupElement(group, payload))
-    built = ConstructedGenSet(GeneratingSet(entries), source_gens, pi, N, s_ball)
+    genset = GeneratingSet(entries)
+    symmetrized = genset.symmetrized_payloads()
     for s in source_gens.entries:
-        if s.payload not in built.symmetrized:
+        if s.payload not in symmetrized:
             raise ConstructionError(f"source generator {s} missing from constructed set")
-    return built
+    return genset, s_ball
 
 
 def _prefixes(word: Sequence[int], letters: dict, group: Group) -> Sequence:
@@ -275,16 +251,17 @@ class DeadEndWitness:
         }
 
 
-def find_witness(built: ConstructedGenSet, claimed_depth: Optional[int] = None) -> DeadEndWitness:
+def find_witness(
+    source_gens: GeneratingSet, pi: QuotientMap, claimed_depth: Optional[int] = None
+) -> DeadEndWitness:
     """Lift the diameter witness of the quotient's target ball through the
     canonical section.  Its norm under A is the diameter n: at most n, as S
     lies in A± and the lift has one S-letter per geodesic letter; at least
     n, as pi is a homomorphism sending A± into the image generators and the
     identity.  That the lift maps onto the witness is checked at the end of
     its prefix table (``Construction._tables``)."""
-    pi = built.pi
     s_word = _lift(pi.section, pi.ball.geodesic_payload(pi.report.witness.payload))
-    g_n = evaluate_word(s_word, built.source_gens)
+    g_n = evaluate_word(s_word, source_gens)
     return DeadEndWitness(g_n, pi.report.diameter, claimed_depth, s_word)
 
 
@@ -369,13 +346,15 @@ _LENGTH, _PAYLOAD = map(attrgetter, _Lift._fields)
 
 
 class Construction:
-    """Full pipeline state: quotient, parameters, A, witness, lifts, tables.
+    """Full pipeline state: the parameters derived from the target depth and
+    the quotient's diameter, A with the S-ball it was read off, the
+    witness, the lifts and the prefix tables.
 
     Certificates read their cuts from prefix tables of the witness lift and
     of each signed A-letter's S-geodesic.  Each table is one fold of
     ``mul_payload`` in the source and in the target, built once and checked
     at its end: the last source entry is its element, which cross-checks
-    the ball codes an A-letter's geodesic was walked on against payload
+    the S-ball codes an A-letter's geodesic was walked on against payload
     arithmetic, and the last image is the diameter witness or a generator
     image.
     """
@@ -384,49 +363,26 @@ class Construction:
         self,
         source_gens: GeneratingSet,
         pi: QuotientMap,
-        params: ConstructionParams,
-        budget: Budget = DEFAULT_BUDGET,
-        cache_dir: Optional[Union[str, Path]] = None,
-    ):
-        if pi.report.diameter != params.n:
-            raise ConstructionError(
-                f"params.n={params.n} does not match quotient diameter {pi.report.diameter}"
-            )
-        self.source_gens = source_gens
-        self.pi = pi
-        self.params = params
-        self.budget = budget
-        check_homomorphism(pi, budget)
-        self.built = constructed_genset(source_gens, pi, params.N, budget, cache_dir)
-        self.witness = find_witness(self.built, params.d + 1)
-
-    @classmethod
-    def build(
-        cls,
-        source_gens: GeneratingSet,
-        pi: QuotientMap,
         target_depth: int,
         bound_mode: str = "paper",
         budget: Budget = DEFAULT_BUDGET,
         cache_dir: Optional[Union[str, Path]] = None,
-    ) -> "Construction":
-        """Read the quotient diameter off the map's report and derive
-        parameters from it."""
-        if target_depth < 2:
-            raise ValueError(f"target depth must be >= 2, got {target_depth}")
-        n = pi.report.diameter
-        if n <= 2 * (target_depth - 1):
-            raise ValueError(f"quotient diameter {n} is too small for target depth "
-                             f"{target_depth} (needs a diameter above {2 * (target_depth - 1)})")
-        params = ConstructionParams.derive(target_depth, n, bound_mode)
-        return cls(source_gens, pi, params, budget, cache_dir)
+    ):
+        self.params = params = ConstructionParams(target_depth, pi.report.diameter, bound_mode)
+        self.source_gens = source_gens
+        self.pi = pi
+        self.budget = budget
+        check_homomorphism(pi, budget)
+        self.genset, self.s_ball = constructed_genset(source_gens, pi, params.N, budget, cache_dir)
+        self.symmetrized = self.genset.symmetrized_payloads()
+        self.witness = find_witness(source_gens, pi, params.d + 1)
 
     # -- prefix tables and paths -------------------------------------------
 
     def a_letter_s_word(self, letter: int) -> Word:
         """S-geodesic of the A-generator named by a signed letter."""
-        payload = self.built.genset.entries[abs(letter) - 1].payload
-        word = self.built.s_ball.geodesic_payload(payload)
+        payload = self.genset.entries[abs(letter) - 1].payload
+        word = self.s_ball.geodesic_payload(payload)
         return word if letter > 0 else invert_word(word)
 
     def _table(self, word: Sequence[int]) -> PrefixTable:
@@ -445,7 +401,7 @@ class Construction:
         witness = self.witness
         tables = {0: self._checked(0, witness.s_word, witness.element.payload,
                                    {self.pi.report.witness.payload})}
-        for letter, payload in self.built.genset.letters.items():
+        for letter, payload in self.genset.letters.items():
             word, last_images = self.a_letter_s_word(letter), images if letter > 0 else inverses
             tables[letter] = self._checked(letter, word, payload, last_images)
         return tables
@@ -494,40 +450,32 @@ class Construction:
     # -- the walk about the witness ----------------------------------------
 
     @cached_property
-    def _walk(self) -> tuple[Codec, dict]:
-        """One BFS about the witness, d layers deep, on codes of its own: the
-        codec, and the path of every element within A-distance d by code, in
-        discovery order.  A path is its parent's and its parent A-letter's
-        table, so no word is kept.  As norm_A(g_n) = n, the walk stays within
-        n + d A-steps of the identity, which the codes cover."""
-        p, letters = self.params, self.built.genset.letters
-        codec = self.source_gens.group.integer_code(list(letters.values()), p.n + p.d)
-        back = dict(zip(letters, codec.codes))
-        start = codec.encode(self.witness.element.payload)
-        parent = {start: 0}
-        for _ in islice(bfs_layers(codec.step, tuple(back.items()), start, parent, self.budget),
-                        p.d):
-            pass
-        paths: dict = {}
-        for y, letter in parent.items():
-            before = paths[codec.step(y, back[-letter])] if letter else self._empty
-            paths[y] = self._extend(before, self._tables[letter])
-        return codec, paths
+    def _walk(self) -> dict:
+        """The path of every element of g_n·B_A(d) by payload, in discovery
+        order.  Left multiplication by g_n maps the BFS tree of the radius-d
+        ball over A onto the walk about the witness, letter for letter; a
+        path is folded down that tree from the witness lift's, one parent
+        A-letter's table per step, so no word is kept."""
+        group, tables = self.source_gens.group, self._tables
+        paths = ball(group, self.genset, self.params.d, self.budget).along_parents(
+            self._extend(self._empty, tables[0]),
+            lambda path, letter: self._extend(path, tables[letter]))
+        g_n = self.witness.element.payload
+        return {group.mul_payload(g_n, h): path for h, path in paths.items()}
 
     def witness_neighborhood(self) -> list[tuple[GroupElement, WordPath]]:
         """Every g within A-distance d of the witness, with the path the walk gives it."""
-        (codec, paths), group = self._walk, self.source_gens.group
-        return [(GroupElement(group, codec.decode(y)), path) for y, path in paths.items()]
+        group = self.source_gens.group
+        return [(GroupElement(group, y), path) for y, path in self._walk.items()]
 
     def path_for(self, g: GroupElement) -> WordPath:
         """The path of an S-word of length <= n + d*N for g: the witness lift,
         an S-ball geodesic or the walk's path; ValueError if none is derivable."""
         if g == self.witness.element:
             return self.word_path(self.witness.s_word)
-        if self.built.s_ball.norm(g) is not None:
-            return self.word_path(self.built.s_ball.geodesic(g))
-        codec, paths = self._walk
-        path = paths.get(codec.encode(g.payload))
+        if self.s_ball.norm(g) is not None:
+            return self.word_path(self.s_ball.geodesic(g))
+        path = self._walk.get(g.payload)
         if path is None:
             raise ValueError(f"no S-word available for {g}: outside the S-ball and the "
                              "witness neighborhood")
@@ -619,7 +567,7 @@ def factorize(
     if corrected[0] != group.identity_payload() or corrected[-1] != g.payload:
         raise CertificateError("factors do not multiply to the element")
     v_payloads = tuple(map(group.mul_payload, map(group.inv_payload, corrected), corrected[1:]))
-    inside = list(map(ctx.built.symmetrized.__contains__, v_payloads))
+    inside = list(map(ctx.symmetrized.__contains__, v_payloads))
     if not all(inside):
         raise CertificateError("factor is not in A or its inverses", index=inside.index(False))
     return Certificate(g, k, cuts, t_letters, v_payloads, tuple(v_lengths))
@@ -711,8 +659,8 @@ def verify_construction(ctx: Construction) -> ConstructionReport:
     return ConstructionReport(
         params=ctx.params,
         quotient_order=ctx.pi.report.order,
-        a_size=len(ctx.built.genset),
-        a_entries=tuple(str(e) for e in ctx.built.genset.entries),
+        a_size=len(ctx.genset),
+        a_entries=tuple(str(e) for e in ctx.genset.entries),
         witness=ctx.witness,
         neighborhood_size=len(neighborhood),
         rows=tuple(rows),

@@ -81,7 +81,7 @@ def gens_of(group, *payloads):
 def a_ball(ctx):
     """The A-ball of radius n of a construction: a BFS oracle for the norms
     and depths its certificates prove."""
-    return ball(ctx.source_gens.group, ctx.built.genset, ctx.params.n)
+    return ball(ctx.source_gens.group, ctx.genset, ctx.params.n)
 
 
 def reference_depth(group, gens, norms, payload, cap):

@@ -6,10 +6,15 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 from __future__ import annotations
 
 import hashlib
+import os
+import subprocess
+import sys
 from contextlib import contextmanager
+from pathlib import Path
 
 import pytest
 
+import deadend
 from conftest import a_ball, random_table_groups
 from deadend.cayley import Budget, ball
 from deadend.construction import Construction, bound_inequality_holds, required_N
@@ -42,12 +47,12 @@ def criterion(num: int, summary: str):
 
 def test_01_construction_c10_paper_bound():
     with criterion(1, "C_10 construction at D=3, N=78: witness norm 5, ball stays closed"):
-        ctx = Construction.build(UNIT, cyclic_quotient(UNIT, 10), target_depth=3,
-                                 bound_mode="paper")
+        ctx = Construction(UNIT, cyclic_quotient(UNIT, 10), target_depth=3,
+                           bound_mode="paper")
         assert ctx.params.d == 2
         assert ctx.params.n == 5
         assert ctx.params.N == 78
-        entries = sorted(e.payload for e in ctx.built.genset.entries)
+        entries = sorted(e.payload for e in ctx.genset.entries)
         assert entries == [k for k in range(-78, 79) if k % 10 == 1]
         assert len(entries) == 15
         helper = a_ball(ctx)
@@ -66,8 +71,8 @@ def test_01_construction_c10_paper_bound():
 
 def test_02_tight_bound_verifies_and_inequality_recheck():
     with criterion(2, "tight bound N=38 verifies; inequality holds at 38/78, fails at 37"):
-        ctx = Construction.build(UNIT, cyclic_quotient(UNIT, 10), target_depth=3,
-                                 bound_mode="tight")
+        ctx = Construction(UNIT, cyclic_quotient(UNIT, 10), target_depth=3,
+                           bound_mode="tight")
         assert ctx.params.N == 38
         assert required_N(5, 2, "tight") == 38
         assert ctx.verify().passed
@@ -78,7 +83,7 @@ def test_02_tight_bound_verifies_and_inequality_recheck():
 
 def test_03_certificate_suite_full_neighborhood():
     with criterion(3, "certificates validate for all of B_{A,2}(witness), k >= 3"):
-        ctx = Construction.build(UNIT, cyclic_quotient(UNIT, 10), target_depth=3)
+        ctx = Construction(UNIT, cyclic_quotient(UNIT, 10), target_depth=3)
         neighborhood = ctx.witness_neighborhood()
         assert len(neighborhood) == 117
         checked = 0
@@ -166,8 +171,8 @@ def test_06_baseline_sanity():
 def test_07_second_scale_construction_c22():
     with criterion(7, "C_22 construction at D=4 (n=11, N=66) fully verifies"):
         assert required_N(11, 3, "paper") == 66
-        ctx = Construction.build(UNIT, cyclic_quotient(UNIT, 22), target_depth=4,
-                                 bound_mode="paper")
+        ctx = Construction(UNIT, cyclic_quotient(UNIT, 22), target_depth=4,
+                           bound_mode="paper")
         assert ctx.params.d == 3
         assert ctx.params.n == 11
         assert ctx.params.N == 66
@@ -204,7 +209,7 @@ def test_09_lamplighter_construction_onto_d4():
         gens = standard_gens(lamp)
         d4 = Dihedral(4)
         pi = QuotientMap(gens, d4, [d4.element((0, 1)), d4.element((1, 1))])
-        ctx = Construction.build(gens, pi, target_depth=2, bound_mode="tight")
+        ctx = Construction(gens, pi, target_depth=2, bound_mode="tight")
         assert (ctx.params.n, ctx.params.d, ctx.params.N) == (4, 1, 16)
         report = ctx.verify()
         assert report.passed
@@ -218,5 +223,17 @@ def test_09_lamplighter_construction_onto_d4():
         assert w.n == 4
         assert ball(lamp, gens, 4).norm(w.element) == 4
         assert ball(d4, pi.image_gens, 4).norm(pi.apply_word(w.s_word)) == 4
-        assert all(pi.apply_word(ctx.built.s_ball.geodesic(e)) in pi.image_gens
-                   for e in ctx.built.genset)
+        assert all(pi.apply_word(ctx.s_ball.geodesic(e)) in pi.image_gens
+                   for e in ctx.genset)
+
+
+def test_readme_library_example_prints_what_it_says():
+    # the README's "## Library" block, run as a script
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## Library\n", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    src = str(Path(deadend.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", block], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "True 15\n5\n"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import itertools
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +13,7 @@ import deadend.cayley
 import deadend.construction
 import deadend.quotient
 from conftest import a_ball
-from deadend.cayley import Budget, ball
+from deadend.cayley import Budget, ball, bfs_layers
 from deadend.construction import (
     Certificate,
     CertificateError,
@@ -53,7 +54,7 @@ UNIT = GeneratingSet([ZZ.element(1)])
 
 @pytest.fixture(scope="module")
 def c10_ctx():
-    return Construction.build(UNIT, cyclic_quotient(UNIT, 10), target_depth=3)
+    return Construction(UNIT, cyclic_quotient(UNIT, 10), target_depth=3)
 
 
 # -- parameter arithmetic --------------------------------------------------------
@@ -102,47 +103,47 @@ def test_both_modes_satisfy_inequality():
 
 
 def test_params_validation():
-    ConstructionParams(3, 2, 5, 78, "paper")
-    with pytest.raises(ValueError):
-        ConstructionParams(3, 2, 4, 78, "paper")  # n <= 2d
-    with pytest.raises(ValueError):
-        ConstructionParams(3, 2, 5, 37, "tight")  # N below bound
-    with pytest.raises(ValueError):
-        ConstructionParams(3, 1, 5, 78, "paper")  # d != D-1
+    params = ConstructionParams(3, 5, "paper")
+    assert (params.d, params.N) == (2, 78)
+    assert ConstructionParams(3, 5, "tight").N == 38
+    with pytest.raises(ValueError, match="quotient diameter 4 is too small for target depth 3"):
+        ConstructionParams(3, 4, "paper")  # n <= 2d
+    with pytest.raises(ValueError, match="bound mode must be one of"):
+        ConstructionParams(3, 5, "loose")
 
 
 # -- built generating sets -----------------------------------------------------------
 
 
 def test_build_c10_full_set(c10_ctx):
-    entries = [e.payload for e in c10_ctx.built.genset.entries]
+    entries = [e.payload for e in c10_ctx.genset.entries]
     assert entries == [1, -9, 11, -19, 21, -29, 31, -39, 41, -49, 51, -59, 61, -69, 71]
     assert sorted(entries) == sorted(k for k in range(-78, 79) if k % 10 == 1)
     assert len(entries) == 15
 
 
 def test_build_radius_one_returns_source():
-    built = constructed_genset(UNIT, cyclic_quotient(UNIT, 10), N=1)
-    assert [e.payload for e in built.genset.entries] == [1]
+    genset, _ = constructed_genset(UNIT, cyclic_quotient(UNIT, 10), N=1)
+    assert [e.payload for e in genset.entries] == [1]
 
 
 def test_build_mod2_dedups_inverse_pairs():
-    built = constructed_genset(UNIT, cyclic_quotient(UNIT, 2), N=3)
-    assert [e.payload for e in built.genset.entries] == [1, 3]
+    genset, _ = constructed_genset(UNIT, cyclic_quotient(UNIT, 2), N=3)
+    assert [e.payload for e in genset.entries] == [1, 3]
     # the symmetrized view still covers all four odd values
-    assert built.symmetrized == frozenset({1, -1, 3, -3})
+    assert genset.symmetrized_payloads() == frozenset({1, -1, 3, -3})
 
 
 def test_built_set_invariants(c10_ctx):
-    built = c10_ctx.built
-    pi = built.pi
+    ctx = c10_ctx
+    pi = ctx.pi
     tset = pi.image_set()
-    for e in built.genset.entries:
-        assert abs(e.payload) <= built.N
-        assert pi.apply(e, built.s_ball.geodesic(e)).payload in tset
-        assert built.s_ball.norm(e) is not None
-    for s in built.source_gens.entries:
-        assert s.payload in built.symmetrized
+    for e in ctx.genset.entries:
+        assert abs(e.payload) <= ctx.params.N
+        assert pi.apply(e, ctx.s_ball.geodesic(e)).payload in tset
+        assert ctx.s_ball.norm(e) is not None
+    for s in ctx.source_gens.entries:
+        assert s.payload in ctx.symmetrized
 
 
 # -- witness -----------------------------------------------------------------------
@@ -160,18 +161,18 @@ def test_find_witness_c10(c10_ctx):
 def test_find_witness_minimal_quotient():
     # C_2 with N=1: the constructed set is S itself, witness is 1.
     pi = cyclic_quotient(UNIT, 2)
-    built = constructed_genset(UNIT, pi, N=1)
+    genset, _ = constructed_genset(UNIT, pi, N=1)
     report = diameter(pi.target, pi.image_gens)
     assert report.diameter == 1
-    w = find_witness(built)
+    w = find_witness(UNIT, pi)
     assert w.element.payload == 1
     assert w.n == 1
-    assert ball(ZZ, built.genset, 1).norm(w.element) == 1
+    assert ball(ZZ, genset, 1).norm(w.element) == 1
 
 
 def test_find_witness_c22():
-    ctx = Construction.build(UNIT, cyclic_quotient(UNIT, 22), target_depth=4)
-    assert [e.payload for e in ctx.built.genset.entries] == [1, -21, 23, -43, 45, -65]
+    ctx = Construction(UNIT, cyclic_quotient(UNIT, 22), target_depth=4)
+    assert [e.payload for e in ctx.genset.entries] == [1, -21, 23, -43, 45, -65]
     assert ctx.witness.element.payload == 11
     assert a_ball(ctx).norm(ctx.witness.element) == 11
 
@@ -223,7 +224,7 @@ def _bfs_over(cls, monkeypatch):
 
 def test_one_target_bfs_per_quotient_map(monkeypatch):
     calls = _bfs_over(Cyclic, monkeypatch)
-    ctx = Construction.build(UNIT, cyclic_quotient(UNIT, 22), target_depth=4)
+    ctx = Construction(UNIT, cyclic_quotient(UNIT, 22), target_depth=4)
     assert ctx.verify().passed
     assert calls == [ctx.pi.target]
     calls.clear()
@@ -298,8 +299,7 @@ def test_parent_folds_match_geodesic_reference(make, N):
         expected.append((h, (len(word), lift)))
     assert list(_lifts_of(gens, pi).items()) == expected
 
-    built = constructed_genset(gens, pi, N)
-    s_ball = built.s_ball
+    genset, s_ball = constructed_genset(gens, pi, N)
     words = s_ball.along_parents((), lambda word, letter: word + (letter,))
     assert list(words.items()) == [(p, s_ball.geodesic_payload(p)) for p in s_ball.payloads()]
     group = gens.group
@@ -310,7 +310,7 @@ def test_parent_folds_match_geodesic_reference(make, N):
             continue
         if pi.apply_word(s_ball.geodesic_payload(p)).payload in tset:
             expected_a.append(p)
-    assert [e.payload for e in built.genset.entries] == expected_a
+    assert [e.payload for e in genset.entries] == expected_a
 
 
 # -- certificates --------------------------------------------------------------------
@@ -370,7 +370,7 @@ FACTORIZE_FAULTS = {
 
 @pytest.mark.parametrize("message", sorted(FACTORIZE_FAULTS))
 def test_factorize_rejects_a_corrupted_derivation(monkeypatch, message):
-    ctx = Construction.build(UNIT, cyclic_quotient(UNIT, 10), target_depth=3)
+    ctx = Construction(UNIT, cyclic_quotient(UNIT, 10), target_depth=3)
     monkeypatch.setattr(*FACTORIZE_FAULTS[message](ctx))
     with pytest.raises(CertificateError, match=message):
         ctx.certify(ZZ.element(46))
@@ -387,8 +387,8 @@ def test_certificate_rejects_a_word_letter_out_of_range(c10_ctx):
 
 def test_certificate_factor_outside_a_rejected(c10_ctx, monkeypatch):
     cert = c10_ctx.certify(ZZ.element(46))
-    symmetrized = c10_ctx.built.symmetrized - {cert.v_payloads[1]}
-    monkeypatch.setattr(c10_ctx.built, "symmetrized", symmetrized)
+    symmetrized = c10_ctx.symmetrized - {cert.v_payloads[1]}
+    monkeypatch.setattr(c10_ctx, "symmetrized", symmetrized)
     with pytest.raises(CertificateError, match="factor 1: factor is not in A"):
         c10_ctx.certify(ZZ.element(46))
 
@@ -471,7 +471,7 @@ def test_certificate_soundness_sampled(c10_ctx):
 @pytest.mark.parametrize("key,name", [(0, "the witness lift"), (1, "A-letter 1"),
                                       (-15, "A-letter -15")])
 def test_table_check_rejects_a_corrupted_entry(monkeypatch, side, at, key, name):
-    ctx = Construction.build(UNIT, cyclic_quotient(UNIT, 10), target_depth=3)
+    ctx = Construction(UNIT, cyclic_quotient(UNIT, 10), target_depth=3)
     real, group = ctx._table, {"source": ZZ, "image": ctx.pi.target}[side]
     word = ctx.witness.s_word if key == 0 else ctx.a_letter_s_word(key)
 
@@ -489,7 +489,7 @@ def test_table_check_rejects_a_corrupted_entry(monkeypatch, side, at, key, name)
 
 
 def test_table_check_rejects_a_word_that_misses_its_a_element(monkeypatch):
-    ctx = Construction.build(UNIT, cyclic_quotient(UNIT, 10), target_depth=3)
+    ctx = Construction(UNIT, cyclic_quotient(UNIT, 10), target_depth=3)
     real = ctx.a_letter_s_word
     monkeypatch.setattr(ctx, "a_letter_s_word", lambda letter: real(letter) + (1, -1, 1))
     with pytest.raises(ConstructionError, match="prefix table of A-letter 1 does not end at its"):
@@ -531,11 +531,11 @@ def test_paths_read_the_prefixes_of_the_word_they_spell(reader, segments, data):
 
 
 def _cyclic_case(gens, m, target_depth, mode="paper"):
-    return lambda: Construction.build(gens, cyclic_quotient(gens, m), target_depth, mode)
+    return lambda: Construction(gens, cyclic_quotient(gens, m), target_depth, mode)
 
 
 def _word_case(gens, target, images, target_depth):
-    return lambda: Construction.build(
+    return lambda: Construction(
         gens, QuotientMap(gens, target, images), target_depth, "tight"
     )
 
@@ -571,6 +571,23 @@ def test_walk_depth_matches_depth_search(case):
 
 
 @pytest.mark.parametrize("case", sorted(WALK_CASES))
+def test_walk_is_the_bfs_about_the_witness(case):
+    # reference: a payload BFS about g_n, d layers deep
+    ctx = WALK_CASES[case][0]()
+    g_n = ctx.witness.element.payload
+    parent = {g_n: 0}
+    layers = bfs_layers(ctx.source_gens.group.mul_payload, ctx.genset.symmetrized_letters(),
+                        g_n, parent)
+    for _ in itertools.islice(layers, ctx.params.d):
+        pass
+    neighbourhood = ctx.witness_neighborhood()
+    assert [element.payload for element, _ in neighbourhood] == list(parent)
+    for (element, path), letter in zip(neighbourhood, parent.values()):
+        assert path.tables[-1] is ctx._tables[letter]
+        assert path.bases[-1][0] == element.payload
+
+
+@pytest.mark.parametrize("case", sorted(WALK_CASES))
 def test_norm_column_is_the_bfs_norm(case):
     ctx = WALK_CASES[case][0]()
     report = ctx.verify()
@@ -580,16 +597,24 @@ def test_norm_column_is_the_bfs_norm(case):
         assert row["norm_A"] == row["certificate_k"] == helper.norm(element)
 
 
+def _ball_calls(monkeypatch, name):
+    """Record the (gens, radius) of every call of ``deadend.construction.<name>``."""
+    calls = []
+    real = getattr(deadend.construction, name)
+    monkeypatch.setattr(deadend.construction, name, lambda group, gens, radius, *rest:
+                        calls.append((gens, radius)) or real(group, gens, radius, *rest))
+    return calls
+
+
 def test_verify_on_an_exact_source_builds_no_a_ball(monkeypatch):
-    built = []
-    real = deadend.construction.ball_cached
-    monkeypatch.setattr(deadend.construction, "ball_cached",
-                        lambda group, gens, *rest: built.append(gens) or real(group, gens, *rest))
-    ctx = Construction.build(_GRID, QuotientMap(_GRID, Cyclic(10), [Cyclic(10).element(1)] * 2),
-                             target_depth=2, bound_mode="tight")
+    # no A-ball of radius n: the one ball over A is B_A(d), the walk's
+    cached, walked = _ball_calls(monkeypatch, "ball_cached"), _ball_calls(monkeypatch, "ball")
+    ctx = Construction(_GRID, QuotientMap(_GRID, Cyclic(10), [Cyclic(10).element(1)] * 2),
+                       target_depth=2, bound_mode="tight")
     assert ctx.verify().passed
     assert ctx.certify(ctx.witness_neighborhood()[-1][0]).k <= ctx.params.n
-    assert built == [_GRID]  # the S-ball only
+    assert [gens for gens, _ in cached] == [_GRID]  # the S-ball only
+    assert len(walked) == 1 and walked[0][0] is ctx.genset and walked[0][1] == ctx.params.d
 
 
 def test_construction_rejects_a_library_quotient_that_is_not_a_homomorphism():
@@ -597,7 +622,7 @@ def test_construction_rejects_a_library_quotient_that_is_not_a_homomorphism():
     gens = GeneratingSet([ZZ.element(1), ZZ.element(21)])
     pi = QuotientMap(gens, Cyclic(10), [Cyclic(10).element(1), Cyclic(10).element(2)])
     with pytest.raises(HomomorphismError, match="map to different images"):
-        Construction.build(gens, pi, target_depth=2, bound_mode="tight")
+        Construction(gens, pi, target_depth=2, bound_mode="tight")
 
 
 @pytest.mark.parametrize("case", sorted(WALK_CASES))
@@ -608,20 +633,13 @@ def test_factorize_matches_reference_on_every_neighbour(case):
 
 
 def test_certify_outside_the_s_ball_walks_once(monkeypatch):
-    ctx = Construction.build(UNIT, cyclic_quotient(UNIT, 10), target_depth=3)
-    walks = []
-    real = deadend.construction.bfs_layers
-
-    def counting(*args, **kwargs):
-        walks.append(args[2])
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(deadend.construction, "bfs_layers", counting)
+    ctx = Construction(UNIT, cyclic_quotient(UNIT, 10), target_depth=3)
+    walks = _ball_calls(monkeypatch, "ball")
     g = ZZ.element(147)  # 5 + 71 + 71: two A-steps from the witness, beyond N = 78
-    assert ctx.built.s_ball.norm(g) is None
+    assert ctx.s_ball.norm(g) is None
     first = ctx.certify(g)
     second = ctx.certify(g)
-    assert walks == [ctx.witness.element.payload]
+    assert len(walks) == 1 and walks[0][0] is ctx.genset and walks[0][1] == ctx.params.d
     assert first == second
     assert not first.degenerate and ctx.params.n - ctx.params.d <= first.k <= ctx.params.n
     assert len(ctx.s_word_for(g)) <= ctx.params.n + ctx.params.d * ctx.params.N
@@ -644,9 +662,9 @@ def test_verify_construction_c10(c10_ctx):
 
 
 def test_verify_construction_c10_tight():
-    ctx = Construction.build(UNIT, cyclic_quotient(UNIT, 10), target_depth=3, bound_mode="tight")
+    ctx = Construction(UNIT, cyclic_quotient(UNIT, 10), target_depth=3, bound_mode="tight")
     assert ctx.params.N == 38
-    assert len(ctx.built.genset) == 7
+    assert len(ctx.genset) == 7
     report = ctx.verify()
     assert report.passed
 
@@ -658,7 +676,7 @@ def test_exact_depth_of_witness(c10_ctx):
 
 
 def test_verify_construction_c22():
-    ctx = Construction.build(UNIT, cyclic_quotient(UNIT, 22), target_depth=4)
+    ctx = Construction(UNIT, cyclic_quotient(UNIT, 22), target_depth=4)
     assert ctx.params.n == 11
     assert ctx.params.N == 66
     report = ctx.verify()
@@ -681,14 +699,7 @@ def test_verify_derives_each_certificate_once(c10_ctx, monkeypatch):
 def test_build_rejects_a_target_depth_below_2_before_the_diameter(target_depth):
     pi = cyclic_quotient(UNIT, 10)
     with pytest.raises(ValueError, match=f"^target depth must be >= 2, got {target_depth}$"):
-        Construction.build(UNIT, pi, target_depth)
-
-
-def test_construction_requires_matching_diameter():
-    pi = cyclic_quotient(UNIT, 10)
-    params = ConstructionParams(3, 2, 7, required_N(7, 2), "paper")
-    with pytest.raises(ConstructionError):
-        Construction(UNIT, pi, params)
+        Construction(UNIT, pi, target_depth)
 
 
 def test_report_json_round_trip(c10_ctx):
@@ -703,26 +714,26 @@ def test_report_json_round_trip(c10_ctx):
 
 
 def test_construction_with_cache(tmp_path):
-    ctx1 = Construction.build(
+    ctx1 = Construction(
         UNIT, cyclic_quotient(UNIT, 10), target_depth=3, cache_dir=tmp_path
     )
     assert ctx1.verify().passed
     files = sorted(p.name for p in tmp_path.glob("ball-*.bin"))
-    assert len(files) == 1  # the S-ball: no A-ball is ever built
-    ctx2 = Construction.build(
+    assert len(files) == 1  # the S-ball: the walk's radius-d ball over A is not cached
+    ctx2 = Construction(
         UNIT, cyclic_quotient(UNIT, 10), target_depth=3, cache_dir=tmp_path
     )
-    assert [e.payload for e in ctx2.built.genset.entries] == [
-        e.payload for e in ctx1.built.genset.entries
+    assert [e.payload for e in ctx2.genset.entries] == [
+        e.payload for e in ctx1.genset.entries
     ]
     assert ctx2.verify().passed
-    assert ctx2.built.s_ball.dist == ctx1.built.s_ball.dist
+    assert ctx2.s_ball.dist == ctx1.s_ball.dist
     assert sorted(p.name for p in tmp_path.glob("ball-*.bin")) == files
 
 
 def test_budget_propagates():
     with pytest.raises(Exception) as info:
-        Construction.build(
+        Construction(
             UNIT,
             cyclic_quotient(UNIT, 10),
             target_depth=3,
@@ -734,9 +745,9 @@ def test_budget_propagates():
 def test_find_witness_c22_large_slack():
     # same quotient, slack pushed to d=5 (n=11 > 10 still holds)
     assert required_N(11, 5, "paper") == 369
-    ctx = Construction.build(UNIT, cyclic_quotient(UNIT, 22), target_depth=6)
+    ctx = Construction(UNIT, cyclic_quotient(UNIT, 22), target_depth=6)
     assert ctx.params.N == 369
-    assert len(ctx.built.genset) == 33
+    assert len(ctx.genset) == 33
     assert ctx.witness.element.payload == 11
     assert a_ball(ctx).norm(ctx.witness.element) == 11
 
@@ -750,8 +761,8 @@ def test_finite_source_construction():
     s12 = GeneratingSet([c12.element(1)])
     c6 = Cyclic(6)
     pi = QuotientMap(s12, c6, [c6.element(1)])
-    ctx = Construction.build(s12, pi, target_depth=2, bound_mode="tight")
-    assert [e.payload for e in ctx.built.genset.entries] == [1, 7]
+    ctx = Construction(s12, pi, target_depth=2, bound_mode="tight")
+    assert [e.payload for e in ctx.genset.entries] == [1, 7]
     assert ctx.witness.element.payload == 3
     helper = a_ball(ctx)
     assert helper.norm(ctx.witness.element) == 3
@@ -770,7 +781,7 @@ def test_grid_source_with_identity_image():
     c6 = Cyclic(6)
     pi = QuotientMap(gens, c6, [c6.element(1), c6.element(0)])
     with pytest.warns(UserWarning, match="identity"):
-        ctx = Construction.build(gens, pi, target_depth=2, bound_mode="tight")
+        ctx = Construction(gens, pi, target_depth=2, bound_mode="tight")
     assert ctx.params.n == 3
     assert ctx.witness.element.payload == (3, 0)
     assert a_ball(ctx).norm(ctx.witness.element) == 3
@@ -790,9 +801,9 @@ def test_nonabelian_target_construction():
     gens = standard_gens(d8)
     pi = QuotientMap(gens, d4, [d4.element((1, 0)), d4.element((0, 1))])
     check_homomorphism(pi)
-    ctx = Construction.build(gens, pi, target_depth=2, bound_mode="tight")
+    ctx = Construction(gens, pi, target_depth=2, bound_mode="tight")
     assert ctx.params.n == 3
-    assert [e.payload for e in ctx.built.genset.entries] == [
+    assert [e.payload for e in ctx.genset.entries] == [
         (1, 0), (0, 1), (5, 0), (4, 1),
     ]
     assert ctx.witness.element.payload == (2, 1)
@@ -811,8 +822,8 @@ def test_word_mode_quotient_runs_the_same_pipeline():
 
     target = Cyclic(10)
     pi = QuotientMap(UNIT, target, [target.element(1)])
-    ctx = Construction.build(UNIT, pi, target_depth=3, bound_mode="tight")
-    assert [e.payload for e in ctx.built.genset.entries] == [1, -9, 11, -19, 21, -29, 31]
+    ctx = Construction(UNIT, pi, target_depth=3, bound_mode="tight")
+    assert [e.payload for e in ctx.genset.entries] == [1, -9, 11, -19, 21, -29, 31]
     assert ctx.witness.element.payload == 5
     assert ctx.verify().passed
 
@@ -828,12 +839,12 @@ def test_identity_image_excluded_with_warning():
     target = Cyclic(2)
     pi = QuotientMap(gens, target, [target.element(0), target.element(1)])
     with pytest.warns(UserWarning, match="identity"):
-        built = constructed_genset(gens, pi, N=2)
-    payloads = [e.payload for e in built.genset.entries]
+        genset, s_ball = constructed_genset(gens, pi, N=2)
+    payloads = [e.payload for e in genset.entries]
     assert lamp.identity_payload() not in payloads
     # parity filters nothing else: all 9 non-identity ball elements
     # qualify, stored as 5 entries after inverse-pair dedup
     assert len(payloads) == 5
-    assert built.symmetrized >= {p for p in payloads}
-    for e in built.genset.entries:
-        assert pi.apply_word(built.s_ball.geodesic(e)).payload in (0, 1)
+    assert genset.symmetrized_payloads() >= {p for p in payloads}
+    for e in genset.entries:
+        assert pi.apply_word(s_ball.geodesic(e)).payload in (0, 1)

@@ -26,6 +26,8 @@ from deadend.groups import (
     standard_gens,
 )
 
+from conftest import random_table_groups
+
 ZZ = IntegerLine()
 C10 = Cyclic(10)
 LAMP = Lamplighter()
@@ -336,6 +338,15 @@ def test_table_group_large_table_loads():
     group = TableGroup(cyclic_table(m), identity_id=0)
     assert group.order() == m
     assert multiply(group.element(300), group.element(400)).payload == 180
+
+
+def test_table_inverses_are_two_sided():
+    # the loader reads each inverse off its row's identity cell alone
+    for group, _ in random_table_groups(12, seed=7):
+        e = group.identity_payload()
+        for x in range(group.order()):
+            y = group.inv_payload(x)
+            assert group.mul_payload(x, y) == e and group.mul_payload(y, x) == e
 
 
 def test_table_group_rejects_bad_identity():
