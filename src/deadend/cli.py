@@ -5,6 +5,10 @@ Every run writes a JSON report (stdout or --out) that echoes the exact
 inputs and parameters, so any claim in a report can be re-checked from
 the report alone.  Exit codes: 0 all checks passed, 2 parse/validation
 error or unwritable output path, 3 budget exhausted, 4 verification failure.
+
+Two tables define the command line: ``_FLAGS`` gives each flag's type (or
+choices) and default, and its name is the flag's --config key;
+``_COMMANDS`` gives each subcommand's help, handler and own flags.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from pathlib import Path
 from typing import Any, Optional, Sequence
 
 from . import __version__
-from .cayley import DEFAULT_BUDGET, Budget, BudgetExceededError, ball_cached, ball_to_csv
+from .cayley import DEFAULT_BUDGET, Ball, Budget, BudgetExceededError, ball_cached, ball_to_csv
 from .construction import (
     CertificateError,
     Construction,
@@ -97,7 +101,7 @@ def _read_json(path: str) -> Any:
         return json.loads(text, parse_float=_no_float, parse_constant=_no_float)
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
-    except ValueError as exc:  # json.JSONDecodeError, or a float
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, a float, or too deeply nested
         raise UsageError(f"malformed JSON in {path}: {exc}") from exc
 
 
@@ -129,12 +133,12 @@ def parse_gens(group: Group, spec: Optional[str]) -> GeneratingSet:
         raise UsageError(f"bad generating set {spec!r}: {exc}") from exc
 
 
-def parse_quotient(spec: str, source_gens: GeneratingSet, budget: Budget):
-    """Returns either a QuotientMap (fixed), its target ball built under
-    ``budget``, or a family iterator spec tuple."""
+def parse_quotient(spec: str, source_gens: GeneratingSet, budget: Budget) -> Optional[QuotientMap]:
+    """The fixed quotient map of ``spec``, its target ball built under
+    ``budget``; None for the cyclic family search."""
     spec = spec.strip()
     if spec == "cyclic":
-        return ("family", "cyclic")
+        return None
     if spec.startswith("cyclic:"):
         try:
             return cyclic_quotient(source_gens, int(spec.split(":", 1)[1]), budget)
@@ -208,12 +212,20 @@ def _report(command: str, inputs: dict, results: dict, started: float) -> dict:
     }
 
 
+def _echo(args, *flags: str) -> dict:
+    """The report's inputs: --group, --gens and ``flags``, as given."""
+    return {flag: getattr(args, flag) for flag in ("group", "gens", *flags)}
+
+
 def _budget_from_args(args) -> Budget:
-    return Budget(
-        max_elements=args.budget_elements,
-        max_radius=args.budget_radius,
-        max_seconds=args.budget_seconds,
-    )
+    return Budget(args.budget_elements, args.budget_radius, args.budget_seconds)
+
+
+def _ball(args, group: Group, gens: GeneratingSet) -> Ball:
+    """The closed ball of radius --radius, through the ball cache."""
+    if args.radius is None:
+        raise UsageError("--radius is required")
+    return ball_cached(group, gens, args.radius, args.cache_dir, _budget_from_args(args))
 
 
 # -- subcommand implementations ----------------------------------------------------
@@ -228,10 +240,8 @@ def _build_construction(args) -> tuple[Construction, dict]:
     gens = parse_gens(group, args.gens)
     budget = _budget_from_args(args)
     quotient_spec = args.quotient or "cyclic"
-    parsed = parse_quotient(quotient_spec, gens, budget)
-    if isinstance(parsed, QuotientMap):
-        pi = parsed
-    else:
+    pi = parse_quotient(quotient_spec, gens, budget)
+    if pi is None:
         if not isinstance(group, IntegerLine):
             raise UsageError("the cyclic quotient family needs an integer-line group")
         n_prime = required_n(args.target_depth - 1)
@@ -239,21 +249,12 @@ def _build_construction(args) -> tuple[Construction, dict]:
         start = (2 * len(gens) + 1) ** n_prime if args.quotient_mode == "paper_safe" else 2
         family = cyclic_family(gens, start=start, stop=args.quotient_max, budget=budget)
         pi, _ = find_quotient(family, n_prime, mode=args.quotient_mode)
-    ctx = Construction(
-        gens,
-        pi,
-        target_depth=args.target_depth,
-        bound_mode=args.bound_mode,
-        budget=budget,
-        cache_dir=args.cache_dir,
-    )
+    ctx = Construction(gens, pi, args.target_depth, args.bound_mode, budget=budget,
+                       cache_dir=args.cache_dir)
     inputs = {
-        "group": args.group,
-        "gens": args.gens,
+        **_echo(args, "target_depth", "bound_mode"),
         "quotient": quotient_spec,
         "quotient_order": pi.target.order(),
-        "target_depth": args.target_depth,
-        "bound_mode": args.bound_mode,
         "params": ctx.params.to_json(),
     }
     return ctx, inputs
@@ -261,8 +262,7 @@ def _build_construction(args) -> tuple[Construction, dict]:
 
 def cmd_construct(args, full_table: bool = False) -> tuple[dict, dict, int]:
     ctx, inputs = _build_construction(args)
-    report = ctx.verify()
-    doc = report.to_json()
+    doc = ctx.verify().to_json()
     if not full_table:
         doc.pop("verification_table")
     return inputs, doc, EXIT_OK
@@ -290,58 +290,30 @@ def cmd_depth(args) -> tuple[dict, dict, int]:
     if args.element is None:
         raise UsageError("--element is required")
     element = parse_element(group, args.element)
-    radius = args.radius
-    if radius is None:
-        raise UsageError("--radius is required")
-    b = ball_cached(group, gens, radius, args.cache_dir, _budget_from_args(args))
+    b = _ball(args, group, gens)
     norm = b.norm(element)
     if norm is None:
-        raise UsageError(f"element {element} lies outside the radius-{radius} ball")
-    value = depth(b, element, cap=args.cap)
-    inputs = {
-        "group": args.group,
-        "gens": args.gens,
-        "element": str(element),
-        "radius": radius,
-        "cap": args.cap,
-    }
-    results = {"norm": norm, "depth": value.render()}
-    return inputs, results, EXIT_OK
+        raise UsageError(f"element {element} lies outside the radius-{args.radius} ball")
+    inputs = {**_echo(args, "radius", "cap"), "element": str(element)}
+    return inputs, {"norm": norm, "depth": depth(b, element, cap=args.cap).render()}, EXIT_OK
 
 
 def cmd_profile(args) -> tuple[dict, dict, int]:
     group = parse_group(args.group)
-    gens = parse_gens(group, args.gens)
-    if args.radius is None:
-        raise UsageError("--radius is required")
-    b = ball_cached(group, gens, args.radius, args.cache_dir, _budget_from_args(args))
+    b = _ball(args, group, parse_gens(group, args.gens))
     prof = depth_profile(b, cap=args.cap)
     if args.csv:
         prof.to_csv(args.csv)
-    inputs = {
-        "group": args.group,
-        "gens": args.gens,
-        "radius": args.radius,
-        "cap": args.cap,
-    }
-    return inputs, prof.summary_json(), EXIT_OK
+    return _echo(args, "radius", "cap"), prof.summary_json(), EXIT_OK
 
 
 def cmd_ball(args) -> tuple[dict, dict, int]:
     group = parse_group(args.group)
-    gens = parse_gens(group, args.gens)
-    if args.radius is None:
-        raise UsageError("--radius is required")
-    b = ball_cached(group, gens, args.radius, args.cache_dir, _budget_from_args(args))
+    b = _ball(args, group, parse_gens(group, args.gens))
     if args.csv:
         ball_to_csv(b, args.csv)
-    inputs = {"group": args.group, "gens": args.gens, "radius": args.radius}
-    results = {
-        "elements": len(b),
-        "sphere_sizes": list(b.sphere_sizes),
-        "radius": b.radius,
-    }
-    return inputs, results, EXIT_OK
+    results = {"elements": len(b), "sphere_sizes": list(b.sphere_sizes), "radius": b.radius}
+    return _echo(args, "radius"), results, EXIT_OK
 
 
 def cmd_diameter(args) -> tuple[dict, dict, int]:
@@ -349,58 +321,64 @@ def cmd_diameter(args) -> tuple[dict, dict, int]:
     if group.order() is None:
         raise UsageError("diameter needs a finite group")
     gens = parse_gens(group, args.gens)
-    report = diameter(group, gens, _budget_from_args(args))
-    inputs = {"group": args.group, "gens": args.gens}
-    return inputs, report.to_json(), EXIT_OK
+    return _echo(args), diameter(group, gens, _budget_from_args(args)).to_json(), EXIT_OK
 
 
 # -- argument plumbing ----------------------------------------------------------------
 
 
-_DEFAULTS = {
-    "gens": None,
-    "quotient": None,
-    "quotient_mode": "greedy",
-    "quotient_max": 1_000_000,
-    "target_depth": None,
-    "bound_mode": "paper",
-    "element": None,
-    "radius": None,
-    "cap": 32,
-    "csv": None,
-    "out": None,
-    "cache_dir": None,
-    "budget_elements": DEFAULT_BUDGET.max_elements,
-    "budget_radius": DEFAULT_BUDGET.max_radius,
-    "budget_seconds": DEFAULT_BUDGET.max_seconds,
+# Every flag a config file may set, by config key: its type (or its choices)
+# and its default.  argparse defaults stay None, so that a flag that was not
+# given takes the file's value before the default.
+_FLAGS: dict[str, tuple[Any, Any]] = {
+    "gens": (str, None),
+    "quotient": (str, None),
+    "quotient_mode": (("greedy", "paper_safe"), "greedy"),
+    "quotient_max": (int, 1_000_000),
+    "target_depth": (int, None),
+    "bound_mode": (("paper", "tight"), "paper"),
+    "element": (str, None),
+    "radius": (int, None),
+    "cap": (int, 32),
+    "csv": (str, None),
+    "out": (str, None),
+    "cache_dir": (str, None),
+    "budget_elements": (int, DEFAULT_BUDGET.max_elements),
+    "budget_radius": (int, DEFAULT_BUDGET.max_radius),
+    "budget_seconds": (float, DEFAULT_BUDGET.max_seconds),
 }
 
-_INT_KEYS = {"quotient_max", "target_depth", "radius", "cap", "budget_elements", "budget_radius"}
-_FLOAT_KEYS = {"budget_seconds"}
+# Flag -> help text: every subcommand's flags after --group, and the construction flags.
+_COMMON = {
+    "gens": "comma-separated entries, or @FILE (genset.v1 JSON)",
+    "config": "flat key = value file; flags override",
+    "out": "write the JSON report here instead of stdout",
+    "cache_dir": "ball cache directory",
+    "budget_elements": None, "budget_radius": None, "budget_seconds": None,
+}
+_CONSTRUCTION = {
+    "quotient": "cyclic:M | cyclic (family search) | @FILE (quotient.v1)",
+    "quotient_mode": None, "quotient_max": None, "target_depth": None, "bound_mode": None,
+}
 
-
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--group", required=True,
-        help="zz | grid:R | cyclic:M | dihedral:M | lamplighter | table:FILE",
-    )
-    parser.add_argument("--gens", help="comma-separated entries, or @FILE (genset.v1 JSON)")
-    parser.add_argument("--config", help="flat key = value file; flags override")
-    parser.add_argument("--out", help="write the JSON report here instead of stdout")
-    parser.add_argument("--cache-dir", dest="cache_dir", help="ball cache directory")
-    parser.add_argument("--budget-elements", dest="budget_elements", type=int)
-    parser.add_argument("--budget-radius", dest="budget_radius", type=int)
-    parser.add_argument("--budget-seconds", dest="budget_seconds", type=float)
-
-
-def _add_construction_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--quotient", help="cyclic:M | cyclic (family search) | @FILE (quotient.v1)"
-    )
-    parser.add_argument("--quotient-mode", dest="quotient_mode", choices=["greedy", "paper_safe"])
-    parser.add_argument("--quotient-max", dest="quotient_max", type=int)
-    parser.add_argument("--target-depth", dest="target_depth", type=int)
-    parser.add_argument("--bound-mode", dest="bound_mode", choices=["paper", "tight"])
+# Subcommand -> (help, handler, its own flags after the common ones).
+_COMMANDS = {
+    "construct": ("build a deep generating set and verify it",
+                  lambda args: cmd_construct(args, full_table=False), _CONSTRUCTION),
+    "verify": ("construct plus the full per-element verification table",
+               lambda args: cmd_construct(args, full_table=True), _CONSTRUCTION),
+    "certify": ("factorization certificate for one element", cmd_certify,
+                {**_CONSTRUCTION, "element": "element token; defaults to the witness"}),
+    "depth": ("dead-end depth of one element", cmd_depth,
+              {"element": "element token", "radius": "ball radius (must cover the element)",
+               "cap": "depth search cap (default 32)"}),
+    "profile": ("depth of every element within a radius", cmd_profile,
+                {"radius": None, "cap": None,
+                 "csv": "also write (element, norm, depth) rows here"}),
+    "ball": ("closed ball: sizes and optional CSV export", cmd_ball,
+             {"radius": None, "csv": "write (element, norm) rows here"}),
+    "diameter": ("diameter of a finite group under gens", cmd_diameter, {}),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -410,68 +388,34 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"deadend {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("construct", help="build a deep generating set and verify it")
-    _add_common(p)
-    _add_construction_flags(p)
-
-    p = sub.add_parser("verify", help="construct plus the full per-element verification table")
-    _add_common(p)
-    _add_construction_flags(p)
-
-    p = sub.add_parser("certify", help="factorization certificate for one element")
-    _add_common(p)
-    _add_construction_flags(p)
-    p.add_argument("--element", help="element token; defaults to the witness")
-
-    p = sub.add_parser("depth", help="dead-end depth of one element")
-    _add_common(p)
-    p.add_argument("--element", help="element token")
-    p.add_argument("--radius", type=int, help="ball radius (must cover the element)")
-    p.add_argument("--cap", type=int, help="depth search cap (default 32)")
-
-    p = sub.add_parser("profile", help="depth of every element within a radius")
-    _add_common(p)
-    p.add_argument("--radius", type=int)
-    p.add_argument("--cap", type=int)
-    p.add_argument("--csv", help="also write (element, norm, depth) rows here")
-
-    p = sub.add_parser("ball", help="closed ball: sizes and optional CSV export")
-    _add_common(p)
-    p.add_argument("--radius", type=int)
-    p.add_argument("--csv", help="write (element, norm) rows here")
-
-    p = sub.add_parser("diameter", help="diameter of a finite group under gens")
-    _add_common(p)
+    for command, (command_help, _, flags) in _COMMANDS.items():
+        p = sub.add_parser(command, help=command_help)
+        p.add_argument(
+            "--group", required=True,
+            help="zz | grid:R | cyclic:M | dihedral:M | lamplighter | table:FILE",
+        )
+        for name, flag_help in {**_COMMON, **flags}.items():
+            kind = _FLAGS[name][0] if name in _FLAGS else str  # --config sets no key
+            convert = {"choices": kind} if isinstance(kind, tuple) else {"type": kind}
+            p.add_argument("--" + name.replace("_", "-"), dest=name, help=flag_help, **convert)
     return parser
 
 
 def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
     config = load_config(args.config) if getattr(args, "config", None) else {}
     for key, value in config.items():
-        if key not in _DEFAULTS:
+        if key not in _FLAGS:
             raise UsageError(f"unknown config key {key!r}")
         if getattr(args, key, None) is None:
-            kind = int if key in _INT_KEYS else float if key in _FLOAT_KEYS else str
+            kind = _FLAGS[key][0]
             try:
-                setattr(args, key, kind(value))
+                setattr(args, key, value if isinstance(kind, tuple) else kind(value))
             except ValueError as exc:
                 raise UsageError(f"config key {key!r}: {exc}") from None
-    for key, default in _DEFAULTS.items():
+    for key, (_, default) in _FLAGS.items():
         if getattr(args, key, None) is None:
             setattr(args, key, default)
     return args
-
-
-_HANDLERS = {
-    "construct": lambda args: cmd_construct(args, full_table=False),
-    "verify": lambda args: cmd_construct(args, full_table=True),
-    "certify": cmd_certify,
-    "depth": cmd_depth,
-    "profile": cmd_profile,
-    "ball": cmd_ball,
-    "diameter": cmd_diameter,
-}
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -480,7 +424,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     started = time.monotonic()
     try:
         args = _merge_config(args)
-        inputs, results, code = _HANDLERS[args.command](args)
+        inputs, results, code = _COMMANDS[args.command][1](args)
         _write_report(_report(args.command, inputs, results, started), args.out)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -927,15 +927,6 @@ class TableGroup(Group):
     def __hash__(self) -> int:
         return self._hash
 
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        return (
-            isinstance(other, TableGroup)
-            and self.table == other.table
-            and self.identity_id == other.identity_id
-        )
-
     def __repr__(self) -> str:
         return f"TableGroup({self.name!r}, order={self._m})"
 

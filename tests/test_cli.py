@@ -4,24 +4,35 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import importlib
 import io
 import json
+import pkgutil
 import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import deadend
+from deadend.cayley import BudgetExceededError
 from deadend.cli import (
+    _COMMANDS,
+    _COMMON,
+    _FLAGS,
     EXIT_BUDGET,
     EXIT_OK,
     EXIT_USAGE,
+    EXIT_VERIFICATION,
     UsageError,
+    _merge_config,
+    build_parser,
     main,
     parse_element,
     parse_gens,
     parse_group,
 )
+from deadend.construction import ConstructionError
 from deadend.groups import Cyclic, Dihedral, IntegerGrid, IntegerLine, Lamplighter, TableGroup
 from deadend.serialize import dumps, genset_to_json, group_to_json
 from deadend.groups import GeneratingSet
@@ -32,6 +43,16 @@ def run(tmp_path, *argv, name="report.json"):
     code = main([*argv, "--out", str(out)])
     report = json.loads(out.read_text()) if out.exists() else None
     return code, report
+
+
+def reading_document(kind, path):
+    """A command line that reads ``path`` as a quotient, a group table or a generating set."""
+    return {
+        "quotient": ["construct", "--group", "zz", "--gens", "1",
+                     "--quotient", f"@{path}", "--target-depth", "3"],
+        "group": ["ball", "--group", f"table:{path}", "--gens", "1", "--radius", "1"],
+        "gens": ["ball", "--group", "zz", "--gens", f"@{path}", "--radius", "1"],
+    }[kind]
 
 
 # -- parsing helpers --------------------------------------------------------------
@@ -407,6 +428,55 @@ def test_argparse_error_exit_code():
     assert info.value.code == EXIT_USAGE
 
 
+def _package_exceptions() -> list[type]:
+    """Every exception class defined in a module of the deadend package."""
+    found = []
+    for info in pkgutil.walk_packages(deadend.__path__, "deadend."):
+        module = importlib.import_module(info.name)
+        found += [obj for obj in vars(module).values()
+                  if isinstance(obj, type) and issubclass(obj, BaseException)
+                  and obj.__module__ == module.__name__]
+    return sorted(found, key=lambda cls: (cls.__module__, cls.__name__))
+
+
+PACKAGE_EXCEPTIONS = _package_exceptions()
+
+
+def test_package_exceptions_are_all_found():
+    names = {cls.__name__ for cls in PACKAGE_EXCEPTIONS}
+    assert {"UsageError", "GroupError", "BudgetExceededError", "VerificationError"} <= names
+
+
+@pytest.mark.parametrize("cls", PACKAGE_EXCEPTIONS, ids=lambda cls: cls.__name__)
+def test_every_package_exception_has_its_exit_code(monkeypatch, capsys, cls):
+    exc = cls.__new__(cls)  # past any __init__ that wants more than a message
+    Exception.__init__(exc, "probe")
+
+    def handler(args):
+        raise exc
+
+    command_help, _, flags = _COMMANDS["ball"]
+    monkeypatch.setitem(_COMMANDS, "ball", (command_help, handler, flags))
+    if cls is BudgetExceededError:
+        want = EXIT_BUDGET
+    elif issubclass(cls, ConstructionError):
+        want = EXIT_VERIFICATION
+    else:
+        want = EXIT_USAGE
+    assert main(["ball", "--group", "zz"]) == want
+    err = capsys.readouterr().err
+    assert err.endswith(": probe\n") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("kind", ["gens", "group", "quotient"])
+def test_deeply_nested_json_is_a_usage_error(tmp_path, capsys, kind):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    assert main(reading_document(kind, path)) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: malformed JSON in {path}: ") and err.count("\n") == 1
+
+
 def test_budget_exit_code(tmp_path):
     code = main(
         [
@@ -528,6 +598,52 @@ def test_unparsable_config_value_names_its_key(tmp_path, capsys, line, message):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+# Per config key: a value that is not its default, and a second such value.
+FLAG_SAMPLES = {
+    "gens": ("1", "2,3"),
+    "quotient": ("cyclic:10", "cyclic"),
+    "quotient_mode": ("paper_safe", "greedy"),
+    "quotient_max": ("500", "7"),
+    "target_depth": ("3", "4"),
+    "bound_mode": ("tight", "paper"),
+    "element": ("4", "-2"),
+    "radius": ("5", "9"),
+    "cap": ("7", "64"),
+    "csv": ("rows.csv", "other.csv"),
+    "out": ("report.json", "other.json"),
+    "cache_dir": ("cache", "other-cache"),
+    "budget_elements": ("1000", "20"),
+    "budget_radius": ("50", "3"),
+    "budget_seconds": ("2.5", "60"),
+}
+
+
+def test_every_flag_reads_the_same_from_a_config_file(tmp_path):
+    """Per subcommand and flag: ``key = value`` in --config gives the namespace
+    that the flag gives, and the flag wins over the file."""
+    assert FLAG_SAMPLES.keys() == _FLAGS.keys()
+    parser, config = build_parser(), tmp_path / "run.conf"
+
+    def merged(*argv):
+        args = vars(_merge_config(parser.parse_args(argv)))
+        args.pop("config")
+        return args
+
+    covered = set()
+    for command, (_, _, flags) in _COMMANDS.items():
+        for key in {**_COMMON, **flags}.keys() & _FLAGS.keys():
+            flag, (value, other) = "--" + key.replace("_", "-"), FLAG_SAMPLES[key]
+            base = (command, "--group", "zz")
+            by_flag = merged(*base, flag, value)
+            assert by_flag[key] != _FLAGS[key][1]
+            config.write_text(f"{key} = {value}\n")
+            assert merged(*base, "--config", str(config)) == by_flag, (command, key)
+            config.write_text(f"{key} = {other}\n")
+            assert merged(*base, "--config", str(config), flag, value) == by_flag, (command, key)
+            covered.add(key)
+    assert covered == _FLAGS.keys()
+
+
 def test_reports_reproducible_modulo_timing(tmp_path):
     argv = [
         "construct", "--group", "zz", "--gens", "1",
@@ -600,13 +716,7 @@ def test_malformed_json_document_is_a_usage_error(tmp_path, capsys, case):
     kind, doc = MALFORMED_DOCUMENTS[case]
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
-    argv = {
-        "quotient": ["construct", "--group", "zz", "--gens", "1",
-                     "--quotient", f"@{path}", "--target-depth", "3"],
-        "group": ["ball", "--group", f"table:{path}", "--gens", "1", "--radius", "1"],
-        "gens": ["ball", "--group", "zz", "--gens", f"@{path}", "--radius", "1"],
-    }[kind]
-    assert main(argv) == EXIT_USAGE
+    assert main(reading_document(kind, path)) == EXIT_USAGE
     assert "error:" in capsys.readouterr().err
 
 

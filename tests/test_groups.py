@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import itertools
 import random
 
@@ -331,6 +332,15 @@ def test_table_group_valid_tables_load():
     for m in (1, 2, 3, 8):
         group = TableGroup(cyclic_table(m), identity_id=0)
         assert group.order() == m
+    # a table group is its table and identity: the name does not count
+    c4 = TableGroup(cyclic_table(4), identity_id=0)
+    assert c4 == TableGroup(cyclic_table(4), identity_id=0, name="other")
+    assert hash(c4) == hash(TableGroup(cyclic_table(4), identity_id=0, name="other"))
+    other_identity = copy.copy(c4)
+    other_identity.identity_id = 1
+    klein = TableGroup([[i ^ j for j in range(4)] for i in range(4)], identity_id=0)
+    for other in (other_identity, klein, Cyclic(4)):
+        assert c4 != other and other != c4
 
 
 def test_table_group_large_table_loads():
