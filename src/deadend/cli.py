@@ -14,6 +14,7 @@ choices) and default, and its name is the flag's --config key;
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -54,6 +55,7 @@ from .serialize import (
     genset_from_json,
     group_from_json,
     payload_from_json,
+    table_doc_from_text,
 )
 
 REPORT_SCHEMA = "run-report.v1"
@@ -86,7 +88,7 @@ def parse_group(spec: str) -> Group:
         if kind == "dihedral":
             return Dihedral(int(arg))
         if kind == "table":
-            return group_from_json(_read_json(arg))
+            return group_from_json(_read_json(arg, table=True))
     raise UsageError(f"unrecognized group spec {spec!r}")
 
 
@@ -94,11 +96,13 @@ def _no_float(token: str) -> Any:
     raise ValueError(f"non-integer number {token}")
 
 
-def _read_json(path: str) -> Any:
-    """A JSON document whose numbers are all integers: a float, NaN or Infinity is malformed."""
+def _read_json(path: str, table: bool = False) -> Any:
+    """A JSON document whose numbers are all integers; a ``table`` one decoded a row at a time."""
     try:
         text = Path(path).read_text(encoding="utf-8")
-        return json.loads(text, parse_float=_no_float, parse_constant=_no_float)
+        hooks = {"parse_float": _no_float, "parse_constant": _no_float}
+        doc = table_doc_from_text(text, json.JSONDecoder(**hooks)) if table else None
+        return doc or json.loads(text, **hooks)
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
     except (ValueError, RecursionError) as exc:  # JSONDecodeError, a float, or too deeply nested
@@ -260,15 +264,15 @@ def _build_construction(args) -> tuple[Construction, dict]:
     return ctx, inputs
 
 
-def cmd_construct(args, full_table: bool = False) -> tuple[dict, dict, int]:
+def cmd_construct(args, full_table: bool = False) -> tuple[dict, dict]:
     ctx, inputs = _build_construction(args)
     doc = ctx.verify().to_json()
     if not full_table:
         doc.pop("verification_table")
-    return inputs, doc, EXIT_OK
+    return inputs, doc
 
 
-def cmd_certify(args) -> tuple[dict, dict, int]:
+def cmd_certify(args) -> tuple[dict, dict]:
     ctx, inputs = _build_construction(args)
     if args.element is None:
         element = ctx.witness.element
@@ -281,10 +285,10 @@ def cmd_certify(args) -> tuple[dict, dict, int]:
         "digest": cert.digest(),
         "norm_upper_bound": None if cert.degenerate else cert.k,
     }
-    return inputs, results, EXIT_OK
+    return inputs, results
 
 
-def cmd_depth(args) -> tuple[dict, dict, int]:
+def cmd_depth(args) -> tuple[dict, dict]:
     group = parse_group(args.group)
     gens = parse_gens(group, args.gens)
     if args.element is None:
@@ -295,33 +299,33 @@ def cmd_depth(args) -> tuple[dict, dict, int]:
     if norm is None:
         raise UsageError(f"element {element} lies outside the radius-{args.radius} ball")
     inputs = {**_echo(args, "radius", "cap"), "element": str(element)}
-    return inputs, {"norm": norm, "depth": depth(b, element, cap=args.cap).render()}, EXIT_OK
+    return inputs, {"norm": norm, "depth": depth(b, element, cap=args.cap).render()}
 
 
-def cmd_profile(args) -> tuple[dict, dict, int]:
+def cmd_profile(args) -> tuple[dict, dict]:
     group = parse_group(args.group)
     b = _ball(args, group, parse_gens(group, args.gens))
     prof = depth_profile(b, cap=args.cap)
     if args.csv:
         prof.to_csv(args.csv)
-    return _echo(args, "radius", "cap"), prof.summary_json(), EXIT_OK
+    return _echo(args, "radius", "cap"), prof.summary_json()
 
 
-def cmd_ball(args) -> tuple[dict, dict, int]:
+def cmd_ball(args) -> tuple[dict, dict]:
     group = parse_group(args.group)
     b = _ball(args, group, parse_gens(group, args.gens))
     if args.csv:
         ball_to_csv(b, args.csv)
     results = {"elements": len(b), "sphere_sizes": list(b.sphere_sizes), "radius": b.radius}
-    return _echo(args, "radius"), results, EXIT_OK
+    return _echo(args, "radius"), results
 
 
-def cmd_diameter(args) -> tuple[dict, dict, int]:
+def cmd_diameter(args) -> tuple[dict, dict]:
     group = parse_group(args.group)
     if group.order() is None:
         raise UsageError("diameter needs a finite group")
     gens = parse_gens(group, args.gens)
-    return _echo(args), diameter(group, gens, _budget_from_args(args)).to_json(), EXIT_OK
+    return _echo(args), diameter(group, gens, _budget_from_args(args)).to_json()
 
 
 # -- argument plumbing ----------------------------------------------------------------
@@ -371,7 +375,7 @@ _COMMANDS = {
                 {**_CONSTRUCTION, "element": "element token; defaults to the witness"}),
     "depth": ("dead-end depth of one element", cmd_depth,
               {"element": "element token", "radius": "ball radius (must cover the element)",
-               "cap": "depth search cap (default 32)"}),
+               "cap": f"depth search cap (default {_FLAGS['cap'][1]})"}),
     "profile": ("depth of every element within a radius", cmd_profile,
                 {"radius": None, "cap": None,
                  "csv": "also write (element, norm, depth) rows here"}),
@@ -381,6 +385,7 @@ _COMMANDS = {
 }
 
 
+@functools.cache  # built once per process; main looks each handler up in _COMMANDS as it runs
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="deadend",
@@ -419,12 +424,11 @@ def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     started = time.monotonic()
     try:
         args = _merge_config(args)
-        inputs, results, code = _COMMANDS[args.command][1](args)
+        inputs, results = _COMMANDS[args.command][1](args)
         _write_report(_report(args.command, inputs, results, started), args.out)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -441,7 +445,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (GroupError, ValueError, OSError) as exc:  # OSError: an unwritable output path
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    return code
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -783,6 +783,26 @@ class Lamplighter(Group):
         return f"Lamplighter(bits={self.bits})"
 
 
+class TableRows(list):
+    """``group.v1`` table rows decoded as int tuples, which ``params_from_json`` keeps."""
+
+
+def table_row_ints(m: int) -> Callable[[Sequence], tuple]:
+    """A table row as int() reads its cells, at C speed where all are id strings of 0..m-1."""
+    ids = {str(i): i for i in range(m)}.__getitem__  # not json_int(): 270k cells at order 520
+
+    def row_ints(row: Sequence) -> tuple:
+        try:
+            try:
+                return tuple(map(ids, row))
+            except (KeyError, TypeError):
+                return tuple(map(int, row))  # a JSON int, "05", a bad cell
+        except TypeError as exc:
+            raise ValueError(f"group.v1 table cells must be integers: {exc}") from None
+
+    return row_ints
+
+
 class TableGroup(Group):
     """Finite group given by an explicit multiplication table on ids 0..m-1.
 
@@ -904,21 +924,12 @@ class TableGroup(Group):
     def params_from_json(cls, doc: dict) -> "TableGroup":
         """The group of a ``group.v1`` document, whose table rows become int tuples in place."""
         rows = json_field(doc, "table", list)
-        if not all(isinstance(row, (list, tuple)) for row in rows):
-            raise ValueError("group.v1 table rows must be lists")
-        # Cells are looked up among the canonical id strings, at C speed. A row
-        # holding any other cell (a JSON int, "05", a bad cell) goes through
-        # int() instead, which accepts and rejects what it always did. (Not
-        # json_int() per cell: an order-520 table has 270k cells.)
-        ids = {str(i): i for i in range(len(rows))}.__getitem__
-        try:
+        if not isinstance(rows, TableRows):
+            if not all(isinstance(row, (list, tuple)) for row in rows):
+                raise ValueError("group.v1 table rows must be lists")
+            row_ints = table_row_ints(len(rows))
             for i, row in enumerate(rows):  # in place: each row's strings go as its ints come
-                try:
-                    rows[i] = tuple(map(ids, row))
-                except (KeyError, TypeError):
-                    rows[i] = tuple(map(int, row))
-        except TypeError as exc:
-            raise ValueError(f"group.v1 table cells must be integers: {exc}") from None
+                rows[i] = row_ints(row)
         return cls(rows, json_int(json_field(doc, "identity")), name=doc.get("name", "table"))
 
     def _key(self) -> tuple:

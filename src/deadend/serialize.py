@@ -9,16 +9,19 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any
+from json.decoder import WHITESPACE
+from typing import Any, Optional
 
 from .groups import (
     GeneratingSet,
     Group,
     GroupElement,
     InvalidElementError,
+    TableRows,
     Word,
     json_field,
     json_int,
+    table_row_ints,
 )
 
 GROUP_SCHEMA = "group.v1"
@@ -31,6 +34,7 @@ __all__ = [
     "content_hash",
     "group_to_json",
     "group_from_json",
+    "table_doc_from_text",
     "payload_to_json",
     "payload_from_json",
     "element_to_json",
@@ -75,6 +79,37 @@ def group_from_json(doc: Any) -> Group:
     if cls is None:
         raise ValueError(f"unknown group variant {variant!r}")
     return cls.params_from_json(doc)
+
+
+def table_doc_from_text(text: str, decoder: json.JSONDecoder) -> Optional[dict]:
+    """``decoder.decode(text)`` for an object, its top-level ``table`` decoded a row at a time
+    into ``TableRows``; None for a non-object, a decoding error, an empty table or a bad row."""
+
+    def at(i: int, allowed: str) -> int:  # the next non-whitespace character, one of allowed
+        i = WHITESPACE.match(text, i).end()
+        if not text.startswith(tuple(allowed), i):
+            raise ValueError(f"expected one of {allowed} at {i}")
+        return i
+
+    try:
+        i, doc = at(0, "{"), {}
+        while text[i] != "}":  # at the '{' or a ','
+            key, i = decoder.raw_decode(text, at(i + 1, '"'))
+            i = WHITESPACE.match(text, at(i, ":") + 1).end()
+            if key == "table" and text.startswith("[", i):
+                doc[key] = rows = TableRows()
+                while text[i] != "]":  # at the '[' or a ','
+                    row, i = decoder.raw_decode(text, at(i + 1, "["))
+                    row_ints = row_ints if rows else table_row_ints(len(row))  # m, if square
+                    rows.append(row_ints(row))
+                    i = at(i, ",]")
+                i += 1
+            else:
+                doc[key], i = decoder.raw_decode(text, i)
+            i = at(i, ",}")
+    except (ValueError, RecursionError):  # JSONDecodeError, a hook's or a row's rejection
+        return None
+    return doc if WHITESPACE.match(text, i + 1).end() == len(text) else None
 
 
 def payload_to_json(group: Group, payload: Any) -> Any:

@@ -644,6 +644,15 @@ def test_every_flag_reads_the_same_from_a_config_file(tmp_path):
     assert covered == _FLAGS.keys()
 
 
+def test_parser_is_built_once_and_depth_help_states_the_cap_default(capsys):
+    assert build_parser() is build_parser()
+    with pytest.raises(SystemExit):
+        main(["depth", "--help"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    args = _merge_config(build_parser().parse_args(["depth", "--group", "zz"]))
+    assert f"depth search cap (default {args.cap})" in help_text
+
+
 def test_reports_reproducible_modulo_timing(tmp_path):
     argv = [
         "construct", "--group", "zz", "--gens", "1",

@@ -3,13 +3,16 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from deadend.cli import UsageError, _no_float, _read_json, parse_group
 from deadend.groups import (
     Cyclic,
+    GroupError,
     InvalidElementError,
     Dihedral,
     GeneratingSet,
@@ -17,6 +20,7 @@ from deadend.groups import (
     IntegerLine,
     Lamplighter,
     TableGroup,
+    TableRows,
     standard_gens,
 )
 from deadend.serialize import (
@@ -29,6 +33,7 @@ from deadend.serialize import (
     group_to_json,
     payload_from_json,
     payload_to_json,
+    table_doc_from_text,
     word_from_json,
     word_to_json,
 )
@@ -176,6 +181,135 @@ def test_table_cells_convert_as_int_does(doc):
 @given(table_docs([256]))
 def test_table_cells_convert_as_int_does_at_order_256(doc):
     check_cells_convert_as_int_does(doc)
+
+
+# -- table:FILE, decoded a row at a time --------------------------------------------------
+
+INTEGERS_ONLY = json.JSONDecoder(parse_float=_no_float, parse_constant=_no_float)
+SPACE = st.text(" \t\n\r", max_size=2)
+# What an edit of a JSON text inserts or puts in place of one character.
+EDITS = ["{", "}", "[", "]", ",", ":", '"', "0", "7", "-", " ", "x", "\\", ".5", "e1", "NaN", "true"]
+
+
+@st.composite
+def json_texts(draw, value, decoys=False):
+    """``value`` as JSON text: random whitespace between tokens and each object's keys
+    shuffled; with ``decoys``, one key of the top object is given twice (a decoy value
+    before or after the real one)."""
+    if isinstance(value, dict):
+        items = draw(st.permutations(list(value.items())))
+        if decoys:
+            key = draw(st.sampled_from(sorted(value)))
+            decoy = draw(st.sampled_from(["0", None, [], [["9"]], [["0", "x"]], value[key]]))
+            items.insert(draw(st.integers(0, len(items))), (key, decoy))
+        parts = [json.dumps(k) + draw(SPACE) + ":" + draw(SPACE) + draw(json_texts(v))
+                 for k, v in items]
+        opening, closing = "{}"
+    elif isinstance(value, list):
+        parts, (opening, closing) = [draw(json_texts(v)) for v in value], "[]"
+    else:
+        return json.dumps(value)
+    inner = ",".join(draw(SPACE) + part + draw(SPACE) for part in parts)
+    return opening + (inner or draw(SPACE)) + closing
+
+
+@st.composite
+def table_texts(draw):
+    """A ``table_docs`` document (its variant sometimes cyclic, still with its table)
+    as ``json_texts`` renders it, maybe with a decoy key; then maybe truncated, or
+    with one character replaced, inserted or deleted.  Also the document when the
+    text is a plain rendering of it: no decoy, no edit."""
+    doc = draw(table_docs(range(1, 9)))
+    if draw(st.booleans()):
+        doc.update(variant="cyclic", m=str(len(doc["table"])))
+    decoys = draw(st.booleans())
+    text = draw(json_texts(doc, decoys))
+    edit = draw(st.sampled_from(["none", "none", "truncate", "replace", "insert", "delete"]))
+    k, c = draw(st.integers(0, len(text) - 1)), draw(st.sampled_from(EDITS))
+    text = {"none": text, "truncate": text[:k], "replace": text[:k] + c + text[k + 1:],
+            "insert": text[:k] + c + text[k:], "delete": text[:k] + text[k + 1:]}[edit]
+    return text, doc if edit == "none" and not decoys else None
+
+
+def outcome(read):
+    """The group and its table that ``read()`` gives, or its error's type and message."""
+    try:
+        group = read()
+    except (UsageError, ValueError, GroupError) as exc:
+        return type(exc), str(exc)
+    return group, getattr(group, "table", None)
+
+
+def check_walk(text):
+    """Where the row-wise walk takes ``text``, it gives the document of the whole text,
+    bar the table's conversion, and the same group or error; the walk's document."""
+    doc = table_doc_from_text(text, INTEGERS_ONLY)
+    if doc is not None:
+        whole = INTEGERS_ONLY.decode(text)  # raises if the walk took a malformed text
+        rows = doc.get("table")
+        assert isinstance(whole, dict) and doc.keys() == whole.keys()
+        assert all(doc[k] == whole[k] for k in doc if doc[k] is not rows)
+        if isinstance(rows, TableRows):  # else a later "table" key was not an array
+            assert list(rows) == int_rows(whole["table"])
+        else:
+            assert rows == whole.get("table")
+        assert outcome(lambda: group_from_json(doc)) == outcome(lambda: group_from_json(whole))
+    return doc
+
+
+@settings(max_examples=150, deadline=None)
+@given(table_texts())
+def test_table_text_decoded_row_wise_reads_as_decoded_whole(tmp_path_factory, case):
+    text, plain = case
+    if check_walk(text) is None and plain is not None:
+        with pytest.raises(ValueError):  # the walk stops at a plain rendering only for a bad cell
+            int_rows(plain["table"])
+    # the command line reads table:FILE as it reads the whole document
+    path = tmp_path_factory.getbasetemp() / "table.json"
+    path.write_text(text, encoding="utf-8")
+    assert outcome(lambda: parse_group(f"table:{path}")) == outcome(
+        lambda: group_from_json(_read_json(str(path))))
+
+
+def test_table_walk_agrees_with_decoding_whole_after_any_one_character_edit():
+    text = '{"a":[1],"table":[["0","1"],["1","0"]],"b":{"c":2}}'
+    for k in range(len(text) + 1):
+        for c in '{}[],:" 0x':
+            for edited in (text[:k] + c + text[k + 1:], text[:k] + c + text[k:],
+                           text[:k] + text[k + 1:]):
+                check_walk(edited)
+    assert check_walk(text) is not None
+
+
+def test_table_walk_takes_the_usual_renderings_and_stops_at_the_rest():
+    doc = group_to_json(GROUPS[-1])
+    for text in (dumps(doc), json.dumps(doc), json.dumps(doc, indent=2), f" {dumps(doc)}\n"):
+        walked = table_doc_from_text(text, INTEGERS_ONLY)
+        assert walked is not None and group_from_json(walked) == GROUPS[-1]
+    for text in ["", "[]", "{}", dumps(doc) + "x", "\ufeff" + dumps(doc), '{1:2}', '{null:1}',
+                 '{"a":1 "b":2}', '{"a":1,}', '{"table":[]}', '{"table":[["0"],]}',
+                 '{"table":[["0"] ["0"]]}', '{"table":[["0"]}', '{"table":["0"]}',
+                 '{"table":[["x"]]}', '{"table":[[0.5]]}', '{"table":[["0"]],"n":NaN}']:
+        assert table_doc_from_text(text, INTEGERS_ONLY) is None, text
+
+
+def test_order_520_table_loads_under_6_mb_traced(tmp_path):
+    m = 520
+    path = tmp_path / "c520.json"
+    path.write_text(json.dumps({"schema": "group.v1", "variant": "table", "identity": "0",
+                                "table": [[str((i + j) % m) for j in range(m)] for i in range(m)]}))
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        group = parse_group(f"table:{path}")
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert group.order() == m and group.table[1][m - 1] == 0
+    assert peak < 6_000_000, f"traced peak {peak / 1e6:.1f} MB"
 
 
 @pytest.mark.parametrize("group", GROUPS, ids=lambda g: repr(g))
