@@ -13,7 +13,6 @@ from deadend import (
     GeneratingSet,
     IntegerLine,
     counting_bound_check,
-    cyclic_family,
     cyclic_quotient,
     find_quotient,
 )
@@ -38,10 +37,10 @@ def main():
 
     print()
     print("== two ways to hit a diameter target of 5 ==")
-    pi, rep = find_quotient(cyclic_family(unit), n_prime=5, mode="paper_safe")
-    print(f"counting-bound pick : C_{pi.target.modulus} (diameter {rep.diameter})")
-    pi, rep = find_quotient(cyclic_family(unit), n_prime=5, mode="greedy")
-    print(f"greedy scan         : C_{pi.target.modulus} (diameter {rep.diameter})")
+    pi = find_quotient(unit, n_prime=5, mode="paper_safe")
+    print(f"counting-bound pick : C_{pi.target.modulus} (diameter {pi.report.diameter})")
+    pi = find_quotient(unit, n_prime=5, mode="greedy")
+    print(f"greedy scan         : C_{pi.target.modulus} (diameter {pi.report.diameter})")
     print("the guarantee costs a far larger quotient than measuring does")
 
 

@@ -47,7 +47,6 @@ from .quotient import (
     SurjectivityError,
     check_homomorphism,
     counting_bound_check,
-    cyclic_family,
     cyclic_quotient,
     diameter,
     find_quotient,

@@ -107,9 +107,6 @@ class Ball:
     def __len__(self) -> int:
         return len(self.dist)
 
-    def __contains__(self, x: GroupElement) -> bool:
-        return self.codec.encode(x.payload) in self.dist
-
     def norm_payload(self, payload: Any) -> Optional[int]:
         return self.dist.get(self.codec.encode(payload))
 

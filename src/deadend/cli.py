@@ -45,7 +45,6 @@ from .groups import (
 )
 from .quotient import (
     QuotientMap,
-    cyclic_family,
     cyclic_quotient,
     diameter,
     find_quotient,
@@ -75,7 +74,7 @@ class UsageError(Exception):
 
 def parse_group(spec: str) -> Group:
     spec = spec.strip()
-    if spec in ("zz", "z", "int", "line"):
+    if spec == "zz":
         return IntegerLine()
     if spec == "lamplighter":
         return Lamplighter()
@@ -244,15 +243,9 @@ def _build_construction(args) -> tuple[Construction, dict]:
     gens = parse_gens(group, args.gens)
     budget = _budget_from_args(args)
     quotient_spec = args.quotient or "cyclic"
-    pi = parse_quotient(quotient_spec, gens, budget)
-    if pi is None:
-        if not isinstance(group, IntegerLine):
-            raise UsageError("the cyclic quotient family needs an integer-line group")
-        n_prime = required_n(args.target_depth - 1)
-        # paper_safe takes the first member of order >= (2a+1)^n': build none below it
-        start = (2 * len(gens) + 1) ** n_prime if args.quotient_mode == "paper_safe" else 2
-        family = cyclic_family(gens, start=start, stop=args.quotient_max, budget=budget)
-        pi, _ = find_quotient(family, n_prime, mode=args.quotient_mode)
+    pi = parse_quotient(quotient_spec, gens, budget) or find_quotient(
+        gens, required_n(args.target_depth - 1), args.quotient_mode, args.quotient_max, budget
+    )
     ctx = Construction(gens, pi, args.target_depth, args.bound_mode, budget=budget,
                        cache_dir=args.cache_dir)
     inputs = {
@@ -407,6 +400,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
+    for key, value in vars(args).items():
+        if isinstance(value, list):  # "--flag=--" reads as [] on Python 3.12 and earlier
+            raise UsageError(f"--{key.replace('_', '-')} needs a value")
     config = load_config(args.config) if getattr(args, "config", None) else {}
     for key, value in config.items():
         if key not in _FLAGS:

@@ -149,9 +149,6 @@ class DepthProfile:
         self._codec = b.codec
         self._entries = entries  # code -> (norm, DepthValue)
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
     def depth_of(self, x: GroupElement) -> DepthValue:
         entry = self._entries.get(self._codec.encode(x.payload))
         if entry is None:
@@ -177,9 +174,6 @@ class DepthProfile:
 
     def max_depth_by_norm(self) -> list[DepthValue]:
         return self._maxima()[0]
-
-    def overall_max(self) -> DepthValue:
-        return max(self.max_depth_by_norm(), key=DepthValue.sort_key)
 
     def max_finite_depth(self) -> Optional[int]:
         return self._maxima()[1]

@@ -159,10 +159,6 @@ class Group(ABC):
     def _key(self) -> tuple:
         return (self.variant, *(getattr(self, k) for k in self.params))
 
-    @property
-    def is_finite(self) -> bool:
-        return self.order() is not None
-
     def elements(self) -> Iterator["GroupElement"]:
         """All elements in canonical enumeration order (finite groups only)."""
         raise GroupError(f"cannot enumerate an infinite group ({self.variant})")
@@ -273,7 +269,7 @@ class GeneratingSet:
     with the symmetrized view, ``letters``: signed letter -> payload.
     """
 
-    __slots__ = ("group", "entries", "labels", "letters", "_symmetrized")
+    __slots__ = ("group", "entries", "labels", "letters")
 
     def __init__(self, entries: Sequence[GroupElement], labels: Optional[Sequence[str]] = None):
         entries = tuple(entries)
@@ -299,7 +295,6 @@ class GeneratingSet:
                 raise ValueError("labels length does not match entries")
         self.labels = labels
         self.letters = letter_table(group, [e.payload for e in entries])
-        self._symmetrized = tuple(self.letters.items())
 
     @classmethod
     def empty(cls, group: Group) -> "GeneratingSet":
@@ -311,7 +306,6 @@ class GeneratingSet:
         obj.entries = ()
         obj.labels = ()
         obj.letters = {}
-        obj._symmetrized = ()
         return obj
 
     def __len__(self) -> int:
@@ -326,7 +320,7 @@ class GeneratingSet:
         Per entry the positive letter comes before the negative one; the
         BFS code relies on this order for reproducible parents.
         """
-        return self._symmetrized
+        return tuple(self.letters.items())
 
     def letter_label(self, letter: int) -> str:
         idx = abs(letter) - 1

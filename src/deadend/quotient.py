@@ -12,10 +12,11 @@ its size, and diameters, target geodesics and lifts all read the same ball.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass, replace
 from functools import reduce
-from itertools import combinations
-from typing import Any, Iterable, Iterator, Optional, Sequence
+from itertools import combinations, count
+from typing import Any, Optional, Sequence
 
 from .cayley import (
     Ball, Budget, BudgetExceededError, DEFAULT_BUDGET, ball, bfs_layers
@@ -48,7 +49,6 @@ __all__ = [
     "diameter",
     "counting_bound_check",
     "find_quotient",
-    "cyclic_family",
 ]
 
 
@@ -339,53 +339,38 @@ def counting_bound_check(report: DiameterReport, a: int) -> bool:
 
 
 def find_quotient(
-    family: Iterable[QuotientMap],
+    source_gens: GeneratingSet,
     n_prime: int,
     mode: str = "greedy",
-) -> tuple[QuotientMap, DiameterReport]:
-    """First family member whose diameter meets the length target n'.
+    stop: Optional[int] = None,
+    budget: Budget = DEFAULT_BUDGET,
+) -> QuotientMap:
+    """First cyclic quotient Z -> C_m, m = start, start+1, ..., stop, whose
+    diameter reaches the length target n'.
 
-    mode "paper_safe" picks the first member of order >= (2a+1)^n', which
-    the counting bound guarantees has diameter >= n'.  mode "greedy"
-    reads diameters in family order and returns the first that reaches
-    n'.  Each member's diameter is its map's ``report``, read off a ball
-    already held to the budget the member was built under.  Raises
-    FamilyExhaustedError when no member qualifies.
+    mode "greedy" starts at m = 2 and reads each member's diameter.  mode
+    "paper_safe" starts at m = (2a+1)^n', a = |S|: by the counting bound every
+    surjective member from there on has diameter >= n', so no member below it
+    is built.  Members whose images do not generate C_m are skipped; each
+    member's target ball is built under ``budget``, and its diameter is its
+    map's ``report``.  Raises FamilyExhaustedError when no member up to
+    ``stop`` qualifies.
     """
     if mode not in ("paper_safe", "greedy"):
         raise ValueError(f"mode must be 'paper_safe' or 'greedy', got {mode!r}")
     if n_prime < 1:
         raise ValueError(f"length target must be >= 1, got {n_prime}")
-    for pi in family:
-        if mode == "paper_safe":
-            a = len(pi.source_gens.entries)
-            if pi.target.order() < (2 * a + 1) ** n_prime:
-                continue
-        report = pi.report
-        if report.diameter >= n_prime:
-            return pi, report
-        if mode == "paper_safe":
-            raise AssertionError(
-                "counting bound violated: "
-                f"order {report.order} has diameter {report.diameter} < {n_prime}"
-            )
-    raise FamilyExhaustedError(f"no family member reaches diameter {n_prime}")
-
-
-def cyclic_family(
-    source_gens: GeneratingSet, start: int = 2, stop: Optional[int] = None,
-    budget: Budget = DEFAULT_BUDGET,
-) -> Iterator[QuotientMap]:
-    """Lazily enumerated cyclic quotients Z -> C_m for m = start, start+1, ...
-
-    Members whose images fail to generate (for example m sharing a factor
-    with every generator) are skipped; each member's ball is built under
-    ``budget``.
-    """
-    m = start
-    while stop is None or m <= stop:
-        try:
-            yield cyclic_quotient(source_gens, m, budget)
-        except SurjectivityError:
-            pass
-        m += 1
+    base, start = 2 * len(source_gens) + 1, 2
+    if mode == "paper_safe":  # base^k > 2^k > stop once k reaches stop's bit length
+        start = base ** (n_prime if stop is None else min(n_prime, stop.bit_length()))
+    for m in range(start, stop + 1) if stop is not None else count(start):
+        with suppress(SurjectivityError):
+            pi = cyclic_quotient(source_gens, m, budget)
+            if pi.report.diameter >= n_prime:
+                return pi
+    if start <= stop:
+        raise FamilyExhaustedError(
+            f"no cyclic quotient of order {start} to {stop} reaches diameter {n_prime}"
+        )
+    first = f"counting-bound order {base}^{n_prime}" if mode == "paper_safe" else "first order 2"
+    raise FamilyExhaustedError(f"no cyclic quotient searched: the {first} lies above the stop {stop}")

@@ -27,7 +27,7 @@ from deadend.groups import (
     Lamplighter,
     standard_gens,
 )
-from deadend.quotient import QuotientMap, cyclic_family, cyclic_quotient, diameter, find_quotient
+from deadend.quotient import QuotientMap, cyclic_quotient, diameter, find_quotient
 
 ZZ = IntegerLine()
 UNIT = GeneratingSet([ZZ.element(1)])
@@ -149,13 +149,13 @@ def test_05_counting_bound_and_quotient_search():
         for m in range(1, limit + 1):
             k = m // 2
             assert 3 ** min(k, 11) >= m  # 3^11 > 3^10 >= m caps the power
-        pi, report = find_quotient(cyclic_family(UNIT), n_prime=5, mode="paper_safe")
+        pi = find_quotient(UNIT, n_prime=5, mode="paper_safe")
         assert pi.target.modulus == 243
-        assert report.diameter == 121
-        assert report.diameter >= 5
-        pi, report = find_quotient(cyclic_family(UNIT), n_prime=5, mode="greedy")
+        assert pi.report.diameter == 121
+        assert pi.report.diameter >= 5
+        pi = find_quotient(UNIT, n_prime=5, mode="greedy")
         assert pi.target.modulus == 10
-        assert report.diameter == 5
+        assert pi.report.diameter == 5
 
 
 def test_06_baseline_sanity():

@@ -317,6 +317,29 @@ def test_paper_safe_family_starts_at_the_counting_bound(tmp_path, monkeypatch):
     assert built == [243]
 
 
+@pytest.mark.parametrize("mode, stop, target_depth, message", [
+    ("paper_safe", "100", "3",
+     "no cyclic quotient searched: the counting-bound order 3^5 lies above the stop 100"),
+    ("greedy", "9", "3", "no cyclic quotient of order 2 to 9 reaches diameter 5"),
+    # 3^199999999997 is never computed: it lies above any stop of fewer bits than its exponent
+    ("paper_safe", "1000000", "99999999999", "no cyclic quotient searched: the counting-bound "
+     "order 3^199999999997 lies above the stop 1000000"),
+])
+def test_family_exhaustion_names_the_orders_searched(tmp_path, capsys, mode, stop, target_depth,
+                                                     message):
+    code, _ = run(tmp_path, "construct", "--group", "zz", "--gens", "1", "--quotient", "cyclic",
+                  "--quotient-mode", mode, "--quotient-max", stop, "--target-depth", target_depth)
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_cyclic_family_on_a_source_other_than_the_integers(tmp_path, capsys):
+    code, _ = run(tmp_path, "construct", "--group", "grid:2", "--gens", "1,0;0,1",
+                  "--quotient", "cyclic", "--target-depth", "2")
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == "error: cyclic quotient requires an IntegerLine source\n"
+
+
 def test_diameter_command_budgets_the_radius_reached(tmp_path):
     code, report = run(tmp_path, "diameter", "--group", "cyclic:10001", "--gens", "1")
     assert code == EXIT_OK
@@ -575,6 +598,22 @@ def test_unknown_config_key_rejected(tmp_path):
         ]
     )
     assert code == EXIT_USAGE
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["ball", "--group=--", "--gens=1", "--radius=1"], "group"),
+    (["ball", "--group=zz", "--gens=--", "--radius=1"], "gens"),
+    (["construct", "--group=zz", "--quotient-mode=--", "--target-depth=3"], "quotient-mode"),
+    (["ball", "--group=zz", "--config=--", "--radius=1"], "config"),
+])
+def test_double_dash_as_a_flag_value_is_a_usage_error(capsys, argv, flag):
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse on Python 3.13 rejects "--" for an int or a choice
+        code = exc.code
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"error: --{flag} needs a value" in err or f"'--'" in err
 
 
 def test_group_config_key_rejected(tmp_path, capsys):

@@ -42,7 +42,6 @@ from deadend.groups import (
 from deadend.quotient import (
     HomomorphismError,
     QuotientMap,
-    cyclic_family,
     cyclic_quotient,
     diameter,
     find_quotient,
@@ -229,15 +228,24 @@ def test_one_target_bfs_per_quotient_map(monkeypatch):
     assert calls == [ctx.pi.target]
     calls.clear()
     members = []
+    real = deadend.quotient.cyclic_quotient
 
-    def family():
-        for pi in cyclic_family(UNIT):
-            members.append(pi.target)
-            yield pi
+    def recording(gens, m, budget):
+        pi = real(gens, m, budget)
+        members.append(pi.target)
+        return pi
 
-    pi, report = find_quotient(family(), 5)
-    assert (pi.target.modulus, report.diameter) == (10, 5)
+    monkeypatch.setattr(deadend.quotient, "cyclic_quotient", recording)
+    pi = find_quotient(UNIT, 5)
+    assert (pi.target.modulus, pi.report.diameter) == (10, 5)
     assert calls == members and len(members) == 9
+
+
+def test_library_paper_safe_builds_one_target_ball(monkeypatch):
+    calls = _bfs_over(Cyclic, monkeypatch)
+    pi = find_quotient(UNIT, 8, "paper_safe")
+    assert (pi.target.modulus, pi.report.diameter) == (6561, 3280)  # 3^8
+    assert len(calls) == 1 and calls[0] is pi.target
 
 
 def _dihedral_table_quotient():

@@ -29,7 +29,6 @@ from deadend.quotient import (
     SurjectivityError,
     check_homomorphism,
     counting_bound_check,
-    cyclic_family,
     cyclic_quotient,
     diameter,
     find_quotient,
@@ -424,37 +423,75 @@ def test_counting_bound_as_diameter_lower_bound_sampled():
 
 
 def test_find_quotient_paper_safe():
-    pi, report = find_quotient(cyclic_family(UNIT), n_prime=5, mode="paper_safe")
+    pi = find_quotient(UNIT, n_prime=5, mode="paper_safe")
     assert pi.target.modulus == 243
-    assert report.diameter == 121
-    assert report.diameter >= 5
+    assert pi.report.diameter == 121
+    assert pi.report.diameter >= 5
 
 
 def test_find_quotient_greedy():
-    pi, report = find_quotient(cyclic_family(UNIT), n_prime=5, mode="greedy")
+    pi = find_quotient(UNIT, n_prime=5, mode="greedy")
     assert pi.target.modulus == 10
-    assert report.diameter == 5
+    assert pi.report.diameter == 5
 
 
 def test_find_quotient_greedy_minimal_target():
-    pi, report = find_quotient(cyclic_family(UNIT), n_prime=1, mode="greedy")
+    pi = find_quotient(UNIT, n_prime=1, mode="greedy")
     assert pi.target.modulus == 2
-    assert report.diameter == 1
+    assert pi.report.diameter == 1
 
 
 def test_find_quotient_family_exhausted():
-    with pytest.raises(FamilyExhaustedError):
-        find_quotient(cyclic_family(UNIT, stop=5), n_prime=50, mode="greedy")
+    message = "^no cyclic quotient of order 2 to 5 reaches diameter 50$"
+    with pytest.raises(FamilyExhaustedError, match=message):
+        find_quotient(UNIT, n_prime=50, mode="greedy", stop=5)
+
+
+def test_family_exhaustion_names_the_orders_searched():
+    # C_243 is the only member searched, and 3 does not generate it
+    with pytest.raises(FamilyExhaustedError, match=r"^no cyclic quotient of order 243 to 243 "):
+        find_quotient(GeneratingSet([ZZ.element(3)]), n_prime=5, mode="paper_safe", stop=243)
+    with pytest.raises(FamilyExhaustedError) as exc:
+        find_quotient(UNIT, n_prime=5, mode="greedy", stop=1)
+    assert str(exc.value) == "no cyclic quotient searched: the first order 2 lies above the stop 1"
 
 
 def test_find_quotient_modes_meet_target():
     for mode in ("paper_safe", "greedy"):
         for n_prime in (1, 2, 3, 4):
-            _, report = find_quotient(cyclic_family(UNIT), n_prime, mode=mode)
-            assert report.diameter >= n_prime
+            pi = find_quotient(UNIT, n_prime, mode=mode)
+            assert pi.report.diameter >= n_prime
 
 
-def test_cyclic_family_skips_non_surjective():
+@pytest.mark.parametrize("entries, top", [((1,), 8), ((2, 3), 4), ((3,), 6)])
+def test_paper_safe_returns_the_first_surjective_member_at_the_counting_bound(entries, top):
+    # Z -> C_m sends S onto a generating set exactly when gcd(S, m) = 1
+    gens = GeneratingSet([ZZ.element(s) for s in entries])
+    for n_prime in range(1, top + 1):
+        m = (2 * len(entries) + 1) ** n_prime
+        while math.gcd(m, *entries) != 1:
+            m += 1
+        pi = find_quotient(gens, n_prime, mode="paper_safe")
+        assert pi.target.modulus == m
+        assert pi.report.diameter >= n_prime
+        if m <= 1000:
+            assert pi.report.diameter == brute_force_diameter(pi.target, pi.image_gens)
+
+
+def test_find_quotient_skips_non_surjective(monkeypatch):
+    import deadend.quotient
+
     gens = GeneratingSet([ZZ.element(2)])
-    members = list(cyclic_family(gens, stop=10))
-    assert [pi.target.modulus for pi in members] == [3, 5, 7, 9]
+    assert find_quotient(gens, n_prime=1, mode="greedy").target.modulus == 3
+    built = []
+    real = deadend.quotient.cyclic_quotient
+
+    def recording(gens, m, budget):
+        pi = real(gens, m, budget)
+        built.append(m)
+        return pi
+
+    monkeypatch.setattr(deadend.quotient, "cyclic_quotient", recording)
+    with pytest.raises(FamilyExhaustedError):
+        find_quotient(gens, n_prime=50, mode="greedy", stop=10)
+    assert built == [3, 5, 7, 9]
