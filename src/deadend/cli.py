@@ -18,6 +18,7 @@ import functools
 import json
 import sys
 import time
+import warnings
 from pathlib import Path
 from typing import Any, Optional, Sequence
 
@@ -421,6 +422,13 @@ def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    with warnings.catch_warnings():  # each library warning as one stderr line, on every run
+        warnings.simplefilter("always")
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        return _run(args)
+
+
+def _run(args: argparse.Namespace) -> int:
     started = time.monotonic()
     try:
         args = _merge_config(args)

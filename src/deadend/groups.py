@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import re
 from abc import ABC, abstractmethod
+from contextlib import suppress
 from itertools import chain, compress, count
 from operator import add, itemgetter
 from typing import Any, Callable, ClassVar, Iterator, NamedTuple, Optional, Sequence
@@ -778,30 +779,41 @@ class Lamplighter(Group):
 
 
 class TableRows(list):
-    """``group.v1`` table rows decoded as int tuples, which ``params_from_json`` keeps."""
+    """``group.v1`` table rows decoded as int tuples, which ``params_from_json`` keeps and
+    ``TableGroup`` reads without a pass over the cell types."""
 
 
 def table_row_ints(m: int) -> Callable[[Sequence], tuple]:
-    """A table row as int() reads its cells, at C speed where all are id strings of 0..m-1."""
+    """A table row as json_int reads its cells, at C speed where all are id strings of 0..m-1."""
     ids = {str(i): i for i in range(m)}.__getitem__  # not json_int(): 270k cells at order 520
 
     def row_ints(row: Sequence) -> tuple:
         try:
-            try:
-                return tuple(map(ids, row))
-            except (KeyError, TypeError):
-                return tuple(map(int, row))  # a JSON int, "05", a bad cell
-        except TypeError as exc:
-            raise ValueError(f"group.v1 table cells must be integers: {exc}") from None
+            return tuple(map(ids, row))
+        except (KeyError, TypeError):
+            return tuple(map(_table_cell, row))  # a JSON int, "05", a bad cell
 
     return row_ints
+
+
+def _table_cell(cell: Any) -> int:
+    """``json_int(cell)``; a cell that int() rejects too is named in int()'s words."""
+    if isinstance(cell, bool) or not isinstance(cell, (int, str)):  # int() reads True and 0.9
+        try:
+            int(cell)
+        except TypeError as exc:
+            raise ValueError(f"group.v1 table cells must be integers: {exc}") from None
+        except (ValueError, OverflowError):  # NaN, Infinity
+            pass
+        raise ValueError(f"group.v1 table cells must be integers, got {cell!r}")
+    return int(cell)
 
 
 class TableGroup(Group):
     """Finite group given by an explicit multiplication table on ids 0..m-1.
 
-    The table is checked on load, in this order; the first check to fail
-    raises a ``TableGroupError`` that names what failed:
+    The table is checked on load; the first failure, in this order, raises a
+    ``TableGroupError`` that names it:
     - the table is non-empty and square;
     - every cell is an id in 0..m-1 (names the first bad cell in row order);
     - the identity id is in range and a two-sided identity;
@@ -809,10 +821,18 @@ class TableGroup(Group):
       the order row 0, column 0, row 1, column 1, ...);
     - associativity, by Light's test on a generating set, conclusive at
       every order (names the first failing (x, g, y): generators in the
-      order they were picked, then x, then y).
-    Every element then has a two-sided inverse, its row's identity cell.
-    The permutation check runs in bulk, a whole line at a time at C speed,
-    and the same pass yields the index of the first failing row and column.
+      order they were picked, after dropping each pick the others generate
+      without, then x, then y).
+    The checks run in another order: the cells, the identity, Light's test,
+    then each row's identity cell, which is that element's right inverse.  An
+    associative table with a two-sided identity and right inverses is a group,
+    whose rows and columns are permutations, so the line checks run only after
+    a failure, to name it.  They read a whole line at a time at C speed, and
+    one pass yields the index of the first failing row and column.  Light's
+    pick gives up, and the line checks run first, as soon as the picks cannot
+    be a group's: more than log2 m of them, or a closure whose size does not
+    divide m.  Unguarded, a table that is no Latin square could take about m
+    picks, each a BFS over the closure so far.
     """
 
     variant = "table"
@@ -824,27 +844,32 @@ class TableGroup(Group):
             raise TableGroupError("empty multiplication table")
         if any(len(row) != m for row in rows):
             raise TableGroupError("multiplication table must be square")
-        # the distinct cells, at C speed; a valid table has m of them
-        bad = {x for x in set(chain.from_iterable(rows)) if type(x) is not int or not 0 <= x < m}
-        if bad:
-            x = next(x for row in rows for x in row if x in bad)
+        # the cell types, then the distinct cells, at C speed; decoded rows hold exact ints
+        exact = isinstance(table, TableRows) or set(map(type, chain.from_iterable(rows))) == {int}
+        distinct = set(chain.from_iterable(rows)) if exact else ()
+        if not exact or min(distinct) < 0 or max(distinct) >= m:
+            x = next(x for row in rows for x in row if type(x) is not int or not 0 <= x < m)
             raise TableGroupError(f"table entry {x!r} is not an id in 0..{m - 1}")
-        if not 0 <= identity_id < m:
-            raise TableGroupError(f"identity id {identity_id} out of range")
+        if type(identity_id) is not int or not 0 <= identity_id < m:
+            raise TableGroupError(f"identity id {identity_id!r} out of range")
         self.table = rows
         self.identity_id = identity_id
         self.name = str(name)
         self._m = m
-        self._validate_axioms()
-        # in an associative table with permutation rows a right inverse is two-sided
-        self._inverse = tuple(row.index(identity_id) for row in rows)
+        self._inverse = self._validate_axioms()
         self._hash = hash((self.variant, rows, identity_id))
 
-    def _validate_axioms(self) -> None:
+    def _validate_axioms(self) -> tuple:
+        """Each id's inverse, once the table is proved a group with identity e."""
         m, e, t = self._m, self.identity_id, self.table
         for x in range(m):
             if t[e][x] != x or t[x][e] != x:
                 raise TableGroupError(f"id {e} is not a two-sided identity")
+        gens = self._generators(guarded=True)
+        failure = None if gens is None else self._associativity_failure(gens)
+        if gens is not None and failure is None:
+            with suppress(ValueError):  # a row without e names a line below
+                return tuple(row.index(e) for row in t)
         # every cell is an id, so a line of m distinct cells is a permutation;
         # the first failing row and column (m if none), the columns from a
         # lazy zip, one tuple at a time
@@ -855,36 +880,57 @@ class TableGroup(Group):
             raise TableGroupError(f"row {r} is not a permutation")
         if c < m:
             raise TableGroupError(f"column {c} is not a permutation")
-        self._light_associativity()
+        # a Latin square with an identity that is not a group fails Light's test
+        failure = failure or self._associativity_failure(self._generators(guarded=False))
+        raise TableGroupError(f"associativity fails at {failure}")
 
-    def _light_associativity(self) -> None:
-        # Light's test: associativity on a generating set is conclusive.
-        # Every element is a left-normed product of generators once
-        # right-multiplication BFS from the identity reaches all m ids.
+    def _generators(self, guarded: bool) -> Optional[list[int]]:
+        """Light's generating set: each id not yet generated by right-multiplication
+        BFS from the identity is picked, in id order, until all m ids are reached;
+        then each pick the others generate without is dropped.  None, if guarded,
+        once the picks are not a group's: in a group each pick at least doubles the
+        closure, a subgroup, so there are at most log2 m and each closure divides m."""
         from .cayley import bfs_layers
 
-        m, t, e = self._m, self.table, self.identity_id
+        m, e = self._m, self.identity_id
+
+        def closure(gens: list[int]) -> dict:
+            seen = {e: 0}
+            for _ in bfs_layers(self.mul_payload, list(enumerate(gens, 1)), e, seen):
+                pass
+            return seen
+
         gens: list[int] = []
-        closure = {e: 0}
+        reached = {e: 0}
         for cand in range(m):
-            if cand in closure:
+            if cand in reached:
                 continue
             gens.append(cand)
-            closure = {e: 0}
-            for _ in bfs_layers(self.mul_payload, list(enumerate(gens, 1)), e, closure):
-                pass
-            if len(closure) == m:
+            reached = closure(gens)
+            if guarded and (m % len(reached) or 2 ** len(gens) > m):
+                return None
+            if len(reached) == m:
                 break
+        for g in gens[:-1]:  # the last pick is never generated by the earlier ones
+            others = [h for h in gens if h != g]
+            if len(closure(others)) == m:
+                gens = others
+        return gens
+
+    def _associativity_failure(self, gens: list[int]) -> Optional[tuple[int, int, int]]:
+        """Light's test: the first (x, g, y) with x*(g*y) != (x*g)*y, g in ``gens``;
+        None if there is none, which proves associativity once ``gens`` generate."""
+        m, t = self._m, self.table
         # x*(g*y) == (x*g)*y for all y at once: itemgetter composes row x
-        # with row g at C speed (m >= 2 here, so it returns a tuple).
+        # with row g at C speed (m >= 2 where gens is non-empty, so it returns a tuple).
         for g in gens:
             after_g = itemgetter(*t[g])
             for x in range(m):
                 row = after_g(t[x])
                 expected = t[t[x][g]]
                 if row != expected:
-                    y = next(y for y in range(m) if row[y] != expected[y])
-                    raise TableGroupError(f"associativity fails at ({x}, {g}, {y})")
+                    return x, g, next(y for y in range(m) if row[y] != expected[y])
+        return None
 
     def order(self) -> Optional[int]:
         return self._m
@@ -924,6 +970,7 @@ class TableGroup(Group):
             row_ints = table_row_ints(len(rows))
             for i, row in enumerate(rows):  # in place: each row's strings go as its ints come
                 rows[i] = row_ints(row)
+            rows = TableRows(rows)
         return cls(rows, json_int(json_field(doc, "identity")), name=doc.get("name", "table"))
 
     def _key(self) -> tuple:

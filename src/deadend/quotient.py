@@ -354,7 +354,8 @@ def find_quotient(
     is built.  Members whose images do not generate C_m are skipped; each
     member's target ball is built under ``budget``, and its diameter is its
     map's ``report``.  Raises FamilyExhaustedError when no member up to
-    ``stop`` qualifies.
+    ``stop`` qualifies, and BudgetExceededError, before any member is built,
+    when n' exceeds the radius budget, which no member's diameter may.
     """
     if mode not in ("paper_safe", "greedy"):
         raise ValueError(f"mode must be 'paper_safe' or 'greedy', got {mode!r}")
@@ -363,14 +364,23 @@ def find_quotient(
     base, start = 2 * len(source_gens) + 1, 2
     if mode == "paper_safe":  # base^k > 2^k > stop once k reaches stop's bit length
         start = base ** (n_prime if stop is None else min(n_prime, stop.bit_length()))
+    if stop is not None and start > stop:
+        first = f"counting-bound order {base}^{n_prime}" if mode == "paper_safe" else "first order 2"
+        raise FamilyExhaustedError(
+            f"no cyclic quotient searched: the {first} lies above the stop {stop}"
+        )
+    if n_prime > budget.max_radius:  # group_ball holds every member's diameter to max_radius
+        raise BudgetExceededError(
+            f"length target {n_prime} exceeds budget radius {budget.max_radius}: "
+            "no quotient within the budget reaches it",
+            radius_reached=0,
+            elements_seen=0,
+        )
     for m in range(start, stop + 1) if stop is not None else count(start):
         with suppress(SurjectivityError):
             pi = cyclic_quotient(source_gens, m, budget)
             if pi.report.diameter >= n_prime:
                 return pi
-    if start <= stop:
-        raise FamilyExhaustedError(
-            f"no cyclic quotient of order {start} to {stop} reaches diameter {n_prime}"
-        )
-    first = f"counting-bound order {base}^{n_prime}" if mode == "paper_safe" else "first order 2"
-    raise FamilyExhaustedError(f"no cyclic quotient searched: the {first} lies above the stop {stop}")
+    raise FamilyExhaustedError(
+        f"no cyclic quotient of order {start} to {stop} reaches diameter {n_prime}"
+    )

@@ -78,6 +78,15 @@ def test_parse_table_group_from_file(tmp_path):
     assert group.order() == 4
 
 
+def test_table_file_with_boolean_cells_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "bools.json"
+    path.write_text('{"schema":"group.v1","variant":"table","identity":"0",'
+                    '"table":[[false,true],[true,false]]}')
+    code = main(["diameter", "--group", f"table:{path}", "--gens", "1"])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == "error: group.v1 table cells must be integers, got False\n"
+
+
 def test_parse_gens_tokens():
     zz = IntegerLine()
     gens = parse_gens(zz, "2,3")
@@ -301,6 +310,32 @@ def test_diameter_command(tmp_path):
     assert code == EXIT_OK
     assert report["results"]["diameter"] == 5
     assert report["results"]["witness"] == "5"
+
+
+def test_family_search_stops_at_once_when_the_target_exceeds_the_radius_budget(tmp_path, capsys):
+    # every member the search could accept has a diameter above the radius budget
+    for budget in ([], ["--budget-radius", "2000"]):
+        started = time.monotonic()
+        code, _ = run(tmp_path, "construct", "--group", "zz", "--gens", "1",
+                      "--target-depth", "6000", *budget)
+        assert code == EXIT_BUDGET and time.monotonic() - started < 1
+        radius = budget[-1] if budget else "10000"
+        assert capsys.readouterr().err == (
+            f"budget exhausted: length target 11999 exceeds budget radius {radius}: "
+            "no quotient within the budget reaches it\n")
+
+
+def test_library_warning_is_one_stderr_line_on_every_run(tmp_path, capsys):
+    # Z^2 -> C_6 with images 0, 1: the identity lies in the preimage and is dropped from A
+    q = tmp_path / "q6.json"
+    q.write_text('{"schema":"quotient.v1","target":{"schema":"group.v1","variant":"cyclic",'
+                 '"modulus":"6"},"images":["0","1"]}')
+    for _ in range(2):
+        code, report = run(tmp_path, "verify", "--group", "grid:2", "--gens", "1,0;0,1",
+                           "--quotient", f"@{q}", "--target-depth", "2", "--bound-mode", "tight")
+        assert code == EXIT_OK and report["results"]["passed"]
+        assert capsys.readouterr().err == (
+            "warning: identity lies in the preimage of the generator images; dropped from A\n")
 
 
 def test_paper_safe_family_starts_at_the_counting_bound(tmp_path, monkeypatch):

@@ -5,8 +5,12 @@ from __future__ import annotations
 import copy
 import itertools
 import random
+import re
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deadend.groups import (
     Cyclic,
@@ -379,6 +383,21 @@ def test_table_group_rejects_cells_that_are_not_ids():
             TableGroup([[0, cell], [cell, 0]], identity_id=0)
 
 
+def test_table_group_names_a_cell_equal_to_an_id_that_is_no_int():
+    # True == 1 == 1.0: each is named though an equal int cell comes before it
+    for cell in (True, 1.0):
+        with pytest.raises(TableGroupError) as info:
+            TableGroup([[0, 1], [cell, 0]], identity_id=0)
+        assert str(info.value) == f"table entry {cell!r} is not an id in 0..1"
+
+
+def test_table_group_rejects_an_identity_id_that_is_no_int():
+    for identity in (True, 1.0, "1", 2):
+        with pytest.raises(TableGroupError) as info:
+            TableGroup([[1, 0], [0, 1]], identity_id=identity)
+        assert str(info.value) == f"identity id {identity!r} out of range"
+
+
 def test_table_group_rejects_non_associative():
     # A Latin square with two-sided identity that is not a group:
     # the smallest such quasigroups have order 5.
@@ -455,3 +474,186 @@ def test_table_validation_agrees_with_brute_force_oracle():
         except TableGroupError:
             accepted = False
         assert accepted == expected, f"trial {trial}: oracle {expected}, loader {accepted}"
+
+
+# -- the order checks run in, and the order failures are named in ---------------------
+
+
+def table_of(elements, mul):
+    """The multiplication table of ``elements`` (identity first) on ids 0..m-1."""
+    ids = {x: i for i, x in enumerate(elements)}
+    return [[ids[mul(x, y)] for y in elements] for x in elements]
+
+
+def _dihedral(m):
+    elements = [(k, s) for s in (0, 1) for k in range(m)]
+    return table_of(elements, lambda p, q: ((p[0] + (-q[0] if p[1] else q[0])) % m, p[1] ^ q[1]))
+
+
+def _abelian(*moduli):
+    elements = list(itertools.product(*map(range, moduli)))
+    return table_of(elements, lambda p, q: tuple((a + b) % n for a, b, n in zip(p, q, moduli)))
+
+
+def _quaternion():
+    # i^a j^b (a < 4, b < 2), with j i = i^-1 j and j^2 = i^2
+    elements = [(a, b) for b in (0, 1) for a in range(4)]
+
+    def mul(p, q):
+        a = p[0] + (-q[0] if p[1] else q[0]) + 2 * (p[1] & q[1])
+        return a % 4, p[1] ^ q[1]
+
+    return table_of(elements, mul)
+
+
+# Group tables of orders 2 to 8, identity 0, then two Latin squares with identity 0
+# that are not associative (the order-5 and order-7 tables above).
+SMALL_GROUPS = [cyclic_table(m) for m in range(2, 9)] + [
+    _abelian(2, 2), _dihedral(3), _abelian(2, 4), _abelian(2, 2, 2), _dihedral(4), _quaternion()]
+LOOPS = [
+    [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 3, 4, 0, 1], [3, 4, 1, 2, 0], [4, 2, 0, 1, 3]],
+    [[0, 1, 2, 3, 4, 5, 6], [1, 3, 6, 0, 5, 2, 4], [2, 4, 0, 5, 6, 3, 1], [3, 0, 4, 1, 2, 6, 5],
+     [4, 2, 5, 6, 0, 1, 3], [5, 6, 1, 2, 3, 4, 0], [6, 5, 3, 4, 1, 0, 2]],
+]
+
+
+@st.composite
+def small_tables(draw):
+    """(table, identity): a relabelled group or loop of order 2 to 8, then maybe one
+    change: cells, rows or columns swapped, the identity broken, a cell out of range,
+    or a 2x2 subsquare off the identity's lines swapped (a Latin square again)."""
+    base = draw(st.sampled_from(SMALL_GROUPS + LOOPS))
+    m = len(base)
+    label = draw(st.permutations(range(m)))
+    t = [[0] * m for _ in range(m)]
+    for a in range(m):
+        for b in range(m):
+            t[label[a]][label[b]] = label[base[a][b]]
+    e = label[0]
+    ids = st.integers(0, m - 1)
+    change = draw(st.sampled_from(["none", "cells", "row cells", "rows", "columns", "identity",
+                                   "identity cell", "out of range", "subsquare"]))
+    if change == "cells":
+        (i, j), (k, l) = draw(st.tuples(ids, ids)), draw(st.tuples(ids, ids))
+        t[i][j], t[k][l] = t[k][l], t[i][j]
+    elif change == "row cells":
+        i, j, k = draw(ids), draw(ids), draw(ids)
+        t[i][j], t[i][k] = t[i][k], t[i][j]
+    elif change == "rows":
+        i, j = draw(ids), draw(ids)
+        t[i], t[j] = t[j], t[i]
+    elif change == "columns":
+        i, j = draw(ids), draw(ids)
+        for row in t:
+            row[i], row[j] = row[j], row[i]
+    elif change == "identity":
+        e = draw(ids)
+    elif change == "identity cell":
+        x = draw(ids)
+        t[e][x] = draw(ids)
+    elif change == "out of range":
+        i, j = draw(ids), draw(ids)
+        t[i][j] = draw(st.sampled_from([m, m + 5, -1, True, False, 1.0, str(t[i][j]), None]))
+    elif change == "subsquare":
+        spots = [(a, b, c, d) for a, b in itertools.combinations(range(m), 2)
+                 for c, d in itertools.combinations(range(m), 2)
+                 if e not in (a, b, c, d) and t[a][c] == t[b][d] and t[a][d] == t[b][c]]
+        if spots:
+            a, b, c, d = draw(st.sampled_from(spots))
+            t[a][c], t[a][d], t[b][c], t[b][d] = t[a][d], t[a][c], t[b][d], t[b][c]
+    return t, e
+
+
+def named_failure(t, e):
+    """What the loader names a table for, its checks made in the order the names follow:
+    the first bad cell in row order, the identity, the first of row 0, column 0, row 1,
+    ... that is not a permutation; "associativity" for a Latin square with an identity
+    that is not a group (its (x, g, y) is the loader's to choose); None for a group."""
+    m = len(t)
+    for row in t:
+        for x in row:
+            if type(x) is not int or not 0 <= x < m:
+                return f"table entry {x!r} is not an id in 0..{m - 1}"
+    if not 0 <= e < m:
+        return f"identity id {e} out of range"
+    if any(t[e][x] != x or t[x][e] != x for x in range(m)):
+        return f"id {e} is not a two-sided identity"
+    for x in range(m):
+        if len(set(t[x])) < m:
+            return f"row {x} is not a permutation"
+        if len({t[y][x] for y in range(m)}) < m:
+            return f"column {x} is not a permutation"
+    return None if brute_force_associative(t) else "associativity"
+
+
+def closure(t, e, gens):
+    """The ids right multiplication by ``gens`` reaches from ``e``."""
+    seen, todo = {e}, [e]
+    while todo:
+        x = todo.pop()
+        for g in gens:
+            if t[x][g] not in seen:
+                seen.add(t[x][g])
+                todo.append(t[x][g])
+    return seen
+
+
+def light_generators(t, e):
+    """Light's picks: the least id not yet generated until all are, then each pick
+    that the others generate without dropped, in pick order."""
+    m, gens = len(t), []
+    while len(reached := closure(t, e, gens)) < m:
+        gens.append(min(set(range(m)) - reached))
+    for g in list(gens):
+        others = [h for h in gens if h != g]
+        if len(closure(t, e, others)) == m:
+            gens = others
+    return gens
+
+
+@settings(max_examples=400, deadline=None)
+@given(small_tables())
+def test_table_failures_are_named_in_the_line_check_order(case):
+    t, e = case
+    expected = named_failure(t, e)
+    try:
+        group = TableGroup(t, identity_id=e)
+    except TableGroupError as exc:
+        got = str(exc)
+    else:
+        assert expected is None
+        assert [group.inv_payload(x) for x in range(len(t))] == [row.index(e) for row in t]
+        return
+    if expected != "associativity":
+        assert got == expected
+        return
+    x, g, y = map(int, re.fullmatch(r"associativity fails at \((\d+), (\d+), (\d+)\)", got).groups())
+    assert t[x][t[g][y]] != t[t[x][g]][y]
+    assert g in light_generators(t, e)
+
+
+def test_table_that_is_no_latin_square_is_rejected_by_its_lines_at_order_1024():
+    # x*y = x for y != e: Light's pick gives up at the closure {0, 1, 2}, whose size does
+    # not divide m, before any of its m^2 passes; picking on to all m ids would be cubic
+    m = 1024
+    table = [list(range(m))] + [[x] * m for x in range(1, m)]
+    started = time.perf_counter()
+    with pytest.raises(TableGroupError) as info:
+        TableGroup(table, identity_id=0)
+    assert time.perf_counter() - started < 0.5
+    assert str(info.value) == "row 1 is not a permutation"
+
+
+def test_light_picks_two_generators_on_a_relabelled_dihedral_table_of_order_520():
+    # D_260 relabelled as the benchmark writes it under seed 1: r^k is k, r^k s is 260 + k
+    m = 260
+    label = list(range(2 * m))
+    random.Random(1).shuffle(label)
+    natural = _dihedral(m)
+    t = [[0] * (2 * m) for _ in range(2 * m)]
+    for a in range(2 * m):
+        for b in range(2 * m):
+            t[label[a]][label[b]] = label[natural[a][b]]
+    group = TableGroup(t, identity_id=label[0])
+    assert group._generators(guarded=True) == light_generators(t, label[0])
+    assert len(light_generators(t, label[0])) == 2

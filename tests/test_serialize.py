@@ -127,6 +127,15 @@ def test_table_rows_are_converted_in_place():
     assert group_from_json(doc) == group
 
 
+def test_table_cells_that_json_int_rejects_are_rejected():
+    # int() reads true as 1 and 0.9 as 0; a group.v1 cell is an integer or a decimal string
+    for cell, text in ((True, "True"), (0.9, "0.9"), (1.0, "1.0")):
+        doc = json.loads(json.dumps({"schema": "group.v1", "variant": "table", "identity": "0",
+                                     "table": [["0", "1"], ["1", cell]]}))
+        with pytest.raises(ValueError, match=f"table cells must be integers, got {text}$"):
+            group_from_json(doc)
+
+
 # Spellings of an id that int() reads as that id, canonical first.
 CELL_FORMS = [str, lambda x: f"0{x}", lambda x: f" {x}", lambda x: f"+{x}", lambda x: x]
 BAD_CELLS = ["x", "", [1], None]
