@@ -63,7 +63,6 @@ from .construction import (
     DeadEndWitness,
     PrefixTable,
     VerificationError,
-    WordPath,
     bound_inequality_holds,
     constructed_genset,
     factorize,

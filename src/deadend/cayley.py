@@ -27,7 +27,8 @@ from pathlib import Path
 from itertools import chain, count, islice, repeat
 from typing import Any, Callable, Iterator, Optional, Sequence, Union
 
-from .groups import Codec, GeneratingSet, Group, GroupElement, RangeOverflowError, Word
+from .groups import (Codec, GeneratingSet, Group, GroupElement, MixedGroupError,
+                     RangeOverflowError, Word)
 from .serialize import dumps, genset_to_json
 
 __all__ = [
@@ -158,9 +159,12 @@ class Ball:
         return self.geodesic_payload(x.payload)
 
 
-def _codec(gens: GeneratingSet, radius: int) -> Codec:
-    # Covers a walk of radius + 1 steps from any element of the radius ball.
-    return gens.group.integer_code(list(gens.letters.values()), 2 * radius + 1)
+def _codec(group: Group, gens: GeneratingSet, radius: int) -> Codec:
+    # Covers a walk of radius + 1 steps from any element of the radius ball.  Every
+    # ball, computed or loaded, is coded here: so here gens must lie in group.
+    if gens.group is not group and gens.group != group:
+        raise MixedGroupError(f"generators of {gens.group!r} given for a ball of {group!r}")
+    return group.integer_code(list(gens.letters.values()), 2 * radius + 1)
 
 
 def _check_budget(budget: Budget, seen: int, r: int, deadline: Optional[float] = None) -> None:
@@ -225,15 +229,13 @@ def ball(
     """
     if radius < 0:
         raise ValueError(f"radius must be >= 0, got {radius}")
-    if len(gens) == 0 and group.order() != 1:
-        raise ValueError("empty generating set only generates the trivial group")
     if radius > budget.max_radius:
         raise BudgetExceededError(
             f"requested radius {radius} exceeds budget radius {budget.max_radius}",
             radius_reached=0,
             elements_seen=1,
         )
-    codec = _codec(gens, radius)
+    codec = _codec(group, gens, radius)
     start = codec.encode(group.identity_payload())
     letters = list(zip(gens.letters, codec.codes))
     parent: dict = {start: 0}
@@ -315,7 +317,8 @@ def load_ball(
     ``gens``; no parent step overflows; the rebuilt codes are distinct.  Every element then lies
     within its claimed distance, and as many distinct elements as the ball
     holds make up the whole ball, at exact distances.
-    Raises ValueError on a foreign, mismatched, truncated or garbled file.
+    Raises ValueError on a foreign, mismatched, truncated or garbled file,
+    and MixedGroupError when ``gens`` lie in another group than ``group``.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -349,7 +352,7 @@ def load_ball(
     try:
         if letters[0] or list(map(dists.__getitem__, parents)) != closer:
             raise garbled
-        codec = _codec(gens, radius)
+        codec = _codec(group, gens, radius)
         step, steps = codec.step, map(dict(zip(gens.letters, codec.codes)).__getitem__, letters[1:])
         codes = [codec.encode(group.identity_payload())]
         append = codes.append

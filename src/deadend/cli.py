@@ -88,7 +88,7 @@ def parse_group(spec: str) -> Group:
         if kind == "dihedral":
             return Dihedral(int(arg))
         if kind == "table":
-            return group_from_json(_read_json(arg, table=True))
+            return group_from_json(_read_json(arg))
     raise UsageError(f"unrecognized group spec {spec!r}")
 
 
@@ -96,13 +96,13 @@ def _no_float(token: str) -> Any:
     raise ValueError(f"non-integer number {token}")
 
 
-def _read_json(path: str, table: bool = False) -> Any:
-    """A JSON document whose numbers are all integers; a ``table`` one decoded a row at a time."""
+def _read_json(path: str) -> Any:
+    """A JSON document whose numbers are all integers; an object's top-level ``table``
+    decoded a row at a time."""
     try:
         text = Path(path).read_text(encoding="utf-8")
         hooks = {"parse_float": _no_float, "parse_constant": _no_float}
-        doc = table_doc_from_text(text, json.JSONDecoder(**hooks)) if table else None
-        return doc or json.loads(text, **hooks)
+        return table_doc_from_text(text, json.JSONDecoder(**hooks)) or json.loads(text, **hooks)
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
     except (ValueError, RecursionError) as exc:  # JSONDecodeError, a float, or too deeply nested

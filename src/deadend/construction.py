@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, chain
-from operator import add, attrgetter, sub
+from operator import add, sub
 from pathlib import Path
 from typing import Any, NamedTuple, Optional, Sequence, Union
 
@@ -58,7 +58,6 @@ __all__ = [
     "ConstructionParams",
     "DeadEndWitness",
     "PrefixTable",
-    "WordPath",
     "Certificate",
     "ConstructionReport",
     "Construction",
@@ -274,22 +273,8 @@ class PrefixTable(NamedTuple):
     image: Sequence
 
 
-class WordPath(NamedTuple):
-    """An S-word as table segments: segment j starts at letter ``offsets[j]``
-    and enters at ``bases[j]``, the (source, image) product before it; both
-    end with the whole word's length and product."""
-
-    tables: tuple[PrefixTable, ...]
-    offsets: tuple[int, ...]
-    bases: tuple[tuple[Any, Any], ...]
-
-    @property
-    def length(self) -> int:
-        return self.offsets[-1]
-
-    def word(self) -> Word:
-        """The S-word the path spells."""
-        return tuple(chain.from_iterable(table.word for table in self.tables))
+# An S-word as the prefix tables of its segments, in order.
+TablePath = tuple[PrefixTable, ...]
 
 
 @dataclass(frozen=True)
@@ -332,17 +317,6 @@ class Certificate:
 
     def digest(self) -> str:
         return hashlib.sha256(dumps(self.to_json()).encode("utf-8")).hexdigest()[:16]
-
-
-class _Lift(NamedTuple):
-    """The lift of one target element: its length (the target norm) and the
-    source element its target geodesic spells through the section."""
-
-    length: int
-    payload: Any
-
-
-_LENGTH, _PAYLOAD = map(attrgetter, _Lift._fields)
 
 
 class Construction:
@@ -415,34 +389,33 @@ class Construction:
             raise ConstructionError(f"prefix table of {what} does not end at its element")
         return table
 
-    @cached_property
-    def _empty(self) -> WordPath:
-        """The path of the empty word."""
-        identities = (self.source_gens.group.identity_payload(), self.pi.target.identity_payload())
-        return WordPath((), (0,), (identities,))
-
-    def _extend(self, path: WordPath, table: PrefixTable) -> WordPath:
-        """``path`` followed by one more segment: it enters at the path's end
-        product, and the new end is that times the table's last entries."""
-        (s, t), length = path.bases[-1], path.offsets[-1] + len(table.word)
-        end = (self.source_gens.group.mul_payload(s, table.source[-1]),
-               self.pi.target.mul_payload(t, table.image[-1]))
-        return WordPath(path.tables + (table,), path.offsets + (length,), path.bases + (end,))
-
-    def word_path(self, s_word: Sequence[int]) -> WordPath:
+    def word_path(self, s_word: Sequence[int]) -> TablePath:
         """A plain S-word as a one-segment path: its table is one fold of the
         word in each group."""
-        return self._extend(self._empty, self._table(s_word))
+        return (self._table(s_word),)
 
-    def _at_cuts(self, path: WordPath, cuts: Sequence[int]) -> tuple[list, list]:
+    def _starts(self, path: TablePath) -> tuple[list[int], list[tuple[Any, Any]]]:
+        """Where each segment of ``path`` starts in the word it spells, and the
+        (source, image) product before it; both end with the whole word's
+        length and product."""
+        mul, mul_t = self.source_gens.group.mul_payload, self.pi.target.mul_payload
+        starts = [0]
+        bases = [(self.source_gens.group.identity_payload(), self.pi.target.identity_payload())]
+        for table in path:
+            s, t = bases[-1]
+            starts.append(starts[-1] + len(table.word))
+            bases.append((mul(s, table.source[-1]), mul_t(t, table.image[-1])))
+        return starts, bases
+
+    def _at_cuts(self, path: TablePath, starts: Sequence[int], bases: Sequence[tuple[Any, Any]],
+                 cuts: Sequence[int]) -> tuple[list, list]:
         """The source prefix products of a path at each cut, and their images:
         the base of the segment that holds the cut times one table entry."""
         mul, mul_t = self.source_gens.group.mul_payload, self.pi.target.mul_payload
-        offsets, bases, tables = path.offsets, path.bases, path.tables
         source, image = [], []
         for c in cuts:
-            j = bisect_right(offsets, c, 0, len(tables)) - 1  # the end cut is in the last segment
-            (s, t), table, i = bases[j], tables[j], c - offsets[j]
+            j = bisect_right(starts, c, 0, len(path)) - 1  # the end cut is in the last segment
+            (s, t), table, i = bases[j], path[j], c - starts[j]
             source.append(mul(s, table.source[i]))
             image.append(mul_t(t, table.image[i]))
         return source, image
@@ -458,17 +431,16 @@ class Construction:
         A-letter's table per step, so no word is kept."""
         group, tables = self.source_gens.group, self._tables
         paths = ball(group, self.genset, self.params.d, self.budget).along_parents(
-            self._extend(self._empty, tables[0]),
-            lambda path, letter: self._extend(path, tables[letter]))
+            (tables[0],), lambda path, letter: path + (tables[letter],))
         g_n = self.witness.element.payload
         return {group.mul_payload(g_n, h): path for h, path in paths.items()}
 
-    def witness_neighborhood(self) -> list[tuple[GroupElement, WordPath]]:
+    def witness_neighborhood(self) -> list[tuple[GroupElement, TablePath]]:
         """Every g within A-distance d of the witness, with the path the walk gives it."""
         group = self.source_gens.group
         return [(GroupElement(group, y), path) for y, path in self._walk.items()]
 
-    def path_for(self, g: GroupElement) -> WordPath:
+    def path_for(self, g: GroupElement) -> TablePath:
         """The path of an S-word of length <= n + d*N for g: the witness lift,
         an S-ball geodesic or the walk's path; ValueError if none is derivable."""
         if g == self.witness.element:
@@ -483,30 +455,26 @@ class Construction:
 
     def s_word_for(self, g: GroupElement) -> Word:
         """Some S-word of length <= n + d*N for g, spelled from its path."""
-        return self.path_for(g).word()
+        return tuple(chain.from_iterable(table.word for table in self.path_for(g)))
 
     # -- certificates ------------------------------------------------------
 
     @cached_property
     def _lifts(self) -> dict:
-        """Target payload -> its ``_Lift``, folded down the target ball's BFS
-        tree: each step appends the section letter of its parent letter, which
-        pi maps onto that letter.  So, by induction down the tree, every lift
-        maps onto its element, and its length is the target norm, at most n
-        (a factor word has at most |u| + 2n letters)."""
+        """Target payload -> the source payload of its lift, folded down the
+        target ball's BFS tree: each step appends the section letter of its
+        parent letter, which pi maps onto that letter.  So, by induction down
+        the tree, every lift maps onto its element, and its length is the
+        target norm, at most n (a factor word has at most |u| + 2n letters)."""
         group, pi = self.source_gens.group, self.pi
-        mul = group.mul_payload
         t_letters = tuple(pi.image_gens.letters)
         s_steps = map(self.source_gens.letters.__getitem__, _lift(pi.section, t_letters))
-        steps = dict(zip(t_letters, s_steps))
-
-        def step(parent: _Lift, t_letter: int) -> _Lift:
-            return _Lift(parent.length + 1, mul(parent.payload, steps[t_letter]))
-
-        return self.pi.ball.along_parents(_Lift(0, group.identity_payload()), step)
+        mul, steps = group.mul_payload, dict(zip(t_letters, s_steps))
+        return pi.ball.along_parents(group.identity_payload(),
+                                     lambda parent, t_letter: mul(parent, steps[t_letter]))
 
     def certify(
-        self, g: GroupElement, path: Union[WordPath, Sequence[int], None] = None
+        self, g: GroupElement, path: Union[TablePath, Sequence[int], None] = None
     ) -> Certificate:
         """The certificate of g, along ``path`` or the one ``path_for`` gives,
         checked as ``factorize`` derives it; degenerate if pi(g) is the identity."""
@@ -519,7 +487,7 @@ class Construction:
 def factorize(
     ctx: Construction,
     g: GroupElement,
-    path: Union[WordPath, Sequence[int]],
+    path: Union[TablePath, Sequence[int]],
     near_witness: bool = False,
 ) -> Certificate:
     """Split an S-word for g (a path, or a plain word read as one) along a
@@ -531,7 +499,8 @@ def factorize(
     corrected by lifts of quotient discrepancies so the factors v_i
     multiply to g while each maps onto one geodesic letter (see
     ``_corrected``).  Prefix products are read off the path's tables at the
-    cuts alone: O(k) group operations, whatever the length of the word.
+    cuts alone, each segment's start and the product before it derived once:
+    O(k) group operations, whatever the length of the word.
     Checked as it goes: the path ends at g, in the source group; its length
     is at most n + d*N; k exists and k <= n, and with near_witness=True also
     k >= n - d (the triangle bound), which a degenerate neighbour fails; the
@@ -540,10 +509,11 @@ def factorize(
     mapping to the target identity (k = 0) has no factors, and its
     certificate is marked degenerate.
     """
-    if not isinstance(path, WordPath):
+    if not (path and isinstance(path[0], PrefixTable)):
         path = ctx.word_path(path)
-    params, L = ctx.params, path.length
-    end, pi_g = path.bases[-1]
+    starts, bases = ctx._starts(path)
+    params, L = ctx.params, starts[-1]
+    end, pi_g = bases[-1]
     if end != g.payload or g.group != ctx.source_gens.group:
         raise CertificateError("provided S-word does not evaluate to the element")
     limit = params.n + params.d * params.N
@@ -560,7 +530,8 @@ def factorize(
         return Certificate(g, 0, (), (), (), (), degenerate=True)
     t_letters = ctx.pi.ball.geodesic_payload(pi_g)
     cuts = _cuts(L, k)
-    corrected, v_lengths, last = _corrected(ctx, path, cuts, t_letters)
+    source, image = ctx._at_cuts(path, starts, bases, cuts)
+    corrected, v_lengths, last = _corrected(ctx, source, image, cuts, t_letters)
     if last != ctx.pi.target.identity_payload():
         raise CertificateError("target geodesic does not spell the image")
     group = ctx.source_gens.group
@@ -579,20 +550,21 @@ def _cuts(L: int, k: int) -> tuple[int, ...]:
     return (*range(0, extra * (base + 1), base + 1), *range(extra * (base + 1), L + 1, base))
 
 
-def _corrected(ctx: Construction, path: WordPath, cuts: Sequence[int], t_letters: Word):
-    """R_i = S_i lift(c_i) at each cut i, where c_i = P_i^-1 Q_i with Q_i the
-    geodesic prefixes, so pi maps R_i onto Q_i; R_0 is the identity, and the
-    factor v_i = R_{i-1}^-1 R_i is the value of phi(c_{i-1})^-1 u_i phi(c_i).
-    With them, the length |phi(c_{i-1})| + |u_i| + |phi(c_i)| of each factor
-    word, and c_k, the identity when the geodesic spells P_L."""
+def _corrected(ctx: Construction, source: list, image: list, cuts: Sequence[int], t_letters: Word):
+    """R_i = S_i lift(c_i) at each cut i, where S_i is the source prefix
+    product there, P_i its image and c_i = P_i^-1 Q_i with Q_i the geodesic
+    prefixes, so pi maps R_i onto Q_i; R_0 is the identity, and the factor
+    v_i = R_{i-1}^-1 R_i is the value of phi(c_{i-1})^-1 u_i phi(c_i).  With
+    them, each factor word's length |phi(c_{i-1})| + |u_i| + |phi(c_i)|, with
+    |phi(c)| the target norm of c, and c_k, the identity when the geodesic spells P_L."""
     target = ctx.pi.target
-    source, image = ctx._at_cuts(path, cuts)
     steps = map(ctx.pi.image_gens.letters.__getitem__, t_letters)
     geodesic = accumulate(steps, target.mul_payload, initial=target.identity_payload())
     discrepancies = list(map(target.mul_payload, map(target.inv_payload, image), geodesic))
-    lifts = list(map(ctx._lifts.__getitem__, discrepancies))
-    corrected = list(map(ctx.source_gens.group.mul_payload, source, map(_PAYLOAD, lifts)))
-    lift_lengths = list(map(_LENGTH, lifts))
+    lifts = map(ctx._lifts.__getitem__, discrepancies)
+    corrected = list(map(ctx.source_gens.group.mul_payload, source, lifts))
+    norms, codec = ctx.pi.ball.dist, ctx.pi.ball.codec
+    lift_lengths = list(map(norms.__getitem__, map(codec.encode, discrepancies)))
     lengths = map(add, map(add, lift_lengths, map(sub, cuts[1:], cuts)), lift_lengths[1:])
     return corrected, list(lengths), discrepancies[-1]
 

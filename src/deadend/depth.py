@@ -139,7 +139,7 @@ def depth(b: Ball, g: GroupElement, cap: int) -> DepthValue:
 
 
 class DepthProfile:
-    """Per-element depth over a closed ball, in BFS discovery order."""
+    """Per-element depth over a closed ball in BFS discovery order, each norm read off the ball."""
 
     def __init__(self, b: Ball, entries: dict, cap: int):
         self.group = b.group
@@ -147,24 +147,25 @@ class DepthProfile:
         self.radius = b.radius
         self.cap = cap
         self._codec = b.codec
-        self._entries = entries  # code -> (norm, DepthValue)
+        self._dist = b.dist
+        self._entries = entries  # code -> DepthValue, in the ball's order
 
     def depth_of(self, x: GroupElement) -> DepthValue:
-        entry = self._entries.get(self._codec.encode(x.payload))
-        if entry is None:
+        dv = self._entries.get(self._codec.encode(x.payload))
+        if dv is None:
             raise ValueError("element not recorded in the profile")
-        return entry[1]
+        return dv
 
     def rows(self) -> Iterator[tuple[Any, int, DepthValue]]:
         decode = self._codec.decode
-        for code, (norm, dv) in self._entries.items():
+        for (code, norm), dv in zip(self._dist.items(), self._entries.values()):
             yield decode(code), norm, dv
 
     def _maxima(self) -> tuple[list[DepthValue], Optional[int]]:
         """The deepest value at each norm and the largest finite depth, from one read."""
         deepest: list[Optional[DepthValue]] = [None] * (self.radius + 1)
         finite: Optional[int] = None
-        for norm, dv in self._entries.values():
+        for norm, dv in zip(self._dist.values(), self._entries.values()):
             cur = deepest[norm]
             if cur is None or dv.sort_key() > cur.sort_key():
                 deepest[norm] = dv
@@ -181,13 +182,13 @@ class DepthProfile:
     def to_csv(self, path: Union[str, Path]) -> None:
         text = self._codec.text
         # Equal outcomes mostly share one DepthValue: render each object once.
-        distinct = {id(dv): dv for _, dv in self._entries.values()}
+        distinct = {id(dv): dv for dv in self._entries.values()}
         rendered = {key: dv.render() for key, dv in distinct.items()}
+        rows = zip(self._dist.items(), self._entries.values())
         with open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["element", "norm", "depth"])
-            writer.writerows([text(code), norm, rendered[id(dv)]]
-                             for code, (norm, dv) in self._entries.items())
+            writer.writerows([text(code), norm, rendered[id(dv)]] for (code, norm), dv in rows)
 
     def summary_json(self) -> dict:
         by_norm, max_finite = self._maxima()
@@ -205,7 +206,7 @@ class DepthProfile:
 def depth_profile(b: Ball, cap: int) -> DepthProfile:
     """Depth of every element recorded in the ball (cap per element)."""
     search = _searcher(b, cap)
-    entries = {code: (norm, search(code, norm)) for code, norm in b.dist.items()}
+    entries = {code: search(code, norm) for code, norm in b.dist.items()}
     return DepthProfile(b, entries, cap)
 
 
@@ -235,5 +236,5 @@ def depth_oracle(
             if any(b.dist[y] > norm_g for y in layer):
                 dv = DepthValue.finite(d)
                 break
-        entries[code] = (norm_g, dv)
+        entries[code] = dv
     return DepthProfile(b, entries, cap=order + 1)

@@ -701,7 +701,11 @@ class Lamplighter(Group):
 
     def inv_payload(self, p: tuple) -> tuple:
         lamps, c = p
-        return (tuple(sorted(pos - c for pos in lamps)), -c)
+        inverse = tuple(sorted(pos - c for pos in lamps))
+        if inverse and max(-inverse[0], inverse[-1]) > self._cap:
+            pos = next(pos for pos in lamps if abs(pos - c) > self._cap)
+            raise RangeOverflowError(f"lamp position {pos} - {c} exceeds the {self.bits}-bit cap")
+        return (inverse, -c)
 
     def integer_code(self, payloads: Sequence[tuple], radius: int) -> Codec:
         # Within radius steps the cursor stays in [-span, span], every lamp in

@@ -1,10 +1,12 @@
 """Shared test helpers: random permutation-closure table groups, the A-ball
-oracle of a construction, and the reference depth search with the
-coded-ball cases it is checked on."""
+oracle of a construction, the reference depth search with the coded-ball
+cases it is checked on, and the traced bytes a result retains."""
 
 from __future__ import annotations
 
+import gc
 import random
+import tracemalloc
 
 from hypothesis import strategies as st
 
@@ -84,6 +86,21 @@ def a_ball(ctx):
     return ball(ctx.source_gens.group, ctx.genset, ctx.params.n)
 
 
+def retained_bytes(make):
+    """``make()`` and the traced bytes it leaves allocated while its result lives."""
+    tracing = tracemalloc.is_tracing()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = make()
+        gc.collect()
+        return result, tracemalloc.get_traced_memory()[0] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
 def reference_depth(group, gens, norms, payload, cap):
     """depth.depth's closed-ball search, on payloads and a plain norm dict."""
     norm_g = norms[payload]
@@ -132,12 +149,14 @@ def free_abelian_cases(draw):
 def lamplighter_cases(draw):
     """One or two generators with lamps and cursor in +-3, or one of them with
     a far cursor: too wide to code at 8 bits, and past the 8-bit cap within
-    six steps when it exceeds 127 / 6."""
+    six steps when it exceeds 127 / 6.  The far generator's inverse, whose
+    lamps sit at q - cursor, stays within the cap."""
     group = Lamplighter(bits=draw(st.sampled_from([8, 64])))
     lamps = st.lists(st.integers(-3, 3), max_size=3, unique=True).map(sorted).map(tuple)
     payload = st.tuples(lamps, st.integers(-3, 3)).filter(lambda p: p != ((), 0))
     payloads = draw(st.lists(payload, min_size=1, max_size=2, unique=True))
     if draw(st.booleans()):
-        far = draw(st.integers(20, 127)) * draw(st.sampled_from([-1, 1]))
-        payloads[-1] = (draw(lamps), far)
+        far_lamps, sign = draw(lamps), draw(st.sampled_from([-1, 1]))
+        far = draw(st.integers(20, 127 + min((sign * q for q in far_lamps), default=0)))
+        payloads[-1] = (far_lamps, sign * far)
     return group, gens_of(group, *payloads), draw(st.integers(0, 6))

@@ -37,6 +37,7 @@ from deadend.groups import (
     IntegerGrid,
     IntegerLine,
     Lamplighter,
+    MixedGroupError,
     RangeOverflowError,
     TableGroup,
     evaluate_word,
@@ -814,3 +815,17 @@ def test_ball_cache_bytes_pinned(tmp_path, name, payloads, radius, v1_sha, v2_sh
     path = tmp_path / "ball.bin"
     save_ball(b, path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == v2_sha
+
+
+def test_ball_rejects_generators_of_another_group(tmp_path):
+    # a C_5 generator does not step in Z: no ball, computed, cached or loaded, mixes them
+    c5 = gens_of(Cyclic(5), 1)
+    message = r"generators of Cyclic\(5\) given for a ball of IntegerLine\(bits=64\)"
+    with pytest.raises(MixedGroupError, match=message):
+        ball(IntegerLine(), c5, 3)
+    with pytest.raises(MixedGroupError, match=message):
+        ball_cached(IntegerLine(), c5, 3, tmp_path)
+    save_ball(ball(Cyclic(5), c5, 3), tmp_path / "c5.bin")
+    with pytest.raises(MixedGroupError, match=message):
+        load_ball(tmp_path / "c5.bin", IntegerLine(), c5)
+    assert not list(tmp_path.glob("ball-*"))

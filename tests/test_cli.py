@@ -569,6 +569,16 @@ def test_lamplighter_budget_stop_names_the_homomorphism_check(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_lamplighter_generator_whose_inverse_passes_the_cap_is_a_usage_error(tmp_path, capsys):
+    # a lamp at the 64-bit cap with the cursor at -1: the inverse lights 2^63
+    cap = 2**63 - 1
+    code, report = run(tmp_path, "ball", "--group", "lamplighter", "--gens", f"t,{cap}@-1",
+                       "--radius", "1")
+    assert (code, report) == (EXIT_USAGE, None)
+    assert capsys.readouterr().err == (f"error: bad generating set 't,{cap}@-1': lamp position "
+                                       f"{cap} - -1 exceeds the 64-bit cap\n")
+
+
 def test_invalid_quotient_for_gens(tmp_path):
     # images of {2} do not generate C_10
     code = main(

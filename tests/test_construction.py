@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import deadend.cayley
 import deadend.construction
 import deadend.quotient
-from conftest import a_ball
+from conftest import a_ball, retained_bytes
 from deadend.cayley import Budget, ball, bfs_layers
 from deadend.construction import (
     Certificate,
@@ -20,7 +20,7 @@ from deadend.construction import (
     Construction,
     ConstructionError,
     ConstructionParams,
-    WordPath,
+    PrefixTable,
     bound_inequality_holds,
     constructed_genset,
     factorize,
@@ -193,17 +193,29 @@ def _section_word(pi, h):
 
 
 def test_lift_examples(c10_ctx):
-    lifts = c10_ctx._lifts
-    assert lifts[6] == (4, -4)
-    assert lifts[0] == (0, 0)
-    assert lifts[5] == (5, 5)
+    # a lift's length is the target norm of its element
+    lifts, norm = c10_ctx._lifts, c10_ctx.pi.ball.norm_payload
+    assert (norm(6), lifts[6]) == (4, -4)
+    assert (norm(0), lifts[0]) == (0, 0)
+    assert (norm(5), lifts[5]) == (5, 5)
+
+
+def test_lifts_over_c19683_retain_under_90_bytes_per_element():
+    # a lift is its source payload alone: 62 B per element on Python 3.11, 157 B
+    # with its length beside it
+    pi = cyclic_quotient(UNIT, 19683)
+    lifts, retained = retained_bytes(lambda: _lifts_of(UNIT, pi))
+    assert len(lifts) == len(pi.ball) == 19683
+    assert retained / len(lifts) < 90, f"{retained / len(lifts):.1f} B per element"
 
 
 def test_lift_lengths_match_target_norms(c10_ctx):
     pi = c10_ctx.pi
     for h, lift in c10_ctx._lifts.items():
-        assert lift.length == pi.ball.norm_payload(h) <= c10_ctx.params.n
-        assert pi.apply(ZZ.element(lift.payload), _section_word(pi, h)).payload == h
+        word = _section_word(pi, h)
+        assert len(word) == pi.ball.norm_payload(h) <= c10_ctx.params.n
+        assert evaluate_word(word, UNIT).payload == lift
+        assert pi.apply(ZZ.element(lift), word).payload == h
 
 
 def _bfs_over(cls, monkeypatch):
@@ -303,8 +315,7 @@ def test_parent_folds_match_geodesic_reference(make, N):
         word = _section_word(pi, h)
         assert len(word) == pi.ball.norm_payload(h)
         assert pi.apply_word(word).payload == h
-        lift = evaluate_word(word, gens).payload
-        expected.append((h, (len(word), lift)))
+        expected.append((h, evaluate_word(word, gens).payload))
     assert list(_lifts_of(gens, pi).items()) == expected
 
     genset, s_ball = constructed_genset(gens, pi, N)
@@ -372,7 +383,7 @@ FACTORIZE_FAULTS = {
         ctx.pi.ball, "geodesic_payload",
         lambda p, real=ctx.pi.ball.geodesic_payload: invert_word(real(p))),
     "factors do not multiply to the element": lambda ctx: (
-        ctx, "_lifts", {**ctx._lifts, 0: ctx._lifts[0]._replace(payload=1)}),
+        ctx, "_lifts", {**ctx._lifts, 0: 1}),
 }
 
 
@@ -429,10 +440,16 @@ def reference_factorize(ctx, g, s_word):
     return Certificate(g, k, tuple(cuts), t_letters, v_payloads, tuple(map(len, v_words)))
 
 
+def _spelled(path):
+    """The S-word a path of prefix tables spells."""
+    return tuple(letter for table in path for letter in table.word)
+
+
 def _assert_matches_reference(ctx, g, path):
     # a path is checked against the word it spells
     cert = factorize(ctx, g, path)
-    expected = reference_factorize(ctx, g, path.word() if isinstance(path, WordPath) else path)
+    is_path = bool(path) and isinstance(path[0], PrefixTable)
+    expected = reference_factorize(ctx, g, _spelled(path) if is_path else path)
     assert (cert.u_lengths, cert.t_letters, cert.v_word_lengths, cert.v_payloads) == (
         expected.u_lengths, expected.t_letters, expected.v_word_lengths, expected.v_payloads)
     assert cert == expected
@@ -525,12 +542,15 @@ def _reader(name):
        st.data())
 def test_paths_read_the_prefixes_of_the_word_they_spell(reader, segments, data):
     ctx = _reader(reader)
-    path = functools.reduce(ctx._extend, map(ctx._table, segments), ctx._empty)
-    word = path.word()
+    path = tuple(map(ctx._table, segments))
+    word = _spelled(path)
     assert word == tuple(letter for segment in segments for letter in segment)
-    assert path.length == len(word)
+    starts, bases = ctx._starts(path)
+    assert starts[-1] == len(word)
+    assert bases[-1] == (evaluate_word(word, ctx.source_gens).payload,
+                         ctx.pi.apply_word(word).payload)
     cuts = sorted(data.draw(st.lists(st.integers(0, len(word)), max_size=8)))
-    source, image = ctx._at_cuts(path, cuts)
+    source, image = ctx._at_cuts(path, starts, bases, cuts)
     assert source == [evaluate_word(word[:c], ctx.source_gens).payload for c in cuts]
     assert image == [ctx.pi.apply_word(word[:c]).payload for c in cuts]
 
@@ -590,9 +610,10 @@ def test_walk_is_the_bfs_about_the_witness(case):
         pass
     neighbourhood = ctx.witness_neighborhood()
     assert [element.payload for element, _ in neighbourhood] == list(parent)
+    mul = ctx.source_gens.group.mul_payload
     for (element, path), letter in zip(neighbourhood, parent.values()):
-        assert path.tables[-1] is ctx._tables[letter]
-        assert path.bases[-1][0] == element.payload
+        assert path[-1] is ctx._tables[letter]
+        assert functools.reduce(mul, (table.source[-1] for table in path)) == element.payload
 
 
 @pytest.mark.parametrize("case", sorted(WALK_CASES))
@@ -695,12 +716,15 @@ def test_verify_construction_c22():
 
 
 def test_verify_derives_each_certificate_once(c10_ctx, monkeypatch):
-    reads = []
-    real = c10_ctx._at_cuts
-    monkeypatch.setattr(c10_ctx, "_at_cuts",
-                        lambda path, cuts: reads.append(path) or real(path, cuts))
+    calls = {"_starts": [], "_at_cuts": []}
+    for name, reads in calls.items():
+        real = getattr(c10_ctx, name)
+        monkeypatch.setattr(c10_ctx, name,
+                            lambda path, *rest, real=real, reads=reads:
+                            reads.append(path) or real(path, *rest))
     report = c10_ctx.verify()
-    assert len(reads) == report.neighborhood_size == 117
+    assert len(calls["_at_cuts"]) == report.neighborhood_size == 117
+    assert calls["_starts"] == calls["_at_cuts"]
 
 
 @pytest.mark.parametrize("target_depth", [1, 0])

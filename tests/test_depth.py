@@ -16,6 +16,7 @@ from conftest import (
     outcome,
     random_table_groups,
     reference_depth,
+    retained_bytes,
 )
 from deadend.cayley import ball
 from deadend.depth import DepthValue, depth, depth_oracle, depth_profile
@@ -285,3 +286,13 @@ def test_lamplighter_profile_csv_pinned(tmp_path):
     depth_profile(ball(lamp, standard_gens(lamp), 10), cap=16).to_csv(path)
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
     assert digest == "45210a40a45d16573b2aea6aca1f40c04562769a33d3696af5a9c2534eefa296"
+
+
+def test_lamplighter_profile_retains_under_70_bytes_per_element():
+    # an entry is its depth alone and each norm is the ball's: 51 B per element
+    # on Python 3.11, 107 B with a (norm, depth) pair per entry
+    lamp = Lamplighter()
+    b = ball(lamp, standard_gens(lamp), 14)
+    prof, retained = retained_bytes(lambda: depth_profile(b, cap=32))
+    assert len(b) == 11_609 and prof.summary_json()["elements"] == len(b)
+    assert retained / len(b) < 70, f"{retained / len(b):.1f} B per element"

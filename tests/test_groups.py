@@ -278,6 +278,19 @@ def test_lamplighter_overflow():
         multiply(far, far)
 
 
+def test_lamplighter_inverse_stays_within_the_cap():
+    # the inverse of (lamps, c) lights q - c for each lamp q
+    tiny = Lamplighter(bits=8)
+    assert tiny.inv_payload(((126,), -1)) == ((127,), 1)
+    assert tiny.inv_payload(((-127,), 0)) == ((-127,), 0)
+    for payload, message in [(((127,), -1), "lamp position 127 - -1 exceeds the 8-bit cap"),
+                             (((0, -3), 125), "lamp position -3 - 125 exceeds the 8-bit cap")]:
+        with pytest.raises(RangeOverflowError, match=message):
+            tiny.inv_payload(payload)
+        with pytest.raises(RangeOverflowError, match=message):
+            GeneratingSet([tiny.element(payload)])
+
+
 # -- generating sets --------------------------------------------------------------
 
 
