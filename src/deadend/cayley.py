@@ -194,7 +194,14 @@ def bfs_layers(
     frontier is FIFO, so discovery order is deterministic.  Raises
     BudgetExceededError once ``seen`` outgrows the element budget or the
     time budget runs out.
+
+    A step equal to an earlier one (``a`` and ``a^-1`` for an involution
+    ``a``) reaches nothing new, so only the first pair of each step is kept.
     """
+    firsts: dict = {}
+    for letter, step in letters:
+        firsts.setdefault(step, letter)
+    letters = [(letter, step) for step, letter in firsts.items()]
     deadline = time.monotonic() + budget.max_seconds
     checked = 0
     layer = [start]
@@ -400,4 +407,4 @@ def ball_to_csv(b: Ball, path: Union[str, Path]) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["element", "norm"])
-        writer.writerows(zip(map(b.codec.text, b.dist), b.dist.values()))
+        writer.writerows(zip(b.codec.texts(b.dist), b.dist.values()))

@@ -298,8 +298,8 @@ def cmd_depth(args) -> tuple[dict, dict]:
 
 def cmd_profile(args) -> tuple[dict, dict]:
     group = parse_group(args.group)
-    b = _ball(args, group, parse_gens(group, args.gens))
-    prof = depth_profile(b, cap=args.cap)
+    # no name holds the ball: its parent links are freed before the CSV is written
+    prof = depth_profile(_ball(args, group, parse_gens(group, args.gens)), cap=args.cap)
     if args.csv:
         prof.to_csv(args.csv)
     return _echo(args, "radius", "cap"), prof.summary_json()

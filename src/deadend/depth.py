@@ -90,7 +90,7 @@ def _searcher(b: Ball, cap: int) -> Callable[[Any, int], DepthValue]:
     if cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
     step, lookup = b.codec.step, b.dist.get
-    steps = tuple(b.letter_codes.values())
+    steps = tuple(dict.fromkeys(b.letter_codes.values()))  # an equal step finds nothing new
     finite = functools.cache(DepthValue.finite)
     capped, infinite = DepthValue.at_least(cap), DepthValue.infinite()
 
@@ -139,33 +139,43 @@ def depth(b: Ball, g: GroupElement, cap: int) -> DepthValue:
 
 
 class DepthProfile:
-    """Per-element depth over a closed ball in BFS discovery order, each norm read off the ball."""
+    """Per-element depth over a closed ball in BFS discovery order, each norm read off the ball.
 
-    def __init__(self, b: Ball, entries: dict, cap: int):
+    ``entries`` lists the depths in the order of ``b.dist``; equal depths are
+    mostly one shared ``DepthValue``, which the summary and the CSV rely on for
+    speed, not for their results.
+    """
+
+    def __init__(self, b: Ball, entries: list, cap: int):
         self.group = b.group
         self.gens = b.gens
         self.radius = b.radius
         self.cap = cap
         self._codec = b.codec
         self._dist = b.dist
-        self._entries = entries  # code -> DepthValue, in the ball's order
+        self._entries = entries
+        self._index: Optional[dict] = None  # code -> DepthValue, built by the first depth_of
 
     def depth_of(self, x: GroupElement) -> DepthValue:
-        dv = self._entries.get(self._codec.encode(x.payload))
+        if self._index is None:
+            self._index = dict(zip(self._dist, self._entries))
+        dv = self._index.get(self._codec.encode(x.payload))
         if dv is None:
             raise ValueError("element not recorded in the profile")
         return dv
 
     def rows(self) -> Iterator[tuple[Any, int, DepthValue]]:
         decode = self._codec.decode
-        for (code, norm), dv in zip(self._dist.items(), self._entries.values()):
+        for (code, norm), dv in zip(self._dist.items(), self._entries):
             yield decode(code), norm, dv
 
     def _maxima(self) -> tuple[list[DepthValue], Optional[int]]:
-        """The deepest value at each norm and the largest finite depth, from one read."""
+        """The deepest value at each norm and the largest finite depth, from one read
+        of each distinct (norm, value object) pair."""
+        pairs = dict(zip(zip(self._dist.values(), map(id, self._entries)), self._entries))
         deepest: list[Optional[DepthValue]] = [None] * (self.radius + 1)
         finite: Optional[int] = None
-        for norm, dv in zip(self._dist.values(), self._entries.values()):
+        for (norm, _), dv in pairs.items():
             cur = deepest[norm]
             if cur is None or dv.sort_key() > cur.sort_key():
                 deepest[norm] = dv
@@ -180,15 +190,14 @@ class DepthProfile:
         return self._maxima()[1]
 
     def to_csv(self, path: Union[str, Path]) -> None:
-        text = self._codec.text
         # Equal outcomes mostly share one DepthValue: render each object once.
-        distinct = {id(dv): dv for dv in self._entries.values()}
+        distinct = dict(zip(map(id, self._entries), self._entries))
         rendered = {key: dv.render() for key, dv in distinct.items()}
-        rows = zip(self._dist.items(), self._entries.values())
         with open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["element", "norm", "depth"])
-            writer.writerows([text(code), norm, rendered[id(dv)]] for (code, norm), dv in rows)
+            writer.writerows(zip(self._codec.texts(self._dist), self._dist.values(),
+                                 map(rendered.__getitem__, map(id, self._entries))))
 
     def summary_json(self) -> dict:
         by_norm, max_finite = self._maxima()
@@ -206,8 +215,7 @@ class DepthProfile:
 def depth_profile(b: Ball, cap: int) -> DepthProfile:
     """Depth of every element recorded in the ball (cap per element)."""
     search = _searcher(b, cap)
-    entries = {code: search(code, norm) for code, norm in b.dist.items()}
-    return DepthProfile(b, entries, cap)
+    return DepthProfile(b, list(map(search, b.dist, b.dist.values())), cap)
 
 
 def depth_oracle(
@@ -219,6 +227,7 @@ def depth_oracle(
     the least distance to any element of strictly larger norm, so each
     search stops at the first layer that holds one.  Independent of
     depth()'s closed-ball search, hence usable as an oracle against it.
+    Equal outcomes are one shared ``DepthValue``, as in ``depth_profile``.
     """
     order = group.order()
     if order is None:
@@ -229,12 +238,13 @@ def depth_oracle(
     if len(b) != order:
         raise ValueError(f"generators reach only {len(b)} of {order} elements")
     letters = tuple(b.letter_codes.items())
-    entries: dict = {}
+    finite, infinite = functools.cache(DepthValue.finite), DepthValue.infinite()
+    entries = []
     for code, norm_g in b.dist.items():
-        dv = DepthValue.infinite()
+        dv = infinite
         for d, layer in bfs_layers(b.codec.step, letters, code, {code: 0}, budget):
             if any(b.dist[y] > norm_g for y in layer):
-                dv = DepthValue.finite(d)
+                dv = finite(d)
                 break
-        entries[code] = dv
+        entries.append(dv)
     return DepthProfile(b, entries, cap=order + 1)

@@ -21,9 +21,10 @@ from __future__ import annotations
 import re
 from abc import ABC, abstractmethod
 from contextlib import suppress
+from functools import partial
 from itertools import chain, compress, count
 from operator import add, itemgetter
-from typing import Any, Callable, ClassVar, Iterator, NamedTuple, Optional, Sequence
+from typing import Any, Callable, ClassVar, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 __all__ = [
     "Codec",
@@ -80,15 +81,15 @@ class Codec(NamedTuple):
 
     ``step(code, codes[i])`` codes the product by ``payloads[i]``; ``encode`` maps
     a payload to its code (None outside the coded range), ``decode`` back, and
-    ``text`` maps a code to the ``format_payload`` text of its payload, which
-    writers of element text (CSV exports) call without building the payload
-    where the group can."""
+    ``texts`` maps codes, in bulk, to the ``format_payload`` texts of their
+    payloads, which writers of element text (CSV exports) call without building
+    the payloads where the group can."""
 
     codes: list
     step: Callable[[Any, Any], Any]
     encode: Callable[[Any], Any]
     decode: Callable[[Any], Any]
-    text: Callable[[Any], str]
+    texts: Callable[[Iterable[Any]], Iterator[str]]
 
 
 def _same(x: Any) -> Any:
@@ -168,7 +169,8 @@ class Group(ABC):
         """A ``Codec`` for products of at most ``radius`` of ``payloads``: an int code
         where the group has one that neither overflows nor outgrows the payloads,
         else the identity codec (codes are payloads, ``step`` is ``mul_payload``)."""
-        return Codec(list(payloads), self.mul_payload, _same, _same, self.format_payload)
+        return Codec(list(payloads), self.mul_payload, _same, _same,
+                     partial(map, self.format_payload))
 
     # Formats; the defaults suit integer payloads.
 
@@ -405,7 +407,7 @@ class IntegerLine(Group):
         if reach > self._cap:
             return super().integer_code(payloads, radius)
         return Codec(list(payloads), add, lambda p: p if -reach <= p <= reach else None, _same,
-                     self.format_payload)
+                     partial(map, self.format_payload))
 
     def standard_gens(self) -> GeneratingSet:
         return GeneratingSet([self.element(1)], ["1"])
@@ -483,7 +485,7 @@ class IntegerGrid(Group):
             return tuple(((code >> s) & mask) - reach for s in shifts)
 
         fmt = self.format_payload
-        return Codec(codes, add, encode, decode, lambda code: fmt(decode(code)))
+        return Codec(codes, add, encode, decode, lambda codes: map(fmt, map(decode, codes)))
 
     def format_payload(self, p: tuple) -> str:
         return "(" + ",".join(str(c) for c in p) + ")"
@@ -750,11 +752,17 @@ class Lamplighter(Group):
         # a lit byte's lamps as one text fragment: a table of 256 strings, not 1,024
         lamp_text = reader(_ByteLamps(lambda q: (" ".join(map(str, q)),) if q else ()), " ".join)
 
-        def text(code: int) -> str:
-            lamps, c = lamp_text(code)
-            return "{" + lamps + "}@" + str(c)
+        def texts(codes: Iterable[int]) -> Iterator[str]:
+            # Many codes share a lamp mask: its "{...}@" is rendered once per call,
+            # and forgotten after it, so no codec holds a text per mask.
+            heads: dict = {}
+            for code in codes:
+                head = heads.get(code >> w)
+                if head is None:
+                    head = heads[code >> w] = "{" + lamp_text(code)[0] + "}@"
+                yield head + str((code & field) - span)
 
-        return Codec(codes, step, encode, decode, text)
+        return Codec(codes, step, encode, decode, texts)
 
     def format_payload(self, p: tuple) -> str:
         lamps, c = p

@@ -6,6 +6,8 @@ import hashlib
 import random
 import struct
 import time
+from collections import Counter
+from functools import partial
 from itertools import islice
 from operator import add
 
@@ -590,7 +592,8 @@ def payload_ball(group, gens, radius):
     """The reference BFS as a Ball on the identity codec: codes are payloads."""
     dist, parent, spheres = reference_ball(group, gens, radius)
     same = lambda p: p  # noqa: E731
-    codec = Codec(list(gens.letters.values()), group.mul_payload, same, same, group.format_payload)
+    codec = Codec(list(gens.letters.values()), group.mul_payload, same, same,
+                  partial(map, group.format_payload))
     return Ball(group, gens, radius, dict(dist), dict(parent), spheres, codec)
 
 
@@ -643,6 +646,24 @@ def test_coded_ball_matches_payload_bfs(tmp_path_factory, case):
     assert outcome(profile_csv, b, tmp / "coded-depth.csv") == outcome(
         profile_csv, ref, tmp / "payload-depth.csv"
     )
+
+
+@pytest.mark.parametrize("group, radius", [(Lamplighter(), 6), (Dihedral(6), 12)], ids=repr)
+def test_kernel_steps_each_distinct_step_once(group, radius):
+    # a and s are involutions: of the four signed letters, two step alike
+    gens = standard_gens(group)
+    expanded = Counter()
+
+    def mul(x, step):
+        expanded[x] += 1
+        return group.mul_payload(x, step)
+
+    identity = group.identity_payload()
+    for _ in islice(bfs_layers(mul, gens.symmetrized_letters(), identity, {identity: 0}), radius):
+        pass
+    assert set(expanded.values()) == {3}
+    assert len(expanded) == (len(ball(group, gens, radius - 1)) if group.order() is None
+                             else group.order())
 
 
 def profile_csv(b, path):
@@ -752,6 +773,7 @@ def test_lamplighter_code_steps_and_decodes():
     identity = codec.encode(lamp.identity_payload())
     assert codec.decode(identity) == lamp.identity_payload()
     rng = random.Random(3)
+    codes, payloads = [], []
     for _ in range(200):
         code, payload = identity, lamp.identity_payload()
         for _ in range(rng.randint(0, 10)):
@@ -760,7 +782,9 @@ def test_lamplighter_code_steps_and_decodes():
             payload = lamp.mul_payload(payload, steps[i])
         assert codec.decode(code) == payload
         assert codec.encode(payload) == code
-        assert codec.text(code) == lamp.format_payload(payload)
+        codes.append(code)
+        payloads.append(payload)
+    assert list(codec.texts(codes)) == list(map(lamp.format_payload, payloads))
     assert codec.encode(((), 31)) is None
     assert codec.encode(((-33,), 0)) is None
 
@@ -774,6 +798,11 @@ CODEC_TEXT_CASES = [
         ((32,), -7), ((-32, 32), 0),  # a far lamp, alone and with the nearest
         (tuple(range(-32, 33, 3)), 17),
     ]),
+    # one call renders each lamp mask once: masks recur under other cursors
+    (Lamplighter(), [((-2, 1), 3), ((0,), 0), ((), -1)], 10, [
+        ((-2, 1), 0), ((), 0), ((-2, 1), 5), ((-32, 32), -30), ((-2, 1), -30),
+        ((), 30), ((-32, 32), 30), ((-2, 1), 0), ((), -1),
+    ]),
     (IntegerGrid(3), [(3, -1, 0), (-2, 5, 7), (0, 0, -4)], 8,
      [(0, 0, 0), (-24, 40, 56), (3, -8, -32)]),
     (IntegerLine(), [3, -5], 4, [0, 20, -20, 7]),
@@ -783,13 +812,13 @@ CODEC_TEXT_CASES = [
 
 
 @pytest.mark.parametrize("group, steps, radius, payloads", CODEC_TEXT_CASES,
-                         ids=["lamplighter", "grid", "line", "identity"])
+                         ids=["lamplighter", "lamplighter-shared-masks", "grid", "line", "identity"])
 def test_codec_text_is_the_format_of_the_payload(group, steps, radius, payloads):
     codec = group.integer_code(steps, radius)
-    for payload in payloads:
-        code = codec.encode(payload)
+    codes = list(map(codec.encode, payloads))
+    for code, payload in zip(codes, payloads):
         assert code is not None and codec.decode(code) == payload
-        assert codec.text(code) == group.format_payload(payload)
+    assert list(codec.texts(codes)) == list(map(group.format_payload, payloads))
 
 
 # SHA-256 of the version-1 record stream, pinned before balls kept their

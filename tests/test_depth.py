@@ -163,11 +163,15 @@ def test_profile_rows_match_reference_search(case):
 def test_equal_profile_values_are_shared():
     lamp = Lamplighter()
     prof = depth_profile(ball(lamp, standard_gens(lamp), 8), cap=2)
-    by_value: dict = {}
-    for _, _, dv in prof.rows():
-        by_value.setdefault(dv, set()).add(id(dv))
-    assert set(by_value) == {DepthValue.finite(1), DepthValue.at_least(2)}
-    assert all(len(ids) == 1 for ids in by_value.values())
+    d6 = Dihedral(6)
+    oracle = depth_oracle(d6, standard_gens(d6))
+    for profile, values in ((prof, {DepthValue.finite(1), DepthValue.at_least(2)}),
+                            (oracle, {DepthValue.finite(1), DepthValue.infinite()})):
+        by_value: dict = {}
+        for _, _, dv in profile.rows():
+            by_value.setdefault(dv, set()).add(id(dv))
+        assert set(by_value) == values
+        assert all(len(ids) == 1 for ids in by_value.values())
 
 
 def test_depth_of_outside_the_profile():
@@ -288,11 +292,11 @@ def test_lamplighter_profile_csv_pinned(tmp_path):
     assert digest == "45210a40a45d16573b2aea6aca1f40c04562769a33d3696af5a9c2534eefa296"
 
 
-def test_lamplighter_profile_retains_under_70_bytes_per_element():
-    # an entry is its depth alone and each norm is the ball's: 51 B per element
-    # on Python 3.11, 107 B with a (norm, depth) pair per entry
+def test_lamplighter_profile_retains_under_16_bytes_per_element():
+    # the entries are a list of shared depths in the ball's order and each norm is
+    # the ball's: 8.4 B per element on Python 3.11, 51 B with a code-keyed dict
     lamp = Lamplighter()
     b = ball(lamp, standard_gens(lamp), 14)
     prof, retained = retained_bytes(lambda: depth_profile(b, cap=32))
     assert len(b) == 11_609 and prof.summary_json()["elements"] == len(b)
-    assert retained / len(b) < 70, f"{retained / len(b):.1f} B per element"
+    assert retained / len(b) < 16, f"{retained / len(b):.1f} B per element"
