@@ -25,7 +25,6 @@ from .groups import (
     Word,
     evaluate_word,
     invert_word,
-    multiply,
     standard_gens,
 )
 from .cayley import (

@@ -49,6 +49,7 @@ CACHE_MAGIC = b"DECB"
 CACHE_VERSION = 2
 # magic, version, content hash, radius, element count, sphere count
 _HEADER = struct.Struct(">4sH32sIQI")
+_MAX_CACHED_RADIUS = 2**32 - 1  # the header's u32 radius field
 
 
 @dataclass(frozen=True)
@@ -276,8 +277,12 @@ def save_ball(b: Ball, path: Union[str, Path], *, digest: Optional[str] = None) 
     record in BFS order, its parent's index (u32) and its parent letter
     (i32); no element is stored.  The bytes go to a temporary file that is
     then renamed over ``path``, so a crash mid-write never leaves a
-    truncated cache file behind.
+    truncated cache file behind.  A radius above the header's u32 field
+    raises ValueError before anything is written.
     """
+    if b.radius > _MAX_CACHED_RADIUS:
+        raise ValueError(f"ball radius {b.radius} does not fit the cache header "
+                         f"(at most {_MAX_CACHED_RADIUS})")
     path = Path(path)
     digest = digest or ball_content_hash(b.gens, b.radius)
     index = dict(zip(b.dist, count()))
@@ -384,9 +389,10 @@ def ball_cached(
 
     The content hash is computed once and passed to the load and the save.
     A cache file that cannot be loaded counts as a miss and is rewritten.
-    Without a ``cache_dir`` the ball is computed and nothing is cached.
+    Without a ``cache_dir``, or for a radius the cache header cannot hold,
+    the ball is computed and nothing is cached.
     """
-    if not cache_dir:
+    if not cache_dir or radius > _MAX_CACHED_RADIUS:
         return ball(group, gens, radius, budget)
     cache_dir = Path(cache_dir)
     cache_dir.mkdir(parents=True, exist_ok=True)

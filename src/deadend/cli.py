@@ -165,15 +165,8 @@ def parse_quotient(spec: str, source_gens: GeneratingSet, budget: Budget) -> Opt
     raise UsageError(f"unrecognized quotient spec {spec!r}")
 
 
-_CONFIG_ALIASES = {"family": "quotient", "max_m": "quotient_max"}
-
-
 def load_config(path: str) -> dict[str, str]:
-    """Flat key = value file mirroring the flags; '#' starts a comment.
-
-    Quotient families may also be spelled with the keys ``family`` and
-    ``max_m`` (e.g. ``family = "cyclic"``, ``max_m = 100000``).
-    """
+    """Flat key = value file mirroring the flags; '#' starts a comment."""
     out: dict[str, str] = {}
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -187,7 +180,6 @@ def load_config(path: str) -> dict[str, str]:
             raise UsageError(f"config line {lineno}: expected key = value")
         key, _, value = line.partition("=")
         key = key.strip().replace("-", "_")
-        key = _CONFIG_ALIASES.get(key, key)
         value = value.strip().strip("\"'")
         out[key] = value
     return out

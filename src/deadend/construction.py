@@ -32,7 +32,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, chain
+from itertools import accumulate
 from operator import add, sub
 from pathlib import Path
 from typing import Any, NamedTuple, Optional, Sequence, Union
@@ -49,7 +49,7 @@ from .groups import (
     invert_word,
 )
 from .quotient import QuotientMap, check_homomorphism
-from .serialize import dumps, payload_to_json
+from .serialize import dumps
 
 __all__ = [
     "ConstructionError",
@@ -242,7 +242,7 @@ class DeadEndWitness:
 
     def to_json(self) -> dict:
         return {
-            "element": payload_to_json(self.element.group, self.element.payload),
+            "element": self.element.group.payload_to_json(self.element.payload),
             "element_str": str(self.element),
             "n": self.n,
             "depth_lower_bound": self.depth_lower_bound,
@@ -306,7 +306,7 @@ class Certificate:
         group = self.target.group
         return {
             "schema": "certificate.v1",
-            "target": payload_to_json(group, self.target.payload),
+            "target": group.payload_to_json(self.target.payload),
             "k": self.k,
             "degenerate": self.degenerate,
             "u_lengths": self.u_lengths,
@@ -452,10 +452,6 @@ class Construction:
             raise ValueError(f"no S-word available for {g}: outside the S-ball and the "
                              "witness neighborhood")
         return path
-
-    def s_word_for(self, g: GroupElement) -> Word:
-        """Some S-word of length <= n + d*N for g, spelled from its path."""
-        return tuple(chain.from_iterable(table.word for table in self.path_for(g)))
 
     # -- certificates ------------------------------------------------------
 

@@ -43,7 +43,6 @@ __all__ = [
     "RangeOverflowError",
     "InvalidElementError",
     "TableGroupError",
-    "multiply",
     "evaluate_word",
     "fold_word",
     "invert_word",
@@ -239,7 +238,11 @@ class GroupElement:
         return self._hash
 
     def __mul__(self, other: "GroupElement") -> "GroupElement":
-        return multiply(self, other)
+        """Canonical product; operands must share a group."""
+        group = self.group
+        if group is not other.group and group != other.group:
+            raise MixedGroupError(f"operands from different groups: {group!r} vs {other.group!r}")
+        return GroupElement(group, group.mul_payload(self.payload, other.payload))
 
     def inverse(self) -> "GroupElement":
         return GroupElement(self.group, self.group.inv_payload(self.payload))
@@ -252,17 +255,6 @@ class GroupElement:
 
     def __repr__(self) -> str:
         return f"<{self.group.variant} {self}>"
-
-
-def _same_group(x: GroupElement, y: GroupElement) -> None:
-    if x.group is not y.group and x.group != y.group:
-        raise MixedGroupError(f"operands from different groups: {x.group!r} vs {y.group!r}")
-
-
-def multiply(x: GroupElement, y: GroupElement) -> GroupElement:
-    """Canonical product x*y; operands must share a group."""
-    _same_group(x, y)
-    return GroupElement(x.group, x.group.mul_payload(x.payload, y.payload))
 
 
 class GeneratingSet:

@@ -30,11 +30,9 @@ from .groups import (
     IntegerGrid,
     IntegerLine,
     Lamplighter,
-    evaluate_word,
     fold_word,
     letter_table,
 )
-from .serialize import payload_to_json
 
 __all__ = [
     "QuotientMap",
@@ -115,16 +113,6 @@ class QuotientMap:
         )
         self.ball = group_ball(target, self.image_gens, budget)
         self.report = DiameterReport.of_ball(self.ball)
-
-    def apply(self, g: GroupElement, word_hint: Optional[Sequence[int]] = None) -> GroupElement:
-        """Image of g, read off an S-word that evaluates to g (required)."""
-        if g.group is not self.source and g.group != self.source:
-            raise QuotientError("argument does not belong to the source group")
-        if word_hint is None:
-            raise QuotientError("a quotient map needs an S-word for its argument")
-        if evaluate_word(word_hint, self.source_gens) != g:
-            raise QuotientError("word hint does not evaluate to the argument")
-        return self.apply_word(word_hint)
 
     def apply_word(self, word: Sequence[int]) -> GroupElement:
         """Image of the element spelled by an S-word (letters map to images)."""
@@ -303,7 +291,7 @@ class DiameterReport:
             "schema": "diameter-report.v1",
             "order": self.order,
             "diameter": self.diameter,
-            "witness": payload_to_json(self.witness.group, self.witness.payload),
+            "witness": self.witness.group.payload_to_json(self.witness.payload),
             "witness_str": str(self.witness),
             "sphere_sizes": list(self.sphere_sizes),
         }

@@ -1,4 +1,4 @@
-"""Versioned JSON encodings for groups, elements, generating sets, words.
+"""Versioned JSON encodings for groups and generating sets, and checked payload decoding.
 
 All integers inside these encodings travel as decimal strings so that
 consumers without 64-bit exact integers cannot lose precision.  Keys are
@@ -18,16 +18,12 @@ from .groups import (
     GroupElement,
     InvalidElementError,
     TableRows,
-    Word,
     json_field,
-    json_int,
     table_row_ints,
 )
 
 GROUP_SCHEMA = "group.v1"
-ELEMENT_SCHEMA = "element.v1"
 GENSET_SCHEMA = "genset.v1"
-WORD_SCHEMA = "word.v1"
 
 __all__ = [
     "dumps",
@@ -35,14 +31,9 @@ __all__ = [
     "group_to_json",
     "group_from_json",
     "table_doc_from_text",
-    "payload_to_json",
     "payload_from_json",
-    "element_to_json",
-    "element_from_json",
     "genset_to_json",
     "genset_from_json",
-    "word_to_json",
-    "word_from_json",
 ]
 
 
@@ -112,10 +103,6 @@ def table_doc_from_text(text: str, decoder: json.JSONDecoder) -> Optional[dict]:
     return doc if WHITESPACE.match(text, i + 1).end() == len(text) else None
 
 
-def payload_to_json(group: Group, payload: Any) -> Any:
-    return group.payload_to_json(payload)
-
-
 def payload_from_json(group: Group, obj: Any) -> Any:
     try:
         return group.payload_from_json(obj)
@@ -123,25 +110,11 @@ def payload_from_json(group: Group, obj: Any) -> Any:
         raise InvalidElementError(f"malformed payload {obj!r} for {group!r}") from exc
 
 
-def element_to_json(x: GroupElement) -> dict:
-    return {
-        "schema": ELEMENT_SCHEMA,
-        "group": group_to_json(x.group),
-        "payload": payload_to_json(x.group, x.payload),
-    }
-
-
-def element_from_json(doc: Any) -> GroupElement:
-    doc = _expect_schema(doc, ELEMENT_SCHEMA)
-    group = group_from_json(json_field(doc, "group"))
-    return GroupElement(group, payload_from_json(group, json_field(doc, "payload")))
-
-
 def genset_to_json(gens: GeneratingSet) -> dict:
     return {
         "schema": GENSET_SCHEMA,
         "group": group_to_json(gens.group),
-        "entries": [payload_to_json(gens.group, e.payload) for e in gens.entries],
+        "entries": [gens.group.payload_to_json(e.payload) for e in gens.entries],
         "labels": list(gens.labels),
     }
 
@@ -156,14 +129,3 @@ def genset_from_json(doc: Any) -> GeneratingSet:
         return GeneratingSet.empty(group)
     return GeneratingSet(entries, labels)
 
-
-def word_to_json(word: Word) -> dict:
-    return {"schema": WORD_SCHEMA, "letters": [str(x) for x in word]}
-
-
-def word_from_json(doc: Any) -> Word:
-    doc = _expect_schema(doc, WORD_SCHEMA)
-    letters = tuple(json_int(x) for x in json_field(doc, "letters", list))
-    if any(x == 0 for x in letters):
-        raise ValueError("word letters must be nonzero signed indices")
-    return letters

@@ -280,6 +280,23 @@ def test_ball_cached_reuses_file(tmp_path):
     assert list(b2.payloads()) == list(b1.payloads())
 
 
+def test_ball_cache_header_holds_radii_below_2_to_the_32(tmp_path, monkeypatch):
+    group, budget = Cyclic(5), Budget(max_radius=2**32)
+    gens = gens_of(group, 1)
+    too_far = ball_cached(group, gens, 2**32, tmp_path / "far", budget)
+    assert (too_far.radius, too_far.sphere_sizes) == (2**32, (1, 2, 2))
+    assert not (tmp_path / "far").exists()
+    with pytest.raises(ValueError, match="ball radius 4294967296 does not fit"):
+        save_ball(too_far, tmp_path / "far.bin")
+    assert list(tmp_path.iterdir()) == []
+    widest = ball_cached(group, gens, 2**32 - 1, tmp_path, budget)
+    (path,) = tmp_path.iterdir()
+    monkeypatch.setattr(cayley, "ball", None)  # a hit builds no ball
+    hit = ball_cached(group, gens, 2**32 - 1, tmp_path, budget)
+    assert ball_record(hit) == ball_record(widest) and hit.radius == 2**32 - 1
+    assert list(tmp_path.iterdir()) == [path]
+
+
 def test_ball_cache_keeps_a_rank_1024_ball(tmp_path):
     # 1024 coordinates of 64 bytes: one element took 65,536 bytes in the
     # version-1 records, too long to cache; the BFS tree has no element bytes

@@ -434,6 +434,22 @@ def test_ball_command_recomputes_truncated_cache(tmp_path):
     assert list(cache.iterdir()) == [path]
 
 
+@pytest.mark.parametrize("command", [["ball"], ["depth", "--element", "2"]])
+def test_cache_dir_skips_a_radius_beyond_the_cache_header(tmp_path, command):
+    """The cache header's radius field is u32: a larger radius runs uncached."""
+    for radius, files in ((2**32, 0), (2**32 - 1, 1)):
+        cache = tmp_path / f"cache-{radius}"
+        argv = [*command, "--group", "cyclic:5", "--gens", "1", f"--radius={radius}",
+                f"--budget-radius={radius}"]
+        reports = [run(tmp_path, *argv, name="plain.json"),
+                   run(tmp_path, *argv, "--cache-dir", str(cache), name="miss.json"),
+                   run(tmp_path, *argv, "--cache-dir", str(cache), name="hit.json")]
+        results = [(code, report["results"]) for code, report in reports]
+        assert results == [(EXIT_OK, reports[0][1]["results"])] * 3
+        written = list(cache.glob("*"))
+        assert len(written) == files and all(p.match("ball-*.bin") for p in written)
+
+
 # -- exit codes --------------------------------------------------------------------
 
 
@@ -621,16 +637,21 @@ def test_flags_override_config(tmp_path):
     assert report["inputs"]["params"]["N"] == 78
 
 
-def test_config_family_aliases(tmp_path):
+def test_config_family_aliases(tmp_path, capsys):
+    """A quotient family is configured by the flags' own keys; family and max_m are unknown."""
     config = tmp_path / "run.conf"
-    config.write_text('family = "cyclic"\nmax_m = 100000\ntarget_depth = 3\n')
-    code, report = run(
-        tmp_path,
-        "construct", "--group", "zz", "--gens", "1", "--config", str(config),
-    )
+    config.write_text('quotient = "cyclic"\nquotient_max = 100000\ntarget_depth = 3\n')
+    argv = ["construct", "--group", "zz", "--gens", "1", "--config", str(config)]
+    code, report = run(tmp_path, *argv)
     assert code == EXIT_OK
     assert report["inputs"]["quotient"] == "cyclic"
     assert report["inputs"]["quotient_order"] == 10
+    capsys.readouterr()
+    for alias, value in (("family", '"cyclic"'), ("max_m", "100000")):
+        config.write_text(f"{alias} = {value}\ntarget_depth = 3\n")
+        code, report = run(tmp_path, *argv, name=f"{alias}.json")
+        assert (code, report) == (EXIT_USAGE, None)
+        assert capsys.readouterr().err == f"error: unknown config key '{alias}'\n"
 
 
 def test_unknown_config_key_rejected(tmp_path):

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from deadend.cli import EXIT_BUDGET, EXIT_OK, EXIT_USAGE, EXIT_VERIFICATION, main
 from deadend.groups import Cyclic, Dihedral, IntegerGrid, IntegerLine, Lamplighter
-from deadend.serialize import group_to_json, payload_to_json
+from deadend.serialize import group_to_json
 
 FUZZ = settings(max_examples=100, deadline=None)
 BUDGET = ["--budget-elements=3000", "--budget-radius=100", "--budget-seconds=1"]
@@ -90,7 +90,7 @@ def payload_docs(draw, group):
     """A payload as a document holds it: mostly valid, sometimes junk."""
     if draw(st.integers(0, 9)) == 0:
         return draw(JUNK)
-    return payload_to_json(group, group.canonical_payload(draw(payloads(group))))
+    return group.payload_to_json(group.canonical_payload(draw(payloads(group))))
 
 
 @st.composite

@@ -139,7 +139,9 @@ def test_built_set_invariants(c10_ctx):
     tset = pi.image_set()
     for e in ctx.genset.entries:
         assert abs(e.payload) <= ctx.params.N
-        assert pi.apply(e, ctx.s_ball.geodesic(e)).payload in tset
+        word = ctx.s_ball.geodesic(e)
+        assert evaluate_word(word, ctx.source_gens) == e
+        assert pi.apply_word(word).payload in tset
         assert ctx.s_ball.norm(e) is not None
     for s in ctx.source_gens.entries:
         assert s.payload in ctx.symmetrized
@@ -215,7 +217,7 @@ def test_lift_lengths_match_target_norms(c10_ctx):
         word = _section_word(pi, h)
         assert len(word) == pi.ball.norm_payload(h) <= c10_ctx.params.n
         assert evaluate_word(word, UNIT).payload == lift
-        assert pi.apply(ZZ.element(lift), word).payload == h
+        assert pi.apply_word(word).payload == h
 
 
 def _bfs_over(cls, monkeypatch):
@@ -671,7 +673,8 @@ def test_certify_outside_the_s_ball_walks_once(monkeypatch):
     assert len(walks) == 1 and walks[0][0] is ctx.genset and walks[0][1] == ctx.params.d
     assert first == second
     assert not first.degenerate and ctx.params.n - ctx.params.d <= first.k <= ctx.params.n
-    assert len(ctx.s_word_for(g)) <= ctx.params.n + ctx.params.d * ctx.params.N
+    s_word_length = sum(len(table.word) for table in ctx.path_for(g))
+    assert s_word_length <= ctx.params.n + ctx.params.d * ctx.params.N
 
 
 # -- full verification -----------------------------------------------------------------

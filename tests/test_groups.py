@@ -27,7 +27,6 @@ from deadend.groups import (
     evaluate_word,
     fold_word,
     invert_word,
-    multiply,
     standard_gens,
 )
 
@@ -61,25 +60,25 @@ def _sample_elements(group, rng, count=40):
             for _ in range(count)]
 
 
-# -- multiply / invert / evaluate_word ---------------------------------------
+# -- products / invert / evaluate_word ---------------------------------------
 
 
 def test_multiply_integers():
-    assert multiply(ZZ.element(3), ZZ.element(4)) == ZZ.element(7)
+    assert ZZ.element(3) * ZZ.element(4) == ZZ.element(7)
 
 
 def test_multiply_cyclic_residues():
-    assert multiply(C10.element(7), C10.element(5)) == C10.element(2)
+    assert C10.element(7) * C10.element(5) == C10.element(2)
 
 
 def test_multiply_lamplighter_inverse_law():
     t = LAMP.element(((), 1))
-    assert multiply(t, t.inverse()) == LAMP.identity()
+    assert t * t.inverse() == LAMP.identity()
 
 
 def test_multiply_mixed_groups_rejected():
     with pytest.raises(MixedGroupError):
-        multiply(ZZ.element(1), C10.element(1))
+        ZZ.element(1) * C10.element(1)
 
 
 def test_invert_examples():
@@ -147,20 +146,20 @@ def test_group_laws_sampled(group):
     elems = _sample_elements(group, rng, count=25)
     identity = group.identity()
     for x in elems:
-        assert multiply(x, identity) == x
-        assert multiply(identity, x) == x
-        assert multiply(x, x.inverse()) == identity
+        assert x * identity == x
+        assert identity * x == x
+        assert x * x.inverse() == identity
         assert x.inverse().inverse() == x
     for _ in range(120):
         x, y, z = rng.choice(elems), rng.choice(elems), rng.choice(elems)
-        assert multiply(multiply(x, y), z) == multiply(x, multiply(y, z))
+        assert (x * y) * z == x * (y * z)
 
 
 def test_table_group_laws_exhaustive():
     group = TableGroup(cyclic_table(12), identity_id=0)
     elems = list(group.elements())
     for x, y, z in itertools.product(elems, repeat=3):
-        assert multiply(multiply(x, y), z) == multiply(x, multiply(y, z))
+        assert (x * y) * z == x * (y * z)
     # payload-level sweep at the order-64 corpus ceiling
     big = TableGroup(cyclic_table(64), identity_id=0)
     t = big.table
@@ -174,20 +173,20 @@ def test_dihedral_relations():
     s = d.element((0, 1))
     rk = d.identity()
     for _ in range(6):
-        rk = multiply(rk, r)
+        rk = rk * r
     assert rk == d.identity()
-    assert multiply(s, s) == d.identity()
+    assert s * s == d.identity()
     # s r s = r^-1
-    assert multiply(multiply(s, r), s) == r.inverse()
+    assert s * r * s == r.inverse()
 
 
 def test_lamplighter_toggle_and_shift():
     t = LAMP.element(((), 1))
     a = LAMP.element(((0,), 0))
     # walk right, toggle, walk back: lamp lit at position 1, cursor home
-    g = multiply(multiply(t, a), t.inverse())
+    g = t * a * t.inverse()
     assert g == LAMP.element(((1,), 0))
-    assert multiply(a, a) == LAMP.identity()
+    assert a * a == LAMP.identity()
 
 
 # -- canonical payloads ----------------------------------------------------------
@@ -258,7 +257,7 @@ def test_integer_overflow_is_hard_error():
     small = IntegerLine(bits=8)
     x = small.element(100)
     with pytest.raises(RangeOverflowError):
-        multiply(x, x)
+        x * x
     with pytest.raises(RangeOverflowError):
         small.element(1000)
 
@@ -275,7 +274,7 @@ def test_lamplighter_overflow():
     tiny = Lamplighter(bits=8)
     far = tiny.element(((), 100))
     with pytest.raises(RangeOverflowError):
-        multiply(far, far)
+        far * far
 
 
 def test_lamplighter_inverse_stays_within_the_cap():
@@ -364,7 +363,7 @@ def test_table_group_large_table_loads():
     m = 520  # Light's test is conclusive at every order
     group = TableGroup(cyclic_table(m), identity_id=0)
     assert group.order() == m
-    assert multiply(group.element(300), group.element(400)).payload == 180
+    assert (group.element(300) * group.element(400)).payload == 180
 
 
 def test_table_inverses_are_two_sided():

@@ -24,7 +24,6 @@ from deadend.groups import (
 from deadend.quotient import (
     FamilyExhaustedError,
     HomomorphismError,
-    QuotientError,
     QuotientMap,
     SurjectivityError,
     check_homomorphism,
@@ -58,30 +57,15 @@ def brute_force_diameter(group, gens):
         current = nxt
 
 
-# -- apply ---------------------------------------------------------------------
+# -- apply_word -------------------------------------------------------------------
 
 
 def test_cyclic_apply_examples():
     pi = cyclic_quotient(UNIT, 10)
-    assert pi.apply(ZZ.element(76), word_hint=[1] * 76).payload == 6
-    assert pi.apply(ZZ.identity(), word_hint=[]) == Cyclic(10).identity()
-    assert pi.apply(ZZ.element(5), word_hint=[1] * 5).payload == 5
-    assert pi.apply(ZZ.element(-3), word_hint=[-1] * 3).payload == 7
-
-
-def test_word_apply_requires_hint():
-    target = Cyclic(6)
-    pi = QuotientMap(UNIT, target, [target.element(1)])
-    with pytest.raises(QuotientError):
-        pi.apply(ZZ.element(3))
-    assert pi.apply(ZZ.element(3), word_hint=[1, 1, 1]).payload == 3
-
-
-def test_word_apply_rejects_bad_hint():
-    target = Cyclic(6)
-    pi = QuotientMap(UNIT, target, [target.element(1)])
-    with pytest.raises(QuotientError):
-        pi.apply(ZZ.element(3), word_hint=[1, 1])
+    assert pi.apply_word([1] * 76).payload == 6
+    assert pi.apply_word([]) == Cyclic(10).identity()
+    assert pi.apply_word([1] * 5).payload == 5
+    assert pi.apply_word([-1] * 3).payload == 7
 
 
 def test_apply_word_rejects_letters_out_of_range():
@@ -110,9 +94,9 @@ def test_apply_constant_across_words():
         for _ in range(rng.randrange(1, 4)):
             pos = rng.randrange(len(padded) + 1)
             padded[pos:pos] = [1, -1]
-        first = pi.apply(ZZ.element(value), word_hint=base)
-        second = pi.apply(ZZ.element(value), word_hint=padded)
-        assert first == second
+        first = pi.apply_word(base)
+        second = pi.apply_word(padded)
+        assert first == second == target.element(value)
 
 
 def test_surjectivity_enforced():
