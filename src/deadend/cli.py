@@ -19,6 +19,8 @@ import json
 import sys
 import time
 import warnings
+from itertools import repeat
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Any, Optional, Sequence
 
@@ -188,8 +190,50 @@ def load_config(path: str) -> dict[str, str]:
 # -- report plumbing ------------------------------------------------------------
 
 
+_SCALARS = (str, int, float, bool, type(None))
+
+
+def _flat(obj: Any) -> bool:
+    """Whether every item of a list, or every value of a dict, is a JSON scalar."""
+    return all(map(isinstance, obj.values() if isinstance(obj, dict) else obj, repeat(_SCALARS)))
+
+
+def _report_text(doc: Any, indent: str = "") -> str:
+    """The text of ``json.dumps(doc, indent=2, sort_keys=True)`` for a document
+    whose object keys are strings, at the column ``indent``.
+
+    That call runs the pure-Python encoder, as ``indent`` turns the C one off.
+    Here the C encoder writes each non-empty container of scalars in one call,
+    and each list of non-empty flat objects (a report's table): its item
+    separator is a newline and the indent of the container's items, so only
+    the brackets are added by hand.  In a list of rows, the separator is the
+    fields' indent; raw newlines occur only at separators, so "},<sep>{"
+    marks each row boundary exactly.
+    """
+    if not isinstance(doc, (dict, list, tuple)) or not doc:
+        return json.dumps(doc)
+    inner = indent + "  "
+    if _flat(doc):
+        text = json.dumps(doc, sort_keys=True, separators=(",\n" + inner, ": "))
+        return text[0] + "\n" + inner + text[1:-1] + "\n" + indent + text[-1]
+    if not isinstance(doc, dict) and all(isinstance(row, dict) and row and _flat(row)
+                                         for row in doc):
+        field = inner + "  "
+        text = json.dumps(doc, sort_keys=True, separators=(",\n" + field, ": "))
+        boundary = "\n" + inner + "},\n" + inner + "{\n" + field
+        rows = text[2:-2].replace("},\n" + field + "{", boundary)
+        return "[\n" + inner + "{\n" + field + rows + "\n" + inner + "}\n" + indent + "]"
+    if isinstance(doc, dict):  # a key that is no string raises TypeError here
+        items = [encode_basestring_ascii(key) + ": " + _report_text(value, inner)
+                 for key, value in sorted(doc.items())]
+    else:
+        items = [_report_text(value, inner) for value in doc]
+    brackets = "{}" if isinstance(doc, dict) else "[]"
+    return brackets[0] + "\n" + inner + (",\n" + inner).join(items) + "\n" + indent + brackets[1]
+
+
 def _write_report(report: dict, out: Optional[str]) -> None:
-    text = json.dumps(report, indent=2, sort_keys=True)
+    text = _report_text(report)
     if out:
         Path(out).write_text(text + "\n", encoding="utf-8")
     else:

@@ -14,13 +14,15 @@ homomorphism check is exact on every source, so the norms follow from
 the certificates alone.  ``factorize`` derives each certificate once and
 checks, as it derives it, every fact the bound needs.
 
-A certificate reads its k + 1 cuts from prefix tables, each one fold of
-``mul_payload`` built once and checked at its end: a neighbour of the
-witness is a path through them, and a plain S-word a path of one
-segment.  The target side reads the quotient map's one ball of its
+A certificate reads its k + 1 cuts from prefix tables, each one
+``prefix_products`` pass built once and checked at its end: a neighbour of
+the witness is a path through them, and a plain S-word a path of one
+segment.  Its group arithmetic runs a whole list at a time (``products``,
+``inverses``).  The target side reads the quotient map's one ball of its
 target, held to the budget when the map was built, and the diameter
-report read off it: the diameter, the witness, every target geodesic, and
-the lift of each target element, folded down its BFS tree.
+report read off it: the diameter, the witness, the target geodesic of each
+image a certificate needs, walked once with its prefix images, and the
+lift of each target element, folded down its BFS tree.
 """
 
 from __future__ import annotations
@@ -30,9 +32,7 @@ import warnings
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate
 from operator import add, sub
 from pathlib import Path
 from typing import Any, NamedTuple, Optional, Sequence, Union
@@ -124,10 +124,11 @@ def required_N(n: int, d: int, mode: str = "paper") -> int:
 
 
 def bound_inequality_holds(n: int, d: int, N: int) -> bool:
-    """Exact check of (n + d*N)/(n - d) + 2n + 1 <= N."""
+    """Exact check of (n + d*N)/(n - d) + 2n + 1 <= N, with the denominator
+    n - d > 0 cleared."""
     if d < 1 or n <= d:
         raise ValueError(f"need n > d >= 1, got n={n}, d={d}")
-    return Fraction(n + d * N, n - d) + 2 * n + 1 <= N
+    return n + d * N <= (N - 2 * n - 1) * (n - d)
 
 
 @dataclass(frozen=True)
@@ -211,15 +212,16 @@ def constructed_genset(
 
 def _prefixes(word: Sequence[int], letters: dict, group: Group) -> Sequence:
     """The product of the first i letters of ``word`` for i = 0..len(word), from
-    one fold of ``mul_payload``: integer payloads in one array of 64-bit cells,
+    one ``prefix_products`` pass: integer payloads in one array of 64-bit cells,
     any others as they are.  A letter missing from ``letters`` raises
     ``fold_word``'s ValueError."""
-    mul, identity = group.mul_payload, group.identity_payload()
     try:
-        entries = list(accumulate(map(letters.__getitem__, word), mul, initial=identity))
+        steps = list(map(letters.__getitem__, word))
     except KeyError:
-        fold_word(word, letters, mul, identity)  # raises on the missing letter
+        # raises on the missing letter
+        fold_word(word, letters, group.mul_payload, group.identity_payload())
         raise
+    entries = group.prefix_products(steps)
     try:
         return array("q", entries)
     except (TypeError, OverflowError):
@@ -325,12 +327,12 @@ class Construction:
     witness, the lifts and the prefix tables.
 
     Certificates read their cuts from prefix tables of the witness lift and
-    of each signed A-letter's S-geodesic.  Each table is one fold of
-    ``mul_payload`` in the source and in the target, built once and checked
-    at its end: the last source entry is its element, which cross-checks
-    the S-ball codes an A-letter's geodesic was walked on against payload
-    arithmetic, and the last image is the diameter witness or a generator
-    image.
+    of each signed A-letter's S-geodesic.  Each table is one
+    ``prefix_products`` pass in the source and in the target, built once and
+    checked at its end: the last source entry is its element, which
+    cross-checks the S-ball codes an A-letter's geodesic was walked on
+    against payload arithmetic, and the last image is the diameter witness
+    or a generator image.
     """
 
     def __init__(
@@ -350,6 +352,7 @@ class Construction:
         self.genset, self.s_ball = constructed_genset(source_gens, pi, params.N, budget, cache_dir)
         self.symmetrized = self.genset.symmetrized_payloads()
         self.witness = find_witness(source_gens, pi, params.d + 1)
+        self._geodesics: dict = {}  # target payload -> (its geodesic, their prefix images)
 
     # -- prefix tables and paths -------------------------------------------
 
@@ -469,6 +472,16 @@ class Construction:
         return pi.ball.along_parents(group.identity_payload(),
                                      lambda parent, t_letter: mul(parent, steps[t_letter]))
 
+    def _geodesic(self, t: Any) -> tuple[Word, Sequence]:
+        """The target geodesic of t and its prefix images, walked once per
+        target element, however many certificates read them."""
+        found = self._geodesics.get(t)
+        if found is None:
+            pi = self.pi
+            word = pi.ball.geodesic_payload(t)
+            found = self._geodesics[t] = (word, _prefixes(word, pi.image_gens.letters, pi.target))
+        return found
+
     def certify(
         self, g: GroupElement, path: Union[TablePath, Sequence[int], None] = None
     ) -> Certificate:
@@ -524,16 +537,16 @@ def factorize(
         raise CertificateError(f"k = {k} below the triangle bound n - d = {params.n - params.d}")
     if k == 0:
         return Certificate(g, 0, (), (), (), (), degenerate=True)
-    t_letters = ctx.pi.ball.geodesic_payload(pi_g)
+    t_letters, geodesic = ctx._geodesic(pi_g)
     cuts = _cuts(L, k)
     source, image = ctx._at_cuts(path, starts, bases, cuts)
-    corrected, v_lengths, last = _corrected(ctx, source, image, cuts, t_letters)
+    corrected, v_lengths, last = _corrected(ctx, source, image, cuts, geodesic)
     if last != ctx.pi.target.identity_payload():
         raise CertificateError("target geodesic does not spell the image")
     group = ctx.source_gens.group
     if corrected[0] != group.identity_payload() or corrected[-1] != g.payload:
         raise CertificateError("factors do not multiply to the element")
-    v_payloads = tuple(map(group.mul_payload, map(group.inv_payload, corrected), corrected[1:]))
+    v_payloads = tuple(group.products(group.inverses(corrected[:-1]), corrected[1:]))
     inside = list(map(ctx.symmetrized.__contains__, v_payloads))
     if not all(inside):
         raise CertificateError("factor is not in A or its inverses", index=inside.index(False))
@@ -546,19 +559,19 @@ def _cuts(L: int, k: int) -> tuple[int, ...]:
     return (*range(0, extra * (base + 1), base + 1), *range(extra * (base + 1), L + 1, base))
 
 
-def _corrected(ctx: Construction, source: list, image: list, cuts: Sequence[int], t_letters: Word):
+def _corrected(ctx: Construction, source: list, image: list, cuts: Sequence[int],
+               geodesic: Sequence):
     """R_i = S_i lift(c_i) at each cut i, where S_i is the source prefix
-    product there, P_i its image and c_i = P_i^-1 Q_i with Q_i the geodesic
-    prefixes, so pi maps R_i onto Q_i; R_0 is the identity, and the factor
-    v_i = R_{i-1}^-1 R_i is the value of phi(c_{i-1})^-1 u_i phi(c_i).  With
-    them, each factor word's length |phi(c_{i-1})| + |u_i| + |phi(c_i)|, with
-    |phi(c)| the target norm of c, and c_k, the identity when the geodesic spells P_L."""
+    product there, P_i its image and c_i = P_i^-1 Q_i with Q_i the i-th of the
+    target geodesic's prefix images ``geodesic``, so pi maps R_i onto Q_i; R_0
+    is the identity, and the factor v_i = R_{i-1}^-1 R_i is the value of
+    phi(c_{i-1})^-1 u_i phi(c_i).  With them, each factor word's length
+    |phi(c_{i-1})| + |u_i| + |phi(c_i)|, with |phi(c)| the target norm of c, and
+    c_k, the identity when the geodesic spells P_L."""
     target = ctx.pi.target
-    steps = map(ctx.pi.image_gens.letters.__getitem__, t_letters)
-    geodesic = accumulate(steps, target.mul_payload, initial=target.identity_payload())
-    discrepancies = list(map(target.mul_payload, map(target.inv_payload, image), geodesic))
-    lifts = map(ctx._lifts.__getitem__, discrepancies)
-    corrected = list(map(ctx.source_gens.group.mul_payload, source, lifts))
+    discrepancies = target.products(target.inverses(image), geodesic)
+    lifts = list(map(ctx._lifts.__getitem__, discrepancies))
+    corrected = ctx.source_gens.group.products(source, lifts)
     norms, codec = ctx.pi.ball.dist, ctx.pi.ball.codec
     lift_lengths = list(map(norms.__getitem__, map(codec.encode, discrepancies)))
     lengths = map(add, map(add, lift_lengths, map(sub, cuts[1:], cuts)), lift_lengths[1:])

@@ -173,15 +173,15 @@ class DepthProfile:
         """The deepest value at each norm and the largest finite depth, from one read
         of each distinct (norm, value object) pair."""
         pairs = dict(zip(zip(self._dist.values(), map(id, self._entries)), self._entries))
-        deepest: list[Optional[DepthValue]] = [None] * (self.radius + 1)
+        deepest: dict[int, DepthValue] = {}  # by norm: the radius may far exceed the ball's
         finite: Optional[int] = None
         for (norm, _), dv in pairs.items():
-            cur = deepest[norm]
+            cur = deepest.get(norm)
             if cur is None or dv.sort_key() > cur.sort_key():
                 deepest[norm] = dv
             if dv.is_finite and (finite is None or dv.value > finite):
                 finite = dv.value
-        return [dv for dv in deepest if dv is not None], finite
+        return [deepest[norm] for norm in sorted(deepest)], finite
 
     def max_depth_by_norm(self) -> list[DepthValue]:
         return self._maxima()[0]

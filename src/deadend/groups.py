@@ -22,8 +22,8 @@ import re
 from abc import ABC, abstractmethod
 from contextlib import suppress
 from functools import partial
-from itertools import chain, compress, count
-from operator import add, itemgetter
+from itertools import accumulate, chain, compress, count, repeat
+from operator import add, itemgetter, mod, neg
 from typing import Any, Callable, ClassVar, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 __all__ = [
@@ -154,6 +154,22 @@ class Group(ABC):
     @abstractmethod
     def inv_payload(self, p: Any) -> Any: ...
 
+    # Whole-list arithmetic: the maps and the fold of mul_payload and inv_payload,
+    # which a group whose payloads are ints overrides with a pass at C speed.
+    # Inputs are lists or arrays, never iterators: an override may read them twice.
+
+    def products(self, ps: Sequence[Any], qs: Sequence[Any]) -> list:
+        """``mul_payload(p, q)`` for each pair of ``zip(ps, qs)``."""
+        return list(map(self.mul_payload, ps, qs))
+
+    def inverses(self, ps: Sequence[Any]) -> list:
+        """``inv_payload(p)`` for each p of ``ps``."""
+        return list(map(self.inv_payload, ps))
+
+    def prefix_products(self, steps: Sequence[Any]) -> list:
+        """The product of the first i of ``steps`` for i = 0..len(steps)."""
+        return list(accumulate(steps, self.mul_payload, initial=self.identity_payload()))
+
     def format_payload(self, p: Any) -> str:
         return str(p)
 
@@ -185,8 +201,8 @@ class Group(ABC):
             for k, d in cls.params.items()
         })
 
-    def payload_to_json(self, p: Any) -> Any:
-        return str(p)
+    # The JSON value of a payload; ``str`` itself, so a map over payloads runs in C.
+    payload_to_json: Callable[[Any], Any] = staticmethod(str)
 
     def payload_from_json(self, obj: Any) -> Any:
         """The payload of a JSON value; KeyError, TypeError or ValueError if malformed."""
@@ -393,6 +409,22 @@ class IntegerLine(Group):
     def inv_payload(self, p: int) -> int:
         return -p
 
+    def _within_cap(self, out: list) -> bool:
+        return not out or (-self._cap <= min(out) and max(out) <= self._cap)
+
+    # Past the cap, the per-element path raises mul_payload's error at the first overflow.
+
+    def products(self, ps: Sequence[int], qs: Sequence[int]) -> list:
+        out = list(map(add, ps, qs))
+        return out if self._within_cap(out) else super().products(ps, qs)
+
+    def inverses(self, ps: Sequence[int]) -> list:
+        return list(map(neg, ps))
+
+    def prefix_products(self, steps: Sequence[int]) -> list:
+        out = list(accumulate(steps, add, initial=0))
+        return out if self._within_cap(out) else super().prefix_products(steps)
+
     def integer_code(self, payloads: Sequence[int], radius: int) -> Codec:
         # A product of at most radius steps stays within radius * max|step|.
         reach = radius * max(map(abs, payloads), default=0)
@@ -532,6 +564,17 @@ class Cyclic(Group):
 
     def inv_payload(self, p: int) -> int:
         return (-p) % self.modulus
+
+    # Sums as exact ints, each reduced mod m in the same pass at C speed.
+
+    def products(self, ps: Sequence[int], qs: Sequence[int]) -> list:
+        return list(map(mod, map(add, ps, qs), repeat(self.modulus)))
+
+    def inverses(self, ps: Sequence[int]) -> list:
+        return list(map(mod, map(neg, ps), repeat(self.modulus)))
+
+    def prefix_products(self, steps: Sequence[int]) -> list:
+        return list(map(mod, accumulate(steps, add, initial=0), repeat(self.modulus)))
 
     def standard_gens(self) -> GeneratingSet:
         if self.modulus == 1:

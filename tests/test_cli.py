@@ -26,6 +26,7 @@ from deadend.cli import (
     EXIT_VERIFICATION,
     UsageError,
     _merge_config,
+    _report_text,
     build_parser,
     main,
     parse_element,
@@ -396,6 +397,18 @@ def test_profile_command_with_csv(tmp_path):
     lines = csv_path.read_text().strip().splitlines()
     assert lines[0] == "element,norm,depth"
     assert len(lines) == 12
+
+
+def test_profile_at_a_radius_far_beyond_the_ball(tmp_path):
+    # C_5 closes at norm 2: the per-norm maxima are sized by the ball, not by --radius
+    huge = str(2**40)
+    code, report = run(tmp_path, "profile", "--group", "cyclic:5", "--gens", "1",
+                       "--radius", huge, "--budget-radius", huge)
+    assert code == EXIT_OK
+    _, small = run(tmp_path, "profile", "--group", "cyclic:5", "--gens", "1", "--radius", "10",
+                   name="small.json")
+    assert report["results"]["max_depth_by_norm"] == small["results"]["max_depth_by_norm"]
+    assert report["results"]["max_depth_by_norm"] == ["1", "1", "inf"]
 
 
 def test_ball_command_with_cache(tmp_path):
@@ -913,3 +926,31 @@ def test_certify_element_without_s_word_is_a_usage_error(capsys):
     ])
     assert code == EXIT_USAGE
     assert "error: no S-word available" in capsys.readouterr().err
+
+
+# -- the report writer ------------------------------------------------------------------
+
+_JSON_SCALARS = (st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+                 | st.text() | st.sampled_from(['"', "\n", "},", "},\n  {", "é ü 漢 \u2028"]))
+_KEYS = st.text(max_size=4) | st.sampled_from(['"', "\n", "},", "é"])
+_FLAT_ROWS = st.lists(st.dictionaries(_KEYS, _JSON_SCALARS, min_size=1, max_size=4), max_size=4)
+_JSON_DOCS = st.recursive(
+    _JSON_SCALARS | _FLAT_ROWS,
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(_KEYS, children, max_size=4)
+    | st.lists(st.dictionaries(_KEYS, children, max_size=3), max_size=3),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_JSON_DOCS)
+def test_report_text_equals_json_dumps_indent_2(doc):
+    assert _report_text(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+
+def test_report_text_of_a_verification_report(tmp_path):
+    out = tmp_path / "report.json"
+    assert main(["verify", "--group", "zz", "--gens", "1", "--quotient", "cyclic:14",
+                 "--target-depth", "4", "--out", str(out)]) == EXIT_OK
+    text = out.read_text(encoding="utf-8")
+    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"

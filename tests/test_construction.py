@@ -4,6 +4,11 @@ from __future__ import annotations
 
 import functools
 import itertools
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -79,6 +84,21 @@ def test_required_N_tight():
     assert bound_inequality_holds(5, 2, 38)
     assert not bound_inequality_holds(5, 2, 37)
     assert bound_inequality_holds(5, 2, 78)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 10**6), st.integers(1, 10**6), st.integers(0, 10**12))
+def test_bound_inequality_equals_the_fraction_form(d, excess, N):
+    n = d + excess
+    assert bound_inequality_holds(n, d, N) == (Fraction(n + d * N, n - d) + 2 * n + 1 <= N)
+
+
+def test_the_cli_imports_no_fractions():
+    code = "import sys, deadend.cli; print('fractions' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(deadend.construction.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                         check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_required_N_rejects_small_n():

@@ -7,6 +7,7 @@ import itertools
 import random
 import re
 import time
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -153,6 +154,44 @@ def test_group_laws_sampled(group):
     for _ in range(120):
         x, y, z = rng.choice(elems), rng.choice(elems), rng.choice(elems)
         assert (x * y) * z == x * (y * z)
+
+
+@pytest.mark.parametrize(
+    "group",
+    [ZZ, IntegerGrid(2), C10, Cyclic(7), Dihedral(5), LAMP,
+     TableGroup(cyclic_table(6), identity_id=0)],
+    ids=lambda g: repr(g),
+)
+def test_whole_list_arithmetic_equals_the_per_element_maps(group):
+    rng = random.Random(99)
+    for count in (0, 1, 30):
+        ps = [x.payload for x in _sample_elements(group, rng, count)]
+        qs = [x.payload for x in _sample_elements(group, rng, count)]
+        assert group.products(ps, qs) == list(map(group.mul_payload, ps, qs))
+        assert group.inverses(ps) == list(map(group.inv_payload, ps))
+        prefixes, acc = [group.identity_payload()], group.identity_payload()
+        for p in ps:
+            acc = group.mul_payload(acc, p)
+            prefixes.append(acc)
+        assert group.prefix_products(ps) == prefixes
+
+
+@pytest.mark.parametrize("bits", [8, 64])
+def test_integer_line_lists_raise_mul_payloads_error_at_the_cap(bits):
+    line = IntegerLine(bits=bits)
+    cap = 2 ** (bits - 1) - 1
+    ps, qs = [1, cap, -cap, 5], [2, 1, -1, cap]  # the first overflow is cap + 1
+    with pytest.raises(RangeOverflowError) as per_element:
+        line.mul_payload(cap, 1)
+    with pytest.raises(RangeOverflowError) as whole_list:
+        line.products(ps, qs)
+    message = f"sum {cap} + 1 exceeds the {bits}-bit cap"
+    assert str(whole_list.value) == str(per_element.value) == message
+    with pytest.raises(RangeOverflowError, match=f"^sum {-cap} \\+ -1 exceeds the {bits}-bit cap$"):
+        line.prefix_products([-cap, -1, 2 * cap])
+    assert line.products([cap, -cap], array("q", [0, 0])) == [cap, -cap]  # an array, as tables hold
+    assert line.prefix_products([cap, -cap, -cap]) == [0, cap, 0, -cap]
+    assert line.inverses([cap, -cap]) == [-cap, cap]
 
 
 def test_table_group_laws_exhaustive():
