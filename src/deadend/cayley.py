@@ -25,7 +25,7 @@ from array import array
 from dataclasses import dataclass
 from pathlib import Path
 from itertools import chain, count, islice, repeat
-from typing import Any, Callable, Iterator, Optional, Sequence, Union
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .groups import (Codec, GeneratingSet, Group, GroupElement, MixedGroupError,
                      RangeOverflowError, Word)
@@ -43,6 +43,7 @@ __all__ = [
     "load_ball",
     "ball_content_hash",
     "ball_to_csv",
+    "write_csv",
 ]
 
 CACHE_MAGIC = b"DECB"
@@ -50,6 +51,8 @@ CACHE_VERSION = 2
 # magic, version, content hash, radius, element count, sphere count
 _HEADER = struct.Struct(">4sH32sIQI")
 _MAX_CACHED_RADIUS = 2**32 - 1  # the header's u32 radius field
+# CSV rows joined per write: a few kB of text, so the peak RSS does not grow with the file
+_CSV_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -408,9 +411,32 @@ def ball_cached(
     return b
 
 
+def write_csv(path: Union[str, Path], header: Sequence[str], rows: Iterable[Sequence[str]]) -> None:
+    """Write ``header`` and ``rows`` of str fields (at least two per row), exactly
+    as ``csv.writer`` writes them (excel dialect).
+
+    Rows are joined in C a block of ``_CSV_BLOCK`` at a time.  A block is written
+    as joined only when it holds none of the characters on which ``csv.writer``
+    quotes a field: its commas are exactly the separators, and it has no ``"``
+    and one ``\r`` and one ``\n`` per row.  From the first block that fails,
+    that block and the rest go through one ``csv.writer``.
+    """
+    commas = len(header) - 1
+    rows = chain([header], rows)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        while block := list(islice(rows, _CSV_BLOCK)):
+            text = "\r\n".join(map(",".join, block)) + "\r\n"
+            n = len(block)
+            if (text.count(",") == commas * n and '"' not in text
+                    and text.count("\r") == n and text.count("\n") == n):
+                fh.write(text)
+                continue
+            writer = csv.writer(fh)
+            writer.writerows(block)
+            writer.writerows(rows)
+            break
+
+
 def ball_to_csv(b: Ball, path: Union[str, Path]) -> None:
     """CSV export of (element, norm) pairs in BFS order."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["element", "norm"])
-        writer.writerows(zip(b.codec.texts(b.dist), b.dist.values()))
+    write_csv(path, ["element", "norm"], zip(b.codec.texts(b.dist), map(str, b.dist.values())))

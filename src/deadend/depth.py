@@ -9,14 +9,15 @@ from the ball necessarily lies in the complement.
 
 from __future__ import annotations
 
-import csv
 import functools
 from dataclasses import dataclass
+from itertools import compress, repeat
+from operator import le
 from pathlib import Path
 from typing import Any, Callable, Iterator, Optional, Union
 
-from .cayley import Ball, Budget, DEFAULT_BUDGET, ball, bfs_layers
-from .groups import GeneratingSet, Group, GroupElement
+from .cayley import Ball, Budget, DEFAULT_BUDGET, ball, bfs_layers, write_csv
+from .groups import GeneratingSet, Group, GroupElement, RangeOverflowError
 
 __all__ = [
     "DepthValue",
@@ -81,17 +82,22 @@ class DepthValue:
         return self.render()
 
 
-def _searcher(b: Ball, cap: int) -> Callable[[Any, int], DepthValue]:
+def _steps(b: Ball) -> tuple:
+    """The distinct step codes of b in letter order: an equal step finds nothing new."""
+    return tuple(dict.fromkeys(b.letter_codes.values()))
+
+
+def _searcher(b: Ball, cap: int,
+              finite: Callable[[int], DepthValue]) -> Callable[[Any, int], DepthValue]:
     """(code, norm) of an element of b -> its depth, searched outward up to ``cap`` layers.
 
     Equal outcomes are one shared ``DepthValue``: one per distance found,
-    made on first use, one ``at_least(cap)`` and one ``infinite()``.
+    made on first use by ``finite`` (a cache), one ``at_least(cap)`` and one
+    ``infinite()``.
     """
     if cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
-    step, lookup = b.codec.step, b.dist.get
-    steps = tuple(dict.fromkeys(b.letter_codes.values()))  # an equal step finds nothing new
-    finite = functools.cache(DepthValue.finite)
+    step, lookup, steps = b.codec.step, b.dist.get, _steps(b)
     capped, infinite = DepthValue.at_least(cap), DepthValue.infinite()
 
     # Own loop, not cayley.bfs_layers: the hot path of profiles, it exits mid-layer.
@@ -130,7 +136,7 @@ def depth(b: Ball, g: GroupElement, cap: int) -> DepthValue:
     g must be recorded in b: b then holds the whole closed ball of radius
     norm(g), so membership in it is decidable from b alone.
     """
-    search = _searcher(b, cap)
+    search = _searcher(b, cap, functools.cache(DepthValue.finite))
     code = b.codec.encode(g.payload)
     norm_g = b.dist.get(code)
     if norm_g is None:
@@ -193,11 +199,9 @@ class DepthProfile:
         # Equal outcomes mostly share one DepthValue: render each object once.
         distinct = dict(zip(map(id, self._entries), self._entries))
         rendered = {key: dv.render() for key, dv in distinct.items()}
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["element", "norm", "depth"])
-            writer.writerows(zip(self._codec.texts(self._dist), self._dist.values(),
-                                 map(rendered.__getitem__, map(id, self._entries))))
+        write_csv(path, ["element", "norm", "depth"],
+                  zip(self._codec.texts(self._dist), map(str, self._dist.values()),
+                      map(rendered.__getitem__, map(id, self._entries))))
 
     def summary_json(self) -> dict:
         by_norm, max_finite = self._maxima()
@@ -213,9 +217,29 @@ class DepthProfile:
 
 
 def depth_profile(b: Ball, cap: int) -> DepthProfile:
-    """Depth of every element recorded in the ball (cap per element)."""
-    search = _searcher(b, cap)
-    return DepthProfile(b, list(map(search, b.dist, b.dist.values())), cap)
+    """Depth of every element recorded in the ball (cap per element).
+
+    Depth 1 is screened a step at a time over the whole ball: for each
+    distinct step in turn, the elements left are stepped at once and those
+    with a neighbour further out (off the ball counts as further, as in the
+    search) get depth 1.  Only the elements left after every step go through
+    the search.  A step that overflows the group's cap reruns the profile an
+    element at a time, so the error raised is the per-element search's.
+    """
+    finite = functools.cache(DepthValue.finite)
+    search = _searcher(b, cap, finite)
+    dist, step_all = b.dist, b.codec.step_all
+    outside = b.radius + 1  # the norm that counts an element off the ball as further out
+    codes, norms = dist, dist.values()  # the elements left, and their norms
+    try:
+        for s in _steps(b):
+            kept = bytes(map(le, map(dist.get, step_all(codes, s), repeat(outside)), norms))
+            codes, norms = list(compress(codes, kept)), list(compress(norms, kept))
+        deeper = dict(zip(codes, map(search, codes, norms)))
+        entries = list(map(deeper.get, dist, repeat(finite(1))))
+    except RangeOverflowError:
+        entries = list(map(search, dist, dist.values()))
+    return DepthProfile(b, entries, cap)
 
 
 def depth_oracle(

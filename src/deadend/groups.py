@@ -23,8 +23,9 @@ from abc import ABC, abstractmethod
 from contextlib import suppress
 from functools import partial
 from itertools import accumulate, chain, compress, count, repeat
-from operator import add, itemgetter, mod, neg
-from typing import Any, Callable, ClassVar, Iterable, Iterator, NamedTuple, Optional, Sequence
+from operator import add, and_, getitem, itemgetter, lshift, mod, neg, xor
+from typing import (Any, Callable, ClassVar, Collection, Iterable, Iterator, NamedTuple, Optional,
+                    Sequence)
 
 __all__ = [
     "Codec",
@@ -78,14 +79,16 @@ class TableGroupError(GroupError):
 class Codec(NamedTuple):
     """Element codes, injective on the products of at most ``radius`` of ``payloads``.
 
-    ``step(code, codes[i])`` codes the product by ``payloads[i]``; ``encode`` maps
-    a payload to its code (None outside the coded range), ``decode`` back, and
-    ``texts`` maps codes, in bulk, to the ``format_payload`` texts of their
-    payloads, which writers of element text (CSV exports) call without building
-    the payloads where the group can."""
+    ``step(code, codes[i])`` codes the product by ``payloads[i]``, and
+    ``step_all(codes, s)`` gives ``step(code, s)`` for each code of a collection
+    (a list, or a ball's ``dist``), at C speed where the group can; ``encode`` maps a payload to its code (None
+    outside the coded range), ``decode`` back, and ``texts`` maps codes, in bulk,
+    to the ``format_payload`` texts of their payloads, which writers of element
+    text (CSV exports) call without building the payloads where the group can."""
 
     codes: list
     step: Callable[[Any, Any], Any]
+    step_all: Callable[[Collection[Any], Any], Iterable[Any]]
     encode: Callable[[Any], Any]
     decode: Callable[[Any], Any]
     texts: Callable[[Iterable[Any]], Iterator[str]]
@@ -93,6 +96,11 @@ class Codec(NamedTuple):
 
 def _same(x: Any) -> Any:
     return x
+
+
+def _add_all(codes: Collection[int], s: int) -> Iterator[int]:
+    """``code + s`` for each code: the whole-list step of additive int codes."""
+    return map(add, codes, repeat(s))
 
 
 def json_int(value: Any) -> int:
@@ -156,7 +164,8 @@ class Group(ABC):
 
     # Whole-list arithmetic: the maps and the fold of mul_payload and inv_payload,
     # which a group whose payloads are ints overrides with a pass at C speed.
-    # Inputs are lists or arrays, never iterators: an override may read them twice.
+    # Inputs are collections (lists, arrays, a ball's dist), never iterators: an
+    # override may read them twice.
 
     def products(self, ps: Sequence[Any], qs: Sequence[Any]) -> list:
         """``mul_payload(p, q)`` for each pair of ``zip(ps, qs)``."""
@@ -184,8 +193,11 @@ class Group(ABC):
         """A ``Codec`` for products of at most ``radius`` of ``payloads``: an int code
         where the group has one that neither overflows nor outgrows the payloads,
         else the identity codec (codes are payloads, ``step`` is ``mul_payload``)."""
-        return Codec(list(payloads), self.mul_payload, _same, _same,
+        return Codec(list(payloads), self.mul_payload, self._step_all, _same, _same,
                      partial(map, self.format_payload))
+
+    def _step_all(self, codes: Collection[Any], s: Any) -> list:
+        return self.products(codes, [s] * len(codes))
 
     # Formats; the defaults suit integer payloads.
 
@@ -430,8 +442,8 @@ class IntegerLine(Group):
         reach = radius * max(map(abs, payloads), default=0)
         if reach > self._cap:
             return super().integer_code(payloads, radius)
-        return Codec(list(payloads), add, lambda p: p if -reach <= p <= reach else None, _same,
-                     partial(map, self.format_payload))
+        return Codec(list(payloads), add, _add_all, lambda p: p if -reach <= p <= reach else None,
+                     _same, partial(map, self.format_payload))
 
     def standard_gens(self) -> GeneratingSet:
         return GeneratingSet([self.element(1)], ["1"])
@@ -509,7 +521,8 @@ class IntegerGrid(Group):
             return tuple(((code >> s) & mask) - reach for s in shifts)
 
         fmt = self.format_payload
-        return Codec(codes, add, encode, decode, lambda codes: map(fmt, map(decode, codes)))
+        return Codec(codes, add, _add_all, encode, decode,
+                     lambda codes: map(fmt, map(decode, codes)))
 
     def format_payload(self, p: tuple) -> str:
         return "(" + ",".join(str(c) for c in p) + ")"
@@ -761,6 +774,12 @@ class Lamplighter(Group):
             mask, c = letter
             return (code ^ (mask << (code & field))) + c
 
+        def step_all(codes: Collection[int], letter: tuple) -> Iterable[int]:
+            mask, c = letter
+            if mask:
+                codes = map(xor, codes, map(lshift, repeat(mask), map(and_, codes, repeat(field))))
+            return map(add, codes, repeat(c)) if c else codes
+
         def encode(p: tuple) -> Optional[int]:
             lamps, c = p
             inside = abs(c) <= span and (not lamps or -reach <= lamps[0] <= lamps[-1] <= reach)
@@ -784,12 +803,14 @@ class Lamplighter(Group):
             return read
 
         decode = reader(_ByteLamps(_same), tuple)
-        # a lit byte's lamps as one text fragment: a table of 256 strings, not 1,024
-        lamp_text = reader(_ByteLamps(lambda q: (" ".join(map(str, q)),) if q else ()), " ".join)
 
         def texts(codes: Iterable[int]) -> Iterator[str]:
-            # Many codes share a lamp mask: its "{...}@" is rendered once per call,
-            # and forgotten after it, so no codec holds a text per mask.
+            # Many codes share a lamp mask: its "{...}@" is rendered once per call.
+            # The heads, and the tables they are read through (a lit byte's lamps as
+            # one fragment: 256 strings, not 1,024), are forgotten after the call,
+            # so no codec holds text.
+            lamp_text = reader(_ByteLamps(lambda q: (" ".join(map(str, q)),) if q else ()),
+                               " ".join)
             heads: dict = {}
             for code in codes:
                 head = heads.get(code >> w)
@@ -797,7 +818,7 @@ class Lamplighter(Group):
                     head = heads[code >> w] = "{" + lamp_text(code)[0] + "}@"
                 yield head + str((code & field) - span)
 
-        return Codec(codes, step, encode, decode, texts)
+        return Codec(codes, step, step_all, encode, decode, texts)
 
     def format_payload(self, p: tuple) -> str:
         lamps, c = p
@@ -1001,6 +1022,14 @@ class TableGroup(Group):
 
     def inv_payload(self, p: int) -> int:
         return self._inverse[p]
+
+    # Row lookups, then cell lookups, in the same pass at C speed.
+
+    def products(self, ps: Sequence[int], qs: Sequence[int]) -> list:
+        return list(map(getitem, map(self.table.__getitem__, ps), qs))
+
+    def inverses(self, ps: Sequence[int]) -> list:
+        return list(map(self._inverse.__getitem__, ps))
 
     def params_to_json(self) -> dict:
         texts = [str(x) for x in range(self._m)]  # each id's text once

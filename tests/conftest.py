@@ -1,9 +1,11 @@
 """Shared test helpers: random permutation-closure table groups, the A-ball
 oracle of a construction, the reference depth search with the coded-ball
-cases it is checked on, and the traced bytes a result retains."""
+cases it is checked on, the bytes csv.writer writes, and the traced bytes a
+result retains."""
 
 from __future__ import annotations
 
+import csv
 import gc
 import random
 import tracemalloc
@@ -130,6 +132,23 @@ def outcome(f, *args):
         return RangeOverflowError
 
 
+def csv_writer_bytes(path, header, rows):
+    """The bytes ``csv.writer`` writes for ``header`` and ``rows``, written to ``path``."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path.read_bytes()
+
+
+def outcome_text(f, *args):
+    """f(*args), or the type and the text of the RangeOverflowError it raises."""
+    try:
+        return f(*args)
+    except RangeOverflowError as exc:
+        return RangeOverflowError, str(exc)
+
+
 @st.composite
 def free_abelian_cases(draw):
     rank = draw(st.integers(0, 3))  # 0 stands for IntegerLine
@@ -143,6 +162,18 @@ def free_abelian_cases(draw):
         payload = st.tuples(*[coord] * rank).filter(any)
     payloads = draw(st.lists(payload, min_size=1, max_size=3, unique=True))
     return group, gens_of(group, *payloads), draw(st.integers(0, 6))
+
+
+_TABLES = [group for group, _ in random_table_groups(4, max_order=24, seed=5)]
+
+
+@st.composite
+def table_cases(draw):
+    """A random table group of order at most 24 with one to three generator ids,
+    which need not generate it, and a radius up to its order."""
+    group = draw(st.sampled_from(_TABLES))
+    ids = draw(st.lists(st.integers(1, group.order() - 1), min_size=1, max_size=3, unique=True))
+    return group, gens_of(group, *ids), draw(st.integers(0, group.order()))
 
 
 @st.composite

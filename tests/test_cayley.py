@@ -8,14 +8,15 @@ import struct
 import time
 from collections import Counter
 from functools import partial
-from itertools import islice
+from itertools import islice, repeat
 from operator import add
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import free_abelian_cases, gens_of, lamplighter_cases, outcome, reference_depth
+from conftest import (csv_writer_bytes, free_abelian_cases, gens_of, lamplighter_cases, outcome,
+                      outcome_text, reference_depth, table_cases)
 from deadend import cayley
 from deadend.cayley import (
     Ball,
@@ -28,6 +29,7 @@ from deadend.cayley import (
     bfs_layers,
     load_ball,
     save_ball,
+    write_csv,
 )
 from deadend.depth import depth, depth_profile
 from deadend.groups import (
@@ -570,6 +572,37 @@ def test_ball_csv_export(tmp_path):
     assert set(lines[1:]) == {"0,0", "1,1", "-1,1", "2,2", "-2,2"}
 
 
+HEADER = ["element", "norm", "depth"]
+
+
+def plain_rows(count):
+    return [(f"{{{i % 7}}}@{i}", str(i % 13), "1") for i in range(count)]
+
+
+@pytest.mark.parametrize("count", [0, 1, 255, 256, 1000])
+def test_write_csv_is_csv_writers_bytes_for_plain_rows(tmp_path, count):
+    # the header is the first row of the first block: 255 rows fill it
+    rows = plain_rows(count)
+    write_csv(tmp_path / "joined.csv", HEADER, rows)
+    expected = csv_writer_bytes(tmp_path / "writer.csv", HEADER, rows)
+    assert (tmp_path / "joined.csv").read_bytes() == expected
+    assert expected.count(b"\r\n") == count + 1 and b'"' not in expected
+
+
+@pytest.mark.parametrize("special", [",", '"', "\r", "\n", "\r\n"], ids=repr)
+@pytest.mark.parametrize("at, field", [(0, 0), (254, 2), (255, 0), (511, 1), (700, 2)],
+                         ids=["first-row", "last-of-first-block", "first-of-second-block",
+                              "first-of-third-block", "mid-third-block"])
+def test_write_csv_quotes_as_csv_writer_does(tmp_path, special, at, field):
+    rows = [list(row) for row in plain_rows(1000)]
+    rows[at][field] = f"a{special}b"
+    rows[at + 3][field] = f"{special}"  # a later row in the same block, or the next
+    write_csv(tmp_path / "joined.csv", HEADER, rows)
+    expected = csv_writer_bytes(tmp_path / "writer.csv", HEADER, rows)
+    assert (tmp_path / "joined.csv").read_bytes() == expected
+    assert expected.count(b'"') >= 4
+
+
 def test_determinism_two_runs_identical():
     gens = standard_gens(Lamplighter())
     b1 = ball(Lamplighter(), gens, 5)
@@ -609,7 +642,8 @@ def payload_ball(group, gens, radius):
     """The reference BFS as a Ball on the identity codec: codes are payloads."""
     dist, parent, spheres = reference_ball(group, gens, radius)
     same = lambda p: p  # noqa: E731
-    codec = Codec(list(gens.letters.values()), group.mul_payload, same, same,
+    codec = Codec(list(gens.letters.values()), group.mul_payload,
+                  lambda codes, s: list(map(group.mul_payload, codes, repeat(s))), same, same,
                   partial(map, group.format_payload))
     return Ball(group, gens, radius, dict(dist), dict(parent), spheres, codec)
 
@@ -836,6 +870,57 @@ def test_codec_text_is_the_format_of_the_payload(group, steps, radius, payloads)
     for code, payload in zip(codes, payloads):
         assert code is not None and codec.decode(code) == payload
     assert list(codec.texts(codes)) == list(map(group.format_payload, payloads))
+
+
+# -- whole-list steps ----------------------------------------------------------------
+
+
+def assert_step_all_is_the_map_of_step(codec, codes):
+    for s in dict.fromkeys(codec.codes):
+        assert outcome_text(lambda: list(codec.step_all(codes, s))) == outcome_text(
+            lambda: [codec.step(code, s) for code in codes])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(free_abelian_cases(), lamplighter_cases(), table_cases()))
+def test_step_all_is_the_map_of_step(case):
+    group, gens, radius = case
+    b = outcome(ball, group, gens, radius)
+    if b is RangeOverflowError:
+        return
+    # a ball's dist, as a profile's first step passes it, and a list of its codes
+    assert_step_all_is_the_map_of_step(b.codec, b.dist)
+    assert_step_all_is_the_map_of_step(b.codec, list(b.dist)[::-1])
+
+
+@pytest.mark.parametrize("group, payloads, radius, coded", [
+    (IntegerLine(), (3, -7), 5, True),
+    (IntegerGrid(2), ((1, 0), (2, -3)), 4, True),
+    (Cyclic(12), (5,), 6, False),
+    (Dihedral(7), ((1, 0), (0, 1)), 5, False),
+    (Lamplighter(), (((), 1),), 6, True),  # the cursor alone
+    (Lamplighter(), (((), 1), ((0,), 0), ((0, 1), 2)), 4, True),  # t,a,0.1@2: lamps and a move
+    (Lamplighter(bits=8), (((), 1), ((20,), 0)), 2, False),  # too wide for 8-bit codes
+    (TableGroup([[(i + j) % 6 for j in range(6)] for i in range(6)], 0), (1, 4), 3, False),
+], ids=["line", "grid", "cyclic", "dihedral", "lamplighter-t", "lamplighter-t-a-0.1@2",
+        "lamplighter-identity-codec", "table"])
+def test_step_all_of_every_group_class(group, payloads, radius, coded):
+    b = ball(group, gens_of(group, *payloads), radius)
+    assert is_coded(b) == coded
+    assert_step_all_is_the_map_of_step(b.codec, b.dist)
+
+
+def test_step_all_past_the_64_bit_cap_raises_the_first_steps_error():
+    # 2**62 over 3 steps outgrows the 64-bit cap: the identity codec, whose
+    # whole-list step reruns the per-element sums to raise at the first overflow
+    line = IntegerLine()
+    codec = line.integer_code([2**62, -2**62], 3)
+    assert codec.step == line.mul_payload
+    codes = [0, -5, 2**62 - 1, 2**62, 2**62 + 1, -1]
+    assert list(codec.step_all(codes, -2**62)) == [-2**62, -2**62 - 5, -1, 0, 1, -2**62 - 1]
+    with pytest.raises(RangeOverflowError, match=rf"^sum {2**62} \+ {2**62} exceeds the 64-bit cap$"):
+        codec.step_all(codes, 2**62)
+    assert_step_all_is_the_map_of_step(codec, codes)
 
 
 # SHA-256 of the version-1 record stream, pinned before balls kept their

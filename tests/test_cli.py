@@ -14,8 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import csv_writer_bytes
 import deadend
-from deadend.cayley import BudgetExceededError
+from deadend.cayley import BudgetExceededError, ball
 from deadend.cli import (
     _COMMANDS,
     _COMMON,
@@ -34,6 +35,7 @@ from deadend.cli import (
     parse_group,
 )
 from deadend.construction import ConstructionError
+from deadend.depth import depth
 from deadend.groups import Cyclic, Dihedral, IntegerGrid, IntegerLine, Lamplighter, TableGroup
 from deadend.serialize import dumps, genset_to_json, group_to_json
 from deadend.groups import GeneratingSet
@@ -383,6 +385,26 @@ def test_diameter_command_budgets_the_radius_reached(tmp_path):
     code, _ = run(tmp_path, "diameter", "--group", "cyclic:100", "--gens", "1",
                   "--budget-radius", "10", name="small.json")
     assert code == EXIT_BUDGET
+
+
+def test_grid_csvs_are_csv_writers_bytes(tmp_path):
+    # grid texts such as (1,-2) hold a comma, so csv.writer quotes every one of them
+    grid = IntegerGrid(2)
+    gens = parse_gens(grid, "1,0;0,1;1,1")
+    b = ball(grid, gens, 9)
+    texts = list(map(grid.format_payload, b.payloads()))
+    norms = list(b.dist.values())
+    depths = [depth(b, x, 4).render() for x in b.elements()]
+    common = ["--group", "grid:2", "--gens", "1,0;0,1;1,1", "--radius", "9"]
+    for argv, header, rows in (
+        (["ball", *common], ["element", "norm"], zip(texts, norms)),
+        (["profile", *common, "--cap", "4"], ["element", "norm", "depth"], zip(texts, norms, depths)),
+    ):
+        path = tmp_path / f"{argv[0]}.csv"
+        assert run(tmp_path, *argv, "--csv", str(path))[0] == EXIT_OK
+        expected = csv_writer_bytes(tmp_path / "writer.csv", header, rows)
+        assert path.read_bytes() == expected
+        assert expected.count(b'"(') == len(b) > 256
 
 
 def test_profile_command_with_csv(tmp_path):

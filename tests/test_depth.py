@@ -12,11 +12,14 @@ from hypothesis import strategies as st
 
 from conftest import (
     free_abelian_cases,
+    gens_of,
     lamplighter_cases,
     outcome,
+    outcome_text,
     random_table_groups,
     reference_depth,
     retained_bytes,
+    table_cases,
 )
 from deadend.cayley import ball
 from deadend.depth import DepthValue, depth, depth_oracle, depth_profile
@@ -158,6 +161,52 @@ def test_profile_rows_match_reference_search(case):
             (p, n, reference_depth(group, gens, norms, p, cap)) for p, n in norms.items()
         ])
         assert outcome(lambda: list(depth_profile(b, cap).rows())) == expected
+
+
+def per_element_depths(b, cap):
+    """Each element's depth() rendered in the ball's order, or the error of the first."""
+    return outcome_text(lambda: [depth(b, x, cap).render() for x in b.elements()])
+
+
+def profile_depths(b, cap):
+    return outcome_text(lambda: [dv.render() for _, _, dv in depth_profile(b, cap).rows()])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(free_abelian_cases(), lamplighter_cases(), table_cases()),
+       st.sampled_from([1, 2, 3, 64]))
+def test_profile_depths_are_the_per_element_depths(case, cap):
+    # the profile screens depth 1 a step at a time over the whole ball; depth() searches alone
+    group, gens, radius = case
+    b = outcome(ball, group, gens, radius)
+    if b is RangeOverflowError:
+        return
+    assert profile_depths(b, cap) == per_element_depths(b, cap)
+
+
+@pytest.mark.parametrize("group, payloads, radius, cap, outcomes", [
+    (Lamplighter(), (((), 1), ((0,), 0)), 8, 2, {"1", ">=2"}),
+    (Cyclic(11), (1,), 11, 11, {"1", "inf"}),
+    (Cyclic(12), (1, 5), 12, 3, {"1", "3", ">=3"}),
+    (Cyclic(12), (1, 5), 12, 12, {"1", "3", "inf"}),
+    (Dihedral(6), ((1, 0), (0, 1)), 12, 1, {"1", ">=1"}),
+], ids=["lamplighter", "cyclic", "cyclic-two-gens-cap-3", "cyclic-two-gens",
+        "dihedral-cap-1"])
+def test_profile_depths_with_capped_and_infinite_outcomes(group, payloads, radius, cap, outcomes):
+    b = ball(group, gens_of(group, *payloads), radius)
+    depths = per_element_depths(b, cap)
+    assert set(depths) == outcomes
+    assert profile_depths(b, cap) == depths
+
+
+def test_profile_past_the_cap_raises_the_per_element_searchs_error():
+    # The whole-ball screen meets 120 + 20 before the per-element search meets
+    # 100 + 40: the profile reruns an element at a time and raises the latter.
+    line = IntegerLine(bits=8)
+    b = ball(line, gens_of(line, 20, 40), 3)
+    error = (RangeOverflowError, "sum 100 + 40 exceeds the 8-bit cap")
+    assert per_element_depths(b, 4) == error
+    assert profile_depths(b, 4) == error
 
 
 def test_equal_profile_values_are_shared():

@@ -159,7 +159,8 @@ def test_group_laws_sampled(group):
 @pytest.mark.parametrize(
     "group",
     [ZZ, IntegerGrid(2), C10, Cyclic(7), Dihedral(5), LAMP,
-     TableGroup(cyclic_table(6), identity_id=0)],
+     TableGroup(cyclic_table(6), identity_id=0),
+     *(group for group, _ in random_table_groups(3, seed=41))],  # S4, A4, S4: not abelian
     ids=lambda g: repr(g),
 )
 def test_whole_list_arithmetic_equals_the_per_element_maps(group):
