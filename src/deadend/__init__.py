@@ -61,6 +61,7 @@ from .construction import (
     ConstructionReport,
     DeadEndWitness,
     PrefixTable,
+    TablePath,
     VerificationError,
     bound_inequality_holds,
     constructed_genset,

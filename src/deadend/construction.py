@@ -11,18 +11,19 @@ makes g_n a dead end of depth at least d+1.  Each membership claim is
 proved by a factorization certificate into k = |pi(g)|_T <= n factors
 from A or their inverses; no norm is read off a ball over A: the
 homomorphism check is exact on every source, so the norms follow from
-the certificates alone.  ``factorize`` derives each certificate once and
-checks, as it derives it, every fact the bound needs.
+the certificates alone.  ``factorize`` derives each certificate once, a
+batch at a time, and checks, as it derives it, every fact the bound needs.
 
 A certificate reads its k + 1 cuts from prefix tables, each one
 ``prefix_products`` pass built once and checked at its end: a neighbour of
 the witness is a path through them, and a plain S-word a path of one
-segment.  Its group arithmetic runs a whole list at a time (``products``,
-``inverses``).  The target side reads the quotient map's one ball of its
-target, held to the budget when the map was built, and the diameter
-report read off it: the diameter, the witness, the target geodesic of each
-image a certificate needs, walked once with its prefix images, and the
-lift of each target element, folded down its BFS tree.
+segment.  The group arithmetic of a batch runs one whole list per step
+(``products``, ``inverses``) over the cuts of all its certificates.  The
+target side reads the quotient map's one ball of its target, held to the
+budget when the map was built, and the diameter report read off it: the
+diameter, the witness, the target geodesic of each image a certificate
+needs, walked once with its prefix images, and the lift of each target
+element, folded down its BFS tree.
 """
 
 from __future__ import annotations
@@ -30,14 +31,16 @@ from __future__ import annotations
 import hashlib
 import warnings
 from array import array
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain, repeat
 from operator import add, sub
 from pathlib import Path
+from time import monotonic
 from typing import Any, NamedTuple, Optional, Sequence, Union
 
-from .cayley import Ball, Budget, DEFAULT_BUDGET, ball, ball_cached
+from .cayley import Ball, Budget, BudgetExceededError, DEFAULT_BUDGET, ball, ball_cached
 from .groups import (
     GeneratingSet,
     Group,
@@ -58,6 +61,7 @@ __all__ = [
     "ConstructionParams",
     "DeadEndWitness",
     "PrefixTable",
+    "TablePath",
     "Certificate",
     "ConstructionReport",
     "Construction",
@@ -275,8 +279,38 @@ class PrefixTable(NamedTuple):
     image: Sequence
 
 
-# An S-word as the prefix tables of its segments, in order.
-TablePath = tuple[PrefixTable, ...]
+# The most cuts a batch of certificates holds: ``verify_construction`` puts
+# max(1, _BATCH_CUTS // (n + 1)) neighbours in each, as k <= n.
+_BATCH_CUTS = 1024
+# A path is read by slices from this many cuts a segment on: below it, reading
+# each cut costs less than the slices (Z -> C_18 at D=5, 2 cuts a segment: 3.2
+# against 7.8 us a path on a 2-vCPU host, Python 3.11); at paper_safe scale
+# (2,000 cuts a segment or more) slices cost far less.
+_SLICE_CUTS = 8
+
+
+class TablePath(NamedTuple):
+    """An S-word as the prefix tables of its segments, in order.  ``starts[j]``
+    is where segment j starts in the word, ``sources[j]`` the product before
+    it and ``images[j]`` that product's image; the three end with the whole
+    word's length, product and image."""
+
+    tables: tuple[PrefixTable, ...]
+    starts: tuple[int, ...]
+    sources: tuple[Any, ...]
+    images: tuple[Any, ...]
+
+
+class _JsonTexts(dict):
+    """Payload -> the canonical JSON text of its value, encoded on first use."""
+
+    def __init__(self, group: Group):
+        super().__init__()
+        self.group = group
+
+    def __missing__(self, payload: Any) -> str:
+        text = self[payload] = dumps(self.group.payload_to_json(payload))
+        return text
 
 
 @dataclass(frozen=True)
@@ -317,8 +351,23 @@ class Certificate:
             "v_word_lengths": list(self.v_word_lengths),
         }
 
-    def digest(self) -> str:
-        return hashlib.sha256(dumps(self.to_json()).encode("utf-8")).hexdigest()[:16]
+    def digest(self, texts: Optional[_JsonTexts] = None) -> str:
+        """The first 16 hex digits of the SHA-256 of ``dumps(self.to_json())``,
+        whose text is joined here field by field: the integer lists as their
+        decimal texts, and each factor value's JSON read through ``texts``, a
+        map that ``verify`` shares between the certificates of a run, so each
+        distinct value is encoded once."""
+        group = self.target.group
+        texts = _JsonTexts(group) if texts is None else texts
+        text = "".join((
+            '{"degenerate":', "true" if self.degenerate else "false", ',"k":', str(self.k),
+            ',"schema":"certificate.v1","t_letters":[', ",".join(map(repr, self.t_letters)),
+            '],"target":', dumps(group.payload_to_json(self.target.payload)),
+            ',"u_lengths":[', ",".join(map(repr, map(sub, self.cuts[1:], self.cuts))),
+            '],"v_factors":[', ",".join(map(texts.__getitem__, self.v_payloads)),
+            '],"v_word_lengths":[', ",".join(map(repr, self.v_word_lengths)), "]}",
+        ))
+        return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
 
 class Construction:
@@ -344,17 +393,31 @@ class Construction:
         budget: Budget = DEFAULT_BUDGET,
         cache_dir: Optional[Union[str, Path]] = None,
     ):
+        self.started = monotonic()
         self.params = params = ConstructionParams(target_depth, pi.report.diameter, bound_mode)
         self.source_gens = source_gens
         self.pi = pi
         self.budget = budget
+        self.cache_dir = cache_dir
         check_homomorphism(pi, budget)
-        self.genset, self.s_ball = constructed_genset(source_gens, pi, params.N, budget, cache_dir)
+        self.genset, self._s_ball = constructed_genset(source_gens, pi, params.N, budget,
+                                                       cache_dir)
         self.symmetrized = self.genset.symmetrized_payloads()
         self.witness = find_witness(source_gens, pi, params.d + 1)
         self._geodesics: dict = {}  # target payload -> (its geodesic, their prefix images)
 
     # -- prefix tables and paths -------------------------------------------
+
+    @property
+    def s_ball(self) -> Ball:
+        """The radius-N S-ball A was read off.  Once the prefix tables exist only
+        ``path_for`` and ``a_letter_s_word`` read it, so ``_tables`` releases it,
+        and it is rebuilt (through the ball cache) when they read it again."""
+        if self._s_ball is None:
+            gens = self.source_gens
+            self._s_ball = ball_cached(gens.group, gens, self.params.N, self.cache_dir,
+                                       self.budget)
+        return self._s_ball
 
     def a_letter_s_word(self, letter: int) -> Word:
         """S-geodesic of the A-generator named by a signed letter."""
@@ -372,7 +435,7 @@ class Construction:
         """0 -> the checked table of the witness lift, whose image ends at the
         diameter witness; each signed A-letter -> that of its S-geodesic,
         whose image ends at a generator image (inverted for a negative
-        letter), as A was built to map."""
+        letter), as A was built to map.  The S-ball is released after them."""
         inv_t, images = self.pi.target.inv_payload, self.pi.image_set()
         inverses = frozenset(map(inv_t, images))
         witness = self.witness
@@ -381,6 +444,7 @@ class Construction:
         for letter, payload in self.genset.letters.items():
             word, last_images = self.a_letter_s_word(letter), images if letter > 0 else inverses
             tables[letter] = self._checked(letter, word, payload, last_images)
+        self._s_ball = None
         return tables
 
     def _checked(self, key: int, word: Word, last: Any, last_images) -> PrefixTable:
@@ -392,36 +456,61 @@ class Construction:
             raise ConstructionError(f"prefix table of {what} does not end at its element")
         return table
 
+    def _then(self, path: Optional[TablePath], table: PrefixTable) -> TablePath:
+        """``path`` (None: the empty path) followed by the segment of ``table``,
+        which starts at the path's length, after the path's product and image."""
+        group, target = self.source_gens.group, self.pi.target
+        if path is None:
+            path = TablePath((), (0,), (group.identity_payload(),), (target.identity_payload(),))
+        tables, starts, sources, images = path
+        return TablePath(tables + (table,), starts + (starts[-1] + len(table.word),),
+                         sources + (group.mul_payload(sources[-1], table.source[-1]),),
+                         images + (target.mul_payload(images[-1], table.image[-1]),))
+
     def word_path(self, s_word: Sequence[int]) -> TablePath:
         """A plain S-word as a one-segment path: its table is one fold of the
         word in each group."""
-        return (self._table(s_word),)
+        return self._then(None, self._table(s_word))
 
-    def _starts(self, path: TablePath) -> tuple[list[int], list[tuple[Any, Any]]]:
-        """Where each segment of ``path`` starts in the word it spells, and the
-        (source, image) product before it; both end with the whole word's
-        length and product."""
-        mul, mul_t = self.source_gens.group.mul_payload, self.pi.target.mul_payload
-        starts = [0]
-        bases = [(self.source_gens.group.identity_payload(), self.pi.target.identity_payload())]
-        for table in path:
-            s, t = bases[-1]
-            starts.append(starts[-1] + len(table.word))
-            bases.append((mul(s, table.source[-1]), mul_t(t, table.image[-1])))
-        return starts, bases
-
-    def _at_cuts(self, path: TablePath, starts: Sequence[int], bases: Sequence[tuple[Any, Any]],
-                 cuts: Sequence[int]) -> tuple[list, list]:
-        """The source prefix products of a path at each cut, and their images:
-        the base of the segment that holds the cut times one table entry."""
-        mul, mul_t = self.source_gens.group.mul_payload, self.pi.target.mul_payload
-        source, image = [], []
-        for c in cuts:
-            j = bisect_right(starts, c, 0, len(path)) - 1  # the end cut is in the last segment
-            (s, t), table, i = bases[j], path[j], c - starts[j]
-            source.append(mul(s, table.source[i]))
-            image.append(mul_t(t, table.image[i]))
-        return source, image
+    def _at_cuts(self, paths: Sequence[TablePath], cuts_of: Sequence[Sequence[int]]
+                 ) -> tuple[list, list]:
+        """The source prefix products of each path at its cuts (``_cuts``), and
+        their images, as one list each for the whole batch: the base of the
+        segment that holds a cut times one table entry, in one ``products``
+        pass per group.  A path with few cuts a segment is read cut by cut;
+        otherwise a segment's cuts, at most two arithmetic progressions (the
+        longer pieces' and the shorter ones'), are read as one slice of its
+        tables each."""
+        bases_s: list = []
+        entries_s: list = []
+        bases_t: list = []
+        entries_t: list = []
+        for (tables, starts, sources, images), cuts in zip(paths, cuts_of):
+            if len(cuts) < _SLICE_CUTS * len(tables):
+                for c in cuts:  # the end cut is in the last segment
+                    j = bisect_right(starts, c, 0, len(tables)) - 1
+                    table, i = tables[j], c - starts[j]
+                    entries_s.append(table.source[i])
+                    entries_t.append(table.image[i])
+                    bases_s.append(sources[j])
+                    bases_t.append(images[j])
+                continue
+            step, split = divmod(starts[-1], len(cuts) - 1)  # cuts before split: longer pieces
+            # segment j holds the cuts from lo up to his[j], the first at the next start
+            his = [*map(bisect_left, repeat(cuts), starts[1:-1]), len(cuts)]
+            lo = 0
+            for table, start, s, t, hi in zip(tables, starts, sources, images, his):
+                if lo < hi:
+                    for m0, m1 in ((lo, split), (split, hi)) if lo < split < hi else ((lo, hi),):
+                        run = slice(cuts[m0] - start, cuts[m1 - 1] - start + 1,
+                                    step + 1 if m0 < split else step)
+                        entries_s += table.source[run]
+                        entries_t += table.image[run]
+                        bases_s += repeat(s, m1 - m0)
+                        bases_t += repeat(t, m1 - m0)
+                lo = hi
+        return (self.source_gens.group.products(bases_s, entries_s),
+                self.pi.target.products(bases_t, entries_t))
 
     # -- the walk about the witness ----------------------------------------
 
@@ -431,10 +520,11 @@ class Construction:
         order.  Left multiplication by g_n maps the BFS tree of the radius-d
         ball over A onto the walk about the witness, letter for letter; a
         path is folded down that tree from the witness lift's, one parent
-        A-letter's table per step, so no word is kept."""
+        A-letter's table per step, which carries the segment's start and the
+        product before it down the edge, so no word is kept."""
         group, tables = self.source_gens.group, self._tables
         paths = ball(group, self.genset, self.params.d, self.budget).along_parents(
-            (tables[0],), lambda path, letter: path + (tables[letter],))
+            self._then(None, tables[0]), lambda path, letter: self._then(path, tables[letter]))
         g_n = self.witness.element.payload
         return {group.mul_payload(g_n, h): path for h, path in paths.items()}
 
@@ -486,8 +576,12 @@ class Construction:
         self, g: GroupElement, path: Union[TablePath, Sequence[int], None] = None
     ) -> Certificate:
         """The certificate of g, along ``path`` or the one ``path_for`` gives,
-        checked as ``factorize`` derives it; degenerate if pi(g) is the identity."""
-        return factorize(self, g, self.path_for(g) if path is None else path)
+        checked as ``factorize`` derives it in a batch of one; degenerate if
+        pi(g) is the identity."""
+        (cert,) = factorize(self, [(g, self.path_for(g) if path is None else path)])
+        if isinstance(cert, CertificateError):
+            raise cert
+        return cert
 
     def verify(self) -> "ConstructionReport":
         return verify_construction(self)
@@ -495,62 +589,91 @@ class Construction:
 
 def factorize(
     ctx: Construction,
-    g: GroupElement,
-    path: Union[TablePath, Sequence[int]],
+    items: Sequence[tuple[GroupElement, Union[TablePath, Sequence[int]]]],
     near_witness: bool = False,
-) -> Certificate:
-    """Split an S-word for g (a path, or a plain word read as one) along a
-    target geodesic into factors from A or their inverses; the one
-    derivation of a certificate, which raises CertificateError on the first
-    fact of the depth bound that fails.
+) -> list[Union[Certificate, CertificateError]]:
+    """Split an S-word for each g of a batch of (g, path) items (a path, or a
+    plain word read as one) along a target geodesic into factors from A or
+    their inverses; the one derivation of a certificate.  Gives, item by
+    item, the certificate or the CertificateError of the first fact of the
+    depth bound that failed for it.
 
     The word is cut into k = |pi(g)|_T near-equal pieces u_i, each
     corrected by lifts of quotient discrepancies so the factors v_i
     multiply to g while each maps onto one geodesic letter (see
-    ``_corrected``).  Prefix products are read off the path's tables at the
-    cuts alone, each segment's start and the product before it derived once:
-    O(k) group operations, whatever the length of the word.
-    Checked as it goes: the path ends at g, in the source group; its length
-    is at most n + d*N; k exists and k <= n, and with near_witness=True also
-    k >= n - d (the triangle bound), which a degenerate neighbour fails; the
-    geodesic spells pi(g) (c_k = 1); R_0 = 1 and R_k = g, so the factors
-    multiply to g; and every factor lies in A or its inverses.  An element
-    mapping to the target identity (k = 0) has no factors, and its
-    certificate is marked degenerate.
+    ``_corrected``).  Each step after the checks on k is one whole-list pass
+    over the cuts of the whole batch: prefix products are read off the
+    path's tables at the cuts alone (``Construction._at_cuts``), from the
+    segment starts and products the path carries, so a certificate costs O(k)
+    group operations, whatever the length of its word; each certificate's
+    results are then read back from the batch lists by offset.
+    Checked, in this order: the path ends at g, in the source group; its
+    length is at most n + d*N; k exists and k <= n, and with
+    near_witness=True also k >= n - d (the triangle bound), which a
+    degenerate neighbour fails; the geodesic spells pi(g) (c_k = 1); R_0 = 1
+    and R_k = g, so the factors multiply to g; and every factor lies in A
+    or its inverses.  An element mapping to the target identity (k = 0) has
+    no factors, and its certificate is marked degenerate.
     """
-    if not (path and isinstance(path[0], PrefixTable)):
-        path = ctx.word_path(path)
-    starts, bases = ctx._starts(path)
-    params, L = ctx.params, starts[-1]
-    end, pi_g = bases[-1]
-    if end != g.payload or g.group != ctx.source_gens.group:
+    results: list = []
+    live = []  # (index in results, g, path, k) of each certificate with factors
+    for g, path in items:
+        if not isinstance(path, TablePath):
+            path = ctx.word_path(path)
+        try:
+            k = _image_norm(ctx, g, path, near_witness)
+        except CertificateError as exc:
+            results.append(exc)
+            continue
+        if k:
+            live.append((len(results), g, path, k))
+        results.append(None if k else Certificate(g, 0, (), (), (), (), degenerate=True))
+    if not live:
+        return results
+    cuts_of = [_cuts(path.starts[-1], k) for _, _, path, k in live]
+    geodesics = [ctx._geodesic(path.images[-1]) for _, _, path, _ in live]
+    source, image = ctx._at_cuts([path for _, _, path, _ in live], cuts_of)
+    all_cuts = list(chain.from_iterable(cuts_of))
+    prefixes = list(chain.from_iterable(geodesic for _, geodesic in geodesics))
+    discrepancies, corrected, v_lengths = _corrected(ctx, source, image, all_cuts, prefixes)
+    group = ctx.source_gens.group
+    v_payloads = group.products(group.inverses(corrected[:-1]), corrected[1:])
+    inside = list(map(ctx.symmetrized.__contains__, v_payloads))
+    identity, identity_t = group.identity_payload(), ctx.pi.target.identity_payload()
+    at = 0  # the offset of a certificate's first cut in the batch lists
+    for (i, g, _, k), cuts, (t_letters, _) in zip(live, cuts_of, geodesics):
+        if discrepancies[at + k] != identity_t:
+            results[i] = CertificateError("target geodesic does not spell the image")
+        elif corrected[at] != identity or corrected[at + k] != g.payload:
+            results[i] = CertificateError("factors do not multiply to the element")
+        elif not all(inside[at:at + k]):
+            results[i] = CertificateError("factor is not in A or its inverses",
+                                          index=inside.index(False, at) - at)
+        else:
+            results[i] = Certificate(g, k, cuts, t_letters, tuple(v_payloads[at:at + k]),
+                                     tuple(v_lengths[at:at + k]))
+        at += k + 1
+    return results
+
+
+def _image_norm(ctx: Construction, g: GroupElement, path: TablePath, near_witness: bool) -> int:
+    """k = |pi(g)|_T, the target norm of the path's image; CertificateError
+    unless the path ends at g within n + d*N letters and k <= n, and with
+    near_witness also k >= n - d."""
+    params, L = ctx.params, path.starts[-1]
+    if path.sources[-1] != g.payload or g.group != ctx.source_gens.group:
         raise CertificateError("provided S-word does not evaluate to the element")
     limit = params.n + params.d * params.N
     if L > limit:
         raise CertificateError(f"S-word length {L} exceeds n + d*N = {limit}")
-    k = ctx.pi.ball.norm_payload(pi_g)
+    k = ctx.pi.ball.norm_payload(path.images[-1])
     if k is None:
         raise CertificateError("image norm unavailable; target ball incomplete")
     if k > params.n:
         raise CertificateError(f"k = {k} exceeds the diameter n = {params.n}")
     if near_witness and k < params.n - params.d:
         raise CertificateError(f"k = {k} below the triangle bound n - d = {params.n - params.d}")
-    if k == 0:
-        return Certificate(g, 0, (), (), (), (), degenerate=True)
-    t_letters, geodesic = ctx._geodesic(pi_g)
-    cuts = _cuts(L, k)
-    source, image = ctx._at_cuts(path, starts, bases, cuts)
-    corrected, v_lengths, last = _corrected(ctx, source, image, cuts, geodesic)
-    if last != ctx.pi.target.identity_payload():
-        raise CertificateError("target geodesic does not spell the image")
-    group = ctx.source_gens.group
-    if corrected[0] != group.identity_payload() or corrected[-1] != g.payload:
-        raise CertificateError("factors do not multiply to the element")
-    v_payloads = tuple(group.products(group.inverses(corrected[:-1]), corrected[1:]))
-    inside = list(map(ctx.symmetrized.__contains__, v_payloads))
-    if not all(inside):
-        raise CertificateError("factor is not in A or its inverses", index=inside.index(False))
-    return Certificate(g, k, cuts, t_letters, v_payloads, tuple(v_lengths))
+    return k
 
 
 def _cuts(L: int, k: int) -> tuple[int, ...]:
@@ -560,22 +683,24 @@ def _cuts(L: int, k: int) -> tuple[int, ...]:
 
 
 def _corrected(ctx: Construction, source: list, image: list, cuts: Sequence[int],
-               geodesic: Sequence):
+               prefixes: Sequence):
     """R_i = S_i lift(c_i) at each cut i, where S_i is the source prefix
     product there, P_i its image and c_i = P_i^-1 Q_i with Q_i the i-th of the
-    target geodesic's prefix images ``geodesic``, so pi maps R_i onto Q_i; R_0
+    target geodesic's prefix images ``prefixes``, so pi maps R_i onto Q_i; R_0
     is the identity, and the factor v_i = R_{i-1}^-1 R_i is the value of
-    phi(c_{i-1})^-1 u_i phi(c_i).  With them, each factor word's length
-    |phi(c_{i-1})| + |u_i| + |phi(c_i)|, with |phi(c)| the target norm of c, and
-    c_k, the identity when the geodesic spells P_L."""
+    phi(c_{i-1})^-1 u_i phi(c_i).  Gives the c_i, the R_i and each factor
+    word's length |phi(c_{i-1})| + |u_i| + |phi(c_i)|, with |phi(c)| the
+    target norm of c; c_k is the identity when the geodesic spells P_L.
+    Over a batch each list holds every certificate's cuts in turn, and the
+    lengths that straddle two certificates are never read."""
     target = ctx.pi.target
-    discrepancies = target.products(target.inverses(image), geodesic)
+    discrepancies = target.products(target.inverses(image), prefixes)
     lifts = list(map(ctx._lifts.__getitem__, discrepancies))
     corrected = ctx.source_gens.group.products(source, lifts)
     norms, codec = ctx.pi.ball.dist, ctx.pi.ball.codec
     lift_lengths = list(map(norms.__getitem__, map(codec.encode, discrepancies)))
     lengths = map(add, map(add, lift_lengths, map(sub, cuts[1:], cuts)), lift_lengths[1:])
-    return corrected, list(lengths), discrepancies[-1]
+    return discrepancies, corrected, list(lengths)
 
 
 @dataclass
@@ -611,28 +736,39 @@ def verify_construction(ctx: Construction) -> ConstructionReport:
     witness stays inside the closed radius-n ball, certifying depth >= d+1.
 
     Each neighbour's certificate is derived once, by ``factorize`` with the
-    triangle bound n - d <= k <= n; k is then its norm under A
-    (``norm_A``), bounded above by the factors and below by |pi(g)|_T = k.
-    Any failure aborts loudly; a false claim here would be a bug.
+    triangle bound n - d <= k <= n, in batches of at most ``_BATCH_CUTS``
+    cuts; k is then its norm under A (``norm_A``), bounded above by the
+    factors and below by |pi(g)|_T = k.  Before each batch the clock is read:
+    once ``budget.max_seconds`` have passed since the construction began,
+    BudgetExceededError names how many neighbours were certified.  Any
+    failure aborts loudly; a false claim here would be a bug.
     """
     failures: list[str] = []
     rows: list[dict] = []
     neighborhood = ctx.witness_neighborhood()
-    for element, path in neighborhood:
-        try:
-            cert = factorize(ctx, element, path, near_witness=True)
-        except CertificateError as exc:
-            failures.append(f"{element}: certificate failed: {exc}")
-            continue
-        rows.append(
-            {
-                "element": str(element),
-                "norm_A": cert.k,
-                "certificate_k": cert.k,
-                "certificate_ok": True,
-                "certificate_digest": cert.digest(),
-            }
-        )
+    size = max(1, _BATCH_CUTS // (ctx.params.n + 1))
+    deadline = ctx.started + ctx.budget.max_seconds
+    texts = _JsonTexts(ctx.source_gens.group)
+    for done in range(0, len(neighborhood), size):
+        if monotonic() > deadline:
+            raise BudgetExceededError(
+                f"time budget {ctx.budget.max_seconds}s exceeded in certificates after {done} "
+                f"of {len(neighborhood)} neighbours", radius_reached=ctx.params.d,
+                elements_seen=done)
+        batch = neighborhood[done:done + size]
+        for (element, _), cert in zip(batch, factorize(ctx, batch, near_witness=True)):
+            if isinstance(cert, CertificateError):
+                failures.append(f"{element}: certificate failed: {cert}")
+                continue
+            rows.append(
+                {
+                    "element": str(element),
+                    "norm_A": cert.k,
+                    "certificate_k": cert.k,
+                    "certificate_ok": True,
+                    "certificate_digest": cert.digest(texts),
+                }
+            )
     if failures:
         raise VerificationError(
             f"construction verification failed for {len(failures)} case(s)", failures

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from conftest import csv_writer_bytes
 import deadend
+import deadend.construction
 from deadend.cayley import BudgetExceededError, ball
 from deadend.cli import (
     _COMMANDS,
@@ -594,6 +595,18 @@ def test_budget_exit_code(tmp_path):
         ]
     )
     assert code == EXIT_BUDGET
+
+
+def test_certificates_past_the_time_budget_exit_3(tmp_path, monkeypatch, capsys):
+    # a fake clock: the construction starts at 0, and the first batch of
+    # certificates is due at 10, past --budget-seconds 5
+    readings = iter([0.0, 10.0])
+    monkeypatch.setattr(deadend.construction, "monotonic", lambda: next(readings))
+    code, report = run(tmp_path, "construct", "--group", "zz", "--gens", "1", "--quotient",
+                       "cyclic:10", "--target-depth", "3", "--budget-seconds", "5")
+    assert (code, report) == (EXIT_BUDGET, None)
+    assert capsys.readouterr().err == (
+        "budget exhausted: time budget 5.0s exceeded in certificates after 0 of 117 neighbours\n")
 
 
 def test_lamplighter_budget_stop_names_the_homomorphism_check(tmp_path, capsys):

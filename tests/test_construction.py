@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import hashlib
 import itertools
 import os
 import subprocess
@@ -17,15 +18,16 @@ from hypothesis import strategies as st
 import deadend.cayley
 import deadend.construction
 import deadend.quotient
-from conftest import a_ball, retained_bytes
-from deadend.cayley import Budget, ball, bfs_layers
+from conftest import _TABLES, a_ball, gens_of, retained_bytes
+from deadend.cayley import Budget, BudgetExceededError, ball, bfs_layers
 from deadend.construction import (
     Certificate,
     CertificateError,
     Construction,
     ConstructionError,
     ConstructionParams,
-    PrefixTable,
+    TablePath,
+    _cuts,
     bound_inequality_holds,
     constructed_genset,
     factorize,
@@ -38,8 +40,10 @@ from deadend.groups import (
     Cyclic,
     Dihedral,
     GeneratingSet,
+    GroupElement,
     IntegerGrid,
     IntegerLine,
+    Lamplighter,
     evaluate_word,
     invert_word,
     standard_gens,
@@ -51,6 +55,7 @@ from deadend.quotient import (
     diameter,
     find_quotient,
 )
+from deadend.serialize import dumps
 
 ZZ = IntegerLine()
 UNIT = GeneratingSet([ZZ.element(1)])
@@ -59,6 +64,14 @@ UNIT = GeneratingSet([ZZ.element(1)])
 @pytest.fixture(scope="module")
 def c10_ctx():
     return Construction(UNIT, cyclic_quotient(UNIT, 10), target_depth=3)
+
+
+def factorize_one(ctx, g, path, near_witness=False):
+    """The certificate ``factorize`` derives for g in a batch of one; raises its error."""
+    (cert,) = factorize(ctx, [(g, path)], near_witness)
+    if isinstance(cert, CertificateError):
+        raise cert
+    return cert
 
 
 # -- parameter arithmetic --------------------------------------------------------
@@ -380,21 +393,21 @@ def test_certificate_degenerate_when_image_trivial(c10_ctx):
 
 def test_certificate_rejects_wrong_word(c10_ctx):
     with pytest.raises(CertificateError, match="does not evaluate to the element"):
-        factorize(c10_ctx, ZZ.element(5), (1, 1, 1))
+        factorize_one(c10_ctx, ZZ.element(5), (1, 1, 1))
 
 
 def test_certificate_rejects_overlong_word(c10_ctx):
     long_word = (1,) * (c10_ctx.params.n + c10_ctx.params.d * c10_ctx.params.N + 1)
     g = evaluate_word(long_word, UNIT)
     with pytest.raises(CertificateError, match=r"S-word length 162 exceeds n \+ d\*N = 161"):
-        factorize(c10_ctx, g, long_word)
+        factorize_one(c10_ctx, g, long_word)
 
 
 @pytest.mark.parametrize("g", [1, 30], ids=["k=1", "degenerate"])
 def test_triangle_bound_rejects_an_element_far_from_the_witness(c10_ctx, g):
     g = ZZ.element(g)
     with pytest.raises(CertificateError, match="k = [01] below the triangle bound n - d = 3"):
-        factorize(c10_ctx, g, c10_ctx.path_for(g), near_witness=True)
+        factorize_one(c10_ctx, g, c10_ctx.path_for(g), near_witness=True)
 
 
 # A corrupted target ball or lift table, each caught by the check named.
@@ -421,7 +434,7 @@ def test_certificate_rejects_a_word_letter_out_of_range(c10_ctx):
     # a caller's plain S-word is folded into its table, which names the bad letter
     message = "word letter 9 out of range for 1 generators"
     with pytest.raises(ValueError, match=message):
-        factorize(c10_ctx, ZZ.element(5), (1, 9))
+        factorize_one(c10_ctx, ZZ.element(5), (1, 9))
     with pytest.raises(ValueError, match=message):
         c10_ctx.certify(ZZ.element(5), (1, 9))
 
@@ -464,14 +477,13 @@ def reference_factorize(ctx, g, s_word):
 
 def _spelled(path):
     """The S-word a path of prefix tables spells."""
-    return tuple(letter for table in path for letter in table.word)
+    return tuple(letter for table in path.tables for letter in table.word)
 
 
 def _assert_matches_reference(ctx, g, path):
     # a path is checked against the word it spells
-    cert = factorize(ctx, g, path)
-    is_path = bool(path) and isinstance(path[0], PrefixTable)
-    expected = reference_factorize(ctx, g, _spelled(path) if is_path else path)
+    cert = factorize_one(ctx, g, path)
+    expected = reference_factorize(ctx, g, _spelled(path) if isinstance(path, TablePath) else path)
     assert (cert.u_lengths, cert.t_letters, cert.v_word_lengths, cert.v_payloads) == (
         expected.u_lengths, expected.t_letters, expected.v_word_lengths, expected.v_payloads)
     assert cert == expected
@@ -507,7 +519,7 @@ def test_certificate_soundness_sampled(c10_ctx):
     # every certificate that derives with the triangle bound upper-bounds the BFS norm by k
     helper = a_ball(c10_ctx)
     for element, path in c10_ctx.witness_neighborhood():
-        cert = factorize(c10_ctx, element, path, near_witness=True)
+        cert = factorize_one(c10_ctx, element, path, near_witness=True)
         assert helper.norm(element) <= cert.k
 
 
@@ -558,23 +570,41 @@ def _reader(name):
     return ctx
 
 
+SEGMENTS = st.lists(st.lists(st.sampled_from((1, -1, 2, -2)), max_size=6), min_size=1,
+                    max_size=4)
+
+
 @settings(max_examples=120, deadline=None)
-@given(st.sampled_from(sorted(READERS)),
-       st.lists(st.lists(st.sampled_from((1, -1, 2, -2)), max_size=6), min_size=1, max_size=4),
-       st.data())
-def test_paths_read_the_prefixes_of_the_word_they_spell(reader, segments, data):
+@given(st.sampled_from(sorted(READERS)), st.lists(SEGMENTS, min_size=1, max_size=3), st.data())
+def test_paths_read_the_prefixes_of_the_word_they_spell(reader, batch, data):
+    # a batch of paths, each extended one segment at a time, read at the cuts of
+    # k near-equal pieces, 1 <= k <= L, in one pass per group: cut by cut, or by
+    # slices of each segment's tables
     ctx = _reader(reader)
-    path = tuple(map(ctx._table, segments))
-    word = _spelled(path)
-    assert word == tuple(letter for segment in segments for letter in segment)
-    starts, bases = ctx._starts(path)
-    assert starts[-1] == len(word)
-    assert bases[-1] == (evaluate_word(word, ctx.source_gens).payload,
-                         ctx.pi.apply_word(word).payload)
-    cuts = sorted(data.draw(st.lists(st.integers(0, len(word)), max_size=8)))
-    source, image = ctx._at_cuts(path, starts, bases, cuts)
-    assert source == [evaluate_word(word[:c], ctx.source_gens).payload for c in cuts]
-    assert image == [ctx.pi.apply_word(word[:c]).payload for c in cuts]
+    slice_cuts = data.draw(st.sampled_from([0, deadend.construction._SLICE_CUTS, 10**9]))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(deadend.construction, "_SLICE_CUTS", slice_cuts)
+        _check_path_reading(ctx, batch, data)
+
+
+def _check_path_reading(ctx, batch, data):
+    paths, cuts_of, expected = [], [], ([], [])
+    for segments in batch:
+        path = None
+        for segment in segments:
+            path = ctx._then(path, ctx._table(segment))
+        word = _spelled(path)
+        assert word == tuple(letter for segment in segments for letter in segment)
+        assert path.starts[-1] == len(word)
+        assert (path.sources[-1], path.images[-1]) == (
+            evaluate_word(word, ctx.source_gens).payload, ctx.pi.apply_word(word).payload)
+        if word:
+            cuts = _cuts(len(word), data.draw(st.integers(1, len(word))))
+            paths.append(path)
+            cuts_of.append(cuts)
+            expected[0].extend(evaluate_word(word[:c], ctx.source_gens).payload for c in cuts)
+            expected[1].extend(ctx.pi.apply_word(word[:c]).payload for c in cuts)
+    assert ctx._at_cuts(paths, cuts_of) == expected
 
 
 # -- the walk about the witness ------------------------------------------------------
@@ -634,8 +664,13 @@ def test_walk_is_the_bfs_about_the_witness(case):
     assert [element.payload for element, _ in neighbourhood] == list(parent)
     mul = ctx.source_gens.group.mul_payload
     for (element, path), letter in zip(neighbourhood, parent.values()):
-        assert path[-1] is ctx._tables[letter]
-        assert functools.reduce(mul, (table.source[-1] for table in path)) == element.payload
+        assert path.tables[-1] is ctx._tables[letter]
+        ends = (table.source[-1] for table in path.tables)
+        assert functools.reduce(mul, ends) == element.payload
+        # the walk carries each segment's start and the product before it
+        assert path.starts[-1] == len(_spelled(path))
+        assert (path.sources[-1], path.images[-1]) == (
+            element.payload, ctx.pi.apply_word(_spelled(path)).payload)
 
 
 @pytest.mark.parametrize("case", sorted(WALK_CASES))
@@ -664,7 +699,8 @@ def test_verify_on_an_exact_source_builds_no_a_ball(monkeypatch):
                        target_depth=2, bound_mode="tight")
     assert ctx.verify().passed
     assert ctx.certify(ctx.witness_neighborhood()[-1][0]).k <= ctx.params.n
-    assert [gens for gens, _ in cached] == [_GRID]  # the S-ball only
+    # the S-ball only: built for A, and rebuilt for certify after the tables released it
+    assert cached == [(_GRID, ctx.params.N)] * 2
     assert len(walked) == 1 and walked[0][0] is ctx.genset and walked[0][1] == ctx.params.d
 
 
@@ -693,7 +729,7 @@ def test_certify_outside_the_s_ball_walks_once(monkeypatch):
     assert len(walks) == 1 and walks[0][0] is ctx.genset and walks[0][1] == ctx.params.d
     assert first == second
     assert not first.degenerate and ctx.params.n - ctx.params.d <= first.k <= ctx.params.n
-    s_word_length = sum(len(table.word) for table in ctx.path_for(g))
+    s_word_length = sum(len(table.word) for table in ctx.path_for(g).tables)
     assert s_word_length <= ctx.params.n + ctx.params.d * ctx.params.N
 
 
@@ -739,15 +775,163 @@ def test_verify_construction_c22():
 
 
 def test_verify_derives_each_certificate_once(c10_ctx, monkeypatch):
-    calls = {"_starts": [], "_at_cuts": []}
-    for name, reads in calls.items():
-        real = getattr(c10_ctx, name)
-        monkeypatch.setattr(c10_ctx, name,
-                            lambda path, *rest, real=real, reads=reads:
-                            reads.append(path) or real(path, *rest))
+    # every neighbour goes through factorize once, in order, and each batch's
+    # cuts are gathered in one pass
+    derived, gathered = [], []
+    real_factorize, real_at_cuts = factorize, c10_ctx._at_cuts
+    monkeypatch.setattr(deadend.construction, "factorize", lambda ctx, items, **kw:
+                        derived.append(items) or real_factorize(ctx, items, **kw))
+    monkeypatch.setattr(c10_ctx, "_at_cuts", lambda paths, cuts_of:
+                        gathered.append(paths) or real_at_cuts(paths, cuts_of))
     report = c10_ctx.verify()
-    assert len(calls["_at_cuts"]) == report.neighborhood_size == 117
-    assert calls["_starts"] == calls["_at_cuts"]
+    neighbourhood = c10_ctx.witness_neighborhood()
+    assert [item for batch in derived for item in batch] == neighbourhood
+    assert report.neighborhood_size == len(neighbourhood) == 117
+    assert [path for paths in gathered for path in paths] == [path for _, path in neighbourhood]
+
+
+def _assert_batch_is_one_at_a_time(ctx):
+    # one batch of the whole neighbourhood, and verify's batches, against certify
+    # of each neighbour alone
+    neighbourhood = ctx.witness_neighborhood()
+    batch = factorize(ctx, neighbourhood, near_witness=True)
+    alone = [ctx.certify(element, path) for element, path in neighbourhood]
+    fields = lambda c: (c.cuts, c.t_letters, c.v_payloads, c.v_word_lengths, c.digest())
+    assert list(map(fields, batch)) == list(map(fields, alone))
+    assert [row["certificate_digest"] for row in ctx.verify().rows] == [c.digest() for c in alone]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(6, 18), st.sampled_from([2, 3]), st.sampled_from(["paper", "tight"]))
+def test_batched_certificates_equal_one_at_a_time_over_z(m, target_depth, mode):
+    if m // 2 <= 2 * (target_depth - 1):
+        target_depth = 2  # C_m is too small for depth 3: diameter m // 2
+    _assert_batch_is_one_at_a_time(Construction(UNIT, cyclic_quotient(UNIT, m), target_depth,
+                                                mode))
+
+
+def _lamplighter_d4():
+    gens, d4 = standard_gens(Lamplighter()), Dihedral(4)
+    pi = QuotientMap(gens, d4, [d4.element((0, 1)), d4.element((1, 1))])
+    return Construction(gens, pi, target_depth=2, bound_mode="tight")
+
+
+@pytest.mark.parametrize("make", [WALK_CASES["Z2-C10"][0], _lamplighter_d4],
+                         ids=["Z2-C10", "lamplighter-D4"])
+def test_batched_certificates_equal_one_at_a_time(make):
+    _assert_batch_is_one_at_a_time(make())
+
+
+def _padded(g, length):
+    """An S-word for g on Z, cancelling pairs appended up to ``length`` letters."""
+    word = (1 if g.payload > 0 else -1,) * abs(g.payload)
+    return word + (1, -1) * ((length - len(word)) // 2)
+
+
+# A corrupted item and its failure: a path of another neighbour (a wrong end),
+# a word over n + d*N letters, k under the triangle bound, and a factor outside
+# A: 81 = 1 (mod 10) spelled as one piece, with no triangle bound (k = 1).
+CORRUPTIONS = {
+    "provided S-word does not evaluate to the element": lambda ctx, nb: (
+        nb[50][0], nb[51][1], True),
+    r"S-word length 163 exceeds n \+ d\*N = 161": lambda ctx, nb: (
+        nb[50][0], _padded(nb[50][0], 163), True),
+    "k = 1 below the triangle bound n - d = 3": lambda ctx, nb: (
+        ZZ.element(1), (1,), True),
+    "factor 0: factor is not in A or its inverses": lambda ctx, nb: (
+        ZZ.element(81), (1,) * 81, False),
+}
+
+
+@pytest.mark.parametrize("message", sorted(CORRUPTIONS))
+def test_a_corrupted_item_fails_alone_in_its_batch(c10_ctx, message):
+    neighbourhood = c10_ctx.witness_neighborhood()
+    g, path, near_witness = CORRUPTIONS[message](c10_ctx, neighbourhood)
+    items = neighbourhood[:50] + [(g, path)] + neighbourhood[50:]
+    results = factorize(c10_ctx, items, near_witness=near_witness)
+    assert isinstance(results[50], CertificateError)
+    with pytest.raises(CertificateError, match=f"^{message}$"):
+        raise results[50]
+    with pytest.raises(CertificateError, match=f"^{message}$"):
+        factorize_one(c10_ctx, g, path, near_witness)
+    del results[50]
+    assert results == [c10_ctx.certify(element, path) for element, path in neighbourhood]
+
+
+def test_verify_reports_only_the_corrupted_neighbour(monkeypatch):
+    ctx = Construction(UNIT, cyclic_quotient(UNIT, 10), target_depth=3)
+    walk = dict(ctx._walk)
+    (x, _), (_, other) = list(walk.items())[60:62]
+    monkeypatch.setitem(ctx.__dict__, "_walk", {**walk, x: other})
+    with pytest.raises(deadend.construction.VerificationError,
+                       match=r"failed for 1 case\(s\)") as info:
+        ctx.verify()
+    assert info.value.failures == (
+        f"{ZZ.element(x)}: certificate failed: provided S-word does not evaluate to the element",)
+
+
+_DIGEST_GROUPS = [
+    standard_gens(IntegerLine()), standard_gens(IntegerGrid(2)), standard_gens(Cyclic(7)),
+    standard_gens(Dihedral(5)), standard_gens(Lamplighter()), gens_of(_TABLES[0], 1, 2),
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(_DIGEST_GROUPS), st.booleans(), st.data())
+def test_certificate_digest_is_the_hash_of_its_canonical_json(gens, degenerate, data):
+    payloads = list(ball(gens.group, gens, 2).payloads())
+    elements = st.sampled_from(payloads)
+    target = GroupElement(gens.group, data.draw(elements))
+    if degenerate:
+        cert = Certificate(target, 0, (), (), (), (), degenerate=True)
+    else:
+        cuts = tuple(sorted(data.draw(st.lists(st.integers(0, 10**6), min_size=2, max_size=8))))
+        k = len(cuts) - 1
+        draw_ints = lambda: tuple(data.draw(st.lists(st.integers(-9, 10**9), min_size=k,
+                                                      max_size=k)))
+        v_payloads = tuple(data.draw(st.lists(elements, min_size=k, max_size=k)))
+        cert = Certificate(target, k, cuts, draw_ints(), v_payloads, draw_ints())
+    expected = hashlib.sha256(dumps(cert.to_json()).encode("utf-8")).hexdigest()[:16]
+    assert cert.digest() == expected
+    texts = deadend.construction._JsonTexts(gens.group)
+    assert [cert.digest(texts), cert.digest(texts)] == [expected] * 2
+
+
+class _Clock:
+    """A fake monotonic clock: each reading is the next of ``readings``."""
+
+    def __init__(self, *readings):
+        self.readings = iter(readings)
+
+    def __call__(self):
+        return next(self.readings)
+
+
+def test_certificates_stop_at_the_time_budget(monkeypatch):
+    monkeypatch.setattr(deadend.construction, "monotonic", _Clock(100.0))
+    ctx = Construction(UNIT, cyclic_quotient(UNIT, 10), target_depth=3,
+                       budget=Budget(max_seconds=5))
+    assert ctx.started == 100.0
+    ctx.witness_neighborhood()
+    # n = 5: six cuts a certificate, ten neighbours a batch; the clock is read
+    # before each batch, and has passed the budget at the third
+    monkeypatch.setattr(deadend.construction, "_BATCH_CUTS", 60)
+    monkeypatch.setattr(deadend.construction, "monotonic", _Clock(101.0, 104.0, 105.5))
+    with pytest.raises(BudgetExceededError, match=r"^time budget 5s exceeded in certificates "
+                       r"after 20 of 117 neighbours$") as info:
+        ctx.verify()
+    assert (info.value.radius_reached, info.value.elements_seen) == (2, 20)
+    monkeypatch.setattr(deadend.construction, "monotonic", lambda: 105.0)
+    assert ctx.verify().passed  # at the deadline itself the budget still holds
+
+
+def test_the_s_ball_is_released_once_the_tables_exist(monkeypatch):
+    ctx = Construction(UNIT, cyclic_quotient(UNIT, 10), target_depth=3)
+    g = ZZ.element(46)  # in the S-ball, and not the witness
+    before, held = ctx.certify(g), ctx.path_for(g)
+    assert ctx._tables and ctx._s_ball is None
+    assert ctx.path_for(g) == held and ctx.certify(g) == before
+    assert ctx._s_ball is not None and ctx.s_ball.radius == ctx.params.N
 
 
 @pytest.mark.parametrize("target_depth", [1, 0])
