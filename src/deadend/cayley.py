@@ -22,7 +22,7 @@ import struct
 import sys
 import time
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from itertools import chain, count, islice, repeat
 from typing import Any, Callable, Iterable, Iterator, Optional, Sequence, Union
@@ -57,11 +57,13 @@ _CSV_BLOCK = 256
 
 @dataclass(frozen=True)
 class Budget:
-    """Resource ceilings for ball construction."""
+    """Resource ceilings for a run.  Every search under a budget shares one deadline,
+    ``max_seconds`` after ``started``: the clock reading when it is made, kept by ``replace``."""
 
     max_elements: int = 10_000_000
     max_radius: int = 10_000
     max_seconds: float = 600.0
+    started: float = field(default_factory=time.monotonic, compare=False)
 
     def __post_init__(self):
         # "not > 0" also rejects NaN, which would switch the time limit off
@@ -69,7 +71,7 @@ class Budget:
             raise ValueError("budget limits must be positive")
 
 
-DEFAULT_BUDGET = Budget()
+DEFAULT_BUDGET = Budget(max_seconds=float("inf"))  # no time limit, so no clock to run out
 
 
 class BudgetExceededError(Exception):
@@ -145,18 +147,18 @@ class Ball:
         return tuple(letters)
 
     def along_parents(self, start: Any, step: Callable[[Any, int], Any]) -> dict:
-        """Fold ``step`` down the BFS tree: payload -> value, in discovery order.
+        """Fold ``step`` down the BFS tree: code -> value, in discovery order.
 
-        The identity gets ``start``; every other payload gets
+        The identity gets ``start``; every other element gets
         ``step(value of its parent, its parent letter)``, so the value of
-        x is ``step`` folded over the letters of ``geodesic_payload(x)``.
-        """
+        x is ``step`` folded over the letters of ``geodesic_payload(x)``.  ``codec.decode``
+        gives the payloads of the keys."""
         mul, back = self.codec.step, self.letter_codes
         values: dict = {}
         for code, d in self.dist.items():
             letter = self.parent[code]
             values[code] = step(values[mul(code, back[-letter])], letter) if d else start
-        return dict(zip(self.payloads(), values.values()))
+        return values
 
     def geodesic(self, x: GroupElement) -> Word:
         """Word of length exactly norm(x) evaluating to x (first-parent rule)."""
@@ -171,15 +173,16 @@ def _codec(group: Group, gens: GeneratingSet, radius: int) -> Codec:
     return group.integer_code(list(gens.letters.values()), 2 * radius + 1)
 
 
-def _check_budget(budget: Budget, seen: int, r: int, deadline: Optional[float] = None) -> None:
-    """Raise BudgetExceededError, radius r reached, past the element budget or the deadline."""
+def _check_budget(budget: Budget, seen: int, r: int, where: str = "") -> None:
+    """Raise BudgetExceededError, radius r reached, past the element budget or
+    the budget's deadline; ``where`` ends the message."""
     if seen > budget.max_elements:
         what = f"element budget {budget.max_elements}"
-    elif deadline is not None and time.monotonic() > deadline:
+    elif time.monotonic() > budget.started + budget.max_seconds:
         what = f"time budget {budget.max_seconds}s"
     else:
         return
-    raise BudgetExceededError(f"{what} exceeded", radius_reached=r, elements_seen=seen)
+    raise BudgetExceededError(f"{what} exceeded{where}", radius_reached=r, elements_seen=seen)
 
 
 def bfs_layers(
@@ -197,7 +200,7 @@ def bfs_layers(
     (r, new_layer) for r = 1, 2, ... until a layer comes out empty; the
     frontier is FIFO, so discovery order is deterministic.  Raises
     BudgetExceededError once ``seen`` outgrows the element budget or the
-    time budget runs out.
+    budget's deadline has passed.
 
     A step equal to an earlier one (``a`` and ``a^-1`` for an involution
     ``a``) reaches nothing new, so only the first pair of each step is kept.
@@ -206,7 +209,6 @@ def bfs_layers(
     for letter, step in letters:
         firsts.setdefault(step, letter)
     letters = [(letter, step) for step, letter in firsts.items()]
-    deadline = time.monotonic() + budget.max_seconds
     checked = 0
     layer = [start]
     for r in count(1):
@@ -219,7 +221,7 @@ def bfs_layers(
                     next_layer.append(y)
             checked += 1
             if (checked & 0x3FF) == 0:
-                _check_budget(budget, len(seen), r - 1, deadline)
+                _check_budget(budget, len(seen), r - 1)
         _check_budget(budget, len(seen), r - 1)
         if not next_layer:
             return

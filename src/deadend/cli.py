@@ -25,7 +25,7 @@ from pathlib import Path
 from typing import Any, Optional, Sequence
 
 from . import __version__
-from .cayley import DEFAULT_BUDGET, Ball, Budget, BudgetExceededError, ball_cached, ball_to_csv
+from .cayley import Ball, Budget, BudgetExceededError, ball_cached, ball_to_csv
 from .construction import (
     CertificateError,
     Construction,
@@ -240,7 +240,7 @@ def _write_report(report: dict, out: Optional[str]) -> None:
         print(text)
 
 
-def _report(command: str, inputs: dict, results: dict, started: float) -> dict:
+def _report(command: str, inputs: dict, results: dict, seconds: float) -> dict:
     return {
         "schema": REPORT_SCHEMA,
         "tool": {"name": "deadend", "version": __version__},
@@ -248,7 +248,7 @@ def _report(command: str, inputs: dict, results: dict, started: float) -> dict:
         "inputs": inputs,
         "inputs_digest": content_hash(inputs),
         "results": results,
-        "timing": {"seconds": round(time.monotonic() - started, 6)},
+        "timing": {"seconds": round(seconds, 6)},
     }
 
 
@@ -258,7 +258,7 @@ def _echo(args, *flags: str) -> dict:
 
 
 def _budget_from_args(args) -> Budget:
-    return Budget(args.budget_elements, args.budget_radius, args.budget_seconds)
+    return Budget(args.budget_elements, args.budget_radius, args.budget_seconds, args.started)
 
 
 def _ball(args, group: Group, gens: GeneratingSet) -> Ball:
@@ -377,9 +377,9 @@ _FLAGS: dict[str, tuple[Any, Any]] = {
     "csv": (str, None),
     "out": (str, None),
     "cache_dir": (str, None),
-    "budget_elements": (int, DEFAULT_BUDGET.max_elements),
-    "budget_radius": (int, DEFAULT_BUDGET.max_radius),
-    "budget_seconds": (float, DEFAULT_BUDGET.max_seconds),
+    "budget_elements": (int, Budget.max_elements),
+    "budget_radius": (int, Budget.max_radius),
+    "budget_seconds": (float, Budget.max_seconds),
 }
 
 # Flag -> help text: every subcommand's flags after --group, and the construction flags.
@@ -465,11 +465,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def _run(args: argparse.Namespace) -> int:
-    started = time.monotonic()
+    started = time.monotonic()  # the run's one clock: its budget and its timing count from here
     try:
         args = _merge_config(args)
+        args.started = started
         inputs, results = _COMMANDS[args.command][1](args)
-        _write_report(_report(args.command, inputs, results, started), args.out)
+        _write_report(_report(args.command, inputs, results, time.monotonic() - started), args.out)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

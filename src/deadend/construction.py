@@ -37,10 +37,9 @@ from functools import cached_property
 from itertools import chain, repeat
 from operator import add, sub
 from pathlib import Path
-from time import monotonic
 from typing import Any, NamedTuple, Optional, Sequence, Union
 
-from .cayley import Ball, Budget, BudgetExceededError, DEFAULT_BUDGET, ball, ball_cached
+from .cayley import Ball, Budget, DEFAULT_BUDGET, _check_budget, ball, ball_cached
 from .groups import (
     GeneratingSet,
     Group,
@@ -188,15 +187,16 @@ def constructed_genset(
     s_ball = ball_cached(group, source_gens, N, cache_dir, budget)
     tset = pi.image_set()
     identity = group.identity_payload()
-    mul_t = pi.target.mul_payload
+    mul_t, decode = pi.target.mul_payload, s_ball.codec.decode
     images = s_ball.along_parents(
         pi.target.identity_payload(), lambda acc, letter: mul_t(acc, pi.letters[letter])
     )
     entries: list[GroupElement] = []
     kept: set = set()
-    for payload, image in images.items():
+    for code, image in images.items():
         if image not in tset:
             continue
+        payload = decode(code)
         if payload == identity:
             warnings.warn(
                 "identity lies in the preimage of the generator images; dropped from A"
@@ -393,7 +393,6 @@ class Construction:
         budget: Budget = DEFAULT_BUDGET,
         cache_dir: Optional[Union[str, Path]] = None,
     ):
-        self.started = monotonic()
         self.params = params = ConstructionParams(target_depth, pi.report.diameter, bound_mode)
         self.source_gens = source_gens
         self.pi = pi
@@ -523,10 +522,11 @@ class Construction:
         A-letter's table per step, which carries the segment's start and the
         product before it down the edge, so no word is kept."""
         group, tables = self.source_gens.group, self._tables
-        paths = ball(group, self.genset, self.params.d, self.budget).along_parents(
+        a_ball = ball(group, self.genset, self.params.d, self.budget)
+        paths = a_ball.along_parents(
             self._then(None, tables[0]), lambda path, letter: self._then(path, tables[letter]))
-        g_n = self.witness.element.payload
-        return {group.mul_payload(g_n, h): path for h, path in paths.items()}
+        g_n, mul, decode = self.witness.element.payload, group.mul_payload, a_ball.codec.decode
+        return {mul(g_n, decode(h)): path for h, path in paths.items()}
 
     def witness_neighborhood(self) -> list[tuple[GroupElement, TablePath]]:
         """Every g within A-distance d of the witness, with the path the walk gives it."""
@@ -550,11 +550,11 @@ class Construction:
 
     @cached_property
     def _lifts(self) -> dict:
-        """Target payload -> the source payload of its lift, folded down the
-        target ball's BFS tree: each step appends the section letter of its
-        parent letter, which pi maps onto that letter.  So, by induction down
-        the tree, every lift maps onto its element, and its length is the
-        target norm, at most n (a factor word has at most |u| + 2n letters)."""
+        """Target payload (a finite group's code) -> the source payload of its lift,
+        folded down the target ball's BFS tree: each step appends the section letter
+        of its parent letter, which pi maps onto that letter.  So, by induction down
+        the tree, every lift maps onto its element, and its length is the target
+        norm, at most n (a factor word has at most |u| + 2n letters)."""
         group, pi = self.source_gens.group, self.pi
         t_letters = tuple(pi.image_gens.letters)
         s_steps = map(self.source_gens.letters.__getitem__, _lift(pi.section, t_letters))
@@ -697,8 +697,8 @@ def _corrected(ctx: Construction, source: list, image: list, cuts: Sequence[int]
     discrepancies = target.products(target.inverses(image), prefixes)
     lifts = list(map(ctx._lifts.__getitem__, discrepancies))
     corrected = ctx.source_gens.group.products(source, lifts)
-    norms, codec = ctx.pi.ball.dist, ctx.pi.ball.codec
-    lift_lengths = list(map(norms.__getitem__, map(codec.encode, discrepancies)))
+    # a finite target's ball keys its norms by payload: its codec is the identity
+    lift_lengths = list(map(ctx.pi.ball.dist.__getitem__, discrepancies))
     lengths = map(add, map(add, lift_lengths, map(sub, cuts[1:], cuts)), lift_lengths[1:])
     return discrepancies, corrected, list(lengths)
 
@@ -738,23 +738,20 @@ def verify_construction(ctx: Construction) -> ConstructionReport:
     Each neighbour's certificate is derived once, by ``factorize`` with the
     triangle bound n - d <= k <= n, in batches of at most ``_BATCH_CUTS``
     cuts; k is then its norm under A (``norm_A``), bounded above by the
-    factors and below by |pi(g)|_T = k.  Before each batch the clock is read:
-    once ``budget.max_seconds`` have passed since the construction began,
-    BudgetExceededError names how many neighbours were certified.  Any
-    failure aborts loudly; a false claim here would be a bug.
+    factors and below by |pi(g)|_T = k.  Before each batch the budget is
+    checked: past its deadline, BudgetExceededError names how many
+    neighbours were certified.  Any failure aborts loudly; a false claim
+    here would be a bug.
     """
     failures: list[str] = []
     rows: list[dict] = []
     neighborhood = ctx.witness_neighborhood()
     size = max(1, _BATCH_CUTS // (ctx.params.n + 1))
-    deadline = ctx.started + ctx.budget.max_seconds
     texts = _JsonTexts(ctx.source_gens.group)
     for done in range(0, len(neighborhood), size):
-        if monotonic() > deadline:
-            raise BudgetExceededError(
-                f"time budget {ctx.budget.max_seconds}s exceeded in certificates after {done} "
-                f"of {len(neighborhood)} neighbours", radius_reached=ctx.params.d,
-                elements_seen=done)
+        # the neighbourhood fit the element budget, so only the deadline can stop here
+        _check_budget(ctx.budget, done, ctx.params.d,
+                      f" in certificates after {done} of {len(neighborhood)} neighbours")
         batch = neighborhood[done:done + size]
         for (element, _), cert in zip(batch, factorize(ctx, batch, near_witness=True)):
             if isinstance(cert, CertificateError):

@@ -1,15 +1,17 @@
 """Shared test helpers: random permutation-closure table groups, the A-ball
 oracle of a construction, the reference depth search with the coded-ball
-cases it is checked on, the bytes csv.writer writes, and the traced bytes a
-result retains."""
+cases it is checked on, the bytes csv.writer writes, the traced bytes a
+result retains, and a fake clock."""
 
 from __future__ import annotations
 
 import csv
 import gc
 import random
+import time
 import tracemalloc
 
+import pytest
 from hypothesis import strategies as st
 
 from deadend.cayley import ball
@@ -22,6 +24,31 @@ from deadend.groups import (
     RangeOverflowError,
     TableGroup,
 )
+
+
+class FakeClock:
+    """A stand-in for ``time.monotonic``: it gives the readings set last in turn,
+    then the last of them from there on, and counts how often it was read."""
+
+    def __init__(self):
+        self.set(0.0)
+
+    def set(self, *readings: float) -> None:
+        self.pending, self.reads = list(readings), 0
+
+    def __call__(self) -> float:
+        self.reads += 1
+        return self.pending.pop(0) if len(self.pending) > 1 else self.pending[0]
+
+
+@pytest.fixture
+def clock(monkeypatch):
+    """The one clock of a run, faked: ``time.monotonic``, which the CLI reads as
+    the run starts and ``_check_budget`` against the budget's deadline.  A
+    ``Budget`` made in a test under it names its ``started`` reading."""
+    fake = FakeClock()
+    monkeypatch.setattr(time, "monotonic", fake)
+    return fake
 
 
 def _compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
@@ -188,6 +215,6 @@ def lamplighter_cases(draw):
     payloads = draw(st.lists(payload, min_size=1, max_size=2, unique=True))
     if draw(st.booleans()):
         far_lamps, sign = draw(lamps), draw(st.sampled_from([-1, 1]))
-        far = draw(st.integers(20, 127 + min((sign * q for q in far_lamps), default=0)))
+        far = draw(st.integers(20, 127 + min([0, *(sign * q for q in far_lamps)])))
         payloads[-1] = (far_lamps, sign * far)
     return group, gens_of(group, *payloads), draw(st.integers(0, 6))

@@ -677,7 +677,8 @@ def test_coded_ball_matches_payload_bfs(tmp_path_factory, case):
             reference_depth, group, gens, norms, payload, 4
         )
     words = b.along_parents((), lambda word, letter: word + (letter,))
-    assert list(words.items()) == [
+    assert list(words) == list(b.dist)  # keyed by code
+    assert list(zip(b.payloads(), words.values())) == [
         (p, reference_geodesic(group, gens, parent, p, d)) for p, d in expected[0]
     ]
     rows = outcome(lambda: list(depth_profile(b, 4).rows()))

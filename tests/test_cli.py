@@ -16,8 +16,7 @@ from hypothesis import strategies as st
 
 from conftest import csv_writer_bytes
 import deadend
-import deadend.construction
-from deadend.cayley import BudgetExceededError, ball
+from deadend.cayley import Budget, BudgetExceededError, ball
 from deadend.cli import (
     _COMMANDS,
     _COMMON,
@@ -38,6 +37,7 @@ from deadend.cli import (
 from deadend.construction import ConstructionError
 from deadend.depth import depth
 from deadend.groups import Cyclic, Dihedral, IntegerGrid, IntegerLine, Lamplighter, TableGroup
+from deadend.quotient import cyclic_quotient
 from deadend.serialize import dumps, genset_to_json, group_to_json
 from deadend.groups import GeneratingSet
 
@@ -597,16 +597,46 @@ def test_budget_exit_code(tmp_path):
     assert code == EXIT_BUDGET
 
 
-def test_certificates_past_the_time_budget_exit_3(tmp_path, monkeypatch, capsys):
-    # a fake clock: the construction starts at 0, and the first batch of
-    # certificates is due at 10, past --budget-seconds 5
-    readings = iter([0.0, 10.0])
-    monkeypatch.setattr(deadend.construction, "monotonic", lambda: next(readings))
-    code, report = run(tmp_path, "construct", "--group", "zz", "--gens", "1", "--quotient",
-                       "cyclic:10", "--target-depth", "3", "--budget-seconds", "5")
+def test_certificates_past_the_time_budget_exit_3(tmp_path, clock, capsys):
+    argv = ["construct", "--group", "zz", "--gens", "1", "--quotient", "cyclic:10",
+            "--target-depth", "3", "--budget-seconds", "5"]
+    assert run(tmp_path, *argv)[0] == EXIT_OK  # under a standing clock, counting its readings
+    # the last two readings are the one batch of certificates' and the report's:
+    # every search before them is on time, and the certificates are due at 10
+    clock.set(*[0.0] * (clock.reads - 2), 10.0)
+    code, report = run(tmp_path, *argv, name="late.json")
     assert (code, report) == (EXIT_BUDGET, None)
     assert capsys.readouterr().err == (
         "budget exhausted: time budget 5.0s exceeded in certificates after 0 of 117 neighbours\n")
+
+
+def test_the_report_and_the_budget_read_one_clock(tmp_path, clock, capsys):
+    # the run's first reading starts both the report's timing and the budget's
+    # clock; every later reading is 3 s on
+    argv = ["ball", "--group", "zz", "--gens", "1", "--radius", "3"]
+    clock.set(100.0, 103.0)
+    code, report = run(tmp_path, *argv, "--budget-seconds", "3.5")
+    assert code == EXIT_OK and report["timing"] == {"seconds": 3.0}
+    clock.set(100.0, 103.0)
+    assert run(tmp_path, *argv, "--budget-seconds", "2.5", name="late.json") == (EXIT_BUDGET, None)
+    assert capsys.readouterr().err == "budget exhausted: time budget 2.5s exceeded\n"
+
+
+def test_a_family_search_shares_the_runs_deadline(tmp_path, clock, capsys):
+    # a clock that moves 0.01 s a reading; a BFS reads it once a layer, so
+    # Z -> C_m reads it about m / 2 times.  At target depth 10 the greedy
+    # search builds C_2 to C_38: each member alone fits in 1 s, and together
+    # they do not
+    clock.set(*(i / 100 for i in range(10_000)))
+    unit = GeneratingSet([IntegerLine().element(1)])
+    for m in range(2, 39):
+        cyclic_quotient(unit, m, Budget(max_seconds=1, started=clock()))
+    before = clock.reads  # about 400: what the whole search would read
+    code, report = run(tmp_path, "construct", "--group", "zz", "--gens", "1", "--quotient",
+                       "cyclic", "--target-depth", "10", "--budget-seconds", "1")
+    assert (code, report) == (EXIT_BUDGET, None)
+    assert capsys.readouterr().err == "budget exhausted: time budget 1.0s exceeded\n"
+    assert clock.reads - before <= 102  # the run's reading, then 1 s of checks
 
 
 def test_lamplighter_budget_stop_names_the_homomorphism_check(tmp_path, capsys):

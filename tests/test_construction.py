@@ -5,6 +5,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import itertools
+import math
 import os
 import subprocess
 import sys
@@ -19,7 +20,7 @@ import deadend.cayley
 import deadend.construction
 import deadend.quotient
 from conftest import _TABLES, a_ball, gens_of, retained_bytes
-from deadend.cayley import Budget, BudgetExceededError, ball, bfs_layers
+from deadend.cayley import DEFAULT_BUDGET, Budget, BudgetExceededError, ball, bfs_layers
 from deadend.construction import (
     Certificate,
     CertificateError,
@@ -355,7 +356,9 @@ def test_parent_folds_match_geodesic_reference(make, N):
 
     genset, s_ball = constructed_genset(gens, pi, N)
     words = s_ball.along_parents((), lambda word, letter: word + (letter,))
-    assert list(words.items()) == [(p, s_ball.geodesic_payload(p)) for p in s_ball.payloads()]
+    assert list(words) == list(s_ball.dist)  # keyed by code
+    assert list(zip(s_ball.payloads(), words.values())) == [
+        (p, s_ball.geodesic_payload(p)) for p in s_ball.payloads()]
     group = gens.group
     tset = pi.image_set()
     expected_a: list = []
@@ -897,32 +900,34 @@ def test_certificate_digest_is_the_hash_of_its_canonical_json(gens, degenerate, 
     assert [cert.digest(texts), cert.digest(texts)] == [expected] * 2
 
 
-class _Clock:
-    """A fake monotonic clock: each reading is the next of ``readings``."""
-
-    def __init__(self, *readings):
-        self.readings = iter(readings)
-
-    def __call__(self):
-        return next(self.readings)
-
-
-def test_certificates_stop_at_the_time_budget(monkeypatch):
-    monkeypatch.setattr(deadend.construction, "monotonic", _Clock(100.0))
-    ctx = Construction(UNIT, cyclic_quotient(UNIT, 10), target_depth=3,
-                       budget=Budget(max_seconds=5))
-    assert ctx.started == 100.0
+def test_certificates_stop_at_the_time_budget(clock, monkeypatch):
+    budget = Budget(max_seconds=5, started=100.0)
+    clock.set(100.0)
+    ctx = Construction(UNIT, cyclic_quotient(UNIT, 10), target_depth=3, budget=budget)
+    assert not hasattr(ctx, "started")  # the budget holds the run's one clock
     ctx.witness_neighborhood()
     # n = 5: six cuts a certificate, ten neighbours a batch; the clock is read
-    # before each batch, and has passed the budget at the third
+    # before each batch, and has passed the deadline at the third
     monkeypatch.setattr(deadend.construction, "_BATCH_CUTS", 60)
-    monkeypatch.setattr(deadend.construction, "monotonic", _Clock(101.0, 104.0, 105.5))
+    clock.set(101.0, 104.0, 105.5)
     with pytest.raises(BudgetExceededError, match=r"^time budget 5s exceeded in certificates "
                        r"after 20 of 117 neighbours$") as info:
         ctx.verify()
     assert (info.value.radius_reached, info.value.elements_seen) == (2, 20)
-    monkeypatch.setattr(deadend.construction, "monotonic", lambda: 105.0)
+    assert clock.reads == 3
+    clock.set(105.0)
     assert ctx.verify().passed  # at the deadline itself the budget still holds
+
+
+def test_the_default_budget_has_no_deadline(clock):
+    # a library process may run long before it verifies: readings far past the
+    # import time, or past any finite budget, stop nothing
+    clock.set(1e18)
+    assert DEFAULT_BUDGET.max_seconds == math.inf
+    assert len(ball(ZZ, UNIT, 3000)) == 6001
+    ctx = Construction(UNIT, cyclic_quotient(UNIT, 10), target_depth=3)
+    assert ctx.verify().passed
+    assert clock.reads > 0
 
 
 def test_the_s_ball_is_released_once_the_tables_exist(monkeypatch):

@@ -177,6 +177,21 @@ def test_whole_list_arithmetic_equals_the_per_element_maps(group):
         assert group.prefix_products(ps) == prefixes
 
 
+@pytest.mark.parametrize(
+    "group",
+    [Cyclic(7), Dihedral(5), TableGroup(cyclic_table(6), identity_id=0),
+     *(group for group, _ in random_table_groups(2, seed=41))],
+    ids=lambda g: repr(g),
+)
+def test_every_finite_group_codes_its_elements_by_payload(group):
+    # a quotient's target ball is keyed by payload: certificates read target
+    # norms and lifts off it with no encode
+    payloads = [x.payload for x in group.elements()]
+    codec = group.integer_code(payloads, len(payloads))
+    assert list(map(codec.encode, payloads)) == payloads == list(map(codec.decode, payloads))
+    assert codec.step == group.mul_payload
+
+
 @pytest.mark.parametrize("bits", [8, 64])
 def test_integer_line_lists_raise_mul_payloads_error_at_the_cap(bits):
     line = IntegerLine(bits=bits)

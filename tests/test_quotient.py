@@ -31,6 +31,7 @@ from deadend.quotient import (
     cyclic_quotient,
     diameter,
     find_quotient,
+    group_ball,
 )
 
 ZZ = IntegerLine()
@@ -357,6 +358,18 @@ def test_whole_group_bfs_is_held_to_the_radius_it_reaches():
     assert diameter(small, GeneratingSet([small.element(1)]), Budget(max_radius=50)).diameter == 50
     with pytest.raises(BudgetExceededError, match="element budget"):
         diameter(small, GeneratingSet([small.element(1)]), Budget(max_elements=20))
+
+
+def test_the_whole_group_bfs_keeps_the_callers_deadline(clock):
+    # group_ball lifts the radius limit to the order for its BFS; the lifted
+    # budget keeps the clock reading the caller's started from
+    group, budget = Cyclic(100), Budget(max_seconds=5, started=100.0)
+    gens = GeneratingSet([group.element(1)])
+    clock.set(105.5)
+    with pytest.raises(BudgetExceededError, match="^time budget 5s exceeded$"):
+        group_ball(group, gens, budget)
+    clock.set(105.0)
+    assert len(group_ball(group, gens, budget)) == 100
 
 
 def test_quotient_map_builds_its_ball_under_the_callers_budget():
